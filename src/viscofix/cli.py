@@ -10,9 +10,10 @@ sweep         re-run one config over a list of values for a single parameter
 
 Exit codes are 0 (completed), 1 (bad config, schedule, or input file), and
 2 (non-convergence diagnostics: stagnating residual, inner budget exhausted,
-or a failed certification). Artifacts embed the config hash (sha256 of the
-canonical sorted-key JSON) and the seed, and rerunning an identical config
-reproduces summary.json and trace.csv byte for byte.
+a non-finite inner value, or a failed certification). Artifacts embed the
+config hash (sha256 of the canonical sorted-key JSON) and the seed, and
+rerunning an identical config reproduces summary.json and trace.csv byte
+for byte.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .operators import (
 from .schemes import (
     InvalidSchedule,
     MaxIterExceeded,
+    NonFiniteValue,
     NotAContraction,
     SolveOptions,
     anchored_implicit_solve,
@@ -403,15 +405,23 @@ def cmd_sweep(args) -> int:
     cfg = load_run_config(_config_path(args), args.seed)
     if not args.values:
         raise ConfigInvalid("sweep needs at least one value")
+    leaf = args.param.split(".")[-1]
+    names = [f"{leaf}_{value:g}" for value in args.values]
+    seen = {}
+    for value, name in zip(args.values, names):
+        if name in seen:
+            raise ConfigInvalid(
+                f"sweep values {seen[name]!r} and {value!r} would both write to '{name}'"
+            )
+        seen[name] = value
     root = Path(args.out or cfg.get("output_dir") or ".")
     root.mkdir(parents=True, exist_ok=True)
-    leaf = args.param.split(".")[-1]
     rows = []
     any_completed = False
-    for value in args.values:
+    for value, name in zip(args.values, names):
         sub_cfg = copy.deepcopy(cfg)
         _assign_param(sub_cfg, args.param, value)
-        sub_dir = root / f"{leaf}_{value:g}"
+        sub_dir = root / name
         sub_cfg["output_dir"] = str(sub_dir)
         try:
             jsonschema.validate(sub_cfg, RUN_CONFIG_SCHEMA)
@@ -500,7 +510,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MaxIterExceeded, NoConvergence, NoCommonFixedPoint) as exc:
+    except (MaxIterExceeded, NonFiniteValue, NoConvergence, NoCommonFixedPoint) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (InvalidSpec, InvalidSchedule, NotAContraction, NotNonexpansive, DimensionMismatch) as exc:

@@ -117,6 +117,16 @@ class Operator:
         self.declared_class = declared_class
 
     def apply(self, x) -> np.ndarray:
+        """T(x), after checking that x is a vector of this operator's dimension."""
+        return self._apply(self._check_arg(x))
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """T(x) on a float vector of shape (dim,) that has already been checked.
+
+        Composing operators call their children's _apply, and solver loops
+        call it on vectors they built, so the shape check runs once, at the
+        public boundary.
+        """
         raise NotImplementedError
 
     def __call__(self, x) -> np.ndarray:
@@ -173,8 +183,8 @@ class LinearOperator(Operator):
         super().__init__(self.matrix.shape[0], declared_class)
         self._offset = as_vector(np.zeros(self.dim))
 
-    def apply(self, x):
-        return self.matrix @ self._check_arg(x)
+    def _apply(self, x):
+        return self.matrix @ x
 
     def affine_parts(self):
         return self.matrix, self._offset
@@ -197,8 +207,8 @@ class AffineOperator(Operator):
             declared_class = _class_from_bound(float(np.linalg.norm(self.matrix, 2)))
         super().__init__(self.matrix.shape[0], declared_class)
 
-    def apply(self, x):
-        return self.matrix @ self._check_arg(x) + self.offset
+    def _apply(self, x):
+        return self.matrix @ x + self.offset
 
     def affine_parts(self):
         return self.matrix, self.offset
@@ -213,8 +223,8 @@ class Identity(Operator):
     def __init__(self, dim: int):
         super().__init__(dim, ISOMETRY)
 
-    def apply(self, x):
-        return self._check_arg(x).copy()
+    def _apply(self, x):
+        return x.copy()
 
     def affine_parts(self):
         return np.eye(self.dim), np.zeros(self.dim)
@@ -229,8 +239,8 @@ class Negation(Operator):
     def __init__(self, dim: int):
         super().__init__(dim, NONEXPANSIVE)
 
-    def apply(self, x):
-        return -self._check_arg(x)
+    def _apply(self, x):
+        return -x
 
     def affine_parts(self):
         return -np.eye(self.dim), np.zeros(self.dim)
@@ -248,8 +258,7 @@ class ConstantOperator(Operator):
         self.value = as_vector(value)
         super().__init__(self.value.shape[0], contraction(0.0))
 
-    def apply(self, x):
-        self._check_arg(x)
+    def _apply(self, x):
         return self.value.copy()
 
     def affine_parts(self):
@@ -271,10 +280,9 @@ class BallProjection(Operator):
             raise InvalidSpec("ball radius must be positive")
         super().__init__(self.center.shape[0], NONEXPANSIVE)
 
-    def apply(self, x):
-        x = self._check_arg(x)
+    def _apply(self, x):
         shifted = x - self.center
-        dist = float(np.linalg.norm(shifted))
+        dist = math.sqrt(shifted.dot(shifted))
         if dist <= self.radius:
             return x.copy()
         return self.center + shifted * (self.radius / dist)
@@ -297,8 +305,8 @@ class BoxProjection(Operator):
             raise InvalidSpec("box lower bound exceeds upper bound")
         super().__init__(self.lower.shape[0], NONEXPANSIVE)
 
-    def apply(self, x):
-        return np.clip(self._check_arg(x), self.lower, self.upper)
+    def _apply(self, x):
+        return np.clip(x, self.lower, self.upper)
 
     def to_spec(self):
         return {"kind": "projection_box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
@@ -316,11 +324,12 @@ class PlaneRotation(Operator):
             raise InvalidSpec(f"rotation plane {plane} invalid for dimension {self.dim}")
         self.plane = (i, j)
         self.angle = float(angle)
+        self._cos_sin = (math.cos(self.angle), math.sin(self.angle))
 
-    def apply(self, x):
-        x = self._check_arg(x).copy()
+    def _apply(self, x):
+        x = x.copy()
         i, j = self.plane
-        c, s = math.cos(self.angle), math.sin(self.angle)
+        c, s = self._cos_sin
         xi, xj = x[i], x[j]
         x[i] = c * xi - s * xj
         x[j] = s * xi + c * xj
@@ -329,7 +338,7 @@ class PlaneRotation(Operator):
     def affine_parts(self):
         m = np.eye(self.dim)
         i, j = self.plane
-        c, s = math.cos(self.angle), math.sin(self.angle)
+        c, s = self._cos_sin
         m[i, i] = c
         m[i, j] = -s
         m[j, i] = s
@@ -360,9 +369,8 @@ class AveragedOperator(Operator):
             declared = _class_from_bound((1.0 - lam) + lam * bound)
         super().__init__(inner_op.dim, declared)
 
-    def apply(self, x):
-        x = self._check_arg(x)
-        return (1.0 - self.lam) * x + self.lam * self.inner_op.apply(x)
+    def _apply(self, x):
+        return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
 
     def affine_parts(self):
         parts = self.inner_op.affine_parts()
@@ -402,11 +410,10 @@ class CompositeOperator(Operator):
         self.operators = ops
         super().__init__(dim, declared)
 
-    def apply(self, x):
-        y = self._check_arg(x).copy()
+    def _apply(self, x):
         for op in self.operators:
-            y = op.apply(y)
-        return y
+            x = op._apply(x)
+        return x
 
     def affine_parts(self):
         m = np.eye(self.dim)
@@ -443,10 +450,10 @@ class IteratedOperator(Operator):
             declared = base.declared_class
         super().__init__(base.dim, declared)
 
-    def apply(self, x):
-        y = self._check_arg(x).copy()
+    def _apply(self, x):
+        y = x.copy()
         for _ in range(self.n):
-            y = self.base.apply(y)
+            y = self.base._apply(y)
         return y
 
     def affine_parts(self):
@@ -485,9 +492,8 @@ class BlendOperator(Operator):
             declared = _class_from_bound(abs(self.a) * bound_s + abs(self.b) * bound_t)
         super().__init__(first.dim, declared)
 
-    def apply(self, x):
-        x = self._check_arg(x)
-        return self.a * self.first.apply(x) + self.b * self.second.apply(x)
+    def _apply(self, x):
+        return self.a * self.first._apply(x) + self.b * self.second._apply(x)
 
     def affine_parts(self):
         ps = self.first.affine_parts()
@@ -507,8 +513,9 @@ class FunctionOperator(Operator):
         self.func = func
         self.name = name
 
-    def apply(self, x):
-        y = np.asarray(self.func(self._check_arg(x)), dtype=float)
+    def _apply(self, x):
+        # The callable is outside code, so its output shape is checked on every call.
+        y = np.asarray(self.func(x), dtype=float)
         if y.shape != (self.dim,):
             raise DimensionMismatch(f"callable '{self.name}' returned shape {y.shape}")
         return y
@@ -526,8 +533,8 @@ class DeclaredWrapper(Operator):
         super().__init__(wrapped.dim, declared_class)
         self.wrapped = wrapped
 
-    def apply(self, x):
-        return self.wrapped.apply(x)
+    def _apply(self, x):
+        return self.wrapped._apply(x)
 
     def affine_parts(self):
         return self.wrapped.affine_parts()
@@ -661,6 +668,22 @@ def make_operator(spec: dict) -> Operator:
 # Empirical Lipschitz probes
 
 
+def _sample_pair(rng, dim: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two distinct seeded samples from the ball of the given radius."""
+    x = sample_ball(rng, dim, radius)
+    y = sample_ball(rng, dim, radius)
+    while np.array_equal(x, y):
+        y = sample_ball(rng, dim, radius)
+    return x, y
+
+
+def _ratio(T: Operator, x: np.ndarray, y: np.ndarray) -> float:
+    """||T x - T y|| / ||x - y|| on sampled vectors, which need no shape check."""
+    image = T._apply(x) - T._apply(y)
+    gap = x - y
+    return math.sqrt(image.dot(image)) / math.sqrt(gap.dot(gap))
+
+
 def estimate_lipschitz(T: Operator, n_samples: int, radius: float, seed=DEFAULT_SEED) -> float:
     """Largest ratio ||T x - T y|| / ||x - y|| over seeded sample pairs in a ball."""
     if n_samples < 1:
@@ -668,11 +691,8 @@ def estimate_lipschitz(T: Operator, n_samples: int, radius: float, seed=DEFAULT_
     rng = make_rng(seed)
     best = 0.0
     for _ in range(n_samples):
-        x = sample_ball(rng, T.dim, radius)
-        y = sample_ball(rng, T.dim, radius)
-        while np.array_equal(x, y):
-            y = sample_ball(rng, T.dim, radius)
-        ratio = norm(T.apply(x) - T.apply(y)) / norm(x - y)
+        x, y = _sample_pair(rng, T.dim, radius)
+        ratio = _ratio(T, x, y)
         if ratio > best:
             best = ratio
     return best
@@ -699,11 +719,8 @@ def check_nonexpansive(
     """
     rng = make_rng(seed)
     for _ in range(n_samples):
-        x = sample_ball(rng, T.dim, radius)
-        y = sample_ball(rng, T.dim, radius)
-        while np.array_equal(x, y):
-            y = sample_ball(rng, T.dim, radius)
-        ratio = norm(T.apply(x) - T.apply(y)) / norm(x - y)
+        x, y = _sample_pair(rng, T.dim, radius)
+        ratio = _ratio(T, x, y)
         if ratio > 1.0 + tol:
             return NonexpansiveCheck(False, (as_vector(x), as_vector(y), ratio))
     return NonexpansiveCheck(True)

@@ -60,6 +60,10 @@ class MaxIterExceeded(ViscofixError):
     """The inner iteration budget ran out before the stopping rule fired."""
 
 
+class NonFiniteValue(ViscofixError):
+    """An inner iteration produced a NaN or infinite operator value."""
+
+
 #: Sampling used when a Lipschitz class has to be estimated on the fly.
 PROBE_SAMPLES = 1000
 PROBE_RADIUS = 10.0
@@ -307,6 +311,11 @@ def picard_solve(
     FixedPointResult
         residual carries the a-posteriori error bound, step_norms the full
         sequence of update norms.
+
+    Raises MaxIterExceeded when the budget runs out. The generic loop raises
+    NonFiniteValue as soon as G returns a NaN or infinite value; the affine
+    loop for d <= 4 works on a validated finite matrix and offset and is not
+    checked.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -340,11 +349,21 @@ def picard_solve(
                 step_norms=tuple(steps),
             )
     else:
+        # x was checked above and every operator keeps the shape of its
+        # argument, so the loop skips the public apply's check.
+        apply = G._apply
         steps = []
         current = x.copy()
         for k in range(1, policy.max_iter + 1):
-            nxt = G.apply(current)
-            delta = norm(nxt - current)
+            nxt = apply(current)
+            step = nxt - current
+            delta = math.sqrt(step.dot(step))
+            # A norm can overflow while the iterate stays finite; only a
+            # non-finite value of G ends the loop.
+            if not math.isfinite(delta) and not np.all(np.isfinite(nxt)):
+                raise NonFiniteValue(
+                    f"Picard step {k} produced a non-finite value (operator kind '{G.kind}')"
+                )
             steps.append(delta)
             current = nxt
             if delta <= threshold:

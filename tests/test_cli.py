@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from viscofix.cli import config_hash, main
@@ -118,6 +119,20 @@ def test_run_inner_budget_exhaustion_exits_two(tmp_path, capsys):
     cfg_path = _write(tmp_path, "tight.json", cfg)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "MaxIterExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_non_finite_inner_value_exits_two(tmp_path, capsys):
+    # x = f(x) = x/2 + c has the solution 2c, which overflows, so the inner
+    # iterates of the first outer step reach inf.
+    cfg = _ball_config()
+    cfg["problem"] = {
+        "target": {"kind": "identity", "dim": 5},
+        "contraction": {"kind": "affine", "matrix": (0.5 * np.eye(5)).tolist(), "offset": [1.7e308] * 5},
+    }
+    cfg_path = _write(tmp_path, "overflow.json", cfg)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "NonFiniteValue" in capsys.readouterr().err
 
 
 def test_run_anchored_with_anchors_reports_retraction(tmp_path):
@@ -342,3 +357,13 @@ def test_sweep_requires_values(tmp_path, capsys):
     cfg_path = _write(tmp_path, "sweep.json", _sweep_config())
     assert main(["sweep", str(cfg_path), "--param", "schedule.p", "--values"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_sweep_rejects_values_that_share_a_directory(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "sweep.json", _sweep_config())
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(cfg_path), "--param", "schedule.p", "--values", "0.5", "1.0000001", "1.0000002"]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "1.0000001" in err and "1.0000002" in err and "'p_1'" in err
+    assert not out.exists()

@@ -36,7 +36,7 @@ from viscofix import (
     make_operator,
     operator_norm,
 )
-from viscofix.operators import DeclaredWrapper, blend, nullspace_basis
+from viscofix.operators import BlendOperator, DeclaredWrapper, blend, nullspace_basis
 
 from oracles import brute_force_nullity, charpoly_sigma
 
@@ -111,6 +111,46 @@ def test_iterated_matches_repeated_apply():
 def test_dimension_mismatch_on_apply():
     with pytest.raises(DimensionMismatch):
         Identity(2).apply([1.0, 2.0, 3.0])
+
+
+#: One operator of every catalog kind, plus nested and wrapped forms: inner
+#: levels run unchecked, so the public apply must reject bad shapes itself.
+SHAPE_CHECKED = {
+    "linear": LinearOperator(0.5 * np.eye(2)),
+    "affine": AffineOperator(0.5 * np.eye(2), [1.0, 0.0]),
+    "identity": Identity(2),
+    "negation": Negation(2),
+    "constant": ConstantOperator([0.5, 0.5]),
+    "projection_ball": BallProjection([1.0, -1.0], 2.0),
+    "projection_box": BoxProjection([-1.0, 0.0], [1.0, 2.0]),
+    "rotation": PlaneRotation(2, (0, 1), 0.9),
+    "averaged": AveragedOperator(Negation(2), 0.5),
+    "composite-nested": CompositeOperator(
+        [CompositeOperator([PlaneRotation(2, (0, 1), 0.4), Negation(2)]), BallProjection([0.0, 0.0], 1.0)]
+    ),
+    "iterated": IteratedOperator(PlaneRotation(2, (0, 1), 0.4), 2),
+    "blend": BlendOperator(0.5, ConstantOperator([1.0, 0.0]), 0.5, BallProjection([0.0, 0.0], 1.0)),
+    "function": FunctionOperator(lambda x: 0.5 * x, 2),
+    "declared": DeclaredWrapper(FunctionOperator(lambda x: 0.5 * x, 2), contraction(0.5)),
+}
+
+
+@pytest.mark.parametrize("op", SHAPE_CHECKED.values(), ids=SHAPE_CHECKED.keys())
+@pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], 1.0], ids=["long", "short", "matrix", "scalar"])
+def test_public_apply_rejects_bad_shapes(op, bad):
+    with pytest.raises(DimensionMismatch):
+        op.apply(bad)
+    with pytest.raises(DimensionMismatch):
+        op(bad)
+
+
+def test_blend_checks_the_shape_a_wrapped_callable_returns():
+    truncating = FunctionOperator(lambda x: x[:1], 2, name="truncating")
+    mixed = BlendOperator(0.5, Identity(2), 0.5, CompositeOperator([Negation(2), truncating]))
+    with pytest.raises(DimensionMismatch, match="'truncating' returned shape"):
+        mixed.apply([1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="'truncating' returned shape"):
+        mixed([1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscofix import (
     AffineOperator,
+    AveragedOperator,
     BallProjection,
+    BoxProjection,
+    CompositeOperator,
     ConstantOperator,
     DimensionMismatch,
     FunctionOperator,
     Identity,
     InnerTolRule,
     InvalidSchedule,
+    IteratedOperator,
     LinearOperator,
     MaxIterExceeded,
     Negation,
     NonDecreasingSchedule,
+    NonFiniteValue,
     NotAContraction,
     NotNonexpansive,
     PlaneRotation,
@@ -36,6 +43,7 @@ from viscofix import (
     retraction_eval,
     viscosity_implicit_solve,
 )
+from viscofix.operators import BlendOperator
 
 from oracles import bisect_increasing
 
@@ -162,6 +170,86 @@ def test_picard_fast_path_matches_generic_loop():
     np.testing.assert_array_equal(fast.point, generic.point)
 
 
+#: Blend weights whose absolute values sum to exactly 1 in floating point, so
+#: every generated tree keeps a declared Lipschitz bound of at most 1.
+BLEND_WEIGHTS = ((0.5, 0.5), (0.25, 0.75), (-0.5, 0.5), (0.75, -0.25))
+
+
+def _public(op):
+    """The same map as op, reached only through op's checked public apply."""
+    return FunctionOperator(op.apply, op.dim, op.declared_class, name=op.kind)
+
+
+def _twins(build, *children):
+    """(tree on the bare children, public wrapper of the tree on their public twins)."""
+    return build(*(c[0] for c in children)), _public(build(*(c[1] for c in children)))
+
+
+def _nonexpansive_twins(dim):
+    """Nested composite/averaged/iterated/blend trees over catalog leaves.
+
+    Each example is a pair: the tree itself, whose solve runs the unchecked
+    _apply at every level, and a twin in which every node is wrapped in a
+    FunctionOperator, so that every level goes through a public apply.
+    """
+    vectors = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    leaves = st.one_of(
+        st.builds(PlaneRotation, st.just(dim), st.just((0, dim - 1)), st.floats(-3.0, 3.0)),
+        st.builds(BallProjection, vectors, st.floats(0.25, 2.0)),
+        vectors.map(lambda c: BoxProjection([v - 1.0 for v in c], [v + 1.0 for v in c])),
+        st.just(Negation(dim)),
+        st.just(Identity(dim)),
+    ).map(lambda leaf: (leaf, _public(leaf)))
+
+    def nodes(children):
+        return st.one_of(
+            st.lists(children, min_size=1, max_size=3).map(
+                lambda cs: _twins(lambda *ops: CompositeOperator(ops), *cs)
+            ),
+            st.builds(
+                lambda c, lam: _twins(lambda op: AveragedOperator(op, lam), c),
+                children, st.sampled_from((0.25, 0.5, 1.0)),
+            ),
+            st.builds(
+                lambda c, n: _twins(lambda op: IteratedOperator(op, n), c),
+                children, st.integers(0, 3),
+            ),
+            st.builds(
+                lambda w, c1, c2: _twins(lambda s1, s2: BlendOperator(w[0], s1, w[1], s2), c1, c2),
+                st.sampled_from(BLEND_WEIGHTS), children, children,
+            ),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=6)
+
+
+@st.composite
+def _inner_problems(draw):
+    dim = draw(st.sampled_from((2, 3, 5)))
+    target = draw(_nonexpansive_twins(dim))
+    anchor = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
+    # Half a ball projection plus a constant: a 0.5-contraction with no affine
+    # form, so picard_solve always takes the generic loop.
+    forcing = BlendOperator(0.5, BallProjection(np.zeros(dim), 1.0), 1.0, ConstantOperator(anchor))
+    eps = draw(st.sampled_from((0.1, 0.3, 0.7)))
+    problem = _twins(lambda f, t: BlendOperator(eps, f, 1.0 - eps, t), (forcing, _public(forcing)), target)
+    start = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
+    return problem, np.array(start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems=_inner_problems())
+def test_picard_unchecked_path_matches_public_apply(problems):
+    (op, public), start = problems
+    assert op.declared_class == public.declared_class
+    assert op.declared_class.kind == "contraction"
+    direct = picard_solve(op, start, 1e-9)
+    checked = picard_solve(public, start, 1e-9)
+    assert direct.iterations == checked.iterations
+    assert direct.step_norms == checked.step_norms
+    np.testing.assert_array_equal(direct.point, checked.point)
+
+
 def test_picard_three_dim_fast_path_agrees():
     matrix = np.array([[0.25, 0.125, 0.0], [0.0, 0.25, 0.0625], [0.125, 0.0, 0.25]])
     offset = np.array([1.0, -2.0, 0.5])
@@ -192,6 +280,25 @@ def test_picard_budget_failure_reports_modulus():
     tight = TolerancePolicy(max_iter=3)
     with pytest.raises(MaxIterExceeded, match="q=0.9"):
         picard_solve(AffineOperator([[0.9]], [1.0]), [0.0], 1e-12, policy=tight)
+
+
+def test_picard_fails_fast_on_non_finite_values():
+    poisoned = FunctionOperator(lambda x: x * math.nan, 2, contraction(0.5))
+    with pytest.raises(NonFiniteValue, match=r"step 1 .*operator kind 'function'"):
+        picard_solve(poisoned, [1.0, 0.0], 1e-8)
+    # An infinite value is caught too, however late it appears.
+    late = FunctionOperator(lambda x: 0.5 * x + 1.0 if x[0] < 1.5 else x * math.inf, 1, contraction(0.5))
+    with pytest.raises(NonFiniteValue, match=r"step \d+ produced a non-finite value"):
+        picard_solve(late, [0.0], 1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_picard_survives_an_overflowing_step_norm():
+    # The first step's norm overflows to inf, but every iterate is finite.
+    huge = FunctionOperator(lambda x: 0.5 * x + 1e200, 2, contraction(0.5))
+    res = picard_solve(huge, [0.0, 0.0], 1.0)
+    assert res.step_norms[0] == math.inf
+    np.testing.assert_allclose(res.point, [2e200, 2e200])
 
 
 def test_picard_argument_validation():
