@@ -42,10 +42,6 @@ FIXED_POINT_TOL = 1e-9
 RETRACTION_SLACK = 1e-7
 
 
-class NoCommonFixedPoint(ViscofixError):
-    """The residual stagnated: the target appears to have no fixed point."""
-
-
 class NotAFixedPoint(ViscofixError):
     """The reference point p fails residual(T, p) <= tol."""
 

@@ -53,6 +53,10 @@ class NotNonexpansive(ViscofixError):
     """A map required to be nonexpansive failed the sampled check."""
 
 
+class NonFiniteValue(ViscofixError):
+    """An operator returned a NaN or infinite value inside a solver or probe."""
+
+
 # ---------------------------------------------------------------------------
 # Declared Lipschitz classes
 
@@ -667,35 +671,42 @@ def make_operator(spec: dict) -> Operator:
 # ---------------------------------------------------------------------------
 # Empirical Lipschitz probes
 
-
-def _sample_pair(rng, dim: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Two distinct seeded samples from the ball of the given radius."""
-    x = sample_ball(rng, dim, radius)
-    y = sample_ball(rng, dim, radius)
-    while np.array_equal(x, y):
-        y = sample_ball(rng, dim, radius)
-    return x, y
+#: Sampling shared by every probe that resolves an undeclared Lipschitz class:
+#: pair count, ball radius, and the slack a nonexpansive map may show.
+PROBE_SAMPLES = 1000
+PROBE_RADIUS = 10.0
+NONEXPANSIVE_TOL = 1e-9
 
 
-def _ratio(T: Operator, x: np.ndarray, y: np.ndarray) -> float:
-    """||T x - T y|| / ||x - y|| on sampled vectors, which need no shape check."""
-    image = T._apply(x) - T._apply(y)
-    gap = x - y
-    return math.sqrt(image.dot(image)) / math.sqrt(gap.dot(gap))
+def _sampled_ratios(T: Operator, n_samples: int, radius: float, seed):
+    """(x, y, ||T x - T y|| / ||x - y||) over seeded pairs x != y in a ball.
+
+    Sampled vectors need no shape check, so T._apply is called directly.
+    Raises NonFiniteValue when T returns a NaN or infinite value; a ratio
+    that overflows on finite values is yielded as it is.
+    """
+    rng = make_rng(seed)
+    for _ in range(n_samples):
+        x = sample_ball(rng, T.dim, radius)
+        y = sample_ball(rng, T.dim, radius)
+        while np.array_equal(x, y):
+            y = sample_ball(rng, T.dim, radius)
+        tx, ty = T._apply(x), T._apply(y)
+        image = tx - ty
+        gap = x - y
+        ratio = math.sqrt(image.dot(image)) / math.sqrt(gap.dot(gap))
+        if not math.isfinite(ratio) and not (np.isfinite(tx).all() and np.isfinite(ty).all()):
+            raise NonFiniteValue(
+                f"Lipschitz probe produced a non-finite value (operator kind '{T.kind}')"
+            )
+        yield x, y, ratio
 
 
 def estimate_lipschitz(T: Operator, n_samples: int, radius: float, seed=DEFAULT_SEED) -> float:
     """Largest ratio ||T x - T y|| / ||x - y|| over seeded sample pairs in a ball."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    rng = make_rng(seed)
-    best = 0.0
-    for _ in range(n_samples):
-        x, y = _sample_pair(rng, T.dim, radius)
-        ratio = _ratio(T, x, y)
-        if ratio > best:
-            best = ratio
-    return best
+    return max(ratio for _, _, ratio in _sampled_ratios(T, n_samples, radius, seed))
 
 
 @dataclass(frozen=True)
@@ -710,17 +721,14 @@ class NonexpansiveCheck:
 
 
 def check_nonexpansive(
-    T: Operator, n_samples: int, tol: float, radius: float = 10.0, seed=DEFAULT_SEED
+    T: Operator, n_samples: int, tol: float, radius: float = PROBE_RADIUS, seed=DEFAULT_SEED
 ) -> NonexpansiveCheck:
     """Sampled check that ||T x - T y|| <= (1 + tol) ||x - y||.
 
     Returns the first violating pair as a witness, in deterministic seeded
     sampling order.
     """
-    rng = make_rng(seed)
-    for _ in range(n_samples):
-        x, y = _sample_pair(rng, T.dim, radius)
-        ratio = _ratio(T, x, y)
+    for x, y, ratio in _sampled_ratios(T, n_samples, radius, seed):
         if ratio > 1.0 + tol:
             return NonexpansiveCheck(False, (as_vector(x), as_vector(y), ratio))
     return NonexpansiveCheck(True)

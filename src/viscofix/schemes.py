@@ -9,8 +9,8 @@ of an operator family cycled round-robin over its sampled indices. Each step
 is a Banach fixed-point problem for the blended map G, a contraction with
 modulus at most q = 1 - eps_n * (1 - alpha), and is solved by Picard
 iteration with an a-posteriori stopping rule. The anchored variant freezes
-f to a constant anchor and uses eps_n = 1/n, which selects the value of the
-limiting retraction at that anchor.
+f to a constant anchor and uses the anchored schedule eps_n = 1/n, which
+selects the value of the limiting retraction at that anchor.
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    PROBE_RADIUS,
+    PROBE_SAMPLES,
     ConstantOperator,
     DeclaredWrapper,
-    NONEXPANSIVE,
-    NotNonexpansive,
+    NonFiniteValue,
     Operator,
     blend,
-    check_nonexpansive,
     contraction,
     estimate_lipschitz,
 )
-from .semigroup import OperatorFamily
+from .operators import check_nonexpansive  # noqa: F401  (bench/tracer.py wraps this binding)
+from .semigroup import OperatorFamily, resolve_nonexpansive
 from .space import (
     DEFAULT_POLICY,
     DimensionMismatch,
@@ -60,17 +61,8 @@ class MaxIterExceeded(ViscofixError):
     """The inner iteration budget ran out before the stopping rule fired."""
 
 
-class NonFiniteValue(ViscofixError):
-    """An inner iteration produced a NaN or infinite operator value."""
-
-
-#: Sampling used when a Lipschitz class has to be estimated on the fly.
-PROBE_SAMPLES = 1000
-PROBE_RADIUS = 10.0
 #: Estimated moduli must stay below 1 by this margin to count as contractions.
 CONTRACTION_MARGIN = 1e-6
-#: Slack allowed when probing an undeclared target for nonexpansiveness.
-FAMILY_NONEXPANSIVE_TOL = 1e-9
 
 #: Affine inner problems of at most this dimension run on plain floats.
 _FAST_PATH_MAX_DIM = 4
@@ -82,7 +74,8 @@ _FAST_PATH_MAX_DIM = 4
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Materialized sequence eps_1 > eps_2 > ... inside (0, 1)."""
+    """Materialized sequence eps_1 > eps_2 > ... inside (0, 1); only the
+    anchored kind may start at eps_1 = 1."""
 
     kind: str
     n_max: int
@@ -99,12 +92,12 @@ class EpsilonSchedule:
         return self.values[n - 1]
 
 
-def _validate_schedule_values(values) -> tuple[float, ...]:
+def _validate_schedule_values(values, kind: str) -> tuple[float, ...]:
     values = tuple(float(v) for v in values)
     if not values:
         raise InvalidSchedule("schedule is empty")
     for v in values:
-        if not 0.0 < v < 1.0:
+        if not (0.0 < v < 1.0 or (v == 1.0 and kind == "anchored")):
             raise InvalidSchedule(f"schedule values must lie in (0, 1), got {v}")
     for a, b in zip(values, values[1:]):
         if b >= a:
@@ -115,15 +108,17 @@ def _validate_schedule_values(values) -> tuple[float, ...]:
 def make_schedule(kind: str = "harmonic", params: dict | None = None, n_max: int | None = None) -> EpsilonSchedule:
     """Build and validate an eps schedule.
 
-    Kinds: "harmonic" (eps_n = 1/(n+1)^p), "geometric" (eps_n = r^n), and
-    "explicit" (a literal value list in params["values"]).
+    Kinds: "harmonic" (eps_n = 1/(n+1)^p), "geometric" (eps_n = r^n),
+    "anchored" (eps_n = 1/n, which paired with a constant forcing term gives
+    the anchored iteration), and "explicit" (a literal value list in
+    params["values"]).
     """
     params = dict(params or {})
     if kind == "explicit":
         raw = params.get("values")
         if raw is None:
             raise InvalidSchedule("explicit schedule needs params['values']")
-        values = _validate_schedule_values(raw)
+        values = _validate_schedule_values(raw, kind)
         if n_max is not None and n_max != len(values):
             raise InvalidSchedule(
                 f"explicit schedule has {len(values)} values but n_max={n_max}"
@@ -138,15 +133,17 @@ def make_schedule(kind: str = "harmonic", params: dict | None = None, n_max: int
         p = float(params.get("p", 1.0))
         if not p > 0.0:
             raise InvalidSchedule(f"harmonic exponent must be positive, got {p}")
-        values = tuple(1.0 / (n + 1) ** p for n in range(1, n_max + 1))
-        return EpsilonSchedule(kind="harmonic", n_max=n_max, values=_validate_schedule_values(values), params={"p": p})
-    if kind == "geometric":
+        values, params = tuple(1.0 / (n + 1) ** p for n in range(1, n_max + 1)), {"p": p}
+    elif kind == "geometric":
         r = float(params.get("r", 0.5))
         if not 0.0 < r < 1.0:
             raise InvalidSchedule(f"geometric ratio must lie in (0, 1), got {r}")
-        values = tuple(r**n for n in range(1, n_max + 1))
-        return EpsilonSchedule(kind="geometric", n_max=n_max, values=_validate_schedule_values(values), params={"r": r})
-    raise InvalidSchedule(f"unknown schedule kind '{kind}'")
+        values, params = tuple(r**n for n in range(1, n_max + 1)), {"r": r}
+    elif kind == "anchored":
+        values, params = tuple(1.0 / n for n in range(1, n_max + 1)), {}
+    else:
+        raise InvalidSchedule(f"unknown schedule kind '{kind}'")
+    return EpsilonSchedule(kind=kind, n_max=n_max, values=_validate_schedule_values(values, kind), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +212,15 @@ class FixedPointResult:
 # Inner solver
 
 
-def _resolve_contraction(G: Operator) -> float:
-    """Contraction modulus of G: declared, or estimated within the margin."""
+def _resolve_contraction(G: Operator) -> Operator:
+    """G when declared a contraction, else G declared with its estimated modulus."""
     declared = G.declared_class
     if declared.kind == "contraction":
-        return declared.alpha
+        return G
     if declared.kind == "unknown":
         estimate = estimate_lipschitz(G, PROBE_SAMPLES, PROBE_RADIUS)
         if estimate <= 1.0 - CONTRACTION_MARGIN:
-            return estimate
+            return DeclaredWrapper(G, contraction(estimate))
         raise NotAContraction(
             f"estimated Lipschitz constant {estimate:.6g} is not below 1 - {CONTRACTION_MARGIN}"
         )
@@ -319,7 +316,7 @@ def picard_solve(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    alpha = _resolve_contraction(G)
+    alpha = _resolve_contraction(G).declared_class.alpha
     x = np.asarray(x0, dtype=float)
     if x.shape != (G.dim,):
         raise DimensionMismatch(f"start point shape {x.shape} does not match dimension {G.dim}")
@@ -403,73 +400,75 @@ def implicit_step(
 # Outer solvers
 
 
-def _resolve_nonexpansive(T: Operator) -> Operator:
-    """Pass through maps with Lipschitz bound <= 1; probe unknown ones once."""
-    bound = T.declared_class.lipschitz_bound()
-    if bound is not None and bound <= 1.0:
-        return T
-    result = check_nonexpansive(T, PROBE_SAMPLES, FAMILY_NONEXPANSIVE_TOL)
-    if result.passed:
-        return DeclaredWrapper(T, NONEXPANSIVE)
-    _, _, ratio = result.witness
-    raise NotNonexpansive(f"target operator expands sampled pairs (worst ratio {ratio:.6g})")
-
-
-def _resolve_contraction_operator(f: Operator) -> Operator:
-    if f.declared_class.kind == "contraction":
-        return f
-    if f.declared_class.kind == "unknown":
-        estimate = estimate_lipschitz(f, PROBE_SAMPLES, PROBE_RADIUS)
-        if estimate <= 1.0 - CONTRACTION_MARGIN:
-            return DeclaredWrapper(f, contraction(estimate))
-    raise NotAContraction(
-        f"forcing term must be a contraction; declared class is '{f.declared_class.kind}'"
-    )
-
-
-def _step_operator_provider(target, dim: int):
-    """Resolve the per-step operator source; returns (provider, step_count_hint)."""
+def _step_operators(target, dim: int) -> tuple[Operator, ...]:
+    """Resolved nonexpansive step operators; outer step n uses entry (n-1) % len."""
     if isinstance(target, OperatorFamily):
-        if target.dim != dim:
-            raise DimensionMismatch(
-                f"family dimension {target.dim} does not match forcing dimension {dim}"
-            )
-        indices = tuple(target.sample_indices())
-        cache = [_resolve_nonexpansive(target.evaluate(t)) for t in indices]
-
-        def provider(idx: int) -> Operator:
-            return cache[idx % len(cache)]
-
-        return provider
-    if isinstance(target, Operator):
-        if target.dim != dim:
-            raise DimensionMismatch(
-                f"operator dimension {target.dim} does not match forcing dimension {dim}"
-            )
-        resolved = _resolve_nonexpansive(target)
-
-        def provider(idx: int) -> Operator:
-            return resolved
-
-        return provider
-    raise TypeError(f"target must be an Operator or OperatorFamily, got {type(target).__name__}")
+        noun, members = "family", (target.evaluate(t) for t in target.sample_indices())
+    elif isinstance(target, Operator):
+        noun, members = "operator", (target,)
+    else:
+        raise TypeError(f"target must be an Operator or OperatorFamily, got {type(target).__name__}")
+    if target.dim != dim:
+        raise DimensionMismatch(f"{noun} dimension {target.dim} does not match forcing dimension {dim}")
+    return tuple(resolve_nonexpansive(op) for op in members)
 
 
-def _run_implicit(f, provider, eps_values, opts, metadata, inner_monitor):
-    dim = f.dim
-    origin = np.zeros(dim)
+def viscosity_implicit_solve(
+    f: Operator,
+    target,
+    schedule: EpsilonSchedule,
+    opts: SolveOptions | None = None,
+    problem_id: str | None = None,
+    inner_monitor=None,
+) -> tuple[FixedPointResult, ConvergenceTrace]:
+    """Implicit viscosity iteration along an eps schedule.
+
+    Parameters
+    ----------
+    f : Operator
+        Contraction forcing term (declared, or estimable below 1 - 1e-6).
+    target : Operator or OperatorFamily
+        Nonexpansive target map; a family is cycled round-robin over its
+        sampled indices, one index per outer step.
+    schedule : EpsilonSchedule
+        Strictly decreasing eps values in (0, 1), or in (0, 1] for the
+        anchored kind.
+    opts : SolveOptions
+        Tolerances, inner rule, warm-start switch.
+    inner_monitor : callable, optional
+        Called as inner_monitor(n, eps, picard_result) after every outer step.
+
+    Returns
+    -------
+    (FixedPointResult, ConvergenceTrace)
+        The result's converged flag means the final step met both
+        ||xi - T(xi)|| <= outer_tol and ||xi_n - xi_{n-1}|| <= outer_tol.
+
+    MaxIterExceeded and NonFiniteValue from an inner solve are raised again
+    with the outer step n and eps_n in front of the message.
+    """
+    opts = opts or SolveOptions()
+    if not isinstance(schedule, EpsilonSchedule):
+        raise InvalidSchedule("schedule must be an EpsilonSchedule (see make_schedule)")
+    _validate_schedule_values(schedule.values, schedule.kind)
+    f = _resolve_contraction(f)
+    step_ops = _step_operators(target, f.dim)
+    origin = np.zeros(f.dim)
     x_prev = origin
-    trace = ConvergenceTrace(metadata=metadata)
+    trace = ConvergenceTrace(metadata={"problem_id": problem_id, "schedule": schedule.kind, "seed": None})
     started = time.time()
     converged = False
     fix_res = float("inf")
-    for idx, eps in enumerate(eps_values):
+    for idx, eps in enumerate(schedule.values):
         n = idx + 1
-        step_T = provider(idx)
+        step_T = step_ops[idx % len(step_ops)]
         delta_n = opts.inner_tol_rule.delta(eps, opts.outer_tol)
         warm = x_prev if opts.warm_start else origin
         g = blend(eps, f, 1.0 - eps, step_T)
-        res = picard_solve(g, warm, delta_n, opts.policy)
+        try:
+            res = picard_solve(g, warm, delta_n, opts.policy)
+        except (MaxIterExceeded, NonFiniteValue) as exc:
+            raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
         xi = np.asarray(res.point, dtype=float)
         implicit_res = norm(xi - g.apply(xi))
         fix_res = norm(xi - step_T.apply(xi))
@@ -501,50 +500,6 @@ def _run_implicit(f, provider, eps_values, opts, metadata, inner_monitor):
     return result, trace
 
 
-def viscosity_implicit_solve(
-    f: Operator,
-    target,
-    schedule: EpsilonSchedule,
-    opts: SolveOptions | None = None,
-    problem_id: str | None = None,
-    inner_monitor=None,
-) -> tuple[FixedPointResult, ConvergenceTrace]:
-    """Implicit viscosity iteration along an eps schedule.
-
-    Parameters
-    ----------
-    f : Operator
-        Contraction forcing term (declared, or estimable below 1 - 1e-6).
-    target : Operator or OperatorFamily
-        Nonexpansive target map; a family is cycled round-robin over its
-        sampled indices, one index per outer step.
-    schedule : EpsilonSchedule
-        Strictly decreasing eps values in (0, 1).
-    opts : SolveOptions
-        Tolerances, inner rule, warm-start switch.
-    inner_monitor : callable, optional
-        Called as inner_monitor(n, eps, picard_result) after every outer step.
-
-    Returns
-    -------
-    (FixedPointResult, ConvergenceTrace)
-        The result's converged flag means the final step met both
-        ||xi - T(xi)|| <= outer_tol and ||xi_n - xi_{n-1}|| <= outer_tol.
-    """
-    opts = opts or SolveOptions()
-    if not isinstance(schedule, EpsilonSchedule):
-        raise InvalidSchedule("schedule must be an EpsilonSchedule (see make_schedule)")
-    _validate_schedule_values(schedule.values)
-    f = _resolve_contraction_operator(f)
-    provider = _step_operator_provider(target, f.dim)
-    metadata = {
-        "problem_id": problem_id,
-        "schedule": schedule.kind,
-        "seed": None,
-    }
-    return _run_implicit(f, provider, schedule.values, opts, metadata, inner_monitor)
-
-
 def anchored_implicit_solve(
     anchor,
     target,
@@ -555,23 +510,17 @@ def anchored_implicit_solve(
 ) -> tuple[FixedPointResult, ConvergenceTrace]:
     """Anchored implicit iteration xi_n = (1/n) x + (1 - 1/n) T(xi_n).
 
-    The forcing term is the constant anchor x, so the limit of xi_n is the
-    value at x of the nonexpansive retraction onto the fixed-point set. The
-    first step has eps = 1 and returns the anchor itself.
+    The viscosity solve with the constant anchor x as forcing term and the
+    anchored schedule eps_n = 1/n, so the limit of xi_n is the value at x of
+    the nonexpansive retraction onto the fixed-point set. The first step has
+    eps = 1 and returns the anchor itself.
     """
-    anchor = as_vector(anchor)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    f = ConstantOperator(anchor)
-    provider = _step_operator_provider(target, f.dim)
-    eps_values = tuple(1.0 / n for n in range(1, n_max + 1))
-    opts = opts or SolveOptions()
-    metadata = {
-        "problem_id": problem_id,
-        "schedule": "anchored(1/n)",
-        "seed": None,
-    }
-    return _run_implicit(f, provider, eps_values, opts, metadata, inner_monitor)
+    schedule = make_schedule("anchored", n_max=n_max)
+    return viscosity_implicit_solve(
+        ConstantOperator(anchor), target, schedule, opts, problem_id, inner_monitor
+    )
 
 
 @dataclass

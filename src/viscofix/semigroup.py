@@ -14,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    NONEXPANSIVE,
+    NONEXPANSIVE_TOL,
+    PROBE_SAMPLES,
+    DeclaredWrapper,
     FixedPointSet,
     Identity,
     InvalidSpec,
@@ -30,10 +34,6 @@ from .space import DEFAULT_POLICY, DEFAULT_SEED, as_vector, make_rng, norm, samp
 
 NATURALS = "naturals_add"
 NONNEG_REALS = "nonneg_reals_add"
-
-#: Tolerance for the sampled nonexpansiveness gate on family construction.
-FAMILY_CHECK_TOL = 1e-9
-FAMILY_CHECK_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,17 @@ class OperatorFamily:
         return f"<{type(self).__name__} dim={self.dim} index={self.index.kind}>"
 
 
-def _require_nonexpansive(base: Operator) -> None:
-    bound = base.declared_class.lipschitz_bound()
+def resolve_nonexpansive(T: Operator) -> Operator:
+    """T when its declared Lipschitz bound is at most 1; otherwise T declared
+    nonexpansive after a sampled probe, or NotNonexpansive if the probe fails."""
+    bound = T.declared_class.lipschitz_bound()
     if bound is not None and bound <= 1.0:
-        return
-    result = check_nonexpansive(base, FAMILY_CHECK_SAMPLES, FAMILY_CHECK_TOL)
-    if not result.passed:
-        _, _, ratio = result.witness
-        raise NotNonexpansive(
-            f"family base operator expands sampled pairs (worst ratio {ratio:.6g})"
-        )
+        return T
+    result = check_nonexpansive(T, PROBE_SAMPLES, NONEXPANSIVE_TOL)
+    if result.passed:
+        return DeclaredWrapper(T, NONEXPANSIVE)
+    _, _, ratio = result.witness
+    raise NotNonexpansive(f"'{T.kind}' operator expands sampled pairs (worst ratio {ratio:.6g})")
 
 
 class PowerFamily(OperatorFamily):
@@ -92,8 +93,8 @@ class PowerFamily(OperatorFamily):
     kind = "power"
 
     def __init__(self, base: Operator):
-        _require_nonexpansive(base)
-        self.base = base
+        # Keep the resolved base, so solvers do not probe it a second time.
+        self.base = resolve_nonexpansive(base)
         super().__init__(IndexSemigroup(NATURALS, (1,)), base.dim)
 
     def evaluate(self, t) -> Operator:

@@ -175,9 +175,18 @@ def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
             )
         return trace
     if fmt == "csv":
+        # A '# key=value ...' comment line, as written for header_comment,
+        # carries metadata; the seed comes back as an int.
         trace = ConvergenceTrace()
+        rows = []
         with path.open(newline="") as handle:
-            rows = [line for line in handle if not line.startswith("#")]
+            for line in handle:
+                if line.startswith("#"):
+                    trace.metadata.update(t.split("=", 1) for t in line[1:].split() if "=" in t)
+                else:
+                    rows.append(line)
+        if "seed" in trace.metadata:
+            trace.metadata["seed"] = int(trace.metadata["seed"])
         reader = csv.reader(rows)
         try:
             header = next(reader)

@@ -25,6 +25,7 @@ from viscofix import (
     LinearOperator,
     Negation,
     NoConvergence,
+    NonFiniteValue,
     NotLinear,
     PlaneRotation,
     TolerancePolicy,
@@ -304,6 +305,24 @@ def test_check_nonexpansive_doubling_witness():
 
 def test_check_nonexpansive_averaged_negation_passes():
     assert check_nonexpansive(AveragedOperator(Negation(2), 0.5), 1000, CATALOG_TOL).passed
+
+
+def test_probes_reject_non_finite_values():
+    poisoned = FunctionOperator(lambda x: x * math.nan, 2)
+    with pytest.raises(NonFiniteValue, match="probe .*operator kind 'function'"):
+        estimate_lipschitz(poisoned, 50, 10.0)
+    with pytest.raises(NonFiniteValue, match="probe .*operator kind 'function'"):
+        check_nonexpansive(poisoned, 50, CATALOG_TOL)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_probes_keep_a_ratio_that_overflows_on_finite_values():
+    # Every value is finite, but values of opposite sign differ by more than
+    # the largest float, so those ratios overflow to inf.
+    sign = FunctionOperator(lambda x: np.where(x > 0.0, 1e308, -1e308), 2)
+    assert estimate_lipschitz(sign, 50, 10.0) == math.inf
+    check = check_nonexpansive(sign, 50, CATALOG_TOL)
+    assert not check.passed and check.witness[2] == math.inf
 
 
 NONEXPANSIVE_CATALOG = [

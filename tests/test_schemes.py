@@ -17,6 +17,7 @@ from viscofix import (
     CompositeOperator,
     ConstantOperator,
     DimensionMismatch,
+    EpsilonSchedule,
     FunctionOperator,
     Identity,
     InnerTolRule,
@@ -43,7 +44,7 @@ from viscofix import (
     retraction_eval,
     viscosity_implicit_solve,
 )
-from viscofix.operators import BlendOperator
+from viscofix.operators import NONEXPANSIVE, BlendOperator
 
 from oracles import bisect_increasing
 
@@ -110,6 +111,24 @@ def test_schedule_validation():
         make_schedule("geometric", {"r": 1.0})
     with pytest.raises(InvalidSchedule):
         make_schedule("staircase")
+
+
+def test_anchored_schedule_values():
+    sched = make_schedule("anchored", n_max=4)
+    assert sched.values == (1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0)
+    assert sched.kind == "anchored" and sched.n_max == 4
+    assert make_schedule("anchored").n_max == 200
+    with pytest.raises(InvalidSchedule):
+        make_schedule("anchored", n_max=0)
+
+
+def test_only_anchored_schedules_start_at_one():
+    anchor, target = ConstantOperator([1.0]), Negation(1)
+    result, _ = viscosity_implicit_solve(anchor, target, EpsilonSchedule("anchored", 2, (1.0, 0.5)))
+    assert result.iterations == 2
+    for kind in ("harmonic", "geometric", "explicit"):
+        with pytest.raises(InvalidSchedule):
+            viscosity_implicit_solve(anchor, target, EpsilonSchedule(kind, 2, (1.0, 0.5)))
 
 
 def test_inner_tol_rules():
@@ -293,6 +312,12 @@ def test_picard_fails_fast_on_non_finite_values():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_picard_rejects_an_undeclared_non_finite_map():
+    with pytest.raises(NonFiniteValue, match="probe .*operator kind 'function'"):
+        picard_solve(FunctionOperator(lambda x: x * math.nan, 2), [1.0, 0.0], 1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_picard_survives_an_overflowing_step_norm():
     # The first step's norm overflows to inf, but every iterate is finite.
     huge = FunctionOperator(lambda x: 0.5 * x + 1e200, 2, contraction(0.5))
@@ -393,6 +418,25 @@ def test_viscosity_accepts_undeclared_nonexpansive_target():
     assert abs(result.point[0]) < 0.02
 
 
+def test_non_finite_target_fails_in_the_probe():
+    poisoned = FunctionOperator(lambda x: x * math.nan, 2)
+    with pytest.raises(NonFiniteValue, match="probe .*operator kind 'function'"):
+        viscosity_implicit_solve(ConstantOperator([1.0, 0.0]), poisoned, make_schedule(n_max=5))
+
+
+def test_inner_failures_name_the_outer_step():
+    tight = SolveOptions(policy=TolerancePolicy(max_iter=3))
+    f = AffineOperator([[0.5]], [1.0])
+    with pytest.raises(MaxIterExceeded, match=r"^outer step n=1, eps_n=0\.5: .*budget of 3 steps"):
+        viscosity_implicit_solve(f, Negation(1), make_schedule(n_max=5), opts=tight)
+    # The anchored first step (eps = 1) lands on the anchor in one application.
+    with pytest.raises(MaxIterExceeded, match=r"^outer step n=2, eps_n=0\.5: .*budget of 3 steps"):
+        anchored_implicit_solve([1.0], Negation(1), n_max=5, opts=tight)
+    poisoned = FunctionOperator(lambda x: x * math.nan, 1, NONEXPANSIVE)
+    with pytest.raises(NonFiniteValue, match=r"^outer step n=1, eps_n=0\.5: Picard step 1 "):
+        viscosity_implicit_solve(f, poisoned, make_schedule(n_max=5))
+
+
 def test_translation_never_converges():
     drift = AffineOperator(np.eye(2), [1.0, 0.0])
     result, trace = viscosity_implicit_solve(
@@ -487,6 +531,27 @@ def test_anchored_ball_approach_along_the_ray():
     for step in trace.steps:
         assert step.point[0] == pytest.approx(1.0 + 2.0 / step.n, abs=2e-8)
         assert step.point[1] == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "anchor, target",
+    [
+        ([1.0], Negation(1)),
+        ([3.0, 1.0], BallProjection([0.0, 0.0], 1.0)),
+        ([3.0, 1.0], make_rotation_flow([1.0], [1.0, 2.0])),
+    ],
+    ids=["negation", "ball", "rotation-family"],
+)
+def test_anchored_solve_is_the_viscosity_solve_on_the_anchored_schedule(anchor, target):
+    anchored, a_trace = anchored_implicit_solve(anchor, target, n_max=40)
+    viscous, v_trace = viscosity_implicit_solve(
+        ConstantOperator(anchor), target, make_schedule("anchored", n_max=40)
+    )
+    assert anchored.point.tobytes() == viscous.point.tobytes()
+    assert anchored.residual == viscous.residual
+    assert [(s.point, s.implicit_residual, s.fix_residual, s.inner_iters) for s in a_trace.steps] == [
+        (s.point, s.implicit_residual, s.fix_residual, s.inner_iters) for s in v_trace.steps
+    ]
 
 
 def test_anchored_validation():

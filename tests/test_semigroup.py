@@ -9,6 +9,8 @@ import pytest
 
 from viscofix import (
     AffineOperator,
+    ConstantOperator,
+    FunctionOperator,
     Identity,
     InvalidSpec,
     LinearOperator,
@@ -23,7 +25,10 @@ from viscofix import (
     make_family,
     make_power_family,
     make_rotation_flow,
+    make_schedule,
+    viscosity_implicit_solve,
 )
+from viscofix import operators, schemes, semigroup
 from viscofix.semigroup import NATURALS, NONNEG_REALS, IndexSemigroup
 
 GROUP_TOL = 1e-12
@@ -31,6 +36,22 @@ GROUP_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # Power families
+
+
+def test_undeclared_power_base_is_probed_once(monkeypatch):
+    probed = []
+
+    def counting(T, *args, **kwargs):
+        probed.append(T)
+        return operators.check_nonexpansive(T, *args, **kwargs)
+
+    # Both module bindings, so a second probe from the solver is counted too.
+    monkeypatch.setattr(semigroup, "check_nonexpansive", counting)
+    monkeypatch.setattr(schemes, "check_nonexpansive", counting)
+    family = make_power_family(FunctionOperator(lambda x: -x, 2))
+    assert len(probed) == 1
+    viscosity_implicit_solve(ConstantOperator([1.0, 0.0]), family, make_schedule(n_max=5))
+    assert len(probed) == 1
 
 
 def test_power_identity_family():

@@ -109,6 +109,12 @@ def test_csv_header_comment_is_skipped(tmp_path):
     assert len(load_trace(path)) == 3
 
 
+def test_csv_round_trip_keeps_header_metadata(tmp_path):
+    comment = "config_hash=abc123 seed=42"
+    path = export_trace(_messy_trace(), "csv", tmp_path / "trace.csv", header_comment=comment)
+    assert load_trace(path).metadata == {"config_hash": "abc123", "seed": 42}
+
+
 def test_csv_empty_trace(tmp_path):
     path = export_trace(ConvergenceTrace(), "csv", tmp_path / "empty.csv")
     assert load_trace(path).steps == []
