@@ -67,7 +67,7 @@ from .semigroup import (
     make_family,
 )
 from .space import DEFAULT_SEED, DimensionMismatch, TolerancePolicy, ViscofixError
-from .trace import export_trace
+from .trace import ConvergenceTrace, export_trace
 
 
 class ConfigInvalid(ViscofixError):
@@ -229,11 +229,11 @@ def _proof_report(trace, f, target, retraction_limits=None) -> ProofStepReport:
     )
 
 
-def execute_run(cfg: dict, out_dir: Path, quiet: bool = True) -> tuple[int, dict]:
+def execute_run(cfg: dict, out_dir: Path, quiet: bool = True) -> tuple[int, dict, ConvergenceTrace]:
     """Solve one validated config and write its artifacts into out_dir.
 
-    Returns (exit_code, summary dict). Solver exceptions propagate; the
-    caller maps them to exit codes.
+    Returns (exit_code, summary dict, trace). Solver exceptions propagate;
+    the caller maps them to exit codes.
     """
     digest = config_hash(cfg)
     seed = int(cfg["seed"])
@@ -317,15 +317,21 @@ def execute_run(cfg: dict, out_dir: Path, quiet: bool = True) -> tuple[int, dict
             f"run {problem_id or '(unnamed)'}: {len(trace)} outer steps, "
             f"final residual {last.fix_residual:.3e}, converged={result.converged}"
         )
-    return exit_code, summary
+    return exit_code, summary, trace
 
 
 def cmd_run(args) -> int:
     cfg = load_run_config(_config_path(args), args.seed)
     out_dir = Path(args.out or cfg.get("output_dir") or ".")
-    exit_code, _ = execute_run(cfg, out_dir, quiet=args.quiet)
+    exit_code, summary, trace = execute_run(cfg, out_dir, quiet=args.quiet)
     if exit_code == 2:
-        print("NoCommonFixedPoint: fixed-point residual stagnated above tolerance", file=sys.stderr)
+        last, stagnation = trace.last(), summary["stagnation"]
+        print(
+            "NoCommonFixedPoint: fixed-point residual stagnated above tolerance "
+            f"(outer step n={last.n}, eps_n={last.eps:.6g}: "
+            f"tail min {stagnation['tail_min']:.6g}, head min {stagnation['head_min']:.6g})",
+            file=sys.stderr,
+        )
     return exit_code
 
 
@@ -410,7 +416,7 @@ def cmd_sweep(args) -> int:
         sub_cfg["output_dir"] = str(sub_dir)
         try:
             jsonschema.validate(sub_cfg, RUN_CONFIG_SCHEMA)
-            code, summary = execute_run(sub_cfg, sub_dir, quiet=True)
+            code, summary, _ = execute_run(sub_cfg, sub_dir, quiet=True)
         except (ViscofixError, jsonschema.ValidationError) as exc:
             rows.append((value, "", "", "", f"error: {exc}"))
             continue

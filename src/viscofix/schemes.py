@@ -64,8 +64,14 @@ class MaxIterExceeded(ViscofixError):
 #: Estimated moduli must stay below 1 by this margin to count as contractions.
 CONTRACTION_MARGIN = 1e-6
 
-#: Affine inner problems of at most this dimension run on plain floats.
+#: Affine inner problems of at most this dimension start on plain floats.
 _FAST_PATH_MAX_DIM = 4
+
+#: Steps of that plain first block; longer affine solves continue in blocks.
+_PLAIN_STEPS = 64
+
+#: Most steps computed in one block of the blocked affine Picard loop.
+_MAX_BLOCK_WIDTH = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +237,10 @@ def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
     """Picard loop for low-dimensional affine maps on plain floats.
 
     Semantically identical to the generic loop (same stopping rule, same
-    iteration counts); it exists because tight inner loops dominate the run
-    time of long outer schedules.
+    iteration counts); it runs the first block of _picard_affine_blocked,
+    where a few plain steps cost less than building a block. Returns the
+    last iterate and the step norms, whether or not the stopping rule fired
+    within max_iter steps.
     """
     d = x0.shape[0]
     steps: list[float] = []
@@ -240,14 +248,14 @@ def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
         m = float(matrix[0, 0])
         b = float(offset[0])
         x = float(x0[0])
-        for k in range(1, max_iter + 1):
+        for _ in range(max_iter):
             y = m * x + b
             delta = abs(y - x)
             steps.append(delta)
             x = y
             if delta <= threshold:
-                return np.array([x]), k, steps
-        return None
+                break
+        return np.array([x]), steps
     if d == 2:
         m00 = float(matrix[0, 0])
         m01 = float(matrix[0, 1])
@@ -257,7 +265,7 @@ def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
         b1 = float(offset[1])
         xa = float(x0[0])
         xb = float(x0[1])
-        for k in range(1, max_iter + 1):
+        for _ in range(max_iter):
             ya = m00 * xa + m01 * xb + b0
             yb = m10 * xa + m11 * xb + b1
             da = ya - xa
@@ -267,19 +275,126 @@ def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
             xa = ya
             xb = yb
             if delta <= threshold:
-                return np.array([xa, xb]), k, steps
-        return None
+                break
+        return np.array([xa, xb]), steps
     rows = [[float(v) for v in row] for row in matrix]
     bias = [float(v) for v in offset]
     x = [float(v) for v in x0]
     idx = range(d)
-    for k in range(1, max_iter + 1):
+    for _ in range(max_iter):
         y = [sum(rows[i][j] * x[j] for j in idx) + bias[i] for i in idx]
-        delta = math.sqrt(sum((y[i] - x[i]) ** 2 for i in idx))
+        try:
+            delta = math.sqrt(sum((y[i] - x[i]) ** 2 for i in idx))
+        except OverflowError:  # a finite square past the float range
+            delta = math.inf
         steps.append(delta)
         x = y
         if delta <= threshold:
-            return np.array(x), k, steps
+            break
+    return np.array(x), steps
+
+
+def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int):
+    """Picard loop through G's apply: (point, step norms), or None without a stop."""
+    # x was checked by picard_solve and every operator keeps the shape of its
+    # argument, so the loop skips the public apply's check.
+    apply = G._apply
+    steps: list[float] = []
+    current = x.copy()
+    for k in range(1, max_iter + 1):
+        nxt = apply(current)
+        step = nxt - current
+        delta = math.sqrt(step.dot(step))
+        # A norm can overflow while the iterate stays finite; only a
+        # non-finite value of G ends the loop.
+        if not math.isfinite(delta) and not np.all(np.isfinite(nxt)):
+            raise NonFiniteValue(
+                f"Picard step {k} produced a non-finite value (operator kind '{G.kind}')"
+            )
+        steps.append(delta)
+        current = nxt
+        if delta <= threshold:
+            return current, steps
+    return None
+
+
+def _block_width(step_norm: float, threshold: float, alpha: float, cap: int) -> int:
+    """Steps until the a-priori bound alpha^j ||s|| falls to the threshold, at most cap."""
+    if not step_norm > threshold or alpha == 0.0:
+        return 1
+    if math.isinf(step_norm) or threshold == 0.0:
+        return cap
+    return min(cap, 1 + math.ceil((math.log(threshold) - math.log(step_norm)) / math.log(alpha)))
+
+
+def _step_block(matrix: np.ndarray, step: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows s, M s, ..., M^(W-1) s for the least power of two W >= width, and (M^W)^T.
+
+    Rows, not columns, so that each doubling writes one contiguous slice.
+    """
+    rows = np.empty((1 << (width - 1).bit_length(), step.shape[0]))
+    rows[0] = step
+    power = matrix.T
+    filled = 1
+    while filled < width:
+        np.dot(rows[:filled], power, out=rows[filled : 2 * filled])
+        power = np.dot(power, power)
+        filled *= 2
+    return rows, power
+
+
+def _check_finite(x: np.ndarray, first: int, last: int) -> None:
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteValue(
+            f"Picard steps {first}-{last} produced a non-finite value (operator kind 'affine')"
+        )
+
+
+def _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter):
+    """Picard loop for an affine map x -> M x + c, computed a block of steps at a time.
+
+    Consecutive steps s_k = x_k - x_{k-1} satisfy s_{k+1} = M s_k, so the
+    next B steps are s, M s, ..., M^(B-1) s, one small matrix product per
+    doubling of B, and the B steps after them are M^B times these. The
+    stopping rule (the first k with ||s_k|| <= threshold) and the step norms
+    are those of the plain loop up to rounding. A block is sized by the
+    a-priori bound ||s_{k+j}|| <= alpha^j ||s_k|| but never trusted to
+    contain the stop. For d <= _FAST_PATH_MAX_DIM the first _PLAIN_STEPS
+    steps run on the plain float loop, so solves that stop there are
+    unchanged bit for bit.
+
+    Returns (point, step norms), or None when max_iter steps pass without a
+    stop. Raises NonFiniteValue at the end of the first block whose iterate
+    is not finite.
+    """
+    x = x0
+    steps: list[float] = []
+    if x0.shape[0] <= _FAST_PATH_MAX_DIM:
+        x, steps = _picard_affine_small(matrix, offset, x0, threshold, min(max_iter, _PLAIN_STEPS))
+        _check_finite(x, 1, len(steps))
+        if steps[-1] <= threshold:
+            return x, steps
+    block = power = None
+    while len(steps) < max_iter:
+        first, budget = len(steps) + 1, max_iter - len(steps)
+        if block is None:
+            step = matrix @ x + offset - x
+            width = _block_width(norm(step), threshold, alpha, min(budget, _MAX_BLOCK_WIDTH))
+            block, power = _step_block(matrix, step, width)
+        else:
+            block = np.dot(block, power)
+        rows = block[:budget]
+        # Sums along either axis as products with a vector of ones run in
+        # BLAS, several times faster than numpy's reductions on (W, d).
+        norms = np.sqrt(np.dot(rows * rows, np.ones(rows.shape[1])))
+        stop = int(np.argmax(norms <= threshold))
+        hit = bool(norms[stop] <= threshold)
+        taken = stop + 1 if hit else rows.shape[0]
+        x = x + np.dot(np.ones(taken), rows[:taken])
+        steps.extend(norms[:taken].tolist())
+        _check_finite(x, first, len(steps))
+        if hit:
+            return x, steps
     return None
 
 
@@ -309,10 +424,14 @@ def picard_solve(
         residual carries the a-posteriori error bound, step_norms the full
         sequence of update norms.
 
-    Raises MaxIterExceeded when the budget runs out. The generic loop raises
-    NonFiniteValue as soon as G returns a NaN or infinite value; the affine
-    loop for d <= 4 works on a validated finite matrix and offset and is not
-    checked.
+    An affine G runs the same iteration a block of steps at a time (see
+    _picard_affine_blocked), with the same stopping rule and step norms.
+
+    Raises MaxIterExceeded when the budget runs out. Raises NonFiniteValue
+    when an iterate is NaN or infinite: the generic loop at the first step
+    where G returns such a value, the affine loop at the end of the block of
+    steps that produced it. A step norm that overflows while the iterate
+    stays finite does not end either loop.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -333,48 +452,22 @@ def picard_solve(
     threshold = tol * (1.0 - alpha) / alpha
 
     parts = G.affine_parts()
-    if parts is not None and G.dim <= _FAST_PATH_MAX_DIM:
-        outcome = _picard_affine_small(parts[0], parts[1], x, threshold, policy.max_iter)
-        if outcome is not None:
-            point, iterations, steps = outcome
-            bound = steps[-1] * alpha / (1.0 - alpha)
-            return FixedPointResult(
-                point=as_vector(point),
-                residual=bound,
-                iterations=iterations,
-                converged=True,
-                step_norms=tuple(steps),
-            )
+    if parts is not None:
+        outcome = _picard_affine_blocked(parts[0], parts[1], x, threshold, alpha, policy.max_iter)
     else:
-        # x was checked above and every operator keeps the shape of its
-        # argument, so the loop skips the public apply's check.
-        apply = G._apply
-        steps = []
-        current = x.copy()
-        for k in range(1, policy.max_iter + 1):
-            nxt = apply(current)
-            step = nxt - current
-            delta = math.sqrt(step.dot(step))
-            # A norm can overflow while the iterate stays finite; only a
-            # non-finite value of G ends the loop.
-            if not math.isfinite(delta) and not np.all(np.isfinite(nxt)):
-                raise NonFiniteValue(
-                    f"Picard step {k} produced a non-finite value (operator kind '{G.kind}')"
-                )
-            steps.append(delta)
-            current = nxt
-            if delta <= threshold:
-                bound = delta * alpha / (1.0 - alpha)
-                return FixedPointResult(
-                    point=as_vector(current),
-                    residual=bound,
-                    iterations=k,
-                    converged=True,
-                    step_norms=tuple(steps),
-                )
-    raise MaxIterExceeded(
-        f"Picard iteration hit the budget of {policy.max_iter} steps before reaching "
-        f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
+        outcome = _picard_generic(G, x, threshold, policy.max_iter)
+    if outcome is None:
+        raise MaxIterExceeded(
+            f"Picard iteration hit the budget of {policy.max_iter} steps before reaching "
+            f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
+        )
+    point, steps = outcome
+    return FixedPointResult(
+        point=as_vector(point),
+        residual=steps[-1] * alpha / (1.0 - alpha),
+        iterations=len(steps),
+        converged=True,
+        step_norms=tuple(steps),
     )
 
 

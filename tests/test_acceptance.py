@@ -56,6 +56,11 @@ SHORT_RUN_BUDGET = 1.0
 ROTATION_BUDGET = 5.0
 CERT_BUDGET = 10.0
 SUITE_BUDGET = 60.0
+#: Inner Picard iterations of the two rotation runs, summed over outer steps.
+#: Exact counts, as the benchmark's counters are: a change of solver
+#: mechanics must not move them.
+ROTATION_INNER_ITERS_200 = 387_098
+ROTATION_INNER_ITERS_2000 = 6_664_057
 
 
 @contextmanager
@@ -107,6 +112,11 @@ def test_criterion_3_rotation_iterates_match_the_inverse_oracle(
         assert np.linalg.norm(rotation_run.result.point) <= ROTATION_LIMIT_TOL_200
         assert np.linalg.norm(rotation_long_run.result.point) <= ROTATION_LIMIT_TOL_2000
         assert rotation_run.duration + rotation_long_run.duration < ROTATION_BUDGET
+
+
+def test_rotation_runs_keep_their_exact_inner_iteration_counts(rotation_run, rotation_long_run):
+    assert sum(step.inner_iters for step in rotation_run.trace.steps) == ROTATION_INNER_ITERS_200
+    assert sum(step.inner_iters for step in rotation_long_run.trace.steps) == ROTATION_INNER_ITERS_2000
 
 
 def test_criterion_4_inner_steps_contract_at_the_blended_modulus(

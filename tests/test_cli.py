@@ -106,6 +106,29 @@ def test_run_translation_exits_two_and_reports_stagnation(tmp_path, capsys):
     assert summary["exit_code"] == 2
 
 
+def test_run_stagnation_names_the_last_outer_step(tmp_path, capsys):
+    # The translation x -> x + (0, 1) has no fixed point, so the fixed-point
+    # residual stays at 1 for every outer step.
+    cfg = {
+        "problem": {
+            "target": {"kind": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 1.0]},
+            "contraction": {"kind": "constant", "value": [3.0, 0.0]},
+        },
+        "schedule": {"kind": "harmonic", "n_max": 25},
+        "seed": 7,
+        "problem_id": "shift",
+    }
+    cfg_path = _write(tmp_path, "shift.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    stagnation = _read_summary(out)["stagnation"]
+    assert err.startswith("NoCommonFixedPoint: fixed-point residual stagnated above tolerance")
+    assert f"outer step n=25, eps_n={1 / 26:.6g}" in err
+    assert f"tail min {stagnation['tail_min']:.6g}" in err
+    assert f"head min {stagnation['head_min']:.6g}" in err
+
+
 def test_run_inner_budget_exhaustion_exits_two(tmp_path, capsys):
     # A constant contraction solves each inner problem in one application, so
     # the budget needs a genuinely iterative contraction to bite.
@@ -133,6 +156,20 @@ def test_run_non_finite_inner_value_exits_two(tmp_path, capsys):
     cfg_path = _write(tmp_path, "overflow.json", cfg)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "NonFiniteValue" in capsys.readouterr().err
+
+
+def test_run_non_finite_inner_value_exits_two_in_the_plane(tmp_path, capsys):
+    # The same overflowing inner problem at d = 2, solved on plain floats.
+    cfg = _ball_config()
+    cfg["problem"] = {
+        "target": {"kind": "identity", "dim": 2},
+        "contraction": {"kind": "affine", "matrix": (0.5 * np.eye(2)).tolist(), "offset": [1.7e308] * 2},
+    }
+    cfg_path = _write(tmp_path, "overflow.json", cfg)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "NonFiniteValue" in err
+    assert "outer step n=1," in err and "operator kind 'affine'" in err
 
 
 def test_run_anchored_with_anchors_reports_retraction(tmp_path):

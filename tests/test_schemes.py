@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from viscofix import (
@@ -45,6 +45,7 @@ from viscofix import (
     viscosity_implicit_solve,
 )
 from viscofix.operators import NONEXPANSIVE, BlendOperator
+from viscofix.schemes import _PLAIN_STEPS
 
 from oracles import bisect_increasing
 
@@ -331,6 +332,126 @@ def test_picard_argument_validation():
         picard_solve(AffineOperator([[0.5]], [1.0]), [0.0], 0.0)
     with pytest.raises(DimensionMismatch):
         picard_solve(AffineOperator([[0.5]], [1.0]), [0.0, 0.0], 1e-8)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_picard_affine_overflow_is_a_non_finite_value(dim):
+    # x = x/2 + c has the fixed point 2c, past the float range, so the
+    # iterates reach inf and then NaN inside the plain first block.
+    overflowing = AffineOperator(0.5 * np.eye(dim), [1.7e308] * dim)
+    with pytest.raises(NonFiniteValue, match=r"steps 1-\d+ .*operator kind 'affine'"):
+        picard_solve(overflowing, np.zeros(dim), 1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_picard_affine_survives_an_overflowing_step_norm(dim):
+    # The first step norms overflow to inf, but every iterate is finite.
+    huge = AffineOperator(0.5 * np.eye(dim), [1e200] * dim)
+    res = picard_solve(huge, np.zeros(dim), 1.0)
+    assert res.step_norms[0] == math.inf
+    np.testing.assert_allclose(res.point, [2e200] * dim)
+
+
+def _affine_twins(seed, dim, alpha, declared=None):
+    """An affine contraction with ||M|| = alpha, and the same map on the generic loop.
+
+    M = alpha Q diag(u) with Q orthogonal and max u = 1, so the spectral
+    radius stays near alpha and inner solves run long. Both twins declare
+    the same modulus (||M|| unless given), hence the same stopping threshold.
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    u = rng.uniform(0.5, 1.0, dim)
+    u[0] = 1.0
+    m = alpha * q @ np.diag(u)
+    c = rng.uniform(-1.0, 1.0, dim)
+    declared = contraction(float(np.linalg.norm(m, 2)) if declared is None else declared)
+    twin = FunctionOperator(lambda x: m @ x + c, dim, declared)
+    return AffineOperator(m, c, declared), twin, rng.uniform(-10.0, 10.0, dim)
+
+
+def _blocked_ratios(res, dim):
+    """Ratios of consecutive step norms computed in blocks.
+
+    The plain first block (d <= 4) carries the rounding of its iterate in
+    every step, so its ratios only respect alpha above a noise floor, as in
+    acceptance criterion 4; blocked steps are powers of M applied to one
+    step and carry no such floor.
+    """
+    norms = np.array(res.step_norms)
+    ratios = norms[1:] / norms[:-1]
+    return ratios[_PLAIN_STEPS:] if dim <= 4 else ratios
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((1, 2, 3, 5, 8)),
+    alpha=st.floats(0.95, 0.995),
+    tol=st.floats(1e-9, 1e-5),
+)
+def test_picard_blocked_affine_matches_the_generic_loop(seed, dim, alpha, tol):
+    affine, twin, start = _affine_twins(seed, dim, alpha)
+    blocked = picard_solve(affine, start, tol)
+    generic = picard_solve(twin, start, tol)
+    assume(generic.iterations > _PLAIN_STEPS)
+    assert abs(blocked.iterations - generic.iterations) <= 1
+    assert len(blocked.step_norms) == blocked.iterations
+    # The certified bounds, plus a few roundings of the O(100) iterates.
+    gap = np.linalg.norm(blocked.point - generic.point)
+    assert gap <= blocked.residual + generic.residual + 1e-12 * (1.0 + np.linalg.norm(generic.point))
+    assert np.all(_blocked_ratios(blocked, dim) <= affine.declared_class.alpha + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "seed, dim, alpha, declared",
+    [(1, 1, 0.99, None), (2, 2, 0.995, None), (3, 3, 0.99, None), (4, 4, 0.98, None),
+     (5, 5, 0.99, None), (6, 8, 0.995, None), (7, 2, 0.99, 0.999), (8, 3, 0.999, 0.99),
+     (9, 8, 0.99, 0.9)],
+)
+def test_picard_blocked_affine_keeps_the_iteration_count(seed, dim, alpha, declared):
+    # A declared modulus above ||M|| oversizes the first block, one below it
+    # undersizes it so that later blocks carry the stop; neither may move it.
+    affine, twin, start = _affine_twins(seed, dim, alpha, declared)
+    blocked = picard_solve(affine, start, 1e-8)
+    generic = picard_solve(twin, start, 1e-8)
+    assert blocked.iterations > _PLAIN_STEPS
+    assert blocked.iterations == generic.iterations
+    np.testing.assert_allclose(blocked.step_norms, generic.step_norms, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_picard_blocked_budget_matches_the_plain_loop(dim):
+    affine, twin, start = _affine_twins(11, dim, 0.99)
+    needed = picard_solve(twin, start, 1e-8).iterations
+    assert needed > _PLAIN_STEPS + 1
+    exact = picard_solve(affine, start, 1e-8, TolerancePolicy(max_iter=needed))
+    assert exact.iterations == needed
+    # One step short, the budget runs out inside a blocked block.
+    with pytest.raises(MaxIterExceeded, match=rf"budget of {needed - 1} steps.*q="):
+        picard_solve(affine, start, 1e-8, TolerancePolicy(max_iter=needed - 1))
+
+
+def test_picard_first_block_is_bit_identical_to_the_generic_loop():
+    line = picard_solve(AffineOperator([[0.7]], [0.3]), [5.0], 1e-9)
+    line_twin = picard_solve(FunctionOperator(lambda x: 0.7 * x + 0.3, 1, contraction(0.7)), [5.0], 1e-9)
+    assert line.iterations == line_twin.iterations <= _PLAIN_STEPS
+    assert line.step_norms == line_twin.step_norms
+    np.testing.assert_array_equal(line.point, line_twin.point)
+
+    matrix = [[0.3, 0.1, -0.2], [0.05, 0.4, 0.1], [-0.1, 0.2, 0.25]]
+    offset = [1.0, -2.0, 0.5]
+    alpha = float(np.linalg.norm(matrix, 2))
+
+    def ordered(x):
+        # The plain loop's order of operations, so bit identity is a fair demand.
+        return np.array([sum(row[j] * x[j] for j in range(3)) + b for row, b in zip(matrix, offset)])
+
+    cube = picard_solve(AffineOperator(matrix, offset, contraction(alpha)), np.zeros(3), 1e-9)
+    cube_twin = picard_solve(FunctionOperator(ordered, 3, contraction(alpha)), np.zeros(3), 1e-9)
+    assert cube.iterations == cube_twin.iterations <= _PLAIN_STEPS
+    np.testing.assert_array_equal(cube.point, cube_twin.point)
 
 
 # ---------------------------------------------------------------------------
