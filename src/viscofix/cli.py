@@ -53,6 +53,7 @@ from .schemes import (
     NonFiniteValue,
     NotAContraction,
     SolveOptions,
+    _resolve_contraction,
     anchored_implicit_solve,  # noqa: F401  (bench/tracer.py wraps this binding)
     coupled_inner_tol,
     fixed_inner_tol,
@@ -326,9 +327,11 @@ def cmd_run(args) -> int:
     exit_code, summary, trace = execute_run(cfg, out_dir, quiet=args.quiet)
     if exit_code == 2:
         last, stagnation = trace.last(), summary["stagnation"]
+        # The modulus the solver used: the forcing term's, resolved the same way.
+        alpha = _resolve_contraction(make_operator(cfg["problem"]["contraction"])).declared_class.alpha
         print(
             "NoCommonFixedPoint: fixed-point residual stagnated above tolerance "
-            f"(outer step n={last.n}, eps_n={last.eps:.6g}: "
+            f"(outer step n={last.n}, eps_n={last.eps:.6g}, q_n={1.0 - last.eps * (1.0 - alpha):.12g}: "
             f"tail min {stagnation['tail_min']:.6g}, head min {stagnation['head_min']:.6g})",
             file=sys.stderr,
         )

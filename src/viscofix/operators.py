@@ -10,6 +10,10 @@ compositions. Each constructor assigns a conservative Lipschitz class:
 * linear/affine with matrix norm < 1              -> contraction(norm)
 * anything else                                   -> unknown
 
+Every operator reports its affine form x -> M x + c through affine_piece:
+globally when it has one, or as the local piece around a given point (a ball
+projection is the identity inside its ball).
+
 "unknown" operators can be probed empirically with estimate_lipschitz and
 check_nonexpansive. The module also certifies norm attainment of linear maps
 (power iteration on S^T S) and computes orthonormal bases of fixed-point sets
@@ -138,6 +142,19 @@ class Operator:
 
     def affine_parts(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(matrix, offset) when the map is exactly x -> M x + c, else None."""
+        return self.affine_piece()
+
+    def affine_piece(self, x=None) -> tuple[np.ndarray, np.ndarray] | None:
+        """(matrix, offset) of an affine map x -> M x + c that this map agrees with.
+
+        With x None, the global form: the map is exactly M x + c everywhere,
+        or there is no piece. With x a vector of this dimension, the local
+        piece: the affine map this one agrees with around x, as far as x
+        shows it (a ball projection is the identity at a point inside the
+        ball). A local piece is a guess, not a certificate: where this map
+        leaves the piece is not checked, so a solve on the piece must be
+        checked against the map itself. None when there is no piece.
+        """
         return None
 
     def linear_matrix(self) -> np.ndarray:
@@ -190,7 +207,7 @@ class LinearOperator(Operator):
     def _apply(self, x):
         return self.matrix @ x
 
-    def affine_parts(self):
+    def affine_piece(self, x=None):
         return self.matrix, self._offset
 
     def to_spec(self):
@@ -214,7 +231,7 @@ class AffineOperator(Operator):
     def _apply(self, x):
         return self.matrix @ x + self.offset
 
-    def affine_parts(self):
+    def affine_piece(self, x=None):
         return self.matrix, self.offset
 
     def to_spec(self):
@@ -230,7 +247,7 @@ class Identity(Operator):
     def _apply(self, x):
         return x.copy()
 
-    def affine_parts(self):
+    def affine_piece(self, x=None):
         return np.eye(self.dim), np.zeros(self.dim)
 
     def to_spec(self):
@@ -246,7 +263,7 @@ class Negation(Operator):
     def _apply(self, x):
         return -x
 
-    def affine_parts(self):
+    def affine_piece(self, x=None):
         return -np.eye(self.dim), np.zeros(self.dim)
 
     def to_spec(self):
@@ -265,7 +282,7 @@ class ConstantOperator(Operator):
     def _apply(self, x):
         return self.value.copy()
 
-    def affine_parts(self):
+    def affine_piece(self, x=None):
         return np.zeros((self.dim, self.dim)), self.value
 
     def to_spec(self):
@@ -290,6 +307,15 @@ class BallProjection(Operator):
         if dist <= self.radius:
             return x.copy()
         return self.center + shifted * (self.radius / dist)
+
+    def affine_piece(self, x=None):
+        """The identity around a point of the closed ball; no piece outside it."""
+        if x is None:
+            return None
+        shifted = self._check_arg(x) - self.center
+        if math.sqrt(shifted.dot(shifted)) <= self.radius:
+            return np.eye(self.dim), np.zeros(self.dim)
+        return None
 
     def to_spec(self):
         return {"kind": "projection_ball", "center": self.center.tolist(), "radius": self.radius}
@@ -339,7 +365,7 @@ class PlaneRotation(Operator):
         x[j] = s * xi + c * xj
         return x
 
-    def affine_parts(self):
+    def affine_piece(self, x=None):
         m = np.eye(self.dim)
         i, j = self.plane
         c, s = self._cos_sin
@@ -376,15 +402,36 @@ class AveragedOperator(Operator):
     def _apply(self, x):
         return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
 
-    def affine_parts(self):
-        parts = self.inner_op.affine_parts()
-        if parts is None:
+    def affine_piece(self, x=None):
+        piece = self.inner_op.affine_piece(x)
+        if piece is None:
             return None
-        m, c = parts
+        m, c = piece
         return (1.0 - self.lam) * np.eye(self.dim) + self.lam * m, self.lam * c
 
     def to_spec(self):
         return {"kind": "averaged", "inner": self.inner_op.to_spec(), "lambda": self.lam}
+
+
+def _pieces_along(operators, x):
+    """Each operator's piece at the point it receives when they run in order from x."""
+    for op in operators:
+        yield op.affine_piece(x)
+        if x is not None:
+            x = op._apply(x)
+
+
+def _compose(pieces, dim: int):
+    """Piece of maps applied in order (the first piece first), or None if one is None."""
+    m = np.eye(dim)
+    c = np.zeros(dim)
+    for piece in pieces:
+        if piece is None:
+            return None
+        mk, ck = piece
+        m = mk @ m
+        c = mk @ c + ck
+    return m, c
 
 
 class CompositeOperator(Operator):
@@ -419,17 +466,10 @@ class CompositeOperator(Operator):
             x = op._apply(x)
         return x
 
-    def affine_parts(self):
-        m = np.eye(self.dim)
-        c = np.zeros(self.dim)
-        for op in self.operators:
-            parts = op.affine_parts()
-            if parts is None:
-                return None
-            mk, ck = parts
-            m = mk @ m
-            c = mk @ c + ck
-        return m, c
+    def affine_piece(self, x=None):
+        if x is not None:
+            x = self._check_arg(x)
+        return _compose(_pieces_along(self.operators, x), self.dim)
 
     def to_spec(self):
         return {"kind": "composite", "operators": [op.to_spec() for op in self.operators]}
@@ -460,17 +500,11 @@ class IteratedOperator(Operator):
             y = self.base._apply(y)
         return y
 
-    def affine_parts(self):
-        parts = self.base.affine_parts()
-        if parts is None:
-            return None
-        mk, ck = parts
-        m = np.eye(self.dim)
-        c = np.zeros(self.dim)
-        for _ in range(self.n):
-            m = mk @ m
-            c = mk @ c + ck
-        return m, c
+    def affine_piece(self, x=None):
+        if x is not None:
+            return _compose(_pieces_along((self.base,) * self.n, self._check_arg(x)), self.dim)
+        piece = self.base.affine_piece()
+        return None if piece is None else _compose((piece,) * self.n, self.dim)
 
     def to_spec(self):
         return {"kind": "iterated", "base": self.base.to_spec(), "n": self.n}
@@ -499,9 +533,9 @@ class BlendOperator(Operator):
     def _apply(self, x):
         return self.a * self.first._apply(x) + self.b * self.second._apply(x)
 
-    def affine_parts(self):
-        ps = self.first.affine_parts()
-        pt = self.second.affine_parts()
+    def affine_piece(self, x=None):
+        ps = self.first.affine_piece(x)
+        pt = self.second.affine_piece(x)
         if ps is None or pt is None:
             return None
         return self.a * ps[0] + self.b * pt[0], self.a * ps[1] + self.b * pt[1]
@@ -540,8 +574,8 @@ class DeclaredWrapper(Operator):
     def _apply(self, x):
         return self.wrapped._apply(x)
 
-    def affine_parts(self):
-        return self.wrapped.affine_parts()
+    def affine_piece(self, x=None):
+        return self.wrapped.affine_piece(x)
 
     def to_spec(self):
         return self.wrapped.to_spec()

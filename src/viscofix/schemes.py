@@ -8,9 +8,11 @@ where f is a contraction and T_n is a fixed nonexpansive operator or a member
 of an operator family cycled round-robin over its sampled indices. Each step
 is a Banach fixed-point problem for the blended map G, a contraction with
 modulus at most q = 1 - eps_n * (1 - alpha), and is solved by Picard
-iteration with an a-posteriori stopping rule. The anchored variant freezes
-f to a constant anchor and uses the anchored schedule eps_n = 1/n, which
-selects the value of the limiting retraction at that anchor.
+iteration with an a-posteriori stopping rule, on the blend's affine piece
+around the warm start when that piece's point certifies on the blend. The
+anchored variant freezes f to a constant anchor and uses the anchored
+schedule eps_n = 1/n, which selects the value of the limiting retraction at
+that anchor.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import numpy as np
 from .operators import (
     PROBE_RADIUS,
     PROBE_SAMPLES,
+    AffineOperator,
+    BlendOperator,
     ConstantOperator,
     DeclaredWrapper,
     NonFiniteValue,
@@ -72,6 +76,9 @@ _PLAIN_STEPS = 64
 
 #: Most steps computed in one block of the blocked affine Picard loop.
 _MAX_BLOCK_WIDTH = 8192
+
+#: Relative rounding of one float64 operation, the floor of every Picard bound.
+_MACHINE_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +428,10 @@ def picard_solve(
     Returns
     -------
     FixedPointResult
-        residual carries the a-posteriori error bound, step_norms the full
-        sequence of update norms.
+        residual carries the a-posteriori error bound
+        ||s_k|| alpha / (1 - alpha) plus a rounding floor
+        eps_machine ||x_k|| / (1 - alpha), step_norms the full sequence of
+        update norms.
 
     An affine G runs the same iteration a block of steps at a time (see
     _picard_affine_blocked), with the same stopping rule and step norms.
@@ -462,13 +471,50 @@ def picard_solve(
             f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
         )
     point, steps = outcome
+    point = as_vector(point)
+    # Each step rounds the iterate by about eps_machine ||x||, and the
+    # contraction keeps such errors within that over (1 - alpha) of x*.
+    floor = _MACHINE_EPS * math.sqrt(point.dot(point)) / (1.0 - alpha)
     return FixedPointResult(
-        point=as_vector(point),
-        residual=steps[-1] * alpha / (1.0 - alpha),
+        point=point,
+        residual=steps[-1] * alpha / (1.0 - alpha) + floor,
         iterations=len(steps),
         converged=True,
         step_norms=tuple(steps),
     )
+
+
+def _solve_implicit(
+    f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy
+) -> tuple[FixedPointResult, float]:
+    """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta: (result, ||xi - g(xi)||).
+
+    When g has an affine piece at the warm start, the piece is solved first,
+    declared with g's own modulus q so that picard_solve runs its blocked
+    affine loop with the threshold g would get. Its point is kept only if
+    ||xi - g(xi)|| <= delta (1 - q), which bounds the distance to the fixed
+    point of the q-contraction g by delta however xi was found. Otherwise,
+    or when the piece solve fails, picard_solve runs on g itself.
+    """
+    g = blend(eps, f, 1.0 - eps, T)
+    declared = g.declared_class
+    # Only a blend with no global affine form (blend() collapses the rest)
+    # gains from a piece; an undeclared g and a start of the wrong shape are
+    # left to picard_solve, which resolves the one and rejects the other.
+    piece = None
+    if isinstance(g, BlendOperator) and declared.kind == "contraction" and warm.shape == (g.dim,):
+        piece = g.affine_piece(warm)
+    if piece is not None:
+        try:
+            res = picard_solve(AffineOperator(piece[0], piece[1], declared), warm, delta, policy)
+        except (MaxIterExceeded, NonFiniteValue):
+            pass
+        else:
+            gap = norm(res.point - g.apply(res.point))
+            if gap <= delta * (1.0 - declared.alpha):
+                return res, gap
+    res = picard_solve(g, warm, delta, policy)
+    return res, norm(res.point - g.apply(res.point))
 
 
 def implicit_step(
@@ -478,15 +524,14 @@ def implicit_step(
     """Solve xi = eps*f(xi) + (1-eps)*T(xi) to within inner_tol.
 
     The blended map is a contraction with modulus at most
-    q = eps*alpha + (1-eps) and is solved by picard_solve from the warm
-    start. eps = 1 is allowed (the anchored scheme starts there) and reduces
-    the equation to xi = f(xi).
+    q = eps*alpha + (1-eps) and is solved from the warm start as one outer
+    step of viscosity_implicit_solve is. eps = 1 is allowed (the anchored
+    scheme starts there) and reduces the equation to xi = f(xi).
     """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    g = blend(eps, f, 1.0 - eps, T)
-    return picard_solve(g, warm, inner_tol, policy).point
+    return _solve_implicit(f, T, eps, np.asarray(warm, dtype=float), inner_tol, policy)[0].point
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +582,15 @@ def viscosity_implicit_solve(
         The result's converged flag means the final step met both
         ||xi - T(xi)|| <= outer_tol and ||xi_n - xi_{n-1}|| <= outer_tol.
 
+    Each step solves the blend g = eps_n f + (1 - eps_n) T_n from the warm
+    start. When g has no global affine form but has an affine piece at the
+    warm start (a ball projection is the identity inside its ball), the
+    piece is solved first with g's modulus q_n and its point kept only if
+    ||xi - g(xi)|| <= delta_n (1 - q_n); otherwise picard_solve runs on g
+    itself. Either way ||xi_n - xi_n*|| <= delta_n for the step's exact
+    solution xi_n*, and the trace and inner_monitor see the solve whose
+    point was kept.
+
     MaxIterExceeded and NonFiniteValue from an inner solve are raised again
     with the outer step n and eps_n in front of the message.
     """
@@ -557,13 +611,11 @@ def viscosity_implicit_solve(
         step_T = step_ops[idx % len(step_ops)]
         delta_n = opts.inner_tol_rule.delta(eps, opts.outer_tol)
         warm = x_prev if opts.warm_start else origin
-        g = blend(eps, f, 1.0 - eps, step_T)
         try:
-            res = picard_solve(g, warm, delta_n, opts.policy)
+            res, implicit_res = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy)
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
-        xi = np.asarray(res.point, dtype=float)
-        implicit_res = norm(xi - g.apply(xi))
+        xi = res.point
         fix_res = norm(xi - step_T.apply(xi))
         step_delta = norm(xi - x_prev)
         trace.append(

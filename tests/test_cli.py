@@ -129,6 +129,32 @@ def test_run_stagnation_names_the_last_outer_step(tmp_path, capsys):
     assert f"head min {stagnation['head_min']:.6g}" in err
 
 
+def test_run_stagnation_names_q_n_of_the_last_outer_step(tmp_path, capsys):
+    # A half-contraction forcing term: q_n = 1 - eps_n (1 - 0.5) at the last step.
+    cfg = {
+        "problem": {
+            "target": {"kind": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 1.0]},
+            "contraction": {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 0.0]},
+        },
+        "schedule": {"kind": "harmonic", "n_max": 25},
+        "seed": 7,
+        "problem_id": "shift",
+    }
+    cfg_path = _write(tmp_path, "shift.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    eps = 1 / 26
+    assert f"outer step n=25, eps_n={eps:.6g}, q_n={1.0 - eps * 0.5:.12g}: " in err
+    summary = (out / "summary.json").read_bytes()
+    trace_csv = (out / "trace.csv").read_bytes()
+    # The line goes to stderr only: a rerun writes the same artifacts.
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "again"), "--quiet"]) == 2
+    assert (tmp_path / "again" / "summary.json").read_bytes() == summary
+    assert (tmp_path / "again" / "trace.csv").read_bytes() == trace_csv
+    assert b"q_n" not in summary and b"q_n" not in trace_csv
+
+
 def test_run_inner_budget_exhaustion_exits_two(tmp_path, capsys):
     # A constant contraction solves each inner problem in one application, so
     # the budget needs a genuinely iterative contraction to bite.

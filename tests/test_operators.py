@@ -523,3 +523,86 @@ def test_ball_projection_is_idempotent(x):
     once = proj.apply(x)
     np.testing.assert_allclose(proj.apply(once), once, atol=1e-12)
     assert np.linalg.norm(once) <= 2.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Affine pieces
+
+
+def _same_piece(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("op", SHAPE_CHECKED.values(), ids=SHAPE_CHECKED.keys())
+def test_global_piece_is_the_affine_form(op):
+    assert _same_piece(op.affine_piece(None), op.affine_parts())
+    assert _same_piece(op.affine_piece(), op.affine_parts())
+
+
+def test_ball_piece_is_the_identity_inside_and_on_the_sphere():
+    ball = BallProjection([1.0, -1.0], 2.0)
+    identity = (np.eye(2), np.zeros(2))
+    assert ball.affine_piece() is None
+    assert _same_piece(ball.affine_piece([1.5, -0.5]), identity)
+    assert _same_piece(ball.affine_piece([3.0, -1.0]), identity)  # on the sphere
+    assert ball.affine_piece([3.0, 1.0]) is None
+    assert ball.affine_piece(np.nextafter([3.0, -1.0], 4.0)) is None
+
+
+def test_piece_rejects_a_point_of_the_wrong_dimension():
+    with pytest.raises(DimensionMismatch):
+        BallProjection([0.0, 0.0], 1.0).affine_piece([0.0, 0.0, 0.0])
+
+
+def test_composite_piece_takes_each_child_at_the_point_it_receives():
+    shift = AffineOperator(np.eye(2), [3.0, 0.0])
+    comp = CompositeOperator([shift, BallProjection([0.0, 0.0], 1.0)])
+    # The start lies inside the ball, but the ball receives (3, 0).
+    assert comp.affine_piece([0.0, 0.0]) is None
+    assert _same_piece(comp.affine_piece([-3.0, 0.5]), (np.eye(2), np.array([3.0, 0.0])))
+    rot = PlaneRotation(2, (0, 1), 0.7)
+    turned = CompositeOperator([rot, BallProjection([0.0, 0.0], 1.0)])
+    m, c = turned.affine_piece([0.5, 0.5])
+    np.testing.assert_array_equal(m, rot.affine_parts()[0])
+    np.testing.assert_array_equal(c, np.zeros(2))
+
+
+def test_iterated_piece_follows_the_iterates():
+    step = CompositeOperator([AffineOperator(np.eye(2), [1.0, 0.0]), BallProjection([0.0, 0.0], 1.5)])
+    twice = IteratedOperator(step, 2)
+    # -2 -> -1 -> 0 stays in the ball; 0 -> 1 -> 2 leaves it at the second step.
+    assert _same_piece(twice.affine_piece([-2.0, 0.0]), (np.eye(2), np.array([2.0, 0.0])))
+    assert step.affine_piece([0.0, 0.0]) is not None
+    assert twice.affine_piece([0.0, 0.0]) is None
+    assert _same_piece(IteratedOperator(step, 0).affine_piece([5.0, 0.0]), (np.eye(2), np.zeros(2)))
+
+
+def test_averaged_blend_and_declared_pieces_combine_their_children():
+    ball = BallProjection([0.0, 0.0], 1.0)
+    inside, outside = [0.5, 0.0], [2.0, 0.0]
+    averaged = AveragedOperator(ball, 0.25)
+    assert _same_piece(averaged.affine_piece(inside), (np.eye(2), np.zeros(2)))
+    assert averaged.affine_piece(outside) is None
+    mixed = BlendOperator(0.5, ConstantOperator([1.0, 2.0]), 0.5, ball)
+    assert _same_piece(mixed.affine_piece(inside), (0.5 * np.eye(2), np.array([0.5, 1.0])))
+    assert mixed.affine_piece(outside) is None
+    wrapped = DeclaredWrapper(ball, ball.declared_class)
+    assert _same_piece(wrapped.affine_piece(inside), (np.eye(2), np.zeros(2)))
+    assert wrapped.affine_piece(outside) is None
+
+
+def test_function_and_box_have_no_piece():
+    assert FunctionOperator(lambda x: 0.5 * x, 2).affine_piece([0.0, 0.0]) is None
+    box = BoxProjection([-1.0, -1.0], [1.0, 1.0])
+    assert box.affine_piece([0.0, 0.0]) is None
+    assert box.affine_piece() is None
+
+
+@given(x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_a_piece_agrees_with_its_map_at_its_point(x):
+    for op in SHAPE_CHECKED.values():
+        piece = op.affine_piece(x)
+        if piece is not None:
+            np.testing.assert_allclose(piece[0] @ x + piece[1], op.apply(x), rtol=1e-12, atol=1e-12)

@@ -44,7 +44,8 @@ from viscofix import (
     retraction_eval,
     viscosity_implicit_solve,
 )
-from viscofix.operators import NONEXPANSIVE, BlendOperator
+from viscofix import schemes
+from viscofix.operators import NONEXPANSIVE, BlendOperator, blend
 from viscofix.schemes import _PLAIN_STEPS
 
 from oracles import bisect_increasing
@@ -220,27 +221,28 @@ def _nonexpansive_twins(dim):
         st.just(Negation(dim)),
         st.just(Identity(dim)),
     ).map(lambda leaf: (leaf, _public(leaf)))
+    return st.recursive(leaves, _composed_twins, max_leaves=6)
 
-    def nodes(children):
-        return st.one_of(
-            st.lists(children, min_size=1, max_size=3).map(
-                lambda cs: _twins(lambda *ops: CompositeOperator(ops), *cs)
-            ),
-            st.builds(
-                lambda c, lam: _twins(lambda op: AveragedOperator(op, lam), c),
-                children, st.sampled_from((0.25, 0.5, 1.0)),
-            ),
-            st.builds(
-                lambda c, n: _twins(lambda op: IteratedOperator(op, n), c),
-                children, st.integers(0, 3),
-            ),
-            st.builds(
-                lambda w, c1, c2: _twins(lambda s1, s2: BlendOperator(w[0], s1, w[1], s2), c1, c2),
-                st.sampled_from(BLEND_WEIGHTS), children, children,
-            ),
-        )
 
-    return st.recursive(leaves, nodes, max_leaves=6)
+def _composed_twins(children):
+    """Composite, averaged, iterated and blend nodes over pairs of twins."""
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda cs: _twins(lambda *ops: CompositeOperator(ops), *cs)
+        ),
+        st.builds(
+            lambda c, lam: _twins(lambda op: AveragedOperator(op, lam), c),
+            children, st.sampled_from((0.25, 0.5, 1.0)),
+        ),
+        st.builds(
+            lambda c, n: _twins(lambda op: IteratedOperator(op, n), c),
+            children, st.integers(0, 3),
+        ),
+        st.builds(
+            lambda w, c1, c2: _twins(lambda s1, s2: BlendOperator(w[0], s1, w[1], s2), c1, c2),
+            st.sampled_from(BLEND_WEIGHTS), children, children,
+        ),
+    )
 
 
 @st.composite
@@ -452,6 +454,13 @@ def test_picard_first_block_is_bit_identical_to_the_generic_loop():
     cube_twin = picard_solve(FunctionOperator(ordered, 3, contraction(alpha)), np.zeros(3), 1e-9)
     assert cube.iterations == cube_twin.iterations <= _PLAIN_STEPS
     np.testing.assert_array_equal(cube.point, cube_twin.point)
+
+
+def test_picard_residual_covers_the_rounding_of_the_iterate():
+    # Below the rounding floor of (10, 30) the step norms alone certify a
+    # distance far smaller than the point's true error.
+    res = picard_solve(AffineOperator(0.9 * np.eye(2), [1.0, 3.0]), [0.0, 0.0], 1e-18)
+    assert res.residual >= np.linalg.norm(res.point - np.array([10.0, 30.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -699,3 +708,117 @@ def test_retraction_eval_collects_failures_per_anchor():
     assert set(values.failures) == {(1.0, 0.0), (0.0, 1.0)}
     for message in values.failures.values():
         assert message.startswith("NotNonexpansive")
+
+
+# ---------------------------------------------------------------------------
+# Implicit steps solved on the blend's affine piece
+
+
+def _count_picard_calls(monkeypatch) -> list:
+    calls = []
+    original = schemes.picard_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "picard_solve", counted)
+    return calls
+
+
+def _piecewise_twins(dim):
+    """Trees over balls and rotations, with no box: the leaves with pieces.
+
+    Balls near the origin and wide enough that the iterates of the problems
+    below often start inside them, and often end outside.
+    """
+    vectors = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    balls = st.builds(BallProjection, vectors, st.floats(0.5, 3.0))
+    leaves = st.one_of(
+        balls,
+        balls,
+        st.builds(PlaneRotation, st.just(dim), st.just((0, dim - 1)), st.floats(-3.0, 3.0)),
+        st.just(Negation(dim)),
+    ).map(lambda leaf: (leaf, _public(leaf)))
+    return st.recursive(leaves, _composed_twins, max_leaves=4)
+
+
+@st.composite
+def _viscosity_problems(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    target, twin = draw(_piecewise_twins(dim))
+    # A target with a global affine form never reaches the piece solve.
+    assume(target.affine_parts() is None)
+    offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+    return AffineOperator(0.5 * np.eye(dim), offset), target, twin
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_viscosity_problems())
+def test_piece_solves_agree_with_the_generic_solve(problem):
+    # The twin hides the target behind a FunctionOperator, which has no
+    # piece, so its blends always take the generic Picard loop.
+    f, target, twin = problem
+    sched = make_schedule(n_max=8)
+    opts = SolveOptions()
+    _, trace = viscosity_implicit_solve(f, target, sched, opts)
+    _, twin_trace = viscosity_implicit_solve(f, twin, sched, opts)
+    # Either solve may stop early on its own step; compare the steps both ran.
+    for step, twin_step in zip(trace.steps, twin_trace.steps):
+        delta = opts.inner_tol_rule.delta(step.eps, opts.outer_tol)
+        gap = np.linalg.norm(np.subtract(step.point, twin_step.point))
+        assert gap <= 2.0 * delta
+        assert step.implicit_residual <= delta
+        assert twin_step.implicit_residual <= delta
+
+
+def test_piece_fallback_is_bit_identical_to_the_generic_solve(monkeypatch):
+    # The warm start 0 lies inside the ball, where the piece is the
+    # identity, but every step's fixed point lies outside it: the piece
+    # solve lands on the anchor, the certificate rejects it, and g runs.
+    f = ConstantOperator([2.0, 0.0])
+    ball = BallProjection([0.0, 0.0], 1.0)
+    g = blend(0.25, f, 0.75, ball)
+    generic = picard_solve(g, [0.0, 0.0], 1e-9)
+    calls = _count_picard_calls(monkeypatch)
+    xi = implicit_step(f, ball, 0.25, [0.0, 0.0], 1e-9)
+    assert [type(G).__name__ for G in calls] == ["AffineOperator", "BlendOperator"]
+    assert xi.tobytes() == generic.point.tobytes()
+    # Later warm starts lie outside the ball and have no piece, so the whole
+    # solve matches the one on a twin that never has a piece.
+    twin = FunctionOperator(ball.apply, 2, ball.declared_class)
+    _, trace = viscosity_implicit_solve(f, ball, make_schedule(n_max=20))
+    _, twin_trace = viscosity_implicit_solve(f, twin, make_schedule(n_max=20))
+    assert trace.steps == twin_trace.steps
+
+
+def test_piece_budget_failure_falls_back_and_raises_todays_message(monkeypatch):
+    f = AffineOperator(0.5 * np.eye(2), [0.2, 0.1])
+    ball = BallProjection([0.0, 0.0], 1.0)
+    tight = TolerancePolicy(max_iter=3)
+    with pytest.raises(MaxIterExceeded) as direct:
+        picard_solve(blend(0.25, f, 0.75, ball), [0.0, 0.0], 1e-12, tight)
+    calls = _count_picard_calls(monkeypatch)
+    with pytest.raises(MaxIterExceeded) as stepped:
+        implicit_step(f, ball, 0.25, [0.0, 0.0], 1e-12, tight)
+    assert str(stepped.value) == str(direct.value)
+    assert [type(G).__name__ for G in calls] == ["AffineOperator", "BlendOperator"]
+    opts = SolveOptions(inner_tol_rule=fixed_inner_tol(1e-12), policy=tight)
+    with pytest.raises(MaxIterExceeded) as outer:
+        viscosity_implicit_solve(f, ball, make_schedule(n_max=3), opts)
+    with pytest.raises(MaxIterExceeded) as first:
+        picard_solve(blend(0.5, f, 0.5, ball), [0.0, 0.0], 1e-12, tight)
+    assert str(outer.value) == f"outer step n=1, eps_n=0.5: {first.value}"
+
+
+def test_implicit_step_is_the_outer_loops_first_step(monkeypatch):
+    f = AffineOperator(0.5 * np.eye(2), [0.3, -0.2])
+    ball = BallProjection([0.0, 0.0], 2.0)
+    sched = make_schedule(n_max=3)
+    opts = SolveOptions()
+    _, trace = viscosity_implicit_solve(f, ball, sched, opts)
+    eps = sched.eps(1)
+    calls = _count_picard_calls(monkeypatch)
+    xi = implicit_step(f, ball, eps, np.zeros(2), opts.inner_tol_rule.delta(eps, opts.outer_tol))
+    assert [type(G).__name__ for G in calls] == ["AffineOperator"]
+    assert xi.tobytes() == np.array(trace.steps[0].point).tobytes()
