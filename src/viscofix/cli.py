@@ -28,6 +28,8 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .diagnostics import (
     ProofStepReport,
@@ -140,6 +142,17 @@ RUN_CONFIG_SCHEMA = {
 }
 
 
+#: Built once: jsonschema.validate would check the schema itself on every call.
+_RUN_CONFIG_VALIDATOR = validator_for(RUN_CONFIG_SCHEMA)(RUN_CONFIG_SCHEMA)
+
+
+def _validate_run_config(raw) -> None:
+    """Raise what jsonschema.validate(raw, RUN_CONFIG_SCHEMA) raises, if anything."""
+    error = best_match(_RUN_CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise error
+
+
 def config_hash(config: dict) -> str:
     """sha256 hex digest of the canonical (sorted keys, no whitespace) JSON."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -165,7 +178,7 @@ def load_run_config(path, seed_override: int | None = None) -> dict:
         raw = dict(raw)
         raw["seed"] = int(seed_override)
     try:
-        jsonschema.validate(raw, RUN_CONFIG_SCHEMA)
+        _validate_run_config(raw)
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigInvalid(f"config invalid at {where}: {exc.message}") from exc
@@ -230,11 +243,14 @@ def _proof_report(trace, f, target, retraction_limits=None) -> ProofStepReport:
     )
 
 
-def execute_run(cfg: dict, out_dir: Path, quiet: bool = True) -> tuple[int, dict, ConvergenceTrace]:
+def execute_run(
+    cfg: dict, out_dir: Path, quiet: bool = True
+) -> tuple[int, dict, ConvergenceTrace, float]:
     """Solve one validated config and write its artifacts into out_dir.
 
-    Returns (exit_code, summary dict, trace). Solver exceptions propagate;
-    the caller maps them to exit codes.
+    Returns (exit_code, summary dict, trace, alpha), alpha being the
+    forcing term's contraction modulus as the solve resolved it. Solver
+    exceptions propagate; the caller maps them to exit codes.
     """
     digest = config_hash(cfg)
     seed = int(cfg["seed"])
@@ -245,7 +261,10 @@ def execute_run(cfg: dict, out_dir: Path, quiet: bool = True) -> tuple[int, dict
     if sched_cfg["kind"] == "anchored" and f.kind != "constant":
         raise ConfigInvalid("anchored schedule needs a constant contraction as the anchor")
     schedule = make_schedule(sched_cfg["kind"], sched_cfg.get("params"), sched_cfg.get("n_max"))
-    result, trace = viscosity_implicit_solve(f, target, schedule, opts=opts, problem_id=problem_id)
+    # Resolved here, the solver keeps it as it is, so an undeclared forcing
+    # term is probed once and its modulus is known to the caller.
+    forcing = _resolve_contraction(f)
+    result, trace = viscosity_implicit_solve(forcing, target, schedule, opts=opts, problem_id=problem_id)
     sched_desc = {"kind": schedule.kind, "n_max": schedule.n_max}
 
     trace.metadata["config_hash"] = digest
@@ -318,17 +337,15 @@ def execute_run(cfg: dict, out_dir: Path, quiet: bool = True) -> tuple[int, dict
             f"run {problem_id or '(unnamed)'}: {len(trace)} outer steps, "
             f"final residual {last.fix_residual:.3e}, converged={result.converged}"
         )
-    return exit_code, summary, trace
+    return exit_code, summary, trace, forcing.declared_class.alpha
 
 
 def cmd_run(args) -> int:
     cfg = load_run_config(_config_path(args), args.seed)
     out_dir = Path(args.out or cfg.get("output_dir") or ".")
-    exit_code, summary, trace = execute_run(cfg, out_dir, quiet=args.quiet)
+    exit_code, summary, trace, alpha = execute_run(cfg, out_dir, quiet=args.quiet)
     if exit_code == 2:
         last, stagnation = trace.last(), summary["stagnation"]
-        # The modulus the solver used: the forcing term's, resolved the same way.
-        alpha = _resolve_contraction(make_operator(cfg["problem"]["contraction"])).declared_class.alpha
         print(
             "NoCommonFixedPoint: fixed-point residual stagnated above tolerance "
             f"(outer step n={last.n}, eps_n={last.eps:.6g}, q_n={1.0 - last.eps * (1.0 - alpha):.12g}: "
@@ -418,8 +435,8 @@ def cmd_sweep(args) -> int:
         sub_dir = root / name
         sub_cfg["output_dir"] = str(sub_dir)
         try:
-            jsonschema.validate(sub_cfg, RUN_CONFIG_SCHEMA)
-            code, summary, _ = execute_run(sub_cfg, sub_dir, quiet=True)
+            _validate_run_config(sub_cfg)
+            code, summary, _, _ = execute_run(sub_cfg, sub_dir, quiet=True)
         except (ViscofixError, jsonschema.ValidationError) as exc:
             rows.append((value, "", "", "", f"error: {exc}"))
             continue

@@ -215,17 +215,29 @@ class LinearOperator(Operator):
 
 
 class AffineOperator(Operator):
-    """x -> M x + c."""
+    """x -> M x + c.
+
+    Without a declared class the class comes from matrix_norm, the spectral
+    norm ||M||_2: computed by an SVD, or passed in by a caller that already
+    computed it for this very matrix. It stays None for a declared class.
+    """
 
     kind = "affine"
 
-    def __init__(self, matrix, offset, declared_class: DeclaredClass | None = None):
+    def __init__(
+        self, matrix, offset, declared_class: DeclaredClass | None = None,
+        matrix_norm: float | None = None,
+    ):
         self.matrix = _square_matrix(matrix)
         self.offset = as_vector(offset)
         if self.offset.shape[0] != self.matrix.shape[0]:
             raise InvalidSpec("affine offset dimension does not match the matrix")
+        self.matrix_norm = None
         if declared_class is None:
-            declared_class = _class_from_bound(float(np.linalg.norm(self.matrix, 2)))
+            if matrix_norm is None:
+                matrix_norm = np.linalg.norm(self.matrix, 2)
+            self.matrix_norm = float(matrix_norm)
+            declared_class = _class_from_bound(self.matrix_norm)
         super().__init__(self.matrix.shape[0], declared_class)
 
     def _apply(self, x):
@@ -581,18 +593,22 @@ class DeclaredWrapper(Operator):
         return self.wrapped.to_spec()
 
 
-def blend(a: float, first: Operator, b: float, second: Operator) -> Operator:
+def blend(
+    a: float, first: Operator, b: float, second: Operator, matrix_norm: float | None = None
+) -> Operator:
     """a*S + b*T as an operator, collapsed to a single affine map when possible.
 
     The collapse keeps inner Picard loops cheap and lets the affine
     constructor declare the sharp contraction modulus ||a M_S + b M_T||.
+    A caller that has already computed that norm (for a whole schedule at
+    once) passes it as matrix_norm, and the collapse skips its SVD.
     """
     if first.dim != second.dim:
         raise DimensionMismatch("blend mixes operators of different dimensions")
     ps = first.affine_parts()
     pt = second.affine_parts()
     if ps is not None and pt is not None:
-        return AffineOperator(a * ps[0] + b * pt[0], a * ps[1] + b * pt[1])
+        return AffineOperator(a * ps[0] + b * pt[0], a * ps[1] + b * pt[1], matrix_norm=matrix_norm)
     return BlendOperator(a, first, b, second)
 
 

@@ -17,6 +17,7 @@ that anchor.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -76,6 +77,9 @@ _PLAIN_STEPS = 64
 
 #: Most steps computed in one block of the blocked affine Picard loop.
 _MAX_BLOCK_WIDTH = 8192
+
+#: Fewest a-priori steps for which lifting can beat the blocked scan at d > 4.
+_LIFT_MIN_STEPS = 1024
 
 #: Relative rounding of one float64 operation, the floor of every Picard bound.
 _MACHINE_EPS = float(np.finfo(float).eps)
@@ -204,6 +208,27 @@ class SolveOptions:
             raise ValueError("outer_tol must be positive")
 
 
+class _ComputedOnRead:
+    """Dataclass field that may be given a zero-argument callable in place of its tuple.
+
+    The callable runs on the first read, and the tuple it returns replaces it.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = tuple(value())
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class FixedPointResult:
     """Outcome of a fixed-point solve.
@@ -212,13 +237,16 @@ class FixedPointResult:
     the true fixed point and step_norms holds every ||x_{k+1} - x_k||. For
     the outer solvers, residual is the final fixed-point residual
     ||xi_N - T(xi_N)|| and iterations counts outer steps.
+
+    step_norms may be built with a callable that computes the tuple; it then
+    runs on the first read only.
     """
 
     point: np.ndarray
     residual: float
     iterations: int
     converged: bool
-    step_norms: tuple[float, ...] = ()
+    step_norms: tuple[float, ...] = _ComputedOnRead()
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +385,7 @@ def _check_finite(x: np.ndarray, first: int, last: int) -> None:
         )
 
 
-def _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter):
+def _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter, stop_at=None):
     """Picard loop for an affine map x -> M x + c, computed a block of steps at a time.
 
     Consecutive steps s_k = x_k - x_{k-1} satisfy s_{k+1} = M s_k, so the
@@ -372,17 +400,22 @@ def _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter):
 
     Returns (point, step norms), or None when max_iter steps pass without a
     stop. Raises NonFiniteValue at the end of the first block whose iterate
-    is not finite.
+    is not finite. With stop_at, the loop ignores the threshold's stop and
+    runs exactly stop_at steps, in the blocks a run with this threshold and
+    budget would use: this replays the step norms of a solve whose stop was
+    found another way.
     """
+    limit = max_iter if stop_at is None else stop_at
+    stop_below = threshold if stop_at is None else -math.inf
     x = x0
     steps: list[float] = []
     if x0.shape[0] <= _FAST_PATH_MAX_DIM:
-        x, steps = _picard_affine_small(matrix, offset, x0, threshold, min(max_iter, _PLAIN_STEPS))
+        x, steps = _picard_affine_small(matrix, offset, x0, stop_below, min(limit, _PLAIN_STEPS))
         _check_finite(x, 1, len(steps))
-        if steps[-1] <= threshold:
+        if steps[-1] <= stop_below or len(steps) == stop_at:
             return x, steps
     block = power = None
-    while len(steps) < max_iter:
+    while len(steps) < limit:
         first, budget = len(steps) + 1, max_iter - len(steps)
         if block is None:
             step = matrix @ x + offset - x
@@ -394,15 +427,180 @@ def _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter):
         # Sums along either axis as products with a vector of ones run in
         # BLAS, several times faster than numpy's reductions on (W, d).
         norms = np.sqrt(np.dot(rows * rows, np.ones(rows.shape[1])))
-        stop = int(np.argmax(norms <= threshold))
-        hit = bool(norms[stop] <= threshold)
-        taken = stop + 1 if hit else rows.shape[0]
+        stop = int(np.argmax(norms <= stop_below))
+        hit = bool(norms[stop] <= stop_below)
+        taken = stop + 1 if hit else min(rows.shape[0], limit - len(steps))
         x = x + np.dot(np.ones(taken), rows[:taken])
         steps.extend(norms[:taken].tolist())
         _check_finite(x, first, len(steps))
-        if hit:
+        if hit or len(steps) == stop_at:
             return x, steps
     return None
+
+
+# A lifting level j holds P = M^(2^j) over S = I + M + ... + M^(2^j - 1).
+# Applied to the step s_p it gives s_(p + 2^j) and the sum s_p + ... +
+# s_(p + 2^j - 1); squared, it gives level j + 1, because S' = S + S P.
+# Levels are one (2d, d) array, so that each costs one product, or, for
+# d = 2, eight plain floats, which skip numpy's per-call cost.
+
+
+def _stacked_level(matrix):
+    return np.vstack((matrix, np.eye(matrix.shape[0])))
+
+
+def _stacked_apply(level, v):
+    out = level @ v
+    return out[: v.shape[0]], out[v.shape[0] :]
+
+
+def _stacked_square(level):
+    d = level.shape[1]
+    out = level @ level[:d]
+    out[d:] += level[d:]
+    return out
+
+
+def _pair_level(matrix):
+    (m00, m01), (m10, m11) = matrix.tolist()
+    return m00, m01, m10, m11, 1.0, 0.0, 0.0, 1.0
+
+
+def _pair_apply(level, v):
+    p00, p01, p10, p11, s00, s01, s10, s11 = level
+    a, b = v
+    return (p00 * a + p01 * b, p10 * a + p11 * b), (s00 * a + s01 * b, s10 * a + s11 * b)
+
+
+def _pair_square(level):
+    p00, p01, p10, p11, s00, s01, s10, s11 = level
+    return (
+        p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
+        p10 * p00 + p11 * p10, p10 * p01 + p11 * p11,
+        s00 + (s00 * p00 + s01 * p10), s01 + (s00 * p01 + s01 * p11),
+        s10 + (s10 * p00 + s11 * p10), s11 + (s10 * p01 + s11 * p11),
+    )
+
+
+def _pair_add(u, v):
+    return u[0] + v[0], u[1] + v[1]
+
+
+def _pair_norm(v):
+    return math.sqrt(v[0] * v[0] + v[1] * v[1])
+
+
+_PAIR_OPS = (_pair_level, _pair_apply, _pair_square, _pair_add, _pair_norm)
+_STACKED_OPS = (_stacked_level, _stacked_apply, _stacked_square, np.add, norm)
+
+
+def _lift(ops, matrix, step, zero, threshold, max_iter):
+    """First k <= max_iter with ||M^(k-1) s_1|| <= threshold, by binary lifting.
+
+    For ||M|| < 1 the step norms ||s_k|| decrease strictly, so the stop is
+    found by galloping, trying s_2p from s_p with level log2(p) while the
+    step stays above the threshold, and then by descending, trying each
+    lower level once from the last step above it. No step past max_iter is
+    tried. A NaN norm counts as above the threshold, so that a non-finite
+    step lands in the sum. ops acts on one representation of levels and
+    vectors; step is s_1 and zero the zero vector in it.
+
+    Returns (k, s_1 + ... + s_k, ||s_k||), or (None, s_1 + ... +
+    s_max_iter, None) when every step within the budget is above.
+    """
+    make_level, apply, square, add, size = ops
+    first = size(step)
+    if first <= threshold:
+        return 1, step, first
+    # v = s_p, total = s_1 + ... + s_(p-1); last = the least step tried at or below.
+    p, v, total, last = 1, step, zero, None
+    levels: list = []
+    while 2 * p <= max_iter:
+        level = square(levels[-1]) if levels else make_level(matrix)
+        nxt, seg = apply(level, v)
+        h = size(nxt)
+        if h <= threshold:
+            last = nxt, h
+            break
+        levels.append(level)
+        p, v, total = 2 * p, nxt, add(total, seg)
+    for j in range(len(levels) - 1, -1, -1):
+        if p + (1 << j) > max_iter:
+            continue
+        nxt, seg = apply(levels[j], v)
+        h = size(nxt)
+        if h <= threshold:
+            last = nxt, h
+        else:
+            p, v, total = p + (1 << j), nxt, add(total, seg)
+    total = add(total, v)
+    if last is None:
+        return None, total, None
+    return p + 1, add(total, last[0]), last[1]
+
+
+def _lifts(dim: int, width: int) -> bool:
+    """Whether binary lifting should beat the blocked scan on about width steps.
+
+    Where the plain float loop starts the scan (dim <= _FAST_PATH_MAX_DIM),
+    lifting wins on every solve longer than that loop's first block. Above,
+    its ~2 d^3 log2(k) flops and ~10 numpy calls per level lose to the
+    scan's k d^2 flops until k reaches both _LIFT_MIN_STEPS and about
+    d log2(k) / 2 (one solve each of 0.995 Q, one BLAS thread: see CHANGES).
+    """
+    if dim <= _FAST_PATH_MAX_DIM:
+        return width > _PLAIN_STEPS
+    return width >= _LIFT_MIN_STEPS and dim * width.bit_length() <= 2 * width
+
+
+def _eager(found):
+    """(point, iterations, last step norm, step norms) of a loop's (point, norms)."""
+    return None if found is None else (found[0], len(found[1]), found[1][-1], tuple(found[1]))
+
+
+def _picard_affine(matrix, offset, x0, threshold, alpha, max_iter, exact):
+    """Picard for x -> M x + c: the blocked scan, or binary lifting when alpha
+    is exactly ||M||_2 (exact) and the a-priori step count favors it.
+
+    Lifting finds the stop with _lift: about 3 log2(k) small products
+    replace the k steps. For d <= _FAST_PATH_MAX_DIM a stop within
+    _PLAIN_STEPS reruns the plain float loop, so that short solves keep its
+    bits, its count and its norms. Otherwise the step norms are left to a
+    replay of _picard_affine_blocked, run only when they are read.
+
+    Returns (point, iterations, last step norm, step norms or the callable
+    that computes them), or None when max_iter steps pass without a stop.
+    Raises NonFiniteValue when the lifted iterate at the stop (or at
+    max_iter) is not finite, and where _picard_affine_blocked does.
+    """
+    if not exact:
+        return _eager(_picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter))
+    d = x0.shape[0]
+    # Huge steps overflow to inf; the finiteness check below reports them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = matrix @ x0 + offset - x0
+        if not _lifts(d, _block_width(norm(step), threshold, alpha, max_iter)):
+            return _eager(_picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter))
+        if d == 2:
+            found, total, last = _lift(_PAIR_OPS, matrix, tuple(step.tolist()), (0.0, 0.0), threshold, max_iter)
+            x = np.array(_pair_add(x0.tolist(), total))
+        else:
+            found, total, last = _lift(_STACKED_OPS, matrix, step, np.zeros(d), threshold, max_iter)
+            x = x0 + total
+    _check_finite(x, 1, found or max_iter)
+    if found is None:
+        return None
+    if d <= _FAST_PATH_MAX_DIM and found <= _PLAIN_STEPS:
+        plain, steps = _picard_affine_small(matrix, offset, x0, threshold, min(max_iter, _PLAIN_STEPS))
+        if steps[-1] <= threshold:
+            return plain, len(steps), steps[-1], tuple(steps)
+    replay = functools.partial(_replayed_norms, matrix, offset, x0.copy(), threshold, alpha, max_iter, found)
+    return x, found, last, replay
+
+
+def _replayed_norms(matrix, offset, x0, threshold, alpha, max_iter, count):
+    """The norms of the first count steps, as _picard_affine_blocked computes them."""
+    return _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter, count)[1]
 
 
 def picard_solve(
@@ -433,14 +631,23 @@ def picard_solve(
         eps_machine ||x_k|| / (1 - alpha), step_norms the full sequence of
         update norms.
 
-    An affine G runs the same iteration a block of steps at a time (see
-    _picard_affine_blocked), with the same stopping rule and step norms.
+    An affine G runs the same iteration with the same stopping rule and
+    step norms, up to rounding. When G is an AffineOperator whose modulus
+    came from an SVD (no declared class, as for every blend that blend()
+    collapses), alpha is ||M||_2, the step norms decrease strictly, and the
+    stop is found by binary lifting on M^(2^j) in O(log k) small products
+    (see _lift); its step_norms are then computed only when read. Short
+    solves, for which lifting would cost more (_lifts), and affine maps with
+    a declared modulus compute their steps a block at a time (see
+    _picard_affine_blocked).
 
-    Raises MaxIterExceeded when the budget runs out. Raises NonFiniteValue
-    when an iterate is NaN or infinite: the generic loop at the first step
-    where G returns such a value, the affine loop at the end of the block of
-    steps that produced it. A step norm that overflows while the iterate
-    stays finite does not end either loop.
+    Raises MaxIterExceeded when the budget, counted in Picard steps, runs
+    out. Raises NonFiniteValue when an iterate is NaN or infinite: the
+    generic loop at the first step where G returns such a value, the
+    blocked loop at the end of the block of steps that produced it, the
+    lifted solve when its iterate at the stop (or at the budget) is not
+    finite. A step norm that overflows while the iterate stays finite does
+    not end any of them.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -461,33 +668,39 @@ def picard_solve(
     threshold = tol * (1.0 - alpha) / alpha
 
     parts = G.affine_parts()
-    if parts is not None:
-        outcome = _picard_affine_blocked(parts[0], parts[1], x, threshold, alpha, policy.max_iter)
+    if parts is None:
+        outcome = _eager(_picard_generic(G, x, threshold, policy.max_iter))
     else:
-        outcome = _picard_generic(G, x, threshold, policy.max_iter)
+        # A modulus from the SVD is ||M||_2 itself, so the step norms decrease strictly.
+        exact = isinstance(G, AffineOperator) and G.matrix_norm is not None and G.matrix_norm < 1.0
+        outcome = _picard_affine(parts[0], parts[1], x, threshold, alpha, policy.max_iter, exact)
     if outcome is None:
         raise MaxIterExceeded(
             f"Picard iteration hit the budget of {policy.max_iter} steps before reaching "
             f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
         )
-    point, steps = outcome
+    point, iterations, last, steps = outcome
     point = as_vector(point)
     # Each step rounds the iterate by about eps_machine ||x||, and the
     # contraction keeps such errors within that over (1 - alpha) of x*.
     floor = _MACHINE_EPS * math.sqrt(point.dot(point)) / (1.0 - alpha)
     return FixedPointResult(
         point=point,
-        residual=steps[-1] * alpha / (1.0 - alpha) + floor,
-        iterations=len(steps),
+        residual=last * alpha / (1.0 - alpha) + floor,
+        iterations=iterations,
         converged=True,
-        step_norms=tuple(steps),
+        step_norms=steps,
     )
 
 
 def _solve_implicit(
-    f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy
+    f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
+    matrix_norm: float | None = None,
 ) -> tuple[FixedPointResult, float]:
     """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta: (result, ||xi - g(xi)||).
+
+    matrix_norm, when given, is ||eps M_f + (1 - eps) M_T||_2, already
+    computed for a g that collapses to one affine map.
 
     When g has an affine piece at the warm start, the piece is solved first,
     declared with g's own modulus q so that picard_solve runs its blocked
@@ -496,7 +709,7 @@ def _solve_implicit(
     point of the q-contraction g by delta however xi was found. Otherwise,
     or when the piece solve fails, picard_solve runs on g itself.
     """
-    g = blend(eps, f, 1.0 - eps, T)
+    g = blend(eps, f, 1.0 - eps, T, matrix_norm=matrix_norm)
     declared = g.declared_class
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
@@ -551,6 +764,32 @@ def _step_operators(target, dim: int) -> tuple[Operator, ...]:
     return tuple(resolve_nonexpansive(op) for op in members)
 
 
+#: Most matrix entries in one batched SVD of blend moduli.
+_MODULI_BATCH = 1 << 16
+
+
+def _blend_moduli(f: Operator, step_ops, values):
+    """||eps_n M_f + (1 - eps_n) M_n||_2 for each step n in turn, or None for each
+    when f or a step operator has no global affine form.
+
+    The stacked matrices are built with the products and sums blend() uses,
+    and a batched SVD gives the same bits as one SVD per matrix, so each
+    collapsed blend gets the modulus its own SVD would give.
+    """
+    parts = [op.affine_parts() for op in (f, *step_ops)]
+    if any(piece is None for piece in parts):
+        yield from [None] * len(values)
+        return
+    forcing = parts[0][0]
+    members = np.stack([piece[0] for piece in parts[1:]])
+    batch = max(1, _MODULI_BATCH // forcing.size)
+    for start in range(0, len(values), batch):
+        eps = np.array(values[start : start + batch])
+        weights = eps[:, None, None]
+        stack = weights * forcing + (1.0 - weights) * members[np.arange(start, start + eps.size) % len(members)]
+        yield from np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
+
+
 def viscosity_implicit_solve(
     f: Operator,
     target,
@@ -589,7 +828,9 @@ def viscosity_implicit_solve(
     ||xi - g(xi)|| <= delta_n (1 - q_n); otherwise picard_solve runs on g
     itself. Either way ||xi_n - xi_n*|| <= delta_n for the step's exact
     solution xi_n*, and the trace and inner_monitor see the solve whose
-    point was kept.
+    point was kept. When f and every step operator are affine, each g
+    collapses to one affine map, and the moduli ||M_n||_2 of all of them
+    come from batched SVDs (see _blend_moduli) instead of one per blend.
 
     MaxIterExceeded and NonFiniteValue from an inner solve are raised again
     with the outer step n and eps_n in front of the message.
@@ -606,13 +847,14 @@ def viscosity_implicit_solve(
     started = time.time()
     converged = False
     fix_res = float("inf")
-    for idx, eps in enumerate(schedule.values):
+    moduli = _blend_moduli(f, step_ops, schedule.values)
+    for idx, (eps, modulus) in enumerate(zip(schedule.values, moduli)):
         n = idx + 1
         step_T = step_ops[idx % len(step_ops)]
         delta_n = opts.inner_tol_rule.delta(eps, opts.outer_tol)
         warm = x_prev if opts.warm_start else origin
         try:
-            res, implicit_res = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy)
+            res, implicit_res = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy, modulus)
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
         xi = res.point

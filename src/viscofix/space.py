@@ -7,6 +7,7 @@ IEEE-754 double semantics throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,9 @@ def inner(u, v) -> float:
 
 
 def norm(u) -> float:
-    """Euclidean norm sqrt(<u, u>)."""
-    return float(np.linalg.norm(np.asarray(u, dtype=float)))
+    """Euclidean norm sqrt(<u, u>), the same bits as np.linalg.norm."""
+    v = np.asarray(u, dtype=float).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def convex_combine(a: float, u, b: float, v) -> np.ndarray:

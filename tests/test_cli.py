@@ -7,7 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from viscofix.cli import config_hash, main
+import jsonschema
+from jsonschema.validators import validator_for
+
+from viscofix import schemes
+from viscofix.cli import RUN_CONFIG_SCHEMA, ConfigInvalid, config_hash, load_run_config, main
 
 BALL_PROBLEM = {
     "target": {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0},
@@ -155,6 +159,45 @@ def test_run_stagnation_names_q_n_of_the_last_outer_step(tmp_path, capsys):
     assert b"q_n" not in summary and b"q_n" not in trace_csv
 
 
+def test_run_stagnation_probes_an_undeclared_forcing_term_once(tmp_path, capsys, monkeypatch):
+    # x -> (2x) / 4 + (1, 0) as a composite: a 0.5-contraction whose class
+    # the catalog cannot declare, so the solve estimates it with a probe.
+    estimates = []
+    original = schemes.estimate_lipschitz
+
+    def counted(*args, **kwargs):
+        estimates.append(original(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(schemes, "estimate_lipschitz", counted)
+    cfg = {
+        "problem": {
+            "target": {"kind": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 1.0]},
+            "contraction": {
+                "kind": "composite",
+                "operators": [
+                    {"kind": "linear", "matrix": [[2.0, 0.0], [0.0, 2.0]]},
+                    {"kind": "affine", "matrix": [[0.25, 0.0], [0.0, 0.25]], "offset": [1.0, 0.0]},
+                ],
+            },
+        },
+        "schedule": {"kind": "harmonic", "n_max": 25},
+        "seed": 7,
+        "problem_id": "shift",
+    }
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "shift.json", cfg)), "--out", str(out), "--quiet"]) == 2
+    assert len(estimates) == 1
+    err = capsys.readouterr().err
+    stagnation = _read_summary(out)["stagnation"]
+    eps = 1 / 26
+    assert err == (
+        "NoCommonFixedPoint: fixed-point residual stagnated above tolerance "
+        f"(outer step n=25, eps_n={eps:.6g}, q_n={1.0 - eps * (1.0 - estimates[0]):.12g}: "
+        f"tail min {stagnation['tail_min']:.6g}, head min {stagnation['head_min']:.6g})\n"
+    )
+
+
 def test_run_inner_budget_exhaustion_exits_two(tmp_path, capsys):
     # A constant contraction solves each inner problem in one application, so
     # the budget needs a genuinely iterative contraction to bite.
@@ -250,6 +293,35 @@ def test_run_schema_rejections(tmp_path, capsys, mutate, fragment):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "config invalid" in err or fragment in err
+
+
+def test_run_config_schema_passes_its_metaschema():
+    # The validator is built once, so nothing checks the schema at run time.
+    validator_for(RUN_CONFIG_SCHEMA).check_schema(RUN_CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda c: c.pop("seed"),
+        lambda c: c.update(extra_knob=1),
+        lambda c: c["schedule"].update(kind="spiral"),
+        lambda c: c["problem"].update(family={"kind": "power"}),
+        lambda c: c["schedule"].update(n_max=0),
+        lambda c: c.update(options={"outer_tol": -1.0, "warm_start": "yes"}),
+        lambda c: c.update(anchors=[[1.0, "a"], []]),
+        lambda c: c["problem"].pop("contraction"),
+    ],
+)
+def test_run_config_errors_match_jsonschema_validate(tmp_path, mutate):
+    cfg = _ball_config()
+    mutate(cfg)
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(cfg, RUN_CONFIG_SCHEMA)
+    where = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+    with pytest.raises(ConfigInvalid) as raised:
+        load_run_config(_write(tmp_path, "bad.json", cfg))
+    assert str(raised.value) == f"config invalid at {where}: {expected.value.message}"
 
 
 def test_run_missing_and_unparseable_files(tmp_path, capsys):

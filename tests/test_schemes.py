@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -822,3 +824,199 @@ def test_implicit_step_is_the_outer_loops_first_step(monkeypatch):
     xi = implicit_step(f, ball, eps, np.zeros(2), opts.inner_tol_rule.delta(eps, opts.outer_tol))
     assert [type(G).__name__ for G in calls] == ["AffineOperator"]
     assert xi.tobytes() == np.array(trace.steps[0].point).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Affine solves whose stop is found by binary lifting
+
+
+def _lifted_and_scanned(seed, dim, alpha):
+    """The same affine contraction twice: undeclared, so that its modulus
+    comes from an SVD and picard_solve lifts, and declared with that modulus,
+    so that picard_solve scans in blocks with the same threshold."""
+    affine, _, start = _affine_twins(seed, dim, alpha)
+    lifted = AffineOperator(affine.matrix, affine.offset)
+    assert lifted.matrix_norm == affine.declared_class.alpha
+    return lifted, affine, start
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """The positional arguments of every call to schemes.<name> from now on."""
+    calls = []
+    original = getattr(schemes, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, name, counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((1, 2, 3, 5, 8)),
+    alpha=st.floats(0.95, 0.995),
+    tol=st.floats(1e-9, 1e-5),
+)
+def test_lifted_affine_matches_the_blocked_scan(seed, dim, alpha, tol):
+    lifted, scanned, start = _lifted_and_scanned(seed, dim, alpha)
+    # Lift even where the path choice would scan, so that every solve here
+    # compares the two loops.
+    with mock.patch.object(schemes, "_lifts", lambda dim, width: True):
+        fast = picard_solve(lifted, start, tol)
+    scan = picard_solve(scanned, start, tol)
+    assume(scan.iterations > _PLAIN_STEPS)
+    # The lifted steps are products of squared powers M^(2^j), the scanned
+    # ones products of block powers M^B: they round differently, so a step
+    # norm within rounding of the threshold may fall on either side of it.
+    assert abs(fast.iterations - scan.iterations) <= 1
+    assert len(fast.step_norms) == fast.iterations
+    if fast.iterations == scan.iterations:
+        assert fast.step_norms == scan.step_norms
+    else:
+        shared = min(fast.iterations, scan.iterations)
+        assert fast.step_norms[:shared] == scan.step_norms[:shared]
+    gap = np.linalg.norm(fast.point - scan.point)
+    assert gap <= fast.residual + scan.residual
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_lifted_budget_matches_the_blocked_scan(dim):
+    lifted, scanned, start = _lifted_and_scanned(11, dim, 0.99)
+    needed = picard_solve(scanned, start, 1e-8).iterations
+    assert needed > _PLAIN_STEPS + 1
+    exact = picard_solve(lifted, start, 1e-8, TolerancePolicy(max_iter=needed))
+    assert exact.iterations == needed
+    with pytest.raises(MaxIterExceeded, match=rf"budget of {needed - 1} steps.*q="):
+        picard_solve(lifted, start, 1e-8, TolerancePolicy(max_iter=needed - 1))
+
+
+def test_lifted_step_norms_are_computed_when_read(monkeypatch):
+    lifted, scanned, start = _lifted_and_scanned(4, 2, 0.99)
+    scan = picard_solve(scanned, start, 1e-8)
+    calls = _count_calls(monkeypatch, "_picard_affine_blocked")
+    res = picard_solve(lifted, start, 1e-8)
+    assert res.iterations == scan.iterations > _PLAIN_STEPS
+    assert calls == []
+    assert res.step_norms == scan.step_norms
+    assert len(calls) == 1
+    assert res.step_norms is res.step_norms
+    assert len(calls) == 1
+    # An unread result pickles with its replay and reads the same norms back.
+    unread = pickle.loads(pickle.dumps(picard_solve(lifted, start, 1e-8)))
+    assert len(calls) == 1
+    assert unread.step_norms == scan.step_norms
+
+
+def test_viscosity_solves_on_affine_blends_read_no_step_norms(monkeypatch):
+    scans = _count_calls(monkeypatch, "_picard_affine_blocked")
+    lifts = _count_calls(monkeypatch, "_lift")
+    f = AffineOperator(0.5 * np.eye(2), [1.0, 0.0])
+    _, trace = viscosity_implicit_solve(f, make_rotation_flow([1.0], [1.0]), make_schedule(n_max=50))
+    long_steps = [step for step in trace.steps if step.inner_iters > _PLAIN_STEPS]
+    assert len(lifts) == len(long_steps) > 40
+    # Short steps scan, eagerly; no step norms of a lifted solve are replayed.
+    assert len(scans) == len(trace.steps) - len(long_steps)
+    assert all(len(args) == 6 for args in scans)
+
+
+def test_short_lifted_solves_keep_the_plain_loops_bits():
+    (m00, m01), (m10, m11) = matrix = [[0.7, 0.1], [-0.1, 0.6]]
+    alpha = float(np.linalg.norm(matrix, 2))
+    lifted = picard_solve(AffineOperator(matrix, [0.3, -1.0]), [5.0, 1.0], 1e-9)
+    scanned = picard_solve(AffineOperator(matrix, [0.3, -1.0], contraction(alpha)), [5.0, 1.0], 1e-9)
+
+    def ordered(x):
+        # The plain loop's order of operations, so bit identity is a fair demand.
+        return np.array([m00 * x[0] + m01 * x[1] + 0.3, m10 * x[0] + m11 * x[1] - 1.0])
+
+    generic = picard_solve(FunctionOperator(ordered, 2, contraction(alpha)), [5.0, 1.0], 1e-9)
+    assert lifted.iterations == generic.iterations <= _PLAIN_STEPS
+    assert lifted.step_norms == scanned.step_norms
+    np.testing.assert_array_equal(lifted.point, generic.point)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_lifted_overflow_raises_without_runtime_warnings(dim):
+    # 2c lies past the float range; 2e200 does not, but its step norms overflow.
+    with pytest.raises(NonFiniteValue, match=r"steps 1-\d+ .*operator kind 'affine'"):
+        picard_solve(AffineOperator(0.5 * np.eye(dim), [1.7e308] * dim), np.zeros(dim), 1e-8)
+    # The lifted loop alone: picard_solve's rounding floor squares ||x|| too.
+    point, iterations, _, _ = schemes._picard_affine(
+        0.5 * np.eye(dim), np.full(dim, 1e200), np.zeros(dim), 1.0, 0.5, 10_000, exact=True
+    )
+    assert iterations > _PLAIN_STEPS
+    np.testing.assert_allclose(point, [2e200] * dim)
+
+
+def test_lifting_needs_a_modulus_from_an_svd(monkeypatch):
+    calls = _count_calls(monkeypatch, "_lift")
+    m = np.array([[0.9, 0.0], [0.0, 0.5]])
+    picard_solve(AffineOperator(m, [1.0, 1.0]), [0.0, 0.0], 1e-8)
+    assert len(calls) == 1
+    # A declared modulus may lie above or below ||M||, so it keeps the scan.
+    picard_solve(AffineOperator(m, [1.0, 1.0], contraction(0.95)), [0.0, 0.0], 1e-8)
+    picard_solve(AffineOperator(m, [1.0, 1.0], contraction(0.85)), [0.0, 0.0], 1e-8)
+    assert len(calls) == 1
+    assert blend(0.5, AffineOperator(m, [1.0, 1.0]), 0.5, Identity(2)).matrix_norm == 0.95
+
+
+@pytest.mark.parametrize(
+    "dim, rates, grid",
+    [(2, [1.0], [1.0]), (2, [1.0], [0.5, 1.0, 2.0]), (8, [1.0, 0.7, 1.3, 0.4], [1.0]),
+     (8, [1.0, 0.7, 1.3, 0.4], [0.25, 1.0, 3.0])],
+)
+def test_batched_blend_moduli_equal_the_per_step_ones(monkeypatch, dim, rates, grid):
+    f = AffineOperator(0.5 * np.eye(dim), np.linspace(-1.0, 1.0, dim))
+    step_ops = schemes._step_operators(make_rotation_flow(rates, grid), dim)
+    values = make_schedule(n_max=2000).values
+    # A small batch puts batch edges inside the cycle of step operators.
+    monkeypatch.setattr(schemes, "_MODULI_BATCH", 7 * dim * dim)
+    batched = np.array(list(schemes._blend_moduli(f, step_ops, values)))
+    blends = [blend(eps, f, 1.0 - eps, step_ops[i % len(step_ops)]) for i, eps in enumerate(values)]
+    assert np.array_equal(batched, [g.matrix_norm for g in blends])
+    given_norm = blend(values[5], f, 1.0 - values[5], step_ops[5 % len(step_ops)], batched[5])
+    assert np.array_equal(given_norm.matrix, blends[5].matrix)
+    assert given_norm.declared_class == blends[5].declared_class
+
+
+def test_blend_moduli_are_none_without_affine_forms():
+    ball = BallProjection([0.0, 0.0], 1.0)
+    f = AffineOperator(0.5 * np.eye(2), [1.0, 0.0])
+    values = make_schedule(n_max=5).values
+    assert list(schemes._blend_moduli(f, (ball,), values)) == [None] * 5
+
+
+def test_rotation_inner_solves_keep_real_step_norms(rotation_run):
+    # Criterion 4 reads these norms; they must be Picard's, one per step.
+    for _, _, picard in rotation_run.inner:
+        assert len(picard.step_norms) == picard.iterations > 0
+
+
+def test_lifting_is_chosen_from_the_dimension_and_the_a_priori_step_count():
+    # Up to d = 4 the scan starts with the plain loop, which lifting beats
+    # on any solve longer than its first block.
+    assert not schemes._lifts(2, _PLAIN_STEPS)
+    assert schemes._lifts(2, _PLAIN_STEPS + 1)
+    assert schemes._lifts(4, _PLAIN_STEPS + 1)
+    # Above it, short solves keep the scan, and so do large d per step.
+    assert not schemes._lifts(5, schemes._LIFT_MIN_STEPS - 1)
+    assert schemes._lifts(5, schemes._LIFT_MIN_STEPS)
+    assert not schemes._lifts(200, 418)
+    assert schemes._lifts(200, 2292)
+    assert schemes._lifts(400, 4732)
+    assert not schemes._lifts(1000, 4732)
+
+
+@pytest.mark.parametrize("dim, alpha, lifts", [(2, 0.6, False), (2, 0.9, True), (8, 0.9, False), (8, 0.998, True)])
+def test_picard_lifts_only_where_the_a_priori_count_says_so(monkeypatch, dim, alpha, lifts):
+    calls = _count_calls(monkeypatch, "_lift")
+    lifted, scanned, start = _lifted_and_scanned(3, dim, alpha)
+    fast = picard_solve(lifted, start, 1e-8, TolerancePolicy(max_iter=100_000))
+    scan = picard_solve(scanned, start, 1e-8, TolerancePolicy(max_iter=100_000))
+    assert len(calls) == int(lifts)
+    assert fast.iterations == scan.iterations
+    assert fast.step_norms == scan.step_norms

@@ -44,6 +44,18 @@ def test_norm_examples():
     assert norm([1.0, 1.0, 1.0, 1.0]) == 2.0
 
 
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 40),
+        elements=st.floats(-1e150, 1e150),
+    )
+)
+def test_norm_has_the_bits_of_numpy_norm(v):
+    assert norm(v) == float(np.linalg.norm(v))
+    assert norm(v.tolist()) == float(np.linalg.norm(v))
+
+
 def test_convex_combine_examples():
     np.testing.assert_allclose(convex_combine(0.5, [2.0, 0.0], 0.5, [0.0, 2.0]), [1.0, 1.0])
     u = np.array([1.5, -2.0])
