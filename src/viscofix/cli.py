@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -476,7 +477,10 @@ def _add_config_arg(parser, noun: str = "config") -> None:
     parser.add_argument("--config", dest="config_flag", default=None, help=f"{noun} file path")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The viscofix parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace on every call."""
     parser = _Parser(prog="viscofix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -99,11 +99,21 @@ def contraction(alpha: float) -> DeclaredClass:
     return DeclaredClass("contraction", alpha)
 
 
+#: Relative slack, in units of eps_machine, within which a computed bound is
+#: 1 up to rounding: an SVD of an orthogonal matrix gives 1 + 2^-52 for a
+#: 0.1 rad rotation. Far below the probe's NONEXPANSIVE_TOL, so a map classed
+#: by it would also pass the probe, whose sampled ratios never exceed the
+#: true Lipschitz constant.
+BOUND_ROUNDING_ULPS = 16
+_BOUND_ONE = 1.0 + BOUND_ROUNDING_ULPS * float(np.finfo(float).eps)
+
+
 def _class_from_bound(bound: float) -> DeclaredClass:
-    """Conservative class for a map with known Lipschitz bound."""
+    """Conservative class for a map with known Lipschitz bound; a bound of 1
+    up to rounding is nonexpansive, anything larger is left to the probe."""
     if bound < 1.0:
         return contraction(bound)
-    if bound == 1.0:
+    if bound <= _BOUND_ONE:
         return NONEXPANSIVE
     return UNKNOWN
 
@@ -546,9 +556,13 @@ class BlendOperator(Operator):
         return self.a * self.first._apply(x) + self.b * self.second._apply(x)
 
     def affine_piece(self, x=None):
-        ps = self.first.affine_piece(x)
+        # The second map (a solve's target) is the one that may have no
+        # piece, so it is asked first and the first map's piece is not built.
         pt = self.second.affine_piece(x)
-        if ps is None or pt is None:
+        if pt is None:
+            return None
+        ps = self.first.affine_piece(x)
+        if ps is None:
             return None
         return self.a * ps[0] + self.b * pt[0], self.a * ps[1] + self.b * pt[1]
 

@@ -683,7 +683,11 @@ def picard_solve(
     point = as_vector(point)
     # Each step rounds the iterate by about eps_machine ||x||, and the
     # contraction keeps such errors within that over (1 - alpha) of x*.
-    floor = _MACHINE_EPS * math.sqrt(point.dot(point)) / (1.0 - alpha)
+    # vdot gives dot's bits without numpy's overflow warning; past about
+    # 1.3e154 its square overflows and hypot's scaled sum takes over.
+    squared = np.vdot(point, point)
+    size = math.sqrt(squared) if squared < math.inf else math.hypot(*point)
+    floor = _MACHINE_EPS * size / (1.0 - alpha)
     return FixedPointResult(
         point=point,
         residual=last * alpha / (1.0 - alpha) + floor,

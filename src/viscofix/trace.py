@@ -92,39 +92,29 @@ class ConvergenceTrace:
         return self.steps[:count]
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trips any float64 exactly.
-    return format(float(value), ".17g")
-
-
 def export_trace(trace: ConvergenceTrace, fmt: str, destination, header_comment: str | None = None) -> Path:
     """Write a trace as 'csv' or 'json'. Returns the path written.
 
     CSV columns are exactly n, eps, implicit_residual, fix_residual,
     step_delta, inner_iters, then the point coordinates x0..x{d-1}, every
     float rendered with 17 significant digits. An optional '#' comment line
-    may precede the header. JSON carries a schema version and the metadata.
+    may precede the header. JSON is one line of sorted keys (then a
+    newline) carrying a schema version and the metadata.
     """
     path = Path(destination)
     if fmt == "csv":
-        with path.open("w", newline="") as handle:
-            if header_comment is not None:
-                handle.write(f"# {header_comment}\n")
-            writer = csv.writer(handle)
-            dim = trace.dim or 0
-            writer.writerow(list(CSV_COLUMNS) + [f"x{i}" for i in range(dim)])
-            for s in trace.steps:
-                writer.writerow(
-                    [
-                        s.n,
-                        _fmt(s.eps),
-                        _fmt(s.implicit_residual),
-                        _fmt(s.fix_residual),
-                        _fmt(s.step_delta),
-                        s.inner_iters,
-                    ]
-                    + [_fmt(c) for c in s.point]
-                )
+        dim = trace.dim or 0
+        lines = [] if header_comment is None else [f"# {header_comment}\n"]
+        lines.append(",".join(CSV_COLUMNS + tuple(f"x{i}" for i in range(dim))) + "\r\n")
+        # The bytes csv.writer gives for str(int) and format(x, ".17g")
+        # fields, none of which needs quoting. 17 significant digits
+        # round-trip any float64 exactly.
+        row = "%d,%.17g,%.17g,%.17g,%.17g,%d" + ",%.17g" * dim + "\r\n"
+        lines.extend(
+            row % (s.n, s.eps, s.implicit_residual, s.fix_residual, s.step_delta, s.inner_iters, *s.point)
+            for s in trace.steps
+        )
+        path.write_text("".join(lines), newline="")
         return path
     if fmt == "json":
         payload = {
@@ -143,9 +133,8 @@ def export_trace(trace: ConvergenceTrace, fmt: str, destination, header_comment:
                 for s in trace.steps
             ],
         }
-        with path.open("w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        # Without indent, dumps runs the C encoder in one call.
+        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         return path
     raise ValueError(f"unknown trace format '{fmt}'")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import importlib.util
 import sys
 from pathlib import Path
@@ -45,3 +46,50 @@ def test_piece_solves_keep_one_traced_inner_call_and_blend_per_outer_step(monkey
     assert len(calls["blend"]) == 30
     # Every step took the piece (an affine operator), with no fallback on the blend.
     assert [type(args[0]) for args in calls["picard_solve"]] == [AffineOperator] * 30
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _run(tmp_path, target):
+    # The tracer times trace.export_s on cli.export_trace and counts
+    # operators.probe_samples on semigroup.check_nonexpansive.
+    from viscofix import cli
+
+    cfg = {
+        "problem": {"target": target, "contraction": {"kind": "constant", "value": [2.0, 0.0]}},
+        "schedule": {"kind": "harmonic", "n_max": 20},
+        "seed": 1,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+
+
+def test_a_run_exports_through_the_traced_binding_once_per_format(tmp_path, monkeypatch):
+    from viscofix import cli
+
+    exports = _counted(monkeypatch, cli, "export_trace")
+    ball = {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0}
+    assert _run(tmp_path, ball) == 0
+    assert [args[1] for args in exports] == ["csv", "json"]
+
+
+def test_the_nonexpansive_probe_runs_through_the_traced_binding(tmp_path, monkeypatch):
+    from viscofix import semigroup
+
+    probes = _counted(monkeypatch, semigroup, "check_nonexpansive")
+    # Declared by no catalog rule: a 2-norm of 1 + 1e-12 is past rounding.
+    scaled = {"kind": "linear", "matrix": [[0.0, -(1.0 + 1e-12)], [1.0 + 1e-12, 0.0]]}
+    assert _run(tmp_path, scaled) == 0
+    assert len(probes) == 1
+    assert probes[0][1] == semigroup.PROBE_SAMPLES

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import jsonschema
 from jsonschema.validators import validator_for
 
-from viscofix import schemes
+from viscofix import cli, schemes, semigroup
 from viscofix.cli import RUN_CONFIG_SCHEMA, ConfigInvalid, config_hash, load_run_config, main
 
 BALL_PROBLEM = {
@@ -80,6 +81,55 @@ def test_run_seed_override_changes_the_hash(tmp_path):
     reseeded = dict(cfg, seed=7)
     assert summary["config_hash"] == config_hash(reseeded)
     assert summary["config_hash"] != config_hash(cfg)
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    cfg_path = _write(tmp_path, "ball.json", _ball_config())
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "a"), "--seed", "5", "--quiet"]) == 0
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+    assert _read_summary(tmp_path / "a")["seed"] == 5
+    assert _read_summary(tmp_path / "b")["seed"] == 42
+
+
+def _rotation_config(angle, scale=1.0):
+    c, s = math.cos(angle), math.sin(angle)
+    return {
+        "problem": {
+            "target": {"kind": "linear", "matrix": [[scale * c, -scale * s], [scale * s, scale * c]]},
+            "contraction": {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.3, 0.4]},
+        },
+        "schedule": {"kind": "harmonic", "params": {"p": 1.0}, "n_max": 30},
+        "seed": 3,
+        "problem_id": "rotation",
+    }
+
+
+def _count_probes(monkeypatch):
+    probes = []
+    original = semigroup.check_nonexpansive
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "check_nonexpansive", counted)
+    return probes
+
+
+def test_run_of_a_rotation_needs_no_nonexpansive_probe(tmp_path, monkeypatch):
+    # The 0.1 rad rotation's computed 2-norm is 1 + 2^-52: 1 up to rounding.
+    probes = _count_probes(monkeypatch)
+    cfg_path = _write(tmp_path, "rotation.json", _rotation_config(0.1))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert probes == []
+
+
+def test_run_of_a_slightly_expansive_map_is_still_probed(tmp_path, monkeypatch):
+    probes = _count_probes(monkeypatch)
+    cfg_path = _write(tmp_path, "rotation.json", _rotation_config(0.1, scale=1.0 + 1e-12))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(probes) == 1
 
 
 def test_run_bad_schedule_exits_one(tmp_path, capsys):

@@ -27,6 +27,7 @@ from viscofix import (
     NoConvergence,
     NonFiniteValue,
     NotLinear,
+    NotNonexpansive,
     PlaneRotation,
     TolerancePolicy,
     certify_norm_attainable,
@@ -37,6 +38,7 @@ from viscofix import (
     make_operator,
     operator_norm,
 )
+from viscofix import operators, semigroup
 from viscofix.operators import BlendOperator, DeclaredWrapper, blend, nullspace_basis
 
 from oracles import brute_force_nullity, charpoly_sigma
@@ -162,6 +164,52 @@ def test_linear_class_from_matrix_norm():
     assert LinearOperator(0.5 * np.eye(2)).declared_class.kind == "contraction"
     assert LinearOperator(np.eye(2)).declared_class.kind == "nonexpansive"
     assert LinearOperator(2.0 * np.eye(2)).declared_class.kind == "unknown"
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("angle", [0.1, 0.3, 1.0, math.pi / 3, 2.0, 3.0])
+def test_rotations_are_nonexpansive_by_their_svd_bound(angle):
+    # The computed 2-norm of the 0.1 rad rotation is 1 + 2^-52.
+    assert LinearOperator(_rotation(angle)).declared_class.kind == "nonexpansive"
+
+
+def test_random_orthogonal_maps_need_no_probe():
+    rng = np.random.default_rng(11)
+    for dim in range(2, 6):
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            # An SVD may also round the norm below 1, to a contraction modulus.
+            for op in (LinearOperator(q), AffineOperator(q, np.ones(dim))):
+                assert op.declared_class.kind in ("nonexpansive", "contraction")
+
+
+def test_rounding_slack_for_svd_bounds_stays_far_below_the_probe_tolerance():
+    slack = operators._BOUND_ONE - 1.0
+    assert 0.0 < slack <= 16 * np.finfo(float).eps
+    assert slack < 1e-5 * operators.NONEXPANSIVE_TOL
+
+
+@pytest.mark.parametrize("matrix", [2.0 * np.eye(2), (1.0 + 1e-9) * _rotation(0.1)])
+def test_bounds_past_rounding_stay_unknown_and_are_probed(matrix, monkeypatch):
+    probes = []
+    original = semigroup.check_nonexpansive
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "check_nonexpansive", counted)
+    op = LinearOperator(matrix)
+    assert op.declared_class.kind == "unknown"
+    try:
+        semigroup.resolve_nonexpansive(op)
+    except NotNonexpansive:
+        pass
+    assert len(probes) == 1
 
 
 def test_contraction_modulus_validation():
@@ -591,6 +639,28 @@ def test_averaged_blend_and_declared_pieces_combine_their_children():
     wrapped = DeclaredWrapper(ball, ball.declared_class)
     assert _same_piece(wrapped.affine_piece(inside), (np.eye(2), np.zeros(2)))
     assert wrapped.affine_piece(outside) is None
+
+
+def test_blend_piece_asks_the_target_first(monkeypatch):
+    ball = BallProjection([0.0, 0.0], 1.0)
+    anchor = ConstantOperator([1.0, 2.0])
+    asked = []
+    original = ConstantOperator.affine_piece
+
+    def counted(self, x=None):
+        asked.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(ConstantOperator, "affine_piece", counted)
+    mixed = BlendOperator(0.5, anchor, 0.5, ball)
+    # Outside the ball the target has no piece, so the anchor's is never built.
+    assert mixed.affine_piece([2.0, 0.0]) is None
+    assert mixed.affine_parts() is None
+    assert asked == []
+    assert _same_piece(mixed.affine_piece([0.5, 0.0]), (0.5 * np.eye(2), np.array([0.5, 1.0])))
+    assert len(asked) == 1
+    # A first map without a piece still ends the query.
+    assert BlendOperator(0.5, ball, 0.5, anchor).affine_piece([2.0, 0.0]) is None
 
 
 def test_function_and_box_have_no_piece():

@@ -357,6 +357,26 @@ def test_picard_affine_survives_an_overflowing_step_norm(dim):
     np.testing.assert_allclose(res.point, [2e200] * dim)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_picard_rounding_floor_survives_an_iterate_past_the_square_range(dim):
+    # ||x*||^2 = d 4e400 overflows; ||x*|| = 2e200 sqrt(d) does not.
+    res = picard_solve(AffineOperator(0.5 * np.eye(dim), [1e200] * dim), np.zeros(dim), 1.0)
+    np.testing.assert_allclose(res.point, [2e200] * dim)
+    size = math.hypot(*res.point)
+    assert math.isfinite(res.residual)
+    assert res.residual >= np.finfo(float).eps * size / (1.0 - 0.5)
+
+
+def test_picard_rounding_floor_keeps_its_bits_in_range():
+    m = np.array([[0.3, 0.1], [0.0, 0.4]])
+    res = picard_solve(AffineOperator(m, [1e3, -2e3]), [0.0, 0.0], 1e-6)
+    alpha = float(np.linalg.norm(m, 2))
+    last = res.step_norms[-1]
+    floor = np.finfo(float).eps * math.sqrt(res.point.dot(res.point)) / (1.0 - alpha)
+    assert res.residual == last * alpha / (1.0 - alpha) + floor
+
+
 def _affine_twins(seed, dim, alpha, declared=None):
     """An affine contraction with ||M|| = alpha, and the same map on the generic loop.
 

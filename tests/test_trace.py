@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscofix import ConvergenceTrace, TraceStep, export_trace, load_trace
+from viscofix.trace import CSV_COLUMNS, TRACE_SCHEMA_VERSION
 
 
 def _step(n, eps, point, **overrides):
@@ -161,3 +167,118 @@ def test_json_output_is_stable_and_sorted(tmp_path):
     payload = json.loads(a)
     assert list(payload) == sorted(payload)
     assert payload["steps"][0]["point"][0] == 1.0 / 3.0
+
+
+# ---------------------------------------------------------------------------
+# Bulk export against the csv.writer / indented json.dump renderings
+
+
+def _reference_csv(trace, header_comment):
+    """trace.csv as csv.writer renders it, every float through format(.17g)."""
+    buffer = io.StringIO(newline="")
+    if header_comment is not None:
+        buffer.write(f"# {header_comment}\n")
+    writer = csv.writer(buffer)
+    writer.writerow(list(CSV_COLUMNS) + [f"x{i}" for i in range(trace.dim or 0)])
+    for s in trace.steps:
+        floats = (s.eps, s.implicit_residual, s.fix_residual, s.step_delta)
+        writer.writerow(
+            [s.n, *(format(float(v), ".17g") for v in floats), s.inner_iters]
+            + [format(float(c), ".17g") for c in s.point]
+        )
+    return buffer.getvalue().encode()
+
+
+def _reference_json(trace):
+    """trace.json as json.dump(..., indent=2, sort_keys=True) renders it."""
+    payload = {
+        "schema": TRACE_SCHEMA_VERSION,
+        "metadata": trace.metadata,
+        "steps": [
+            {
+                "n": s.n,
+                "eps": s.eps,
+                "point": list(s.point),
+                "implicit_residual": s.implicit_residual,
+                "fix_residual": s.fix_residual,
+                "inner_iters": s.inner_iters,
+                "step_delta": s.step_delta,
+            }
+            for s in trace.steps
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _bits(value):
+    # Every NaN reads back as the one float('nan'), so NaNs compare as a class.
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def _step_bits(step):
+    floats = (step.eps, step.implicit_residual, step.fix_residual, step.step_delta, *step.point)
+    return step.n, step.inner_iters, tuple(_bits(v) for v in floats)
+
+
+_SPECIAL_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308, 1.0 / 3.0]
+)
+_ANY_FLOAT = st.one_of(_SPECIAL_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _traces(draw):
+    dim = draw(st.integers(1, 5))
+    eps_values = sorted(
+        draw(st.sets(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), max_size=6)),
+        reverse=True,
+    )
+    numbers = sorted(draw(st.sets(st.integers(1, 10**12), min_size=len(eps_values), max_size=len(eps_values))))
+    seed = draw(st.integers(0, 2**31))
+    trace = ConvergenceTrace(metadata={"problem_id": "hyp", "seed": seed})
+    for n, eps in zip(numbers, eps_values):
+        trace.append(
+            TraceStep(
+                n=n,
+                eps=eps,
+                point=tuple(draw(st.lists(_ANY_FLOAT, min_size=dim, max_size=dim))),
+                implicit_residual=draw(_ANY_FLOAT),
+                fix_residual=draw(_ANY_FLOAT),
+                inner_iters=draw(st.integers(0, 10**9)),
+                step_delta=draw(_ANY_FLOAT),
+            )
+        )
+    header = draw(st.sampled_from([None, f"config_hash=abc123 seed={seed}"]))
+    return trace, header
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_traces())
+def test_bulk_export_matches_the_writer_renderings_and_round_trips(case, tmp_path_factory):
+    trace, header = case
+    directory = tmp_path_factory.getbasetemp() / "bulk-export"
+    directory.mkdir(exist_ok=True)
+    csv_path = export_trace(trace, "csv", directory / "trace.csv", header_comment=header)
+    assert csv_path.read_bytes() == _reference_csv(trace, header)
+    json_path = export_trace(trace, "json", directory / "trace.json")
+    text = json_path.read_text()
+    # One line of sorted keys: the indented layout's content, in its order.
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == _reference_json(trace)
+    expected = [_step_bits(s) for s in trace.steps]
+    for path in (csv_path, json_path):
+        loaded = load_trace(path)
+        assert [_step_bits(s) for s in loaded.steps] == expected
+    assert load_trace(json_path).metadata == trace.metadata
+    if header is not None:
+        assert load_trace(csv_path).metadata == {"config_hash": "abc123", "seed": trace.metadata["seed"]}
+
+
+def test_bulk_export_of_the_empty_trace(tmp_path):
+    empty = ConvergenceTrace()
+    for header in (None, "config_hash=abc123 seed=1"):
+        path = export_trace(empty, "csv", tmp_path / "empty.csv", header_comment=header)
+        assert path.read_bytes() == _reference_csv(empty, header)
+    path = export_trace(empty, "json", tmp_path / "empty.json")
+    assert json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) == _reference_json(empty)
+    assert load_trace(path).steps == []
