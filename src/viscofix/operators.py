@@ -238,17 +238,23 @@ class AffineOperator(Operator):
         self, matrix, offset, declared_class: DeclaredClass | None = None,
         matrix_norm: float | None = None,
     ):
-        self.matrix = _square_matrix(matrix)
-        self.offset = as_vector(offset)
-        if self.offset.shape[0] != self.matrix.shape[0]:
+        matrix = _square_matrix(matrix)
+        offset = as_vector(offset)
+        if offset.shape[0] != matrix.shape[0]:
             raise InvalidSpec("affine offset dimension does not match the matrix")
+        self._init_checked(matrix, offset, declared_class, matrix_norm)
+
+    def _init_checked(self, matrix, offset, declared_class, matrix_norm):
+        # matrix is square, offset matches it, both are finite and read-only.
+        self.matrix = matrix
+        self.offset = offset
         self.matrix_norm = None
         if declared_class is None:
             if matrix_norm is None:
-                matrix_norm = np.linalg.norm(self.matrix, 2)
+                matrix_norm = np.linalg.norm(matrix, 2)
             self.matrix_norm = float(matrix_norm)
             declared_class = _class_from_bound(self.matrix_norm)
-        super().__init__(self.matrix.shape[0], declared_class)
+        super().__init__(matrix.shape[0], declared_class)
 
     def _apply(self, x):
         return self.matrix @ x + self.offset
@@ -615,14 +621,30 @@ def blend(
     The collapse keeps inner Picard loops cheap and lets the affine
     constructor declare the sharp contraction modulus ||a M_S + b M_T||.
     A caller that has already computed that norm (for a whole schedule at
-    once) passes it as matrix_norm, and the collapse skips its SVD.
+    once) passes it as matrix_norm, and the collapse skips its SVD. The
+    collapsed matrix and offset are checked once, for finiteness: a blend
+    whose weights overflow them raises InvalidSpec.
     """
     if first.dim != second.dim:
         raise DimensionMismatch("blend mixes operators of different dimensions")
     ps = first.affine_parts()
     pt = second.affine_parts()
     if ps is not None and pt is not None:
-        return AffineOperator(a * ps[0] + b * pt[0], a * ps[1] + b * pt[1], matrix_norm=matrix_norm)
+        # An overflow is reported by the finiteness checks, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = a * ps[0] + b * pt[0]
+            offset = a * ps[1] + b * pt[1]
+        # Both are fresh arrays of checked parts, so they are square and of
+        # matching shapes: checked once, for finiteness, and frozen in place.
+        if not np.isfinite(matrix).all():
+            raise InvalidSpec("collapsed matrix has non-finite entries")
+        if not np.isfinite(offset).all():
+            raise InvalidSpec("collapsed offset has non-finite coordinates")
+        matrix.flags.writeable = False
+        offset.flags.writeable = False
+        collapsed = AffineOperator.__new__(AffineOperator)
+        collapsed._init_checked(matrix, offset, None, matrix_norm)
+        return collapsed
     return BlendOperator(a, first, b, second)
 
 

@@ -378,8 +378,18 @@ def _step_block(matrix: np.ndarray, step: np.ndarray, width: int) -> tuple[np.nd
     return rows, power
 
 
+def _wide_norm(v: np.ndarray) -> float:
+    """||v||, finite wherever the norm itself is, without numpy's overflow warning.
+
+    vdot gives dot's bits without the warning; past about 1.3e154 its square
+    overflows and hypot's scaled sum takes over.
+    """
+    squared = np.vdot(v, v)
+    return math.sqrt(squared) if squared < math.inf else math.hypot(*v)
+
+
 def _check_finite(x: np.ndarray, first: int, last: int) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteValue(
             f"Picard steps {first}-{last} produced a non-finite value (operator kind 'affine')"
         )
@@ -415,86 +425,38 @@ def _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter, stop_
         if steps[-1] <= stop_below or len(steps) == stop_at:
             return x, steps
     block = power = None
-    while len(steps) < limit:
-        first, budget = len(steps) + 1, max_iter - len(steps)
-        if block is None:
-            step = matrix @ x + offset - x
-            width = _block_width(norm(step), threshold, alpha, min(budget, _MAX_BLOCK_WIDTH))
-            block, power = _step_block(matrix, step, width)
-        else:
-            block = np.dot(block, power)
-        rows = block[:budget]
-        # Sums along either axis as products with a vector of ones run in
-        # BLAS, several times faster than numpy's reductions on (W, d).
-        norms = np.sqrt(np.dot(rows * rows, np.ones(rows.shape[1])))
-        stop = int(np.argmax(norms <= stop_below))
-        hit = bool(norms[stop] <= stop_below)
-        taken = stop + 1 if hit else min(rows.shape[0], limit - len(steps))
-        x = x + np.dot(np.ones(taken), rows[:taken])
-        steps.extend(norms[:taken].tolist())
-        _check_finite(x, first, len(steps))
-        if hit or len(steps) == stop_at:
-            return x, steps
+    # Huge steps overflow to inf without numpy's warnings: a non-finite
+    # iterate raises NonFiniteValue, an overflowing step norm does not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(steps) < limit:
+            first, budget = len(steps) + 1, max_iter - len(steps)
+            if block is None:
+                step = matrix @ x + offset - x
+                width = _block_width(_wide_norm(step), threshold, alpha, min(budget, _MAX_BLOCK_WIDTH))
+                block, power = _step_block(matrix, step, width)
+            else:
+                block = np.dot(block, power)
+            rows = block[:budget]
+            # Sums along either axis as products with a vector of ones run in
+            # BLAS, several times faster than numpy's reductions on (W, d).
+            norms = np.sqrt(np.dot(rows * rows, np.ones(rows.shape[1])))
+            stop = int(np.argmax(norms <= stop_below))
+            hit = bool(norms[stop] <= stop_below)
+            taken = stop + 1 if hit else min(rows.shape[0], limit - len(steps))
+            x = x + np.dot(np.ones(taken), rows[:taken])
+            steps.extend(norms[:taken].tolist())
+            _check_finite(x, first, len(steps))
+            if hit or len(steps) == stop_at:
+                return x, steps
     return None
 
 
 # A lifting level j holds P = M^(2^j) over S = I + M + ... + M^(2^j - 1).
 # Applied to the step s_p it gives s_(p + 2^j) and the sum s_p + ... +
 # s_(p + 2^j - 1); squared, it gives level j + 1, because S' = S + S P.
-# Levels are one (2d, d) array, so that each costs one product, or, for
-# d = 2, eight plain floats, which skip numpy's per-call cost.
 
 
-def _stacked_level(matrix):
-    return np.vstack((matrix, np.eye(matrix.shape[0])))
-
-
-def _stacked_apply(level, v):
-    out = level @ v
-    return out[: v.shape[0]], out[v.shape[0] :]
-
-
-def _stacked_square(level):
-    d = level.shape[1]
-    out = level @ level[:d]
-    out[d:] += level[d:]
-    return out
-
-
-def _pair_level(matrix):
-    (m00, m01), (m10, m11) = matrix.tolist()
-    return m00, m01, m10, m11, 1.0, 0.0, 0.0, 1.0
-
-
-def _pair_apply(level, v):
-    p00, p01, p10, p11, s00, s01, s10, s11 = level
-    a, b = v
-    return (p00 * a + p01 * b, p10 * a + p11 * b), (s00 * a + s01 * b, s10 * a + s11 * b)
-
-
-def _pair_square(level):
-    p00, p01, p10, p11, s00, s01, s10, s11 = level
-    return (
-        p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
-        p10 * p00 + p11 * p10, p10 * p01 + p11 * p11,
-        s00 + (s00 * p00 + s01 * p10), s01 + (s00 * p01 + s01 * p11),
-        s10 + (s10 * p00 + s11 * p10), s11 + (s10 * p01 + s11 * p11),
-    )
-
-
-def _pair_add(u, v):
-    return u[0] + v[0], u[1] + v[1]
-
-
-def _pair_norm(v):
-    return math.sqrt(v[0] * v[0] + v[1] * v[1])
-
-
-_PAIR_OPS = (_pair_level, _pair_apply, _pair_square, _pair_add, _pair_norm)
-_STACKED_OPS = (_stacked_level, _stacked_apply, _stacked_square, np.add, norm)
-
-
-def _lift(ops, matrix, step, zero, threshold, max_iter):
+def _lift(matrix, step, threshold, max_iter):
     """First k <= max_iter with ||M^(k-1) s_1|| <= threshold, by binary lifting.
 
     For ||M|| < 1 the step norms ||s_k|| decrease strictly, so the stop is
@@ -502,41 +464,101 @@ def _lift(ops, matrix, step, zero, threshold, max_iter):
     step stays above the threshold, and then by descending, trying each
     lower level once from the last step above it. No step past max_iter is
     tried. A NaN norm counts as above the threshold, so that a non-finite
-    step lands in the sum. ops acts on one representation of levels and
-    vectors; step is s_1 and zero the zero vector in it.
+    step lands in the sum. step is s_1.
 
     Returns (k, s_1 + ... + s_k, ||s_k||), or (None, s_1 + ... +
-    s_max_iter, None) when every step within the budget is above.
+    s_max_iter, None) when every step within the budget is above. For
+    d = 2 the sum is a pair of floats: the levels are eight plain floats
+    and the loop is written out on them, which skips numpy's per-call cost.
+    Otherwise a level is one (2d, d) array [P; S], so that each costs one
+    product, and the sum is an array.
     """
-    make_level, apply, square, add, size = ops
-    first = size(step)
+    d = step.shape[0]
+    if d != 2:
+        return _lift_stacked(matrix, step, threshold, max_iter)
+    (p00, p01), (p10, p11) = matrix.tolist()
+    a, b = step.tolist()
+    first = math.sqrt(a * a + b * b)
     if first <= threshold:
-        return 1, step, first
-    # v = s_p, total = s_1 + ... + s_(p-1); last = the least step tried at or below.
-    p, v, total, last = 1, step, zero, None
+        return 1, (a, b), first
+    # (a, b) = s_p, (t0, t1) = s_1 + ... + s_(p-1); last = the least step tried at or below.
+    p, t0, t1, last = 1, 0.0, 0.0, None
+    level = (p00, p01, p10, p11, 1.0, 0.0, 0.0, 1.0)
     levels: list = []
     while 2 * p <= max_iter:
-        level = square(levels[-1]) if levels else make_level(matrix)
-        nxt, seg = apply(level, v)
-        h = size(nxt)
+        if levels:
+            level = (
+                p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
+                p10 * p00 + p11 * p10, p10 * p01 + p11 * p11,
+                s00 + (s00 * p00 + s01 * p10), s01 + (s00 * p01 + s01 * p11),
+                s10 + (s10 * p00 + s11 * p10), s11 + (s10 * p01 + s11 * p11),
+            )
+        p00, p01, p10, p11, s00, s01, s10, s11 = level
+        na = p00 * a + p01 * b
+        nb = p10 * a + p11 * b
+        h = math.sqrt(na * na + nb * nb)
         if h <= threshold:
-            last = nxt, h
+            last = na, nb, h
             break
         levels.append(level)
-        p, v, total = 2 * p, nxt, add(total, seg)
+        t0 += s00 * a + s01 * b
+        t1 += s10 * a + s11 * b
+        p, a, b = 2 * p, na, nb
     for j in range(len(levels) - 1, -1, -1):
         if p + (1 << j) > max_iter:
             continue
-        nxt, seg = apply(levels[j], v)
-        h = size(nxt)
+        p00, p01, p10, p11, s00, s01, s10, s11 = levels[j]
+        na = p00 * a + p01 * b
+        nb = p10 * a + p11 * b
+        h = math.sqrt(na * na + nb * nb)
         if h <= threshold:
-            last = nxt, h
+            last = na, nb, h
         else:
-            p, v, total = p + (1 << j), nxt, add(total, seg)
-    total = add(total, v)
+            t0 += s00 * a + s01 * b
+            t1 += s10 * a + s11 * b
+            p, a, b = p + (1 << j), na, nb
+    t0 += a
+    t1 += b
+    if last is None:
+        return None, (t0, t1), None
+    return p + 1, (t0 + last[0], t1 + last[1]), last[2]
+
+
+def _lift_stacked(matrix, step, threshold, max_iter):
+    """_lift for d != 2, on stacked (2d, d) levels."""
+    d = step.shape[0]
+    first = norm(step)
+    if first <= threshold:
+        return 1, step, first
+    # v = s_p, total = s_1 + ... + s_(p-1); last = the least step tried at or below.
+    p, v, total, last = 1, step, np.zeros(d), None
+    level = np.vstack((matrix, np.eye(d)))
+    levels: list = []
+    while 2 * p <= max_iter:
+        if levels:
+            square = level @ level[:d]
+            square[d:] += level[d:]
+            level = square
+        out = level @ v
+        h = norm(out[:d])
+        if h <= threshold:
+            last = out[:d], h
+            break
+        levels.append(level)
+        p, v, total = 2 * p, out[:d], total + out[d:]
+    for j in range(len(levels) - 1, -1, -1):
+        if p + (1 << j) > max_iter:
+            continue
+        out = levels[j] @ v
+        h = norm(out[:d])
+        if h <= threshold:
+            last = out[:d], h
+        else:
+            p, v, total = p + (1 << j), out[:d], total + out[d:]
+    total = total + v
     if last is None:
         return None, total, None
-    return p + 1, add(total, last[0]), last[1]
+    return p + 1, total + last[0], last[1]
 
 
 def _lifts(dim: int, width: int) -> bool:
@@ -581,12 +603,8 @@ def _picard_affine(matrix, offset, x0, threshold, alpha, max_iter, exact):
         step = matrix @ x0 + offset - x0
         if not _lifts(d, _block_width(norm(step), threshold, alpha, max_iter)):
             return _eager(_picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter))
-        if d == 2:
-            found, total, last = _lift(_PAIR_OPS, matrix, tuple(step.tolist()), (0.0, 0.0), threshold, max_iter)
-            x = np.array(_pair_add(x0.tolist(), total))
-        else:
-            found, total, last = _lift(_STACKED_OPS, matrix, step, np.zeros(d), threshold, max_iter)
-            x = x0 + total
+        found, total, last = _lift(matrix, step, threshold, max_iter)
+        x = x0 + total
     _check_finite(x, 1, found or max_iter)
     if found is None:
         return None
@@ -680,14 +698,17 @@ def picard_solve(
             f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
         )
     point, iterations, last, steps = outcome
-    point = as_vector(point)
+    if parts is None:
+        # G's apply may return an array its caller still holds: copy it.
+        point = as_vector(point)
+    else:
+        # The affine loops built this point, so it is fresh, and finite: they
+        # check it, or stopped on a finite step from it, which a non-finite
+        # iterate cannot take.
+        point.flags.writeable = False
     # Each step rounds the iterate by about eps_machine ||x||, and the
     # contraction keeps such errors within that over (1 - alpha) of x*.
-    # vdot gives dot's bits without numpy's overflow warning; past about
-    # 1.3e154 its square overflows and hypot's scaled sum takes over.
-    squared = np.vdot(point, point)
-    size = math.sqrt(squared) if squared < math.inf else math.hypot(*point)
-    floor = _MACHINE_EPS * size / (1.0 - alpha)
+    floor = _MACHINE_EPS * _wide_norm(point) / (1.0 - alpha)
     return FixedPointResult(
         point=point,
         residual=last * alpha / (1.0 - alpha) + floor,
@@ -727,11 +748,11 @@ def _solve_implicit(
         except (MaxIterExceeded, NonFiniteValue):
             pass
         else:
-            gap = norm(res.point - g.apply(res.point))
+            gap = norm(res.point - g._apply(res.point))
             if gap <= delta * (1.0 - declared.alpha):
                 return res, gap
     res = picard_solve(g, warm, delta, policy)
-    return res, norm(res.point - g.apply(res.point))
+    return res, norm(res.point - g._apply(res.point))
 
 
 def implicit_step(
@@ -862,13 +883,13 @@ def viscosity_implicit_solve(
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
         xi = res.point
-        fix_res = norm(xi - step_T.apply(xi))
+        fix_res = norm(xi - step_T._apply(xi))
         step_delta = norm(xi - x_prev)
         trace.append(
             TraceStep(
                 n=n,
                 eps=float(eps),
-                point=tuple(float(c) for c in xi),
+                point=tuple(xi.tolist()),
                 implicit_residual=implicit_res,
                 fix_residual=fix_res,
                 inner_iters=res.iterations,

@@ -407,6 +407,40 @@ def test_blend_collapses_affine_pairs():
     np.testing.assert_array_equal(combined.apply([3.0, 7.0]), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("matrix_norm", [None, 0.75])
+def test_blend_collapses_into_frozen_arrays_of_the_blended_parts(dim, matrix_norm):
+    rng = np.random.default_rng(dim)
+    first = AffineOperator(0.5 * rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+    second = AffineOperator(0.5 * rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+    combined = blend(0.3, first, 0.7, second, matrix_norm=matrix_norm)
+    assert combined.matrix.tobytes() == (0.3 * first.matrix + 0.7 * second.matrix).tobytes()
+    assert combined.offset.tobytes() == (0.3 * first.offset + 0.7 * second.offset).tobytes()
+    assert not combined.matrix.flags.writeable
+    assert not combined.offset.flags.writeable
+    if matrix_norm is None:
+        assert combined.matrix_norm == np.linalg.norm(combined.matrix, 2)
+    else:
+        assert combined.matrix_norm == matrix_norm
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("matrix_norm", [None, 0.75])
+def test_blend_rejects_a_non_finite_collapse_without_warnings(dim, matrix_norm):
+    base = AffineOperator(0.5 * np.eye(dim), np.ones(dim))
+    far = AffineOperator(0.5 * np.eye(dim), [1e300] + [0.0] * (dim - 1))
+    far_back = AffineOperator(0.5 * np.eye(dim), [-1e300] + [0.0] * (dim - 1))
+    steep = AffineOperator(np.diag([1e300] + [0.0] * (dim - 1)), np.zeros(dim))
+    # Overflow to inf, and inf - inf = NaN: both are rejected as the spec's fault.
+    with pytest.raises(InvalidSpec, match="collapsed offset has non-finite coordinates"):
+        blend(1.0, base, 1e10, far, matrix_norm=matrix_norm)
+    with pytest.raises(InvalidSpec, match="collapsed offset has non-finite coordinates"):
+        blend(1e10, far, 1e10, far_back, matrix_norm=matrix_norm)
+    with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
+        blend(1.0, base, 1e10, steep, matrix_norm=matrix_norm)
+
+
 def test_blend_falls_back_for_nonaffine_parts():
     from viscofix.operators import BlendOperator
 

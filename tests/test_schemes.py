@@ -1040,3 +1040,184 @@ def test_picard_lifts_only_where_the_a_priori_count_says_so(monkeypatch, dim, al
     assert len(calls) == int(lifts)
     assert fast.iterations == scan.iterations
     assert fast.step_norms == scan.step_norms
+
+
+# ---------------------------------------------------------------------------
+# The per-step fixed cost: the unrolled d = 2 lift, frozen points, wide norms
+
+
+def _reference_pair_lift(matrix, step, threshold, max_iter):
+    """_lift at d = 2 as it was written on tuples through five small helpers.
+
+    Kept as the reference of the unrolled loop: same levels, same
+    expressions, same order of operations.
+    """
+
+    def make_level(m):
+        (m00, m01), (m10, m11) = m.tolist()
+        return m00, m01, m10, m11, 1.0, 0.0, 0.0, 1.0
+
+    def apply(level, v):
+        p00, p01, p10, p11, s00, s01, s10, s11 = level
+        a, b = v
+        return (p00 * a + p01 * b, p10 * a + p11 * b), (s00 * a + s01 * b, s10 * a + s11 * b)
+
+    def square(level):
+        p00, p01, p10, p11, s00, s01, s10, s11 = level
+        return (
+            p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
+            p10 * p00 + p11 * p10, p10 * p01 + p11 * p11,
+            s00 + (s00 * p00 + s01 * p10), s01 + (s00 * p01 + s01 * p11),
+            s10 + (s10 * p00 + s11 * p10), s11 + (s10 * p01 + s11 * p11),
+        )
+
+    def add(u, v):
+        return u[0] + v[0], u[1] + v[1]
+
+    def size(v):
+        return math.sqrt(v[0] * v[0] + v[1] * v[1])
+
+    step = tuple(step.tolist())
+    first = size(step)
+    if first <= threshold:
+        return 1, step, first
+    p, v, total, last = 1, step, (0.0, 0.0), None
+    levels = []
+    while 2 * p <= max_iter:
+        level = square(levels[-1]) if levels else make_level(matrix)
+        nxt, seg = apply(level, v)
+        h = size(nxt)
+        if h <= threshold:
+            last = nxt, h
+            break
+        levels.append(level)
+        p, v, total = 2 * p, nxt, add(total, seg)
+    for j in range(len(levels) - 1, -1, -1):
+        if p + (1 << j) > max_iter:
+            continue
+        nxt, seg = apply(levels[j], v)
+        h = size(nxt)
+        if h <= threshold:
+            last = nxt, h
+        else:
+            p, v, total = p + (1 << j), nxt, add(total, seg)
+    total = add(total, v)
+    if last is None:
+        return None, total, None
+    return p + 1, add(total, last[0]), last[1]
+
+
+def _lift_bits(found, total, last):
+    """(k, total, last) with every float as its bytes, so that NaNs and -0.0 compare exactly."""
+    return found, np.array(total, dtype=float).tobytes(), None if last is None else np.float64(last).tobytes()
+
+
+def _assert_lift_matches_the_reference(matrix, step, threshold, max_iter):
+    matrix, step = np.array(matrix, dtype=float), np.array(step, dtype=float)
+    lifted = schemes._lift(matrix, step, threshold, max_iter)
+    assert isinstance(lifted[1], tuple)
+    assert _lift_bits(*lifted) == _lift_bits(*_reference_pair_lift(matrix, step, threshold, max_iter))
+    return lifted
+
+
+@st.composite
+def _pair_contractions(draw):
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))).reshape(2, 2)
+    size = float(np.linalg.norm(raw, 2))
+    assume(size > 1e-3)
+    return draw(st.floats(0.3, 0.9999)) / size * raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    matrix=_pair_contractions(),
+    step=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+    threshold=st.floats(1e-12, 10.0),
+    max_iter=st.integers(1, 200_000),
+)
+def test_unrolled_pair_lift_is_bit_identical_to_the_helper_formulation(matrix, step, threshold, max_iter):
+    _assert_lift_matches_the_reference(matrix, step, threshold, max_iter)
+
+
+def test_unrolled_pair_lift_matches_on_a_budget_cut_and_a_nan_step():
+    rotation = 0.999 * np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    # ||s_k|| = 0.999^(k-1) first falls to 1e-3 at k - 1 = 6905 > log(1e-3) / log(0.999).
+    found, _, last = _assert_lift_matches_the_reference(rotation, [1.0, 0.0], 1e-3, 100_000)
+    assert found == 6906 and last <= 1e-3
+    for budget in (1, 2, 3, 1000, 6905):
+        found, total, last = _assert_lift_matches_the_reference(rotation, [1.0, 0.0], 1e-3, budget)
+        assert found is None and last is None and all(math.isfinite(t) for t in total)
+    found, total, last = _assert_lift_matches_the_reference(rotation, [math.nan, 1.0], 1e-3, 100_000)
+    assert found is None and all(math.isnan(t) for t in total)
+
+
+_ROTATION_2 = np.array([[0.7, 0.1], [-0.1, 0.6]])
+
+
+@pytest.mark.parametrize(
+    "name, lifts",
+    [("plain", False), ("blocked, d = 2", False), ("blocked, d = 5", False), ("lifted, d = 2", True),
+     ("lifted, d = 3", True), ("lifted, short, d = 2", True)],
+)
+def test_affine_picard_points_are_fresh_and_read_only(monkeypatch, name, lifts):
+    operators = {
+        "plain": (AffineOperator(_ROTATION_2, [0.3, -1.0], contraction(0.71)), 1e-9),
+        "blocked, d = 2": (_affine_twins(1, 2, 0.99)[0], 1e-8),
+        "blocked, d = 5": (_affine_twins(2, 5, 0.99)[0], 1e-8),
+        "lifted, d = 2": (_lifted_and_scanned(1, 2, 0.99)[0], 1e-8),
+        "lifted, d = 3": (_lifted_and_scanned(2, 3, 0.99)[0], 1e-8),
+        "lifted, short, d = 2": (AffineOperator(_ROTATION_2, [0.3, -1.0]), 1e-9),
+    }
+    op, tol = operators[name]
+    calls = _count_calls(monkeypatch, "_lift")
+    start = np.linspace(-1.0, 1.0, op.dim)
+    res = picard_solve(op, start, tol)
+    assert len(calls) == int(lifts)
+    assert res.iterations > 1
+    assert not res.point.flags.writeable
+    assert not np.shares_memory(res.point, start)
+    with pytest.raises(ValueError):
+        res.point[0] = 0.0
+
+
+@pytest.mark.parametrize("declared", [contraction(0.5), contraction(0.0)])
+def test_generic_picard_points_are_copies_of_what_the_callable_returned(declared):
+    held = []
+
+    def kept(x):
+        # Every array returned is one this callable still holds.
+        held.append(declared.alpha * x + 1.0)
+        return held[-1]
+
+    res = picard_solve(FunctionOperator(kept, 2, declared), [0.0, 0.0], 1e-9)
+    assert held and not res.point.flags.writeable
+    assert not any(np.shares_memory(res.point, y) for y in held)
+    np.testing.assert_array_equal(res.point, held[-1])
+    held[-1][0] = 99.0
+    assert res.point[0] != 99.0
+
+
+@pytest.mark.parametrize(
+    "target", [make_rotation_flow([1.0], [1.0]), BallProjection([0.0, 0.0], 0.5)], ids=["affine", "ball"]
+)
+def test_trace_points_are_the_inner_points_as_python_floats(target):
+    points = []
+    f = AffineOperator(0.5 * np.eye(2), [1.0, -0.5])
+    _, trace = viscosity_implicit_solve(
+        f, target, make_schedule(n_max=30), inner_monitor=lambda n, eps, res: points.append(res.point)
+    )
+    assert len(points) == len(trace.steps) == 30
+    for step, xi in zip(trace.steps, points):
+        assert step.point == tuple(float(c) for c in xi)
+        assert all(type(c) is float for c in step.point)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [5, 8])
+def test_declared_affine_past_the_square_range_sizes_its_blocks_without_warnings(dim):
+    # ||s_1|| = 1e200 sqrt(d) squares past the float range; the iterates do not.
+    res = picard_solve(AffineOperator(0.5 * np.eye(dim), [1e200] * dim, contraction(0.5)), np.zeros(dim), 1.0)
+    np.testing.assert_allclose(res.point, [2e200] * dim)
+    assert math.isfinite(res.residual)
+    assert res.step_norms[0] == math.inf
+    assert len(res.step_norms) == res.iterations
