@@ -24,6 +24,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -170,8 +171,25 @@ def _load_json(path):
         raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _non_finite_path(node, path=()):
+    """The key path of the first NaN or infinite number in parsed JSON, or None.
+
+    json reads the literals NaN and Infinity, and numbers past the float
+    range such as 1e999, as such floats.
+    """
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        found = _non_finite_path(child, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 def load_run_config(path, seed_override: int | None = None) -> dict:
-    """Load, seed-override, and schema-validate a run configuration."""
+    """Load, seed-override, and schema-validate a run configuration, whose
+    numbers must all be finite."""
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"{path} must contain a JSON object")
@@ -183,6 +201,9 @@ def load_run_config(path, seed_override: int | None = None) -> dict:
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigInvalid(f"config invalid at {where}: {exc.message}") from exc
+    where = _non_finite_path(raw)
+    if where is not None:
+        raise ConfigInvalid(f"config invalid at {'/'.join(map(str, where))}: numbers must be finite")
     return raw
 
 

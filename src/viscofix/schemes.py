@@ -69,17 +69,11 @@ class MaxIterExceeded(ViscofixError):
 #: Estimated moduli must stay below 1 by this margin to count as contractions.
 CONTRACTION_MARGIN = 1e-6
 
-#: Affine inner problems of at most this dimension start on plain floats.
+#: Affine inner problems of at most this dimension step on plain floats.
 _FAST_PATH_MAX_DIM = 4
 
-#: Steps of that plain first block; longer affine solves continue in blocks.
+#: Lifted solves of such problems that stop within this many steps rerun on plain floats.
 _PLAIN_STEPS = 64
-
-#: Most steps computed in one block of the blocked affine Picard loop.
-_MAX_BLOCK_WIDTH = 8192
-
-#: Fewest a-priori steps for which lifting can beat the blocked scan at d > 4.
-_LIFT_MIN_STEPS = 1024
 
 #: Relative rounding of one float64 operation, the floor of every Picard bound.
 _MACHINE_EPS = float(np.finfo(float).eps)
@@ -272,10 +266,10 @@ def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
     """Picard loop for low-dimensional affine maps on plain floats.
 
     Semantically identical to the generic loop (same stopping rule, same
-    iteration counts); it runs the first block of _picard_affine_blocked,
-    where a few plain steps cost less than building a block. Returns the
-    last iterate and the step norms, whether or not the stopping rule fired
-    within max_iter steps.
+    iteration counts), without numpy's per-call cost. Returns the last
+    iterate and the step norms, whether or not the stopping rule fired
+    within max_iter steps. A NaN step norm, which only a non-finite
+    iterate gives, ends the loop too.
     """
     d = x0.shape[0]
     steps: list[float] = []
@@ -288,7 +282,7 @@ def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
             delta = abs(y - x)
             steps.append(delta)
             x = y
-            if delta <= threshold:
+            if not delta > threshold:
                 break
         return np.array([x]), steps
     if d == 2:
@@ -309,7 +303,7 @@ def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
             steps.append(delta)
             xa = ya
             xb = yb
-            if delta <= threshold:
+            if not delta > threshold:
                 break
         return np.array([xa, xb]), steps
     rows = [[float(v) for v in row] for row in matrix]
@@ -324,13 +318,16 @@ def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
             delta = math.inf
         steps.append(delta)
         x = y
-        if delta <= threshold:
+        if not delta > threshold:
             break
     return np.array(x), steps
 
 
 def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int):
-    """Picard loop through G's apply: (point, step norms), or None without a stop."""
+    """Picard loop through G's apply: (last iterate, step norms), as _picard_affine_small.
+
+    Raises NonFiniteValue at the first step where G returns NaN or inf.
+    """
     # x was checked by picard_solve and every operator keeps the shape of its
     # argument, so the loop skips the public apply's check.
     apply = G._apply
@@ -339,7 +336,8 @@ def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int)
     for k in range(1, max_iter + 1):
         nxt = apply(current)
         step = nxt - current
-        delta = math.sqrt(step.dot(step))
+        # vdot gives dot's bits without numpy's warning when the square overflows.
+        delta = math.sqrt(np.vdot(step, step))
         # A norm can overflow while the iterate stays finite; only a
         # non-finite value of G ends the loop.
         if not math.isfinite(delta) and not np.all(np.isfinite(nxt)):
@@ -349,33 +347,30 @@ def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int)
         steps.append(delta)
         current = nxt
         if delta <= threshold:
-            return current, steps
-    return None
+            break
+    return current, steps
 
 
-def _block_width(step_norm: float, threshold: float, alpha: float, cap: int) -> int:
-    """Steps until the a-priori bound alpha^j ||s|| falls to the threshold, at most cap."""
-    if not step_norm > threshold or alpha == 0.0:
-        return 1
-    if math.isinf(step_norm) or threshold == 0.0:
-        return cap
-    return min(cap, 1 + math.ceil((math.log(threshold) - math.log(step_norm)) / math.log(alpha)))
+def _scan(G: Operator, parts, x: np.ndarray, threshold: float, max_iter: int):
+    """Picard step by step: (a fresh last iterate, step norms), as _picard_affine_small.
 
-
-def _step_block(matrix: np.ndarray, step: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows s, M s, ..., M^(W-1) s for the least power of two W >= width, and (M^W)^T.
-
-    Rows, not columns, so that each doubling writes one contiguous slice.
+    An affine map (parts is its (matrix, offset)) of dimension at most
+    _FAST_PATH_MAX_DIM runs on plain floats and raises NonFiniteValue when
+    its last iterate is not finite; any other map runs through G's apply.
     """
-    rows = np.empty((1 << (width - 1).bit_length(), step.shape[0]))
-    rows[0] = step
-    power = matrix.T
-    filled = 1
-    while filled < width:
-        np.dot(rows[:filled], power, out=rows[filled : 2 * filled])
-        power = np.dot(power, power)
-        filled *= 2
-    return rows, power
+    if parts is not None and x.shape[0] <= _FAST_PATH_MAX_DIM:
+        point, steps = _picard_affine_small(parts[0], parts[1], x, threshold, max_iter)
+        _check_finite(point, 1, len(steps))
+        return point, steps
+    if parts is None:
+        point, steps = _picard_generic(G, x, threshold, max_iter)
+    else:
+        # Huge affine steps overflow to inf without numpy's warnings, as in
+        # the lifted solve; a non-finite iterate raises NonFiniteValue.
+        with np.errstate(over="ignore", invalid="ignore"):
+            point, steps = _picard_generic(G, x, threshold, max_iter)
+    # G's apply may return an array its caller still holds: copy it.
+    return point.copy(), steps
 
 
 def _wide_norm(v: np.ndarray) -> float:
@@ -393,62 +388,6 @@ def _check_finite(x: np.ndarray, first: int, last: int) -> None:
         raise NonFiniteValue(
             f"Picard steps {first}-{last} produced a non-finite value (operator kind 'affine')"
         )
-
-
-def _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter, stop_at=None):
-    """Picard loop for an affine map x -> M x + c, computed a block of steps at a time.
-
-    Consecutive steps s_k = x_k - x_{k-1} satisfy s_{k+1} = M s_k, so the
-    next B steps are s, M s, ..., M^(B-1) s, one small matrix product per
-    doubling of B, and the B steps after them are M^B times these. The
-    stopping rule (the first k with ||s_k|| <= threshold) and the step norms
-    are those of the plain loop up to rounding. A block is sized by the
-    a-priori bound ||s_{k+j}|| <= alpha^j ||s_k|| but never trusted to
-    contain the stop. For d <= _FAST_PATH_MAX_DIM the first _PLAIN_STEPS
-    steps run on the plain float loop, so solves that stop there are
-    unchanged bit for bit.
-
-    Returns (point, step norms), or None when max_iter steps pass without a
-    stop. Raises NonFiniteValue at the end of the first block whose iterate
-    is not finite. With stop_at, the loop ignores the threshold's stop and
-    runs exactly stop_at steps, in the blocks a run with this threshold and
-    budget would use: this replays the step norms of a solve whose stop was
-    found another way.
-    """
-    limit = max_iter if stop_at is None else stop_at
-    stop_below = threshold if stop_at is None else -math.inf
-    x = x0
-    steps: list[float] = []
-    if x0.shape[0] <= _FAST_PATH_MAX_DIM:
-        x, steps = _picard_affine_small(matrix, offset, x0, stop_below, min(limit, _PLAIN_STEPS))
-        _check_finite(x, 1, len(steps))
-        if steps[-1] <= stop_below or len(steps) == stop_at:
-            return x, steps
-    block = power = None
-    # Huge steps overflow to inf without numpy's warnings: a non-finite
-    # iterate raises NonFiniteValue, an overflowing step norm does not.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(steps) < limit:
-            first, budget = len(steps) + 1, max_iter - len(steps)
-            if block is None:
-                step = matrix @ x + offset - x
-                width = _block_width(_wide_norm(step), threshold, alpha, min(budget, _MAX_BLOCK_WIDTH))
-                block, power = _step_block(matrix, step, width)
-            else:
-                block = np.dot(block, power)
-            rows = block[:budget]
-            # Sums along either axis as products with a vector of ones run in
-            # BLAS, several times faster than numpy's reductions on (W, d).
-            norms = np.sqrt(np.dot(rows * rows, np.ones(rows.shape[1])))
-            stop = int(np.argmax(norms <= stop_below))
-            hit = bool(norms[stop] <= stop_below)
-            taken = stop + 1 if hit else min(rows.shape[0], limit - len(steps))
-            x = x + np.dot(np.ones(taken), rows[:taken])
-            steps.extend(norms[:taken].tolist())
-            _check_finite(x, first, len(steps))
-            if hit or len(steps) == stop_at:
-                return x, steps
-    return None
 
 
 # A lifting level j holds P = M^(2^j) over S = I + M + ... + M^(2^j - 1).
@@ -561,64 +500,45 @@ def _lift_stacked(matrix, step, threshold, max_iter):
     return p + 1, total + last[0], last[1]
 
 
-def _lifts(dim: int, width: int) -> bool:
-    """Whether binary lifting should beat the blocked scan on about width steps.
+def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_iter: int):
+    """Picard for x -> M x + c with ||M||_2 < 1, whose step norms never increase.
 
-    Where the plain float loop starts the scan (dim <= _FAST_PATH_MAX_DIM),
-    lifting wins on every solve longer than that loop's first block. Above,
-    its ~2 d^3 log2(k) flops and ~10 numpy calls per level lose to the
-    scan's k d^2 flops until k reaches both _LIFT_MIN_STEPS and about
-    d log2(k) / 2 (one solve each of 0.995 Q, one BLAS thread: see CHANGES).
-    """
-    if dim <= _FAST_PATH_MAX_DIM:
-        return width > _PLAIN_STEPS
-    return width >= _LIFT_MIN_STEPS and dim * width.bit_length() <= 2 * width
-
-
-def _eager(found):
-    """(point, iterations, last step norm, step norms) of a loop's (point, norms)."""
-    return None if found is None else (found[0], len(found[1]), found[1][-1], tuple(found[1]))
-
-
-def _picard_affine(matrix, offset, x0, threshold, alpha, max_iter, exact):
-    """Picard for x -> M x + c: the blocked scan, or binary lifting when alpha
-    is exactly ||M||_2 (exact) and the a-priori step count favors it.
-
-    Lifting finds the stop with _lift: about 3 log2(k) small products
-    replace the k steps. For d <= _FAST_PATH_MAX_DIM a stop within
-    _PLAIN_STEPS reruns the plain float loop, so that short solves keep its
-    bits, its count and its norms. Otherwise the step norms are left to a
-    replay of _picard_affine_blocked, run only when they are read.
+    _lift finds the stop in about 3 log2(k) small products in place of the
+    k steps. For d <= _FAST_PATH_MAX_DIM a stop within _PLAIN_STEPS reruns
+    the plain float loop, so that short solves keep its bits, its count and
+    its norms. Otherwise the step norms are left to _scan run for exactly
+    the k steps, when they are read.
 
     Returns (point, iterations, last step norm, step norms or the callable
     that computes them), or None when max_iter steps pass without a stop.
     Raises NonFiniteValue when the lifted iterate at the stop (or at
-    max_iter) is not finite, and where _picard_affine_blocked does.
+    max_iter) is not finite.
     """
-    if not exact:
-        return _eager(_picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter))
-    d = x0.shape[0]
+    matrix, offset = parts
     # Huge steps overflow to inf; the finiteness check below reports them.
     with np.errstate(over="ignore", invalid="ignore"):
         step = matrix @ x0 + offset - x0
-        if not _lifts(d, _block_width(norm(step), threshold, alpha, max_iter)):
-            return _eager(_picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter))
         found, total, last = _lift(matrix, step, threshold, max_iter)
         x = x0 + total
     _check_finite(x, 1, found or max_iter)
     if found is None:
         return None
-    if d <= _FAST_PATH_MAX_DIM and found <= _PLAIN_STEPS:
-        plain, steps = _picard_affine_small(matrix, offset, x0, threshold, min(max_iter, _PLAIN_STEPS))
+    if x0.shape[0] <= _FAST_PATH_MAX_DIM and found <= _PLAIN_STEPS:
+        plain, steps = _scan(G, parts, x0, threshold, min(max_iter, _PLAIN_STEPS))
         if steps[-1] <= threshold:
             return plain, len(steps), steps[-1], tuple(steps)
-    replay = functools.partial(_replayed_norms, matrix, offset, x0.copy(), threshold, alpha, max_iter, found)
-    return x, found, last, replay
+    return x, found, last, functools.partial(_scanned_norms, G, parts, x0.copy(), found)
 
 
-def _replayed_norms(matrix, offset, x0, threshold, alpha, max_iter, count):
-    """The norms of the first count steps, as _picard_affine_blocked computes them."""
-    return _picard_affine_blocked(matrix, offset, x0, threshold, alpha, max_iter, count)[1]
+def _scanned_norms(G, parts, x0, count):
+    """The norms of the first count steps, as _scan computes them."""
+    return _scan(G, parts, x0, -math.inf, count)[1]
+
+
+def _spectral_norm(G: Operator, matrix: np.ndarray) -> float:
+    """||M||_2 of G's global affine form: the one its construction computed, or one SVD."""
+    known = G.matrix_norm if isinstance(G, AffineOperator) else None
+    return np.linalg.norm(matrix, 2) if known is None else known
 
 
 def picard_solve(
@@ -649,23 +569,22 @@ def picard_solve(
         eps_machine ||x_k|| / (1 - alpha), step_norms the full sequence of
         update norms.
 
-    An affine G runs the same iteration with the same stopping rule and
-    step norms, up to rounding. When G is an AffineOperator whose modulus
-    came from an SVD (no declared class, as for every blend that blend()
-    collapses), alpha is ||M||_2, the step norms decrease strictly, and the
-    stop is found by binary lifting on M^(2^j) in O(log k) small products
-    (see _lift); its step_norms are then computed only when read. Short
-    solves, for which lifting would cost more (_lifts), and affine maps with
-    a declared modulus compute their steps a block at a time (see
-    _picard_affine_blocked).
+    An affine G = M x + c runs the same iteration with the same stopping
+    rule and step norms, up to rounding. When ||M||_2 < 1 (the
+    AffineOperator's matrix_norm when known, else one SVD here), the step
+    norms never increase, and the stop is found by binary lifting on
+    M^(2^j) in O(log k) small products (see _picard_affine); step_norms is
+    then computed only when read. Otherwise the steps may grow before they
+    decay, and every step is taken: on plain floats up to dimension
+    _FAST_PATH_MAX_DIM, through G's apply above.
 
     Raises MaxIterExceeded when the budget, counted in Picard steps, runs
-    out. Raises NonFiniteValue when an iterate is NaN or infinite: the
-    generic loop at the first step where G returns such a value, the
-    blocked loop at the end of the block of steps that produced it, the
-    lifted solve when its iterate at the stop (or at the budget) is not
-    finite. A step norm that overflows while the iterate stays finite does
-    not end any of them.
+    out. Raises NonFiniteValue when an iterate is NaN or infinite: the loop
+    through G's apply at the first step where G returns such a value, the
+    plain float loop when its last iterate is not finite, the lifted solve
+    when its iterate at the stop (or at the budget) is not finite. A step
+    norm that overflows while the iterate stays finite does not end any of
+    them.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -675,37 +594,27 @@ def picard_solve(
         raise DimensionMismatch(f"start point shape {x.shape} does not match dimension {G.dim}")
     if alpha == 0.0:
         # Modulus 0 means one application lands on the fixed point exactly.
-        nxt = G.apply(x)
-        return FixedPointResult(
-            point=as_vector(nxt),
-            residual=0.0,
-            iterations=1,
-            converged=True,
-            step_norms=(norm(nxt - x),),
-        )
+        point, steps = _scan(G, None, x, math.inf, 1)
+        point.flags.writeable = False
+        return FixedPointResult(point=point, residual=0.0, iterations=1, converged=True, step_norms=tuple(steps))
     threshold = tol * (1.0 - alpha) / alpha
 
     parts = G.affine_parts()
-    if parts is None:
-        outcome = _eager(_picard_generic(G, x, threshold, policy.max_iter))
+    if parts is not None and _spectral_norm(G, parts[0]) < 1.0:
+        outcome = _picard_affine(G, parts, x, threshold, policy.max_iter)
     else:
-        # A modulus from the SVD is ||M||_2 itself, so the step norms decrease strictly.
-        exact = isinstance(G, AffineOperator) and G.matrix_norm is not None and G.matrix_norm < 1.0
-        outcome = _picard_affine(parts[0], parts[1], x, threshold, alpha, policy.max_iter, exact)
+        point, steps = _scan(G, parts, x, threshold, policy.max_iter)
+        outcome = (point, len(steps), steps[-1], tuple(steps)) if steps[-1] <= threshold else None
     if outcome is None:
         raise MaxIterExceeded(
             f"Picard iteration hit the budget of {policy.max_iter} steps before reaching "
             f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
         )
     point, iterations, last, steps = outcome
-    if parts is None:
-        # G's apply may return an array its caller still holds: copy it.
-        point = as_vector(point)
-    else:
-        # The affine loops built this point, so it is fresh, and finite: they
-        # check it, or stopped on a finite step from it, which a non-finite
-        # iterate cannot take.
-        point.flags.writeable = False
+    # Every loop returns a fresh point, and a finite one: the loops check
+    # it, or stopped on a finite step from it, which a non-finite iterate
+    # cannot take.
+    point.flags.writeable = False
     # Each step rounds the iterate by about eps_machine ||x||, and the
     # contraction keeps such errors within that over (1 - alpha) of x*.
     floor = _MACHINE_EPS * _wide_norm(point) / (1.0 - alpha)
@@ -728,8 +637,8 @@ def _solve_implicit(
     computed for a g that collapses to one affine map.
 
     When g has an affine piece at the warm start, the piece is solved first,
-    declared with g's own modulus q so that picard_solve runs its blocked
-    affine loop with the threshold g would get. Its point is kept only if
+    declared with g's own modulus q so that picard_solve runs its affine
+    solve with the threshold g would get. Its point is kept only if
     ||xi - g(xi)|| <= delta (1 - q), which bounds the distance to the fixed
     point of the q-contraction g by delta however xi was found. Otherwise,
     or when the piece solve fails, picard_solve runs on g itself.

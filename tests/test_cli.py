@@ -263,7 +263,6 @@ def test_run_inner_budget_exhaustion_exits_two(tmp_path, capsys):
     assert "MaxIterExceeded" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_non_finite_inner_value_exits_two(tmp_path, capsys):
     # x = f(x) = x/2 + c has the solution 2c, which overflows, so the inner
     # iterates of the first outer step reach inf.
@@ -372,6 +371,21 @@ def test_run_config_errors_match_jsonschema_validate(tmp_path, mutate):
     with pytest.raises(ConfigInvalid) as raised:
         load_run_config(_write(tmp_path, "bad.json", cfg))
     assert str(raised.value) == f"config invalid at {where}: {expected.value.message}"
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "1e999"])
+def test_run_rejects_a_non_finite_anchor_at_load_time(tmp_path, capsys, spelling):
+    # json reads both spellings as floats that no solve can use.
+    cfg = _ball_config()
+    cfg["anchors"] = [["x"], [1.0, 0.0]]
+    cfg_path = tmp_path / "anchors.json"
+    cfg_path.write_text(json.dumps(cfg).replace('["x"]', f"[{spelling}, 0.0]"))
+    with pytest.raises(ConfigInvalid, match="^config invalid at anchors/0/0: numbers must be finite$"):
+        load_run_config(cfg_path)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config invalid at anchors/0/0: numbers must be finite\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_missing_and_unparseable_files(tmp_path, capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,15 +313,18 @@ def test_picard_fails_fast_on_non_finite_values():
     late = FunctionOperator(lambda x: 0.5 * x + 1.0 if x[0] < 1.5 else x * math.inf, 1, contraction(0.5))
     with pytest.raises(NonFiniteValue, match=r"step \d+ produced a non-finite value"):
         picard_solve(late, [0.0], 1e-12)
+    # Modulus 0 takes one step, and names it too.
+    for value in (math.nan, math.inf):
+        at_once = FunctionOperator(lambda x: np.full(1, value), 1, contraction(0.0))
+        with pytest.raises(NonFiniteValue, match=r"^Picard step 1 produced a non-finite value \(operator kind 'function'\)$"):
+            picard_solve(at_once, [0.0], 1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_picard_rejects_an_undeclared_non_finite_map():
     with pytest.raises(NonFiniteValue, match="probe .*operator kind 'function'"):
         picard_solve(FunctionOperator(lambda x: x * math.nan, 2), [1.0, 0.0], 1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_picard_survives_an_overflowing_step_norm():
     # The first step's norm overflows to inf, but every iterate is finite.
     huge = FunctionOperator(lambda x: 0.5 * x + 1e200, 2, contraction(0.5))
@@ -347,7 +349,6 @@ def test_picard_affine_overflow_is_a_non_finite_value(dim):
         picard_solve(overflowing, np.zeros(dim), 1e-8)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_picard_affine_survives_an_overflowing_step_norm(dim):
     # The first step norms overflow to inf, but every iterate is finite.
@@ -395,17 +396,15 @@ def _affine_twins(seed, dim, alpha, declared=None):
     return AffineOperator(m, c, declared), twin, rng.uniform(-10.0, 10.0, dim)
 
 
-def _blocked_ratios(res, dim):
-    """Ratios of consecutive step norms computed in blocks.
+def _contract_at(res, alpha):
+    """Whether every step norm is at most alpha times the one before, above a noise floor.
 
-    The plain first block (d <= 4) carries the rounding of its iterate in
-    every step, so its ratios only respect alpha above a noise floor, as in
-    acceptance criterion 4; blocked steps are powers of M applied to one
-    step and carry no such floor.
+    Each step is taken from a rounded iterate, so, as in acceptance
+    criterion 4, a ratio only respects alpha above the rounding of the point.
     """
     norms = np.array(res.step_norms)
-    ratios = norms[1:] / norms[:-1]
-    return ratios[_PLAIN_STEPS:] if dim <= 4 else ratios
+    noise = 8.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(res.point))
+    return bool(np.all(norms[1:] <= (alpha + 1e-12) * norms[:-1] + noise))
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,7 +424,7 @@ def test_picard_blocked_affine_matches_the_generic_loop(seed, dim, alpha, tol):
     # The certified bounds, plus a few roundings of the O(100) iterates.
     gap = np.linalg.norm(blocked.point - generic.point)
     assert gap <= blocked.residual + generic.residual + 1e-12 * (1.0 + np.linalg.norm(generic.point))
-    assert np.all(_blocked_ratios(blocked, dim) <= affine.declared_class.alpha + 1e-12)
+    assert _contract_at(blocked, affine.declared_class.alpha)
 
 
 @pytest.mark.parametrize(
@@ -850,14 +849,35 @@ def test_implicit_step_is_the_outer_loops_first_step(monkeypatch):
 # Affine solves whose stop is found by binary lifting
 
 
-def _lifted_and_scanned(seed, dim, alpha):
-    """The same affine contraction twice: undeclared, so that its modulus
-    comes from an SVD and picard_solve lifts, and declared with that modulus,
-    so that picard_solve scans in blocks with the same threshold."""
+def _lifted(seed, dim, alpha):
+    """An undeclared affine contraction, whose ||M|| = alpha comes from an SVD, and a start."""
     affine, _, start = _affine_twins(seed, dim, alpha)
     lifted = AffineOperator(affine.matrix, affine.offset)
     assert lifted.matrix_norm == affine.declared_class.alpha
-    return lifted, affine, start
+    return lifted, start
+
+
+def _scanned(op, start, tol, max_iter=10_000):
+    """op solved by the step-by-step loop that picard_solve keeps for maps it cannot
+    lift, with picard_solve's stopping rule and residual."""
+    alpha = op.declared_class.alpha
+    threshold = tol * (1.0 - alpha) / alpha
+    point, steps = schemes._scan(op, op.affine_parts(), np.asarray(start, dtype=float), threshold, max_iter)
+    assert steps[-1] <= threshold
+    floor = np.finfo(float).eps * np.linalg.norm(point) / (1.0 - alpha)
+    return schemes.FixedPointResult(point, steps[-1] * alpha / (1.0 - alpha) + floor, len(steps), True, tuple(steps))
+
+
+def _growing(dim):
+    """A declared affine contraction whose steps grow before they decay, and its generic twin.
+
+    M = I/2 + 2 N, N the shift: the spectral radius is 1/2, so Picard
+    converges, but ||M||_2 > 1, so ||s_(k+1)|| may exceed ||s_k||.
+    """
+    m = 0.5 * np.eye(dim) + 2.0 * np.eye(dim, k=1)
+    c = np.linspace(1.0, -1.0, dim)
+    declared = contraction(0.9)
+    return AffineOperator(m, c, declared), FunctionOperator(lambda x: m @ x + c, dim, declared)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -881,31 +901,26 @@ def _count_calls(monkeypatch, name: str) -> list:
     tol=st.floats(1e-9, 1e-5),
 )
 def test_lifted_affine_matches_the_blocked_scan(seed, dim, alpha, tol):
-    lifted, scanned, start = _lifted_and_scanned(seed, dim, alpha)
-    # Lift even where the path choice would scan, so that every solve here
-    # compares the two loops.
-    with mock.patch.object(schemes, "_lifts", lambda dim, width: True):
-        fast = picard_solve(lifted, start, tol)
-    scan = picard_solve(scanned, start, tol)
+    lifted, start = _lifted(seed, dim, alpha)
+    fast = picard_solve(lifted, start, tol)
+    scan = _scanned(lifted, start, tol)
     assume(scan.iterations > _PLAIN_STEPS)
     # The lifted steps are products of squared powers M^(2^j), the scanned
-    # ones products of block powers M^B: they round differently, so a step
+    # ones steps from rounded iterates: they round differently, so a step
     # norm within rounding of the threshold may fall on either side of it.
     assert abs(fast.iterations - scan.iterations) <= 1
     assert len(fast.step_norms) == fast.iterations
-    if fast.iterations == scan.iterations:
-        assert fast.step_norms == scan.step_norms
-    else:
-        shared = min(fast.iterations, scan.iterations)
-        assert fast.step_norms[:shared] == scan.step_norms[:shared]
+    # A lifted solve's norms are the scan's, run for exactly its own count.
+    shared = min(fast.iterations, scan.iterations)
+    assert fast.step_norms[:shared] == scan.step_norms[:shared]
     gap = np.linalg.norm(fast.point - scan.point)
     assert gap <= fast.residual + scan.residual
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_lifted_budget_matches_the_blocked_scan(dim):
-    lifted, scanned, start = _lifted_and_scanned(11, dim, 0.99)
-    needed = picard_solve(scanned, start, 1e-8).iterations
+    lifted, start = _lifted(11, dim, 0.99)
+    needed = _scanned(lifted, start, 1e-8).iterations
     assert needed > _PLAIN_STEPS + 1
     exact = picard_solve(lifted, start, 1e-8, TolerancePolicy(max_iter=needed))
     assert exact.iterations == needed
@@ -914,9 +929,9 @@ def test_lifted_budget_matches_the_blocked_scan(dim):
 
 
 def test_lifted_step_norms_are_computed_when_read(monkeypatch):
-    lifted, scanned, start = _lifted_and_scanned(4, 2, 0.99)
-    scan = picard_solve(scanned, start, 1e-8)
-    calls = _count_calls(monkeypatch, "_picard_affine_blocked")
+    lifted, start = _lifted(4, 2, 0.99)
+    scan = _scanned(lifted, start, 1e-8)
+    calls = _count_calls(monkeypatch, "_scan")
     res = picard_solve(lifted, start, 1e-8)
     assert res.iterations == scan.iterations > _PLAIN_STEPS
     assert calls == []
@@ -931,15 +946,15 @@ def test_lifted_step_norms_are_computed_when_read(monkeypatch):
 
 
 def test_viscosity_solves_on_affine_blends_read_no_step_norms(monkeypatch):
-    scans = _count_calls(monkeypatch, "_picard_affine_blocked")
+    scans = _count_calls(monkeypatch, "_scan")
     lifts = _count_calls(monkeypatch, "_lift")
     f = AffineOperator(0.5 * np.eye(2), [1.0, 0.0])
     _, trace = viscosity_implicit_solve(f, make_rotation_flow([1.0], [1.0]), make_schedule(n_max=50))
     long_steps = [step for step in trace.steps if step.inner_iters > _PLAIN_STEPS]
-    assert len(lifts) == len(long_steps) > 40
-    # Short steps scan, eagerly; no step norms of a lifted solve are replayed.
+    assert len(lifts) == len(trace.steps) and len(long_steps) > 40
+    # Short steps rerun the plain loop, eagerly; no step norms of a long one are replayed.
     assert len(scans) == len(trace.steps) - len(long_steps)
-    assert all(len(args) == 6 for args in scans)
+    assert all(args[3] > -math.inf for args in scans)
 
 
 def test_short_lifted_solves_keep_the_plain_loops_bits():
@@ -965,9 +980,8 @@ def test_lifted_overflow_raises_without_runtime_warnings(dim):
     with pytest.raises(NonFiniteValue, match=r"steps 1-\d+ .*operator kind 'affine'"):
         picard_solve(AffineOperator(0.5 * np.eye(dim), [1.7e308] * dim), np.zeros(dim), 1e-8)
     # The lifted loop alone: picard_solve's rounding floor squares ||x|| too.
-    point, iterations, _, _ = schemes._picard_affine(
-        0.5 * np.eye(dim), np.full(dim, 1e200), np.zeros(dim), 1.0, 0.5, 10_000, exact=True
-    )
+    huge = AffineOperator(0.5 * np.eye(dim), np.full(dim, 1e200))
+    point, iterations, _, _ = schemes._picard_affine(huge, huge.affine_parts(), np.zeros(dim), 1.0, 10_000)
     assert iterations > _PLAIN_STEPS
     np.testing.assert_allclose(point, [2e200] * dim)
 
@@ -976,12 +990,35 @@ def test_lifting_needs_a_modulus_from_an_svd(monkeypatch):
     calls = _count_calls(monkeypatch, "_lift")
     m = np.array([[0.9, 0.0], [0.0, 0.5]])
     picard_solve(AffineOperator(m, [1.0, 1.0]), [0.0, 0.0], 1e-8)
-    assert len(calls) == 1
-    # A declared modulus may lie above or below ||M||, so it keeps the scan.
+    # A declared modulus may lie above or below ||M|| = 0.9; the solve takes
+    # ||M|| from one SVD, and lifts on it.
     picard_solve(AffineOperator(m, [1.0, 1.0], contraction(0.95)), [0.0, 0.0], 1e-8)
     picard_solve(AffineOperator(m, [1.0, 1.0], contraction(0.85)), [0.0, 0.0], 1e-8)
-    assert len(calls) == 1
+    assert len(calls) == 3
+    # With ||M|| >= 1 the steps may grow, whatever the declaration: no lift.
+    picard_solve(_growing(2)[0], [0.0, 0.0], 1e-8)
+    assert len(calls) == 3
     assert blend(0.5, AffineOperator(m, [1.0, 1.0]), 0.5, Identity(2)).matrix_norm == 0.95
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_maps_whose_steps_can_grow_match_the_generic_loop(monkeypatch, dim):
+    affine, twin = _growing(dim)
+    assert np.linalg.norm(affine.matrix, 2) >= 1.0
+    assert max(abs(np.linalg.eigvals(affine.matrix))) < 1.0
+    calls = _count_calls(monkeypatch, "_lift")
+    res = picard_solve(affine, np.zeros(dim), 1e-9)
+    generic = picard_solve(twin, np.zeros(dim), 1e-9)
+    assert calls == []
+    # The steps do grow, and the first one at the threshold comes after the growth.
+    assert any(b > a for a, b in zip(res.step_norms, res.step_norms[1:]))
+    assert res.iterations == generic.iterations == len(res.step_norms)
+    np.testing.assert_allclose(res.step_norms, generic.step_norms, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(res.point, generic.point, rtol=1e-12)
+    # An iterate past the float range ends the scan a step or two later.
+    huge = AffineOperator(affine.matrix, np.full(dim, 1.7e308), affine.declared_class)
+    with pytest.raises(NonFiniteValue, match=r"^Picard steps? (1-)?[1-9] produced a non-finite value"):
+        picard_solve(huge, np.zeros(dim), 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -1014,32 +1051,6 @@ def test_rotation_inner_solves_keep_real_step_norms(rotation_run):
     # Criterion 4 reads these norms; they must be Picard's, one per step.
     for _, _, picard in rotation_run.inner:
         assert len(picard.step_norms) == picard.iterations > 0
-
-
-def test_lifting_is_chosen_from_the_dimension_and_the_a_priori_step_count():
-    # Up to d = 4 the scan starts with the plain loop, which lifting beats
-    # on any solve longer than its first block.
-    assert not schemes._lifts(2, _PLAIN_STEPS)
-    assert schemes._lifts(2, _PLAIN_STEPS + 1)
-    assert schemes._lifts(4, _PLAIN_STEPS + 1)
-    # Above it, short solves keep the scan, and so do large d per step.
-    assert not schemes._lifts(5, schemes._LIFT_MIN_STEPS - 1)
-    assert schemes._lifts(5, schemes._LIFT_MIN_STEPS)
-    assert not schemes._lifts(200, 418)
-    assert schemes._lifts(200, 2292)
-    assert schemes._lifts(400, 4732)
-    assert not schemes._lifts(1000, 4732)
-
-
-@pytest.mark.parametrize("dim, alpha, lifts", [(2, 0.6, False), (2, 0.9, True), (8, 0.9, False), (8, 0.998, True)])
-def test_picard_lifts_only_where_the_a_priori_count_says_so(monkeypatch, dim, alpha, lifts):
-    calls = _count_calls(monkeypatch, "_lift")
-    lifted, scanned, start = _lifted_and_scanned(3, dim, alpha)
-    fast = picard_solve(lifted, start, 1e-8, TolerancePolicy(max_iter=100_000))
-    scan = picard_solve(scanned, start, 1e-8, TolerancePolicy(max_iter=100_000))
-    assert len(calls) == int(lifts)
-    assert fast.iterations == scan.iterations
-    assert fast.step_norms == scan.step_norms
 
 
 # ---------------------------------------------------------------------------
@@ -1156,16 +1167,17 @@ _ROTATION_2 = np.array([[0.7, 0.1], [-0.1, 0.6]])
 
 @pytest.mark.parametrize(
     "name, lifts",
-    [("plain", False), ("blocked, d = 2", False), ("blocked, d = 5", False), ("lifted, d = 2", True),
-     ("lifted, d = 3", True), ("lifted, short, d = 2", True)],
+    [("plain", False), ("generic, d = 5", False), ("declared, d = 2", True), ("declared, d = 5", True),
+     ("lifted, d = 2", True), ("lifted, d = 3", True), ("lifted, short, d = 2", True)],
 )
 def test_affine_picard_points_are_fresh_and_read_only(monkeypatch, name, lifts):
     operators = {
-        "plain": (AffineOperator(_ROTATION_2, [0.3, -1.0], contraction(0.71)), 1e-9),
-        "blocked, d = 2": (_affine_twins(1, 2, 0.99)[0], 1e-8),
-        "blocked, d = 5": (_affine_twins(2, 5, 0.99)[0], 1e-8),
-        "lifted, d = 2": (_lifted_and_scanned(1, 2, 0.99)[0], 1e-8),
-        "lifted, d = 3": (_lifted_and_scanned(2, 3, 0.99)[0], 1e-8),
+        "plain": (_growing(2)[0], 1e-9),
+        "generic, d = 5": (_growing(5)[0], 1e-9),
+        "declared, d = 2": (_affine_twins(1, 2, 0.99)[0], 1e-8),
+        "declared, d = 5": (_affine_twins(2, 5, 0.99)[0], 1e-8),
+        "lifted, d = 2": (_lifted(1, 2, 0.99)[0], 1e-8),
+        "lifted, d = 3": (_lifted(2, 3, 0.99)[0], 1e-8),
         "lifted, short, d = 2": (AffineOperator(_ROTATION_2, [0.3, -1.0]), 1e-9),
     }
     op, tol = operators[name]
