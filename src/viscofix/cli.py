@@ -28,7 +28,7 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
+import jsonschema  # noqa: F401  (bench/tracer.py wraps this binding)
 import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
@@ -148,13 +148,6 @@ RUN_CONFIG_SCHEMA = {
 _RUN_CONFIG_VALIDATOR = validator_for(RUN_CONFIG_SCHEMA)(RUN_CONFIG_SCHEMA)
 
 
-def _validate_run_config(raw) -> None:
-    """Raise what jsonschema.validate(raw, RUN_CONFIG_SCHEMA) raises, if anything."""
-    error = best_match(_RUN_CONFIG_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise error
-
-
 def config_hash(config: dict) -> str:
     """sha256 hex digest of the canonical (sorted keys, no whitespace) JSON."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -187,23 +180,28 @@ def _non_finite_path(node, path=()):
     return None
 
 
+def _check_run_config(raw) -> None:
+    """Raise ConfigInvalid naming the path of the first schema violation (the
+    error jsonschema.validate(raw, RUN_CONFIG_SCHEMA) would raise) or else of
+    the first non-finite number."""
+    error = best_match(_RUN_CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigInvalid(f"config invalid at {where}: {error.message}")
+    where = _non_finite_path(raw)
+    if where is not None:
+        raise ConfigInvalid(f"config invalid at {'/'.join(map(str, where))}: numbers must be finite")
+
+
 def load_run_config(path, seed_override: int | None = None) -> dict:
-    """Load, seed-override, and schema-validate a run configuration, whose
-    numbers must all be finite."""
+    """Load, seed-override, and check a run configuration (see _check_run_config)."""
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ConfigInvalid(f"{path} must contain a JSON object")
     if seed_override is not None:
         raw = dict(raw)
         raw["seed"] = int(seed_override)
-    try:
-        _validate_run_config(raw)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigInvalid(f"config invalid at {where}: {exc.message}") from exc
-    where = _non_finite_path(raw)
-    if where is not None:
-        raise ConfigInvalid(f"config invalid at {'/'.join(map(str, where))}: numbers must be finite")
+    _check_run_config(raw)
     return raw
 
 
@@ -457,9 +455,9 @@ def cmd_sweep(args) -> int:
         sub_dir = root / name
         sub_cfg["output_dir"] = str(sub_dir)
         try:
-            _validate_run_config(sub_cfg)
+            _check_run_config(sub_cfg)
             code, summary, _, _ = execute_run(sub_cfg, sub_dir, quiet=True)
-        except (ViscofixError, jsonschema.ValidationError) as exc:
+        except ViscofixError as exc:
             rows.append((value, "", "", "", f"error: {exc}"))
             continue
         status = "stalled" if code == 2 else "ok"

@@ -9,7 +9,10 @@ of an operator family cycled round-robin over its sampled indices. Each step
 is a Banach fixed-point problem for the blended map G, a contraction with
 modulus at most q = 1 - eps_n * (1 - alpha), and is solved by Picard
 iteration with an a-posteriori stopping rule, on the blend's affine piece
-around the warm start when that piece's point certifies on the blend. The
+around the warm start when that piece's point certifies on the blend.
+Picard has two paths: an affine map x -> M x + c with ||M||_2 < 1 finds
+its stop by binary lifting, and every other map is iterated step by step
+through its apply, as are the step norms of a lifted solve when read. The
 anchored variant freezes f to a constant anchor and uses the anchored
 schedule eps_n = 1/n, which selects the value of the limiting retraction at
 that anchor.
@@ -68,12 +71,6 @@ class MaxIterExceeded(ViscofixError):
 
 #: Estimated moduli must stay below 1 by this margin to count as contractions.
 CONTRACTION_MARGIN = 1e-6
-
-#: Affine inner problems of at most this dimension step on plain floats.
-_FAST_PATH_MAX_DIM = 4
-
-#: Lifted solves of such problems that stop within this many steps rerun on plain floats.
-_PLAIN_STEPS = 64
 
 #: Relative rounding of one float64 operation, the floor of every Picard bound.
 _MACHINE_EPS = float(np.finfo(float).eps)
@@ -262,71 +259,12 @@ def _resolve_contraction(G: Operator) -> Operator:
     raise NotAContraction(f"operator declared '{declared.kind}' has Lipschitz bound 1")
 
 
-def _picard_affine_small(matrix, offset, x0, threshold, max_iter):
-    """Picard loop for low-dimensional affine maps on plain floats.
-
-    Semantically identical to the generic loop (same stopping rule, same
-    iteration counts), without numpy's per-call cost. Returns the last
-    iterate and the step norms, whether or not the stopping rule fired
-    within max_iter steps. A NaN step norm, which only a non-finite
-    iterate gives, ends the loop too.
-    """
-    d = x0.shape[0]
-    steps: list[float] = []
-    if d == 1:
-        m = float(matrix[0, 0])
-        b = float(offset[0])
-        x = float(x0[0])
-        for _ in range(max_iter):
-            y = m * x + b
-            delta = abs(y - x)
-            steps.append(delta)
-            x = y
-            if not delta > threshold:
-                break
-        return np.array([x]), steps
-    if d == 2:
-        m00 = float(matrix[0, 0])
-        m01 = float(matrix[0, 1])
-        m10 = float(matrix[1, 0])
-        m11 = float(matrix[1, 1])
-        b0 = float(offset[0])
-        b1 = float(offset[1])
-        xa = float(x0[0])
-        xb = float(x0[1])
-        for _ in range(max_iter):
-            ya = m00 * xa + m01 * xb + b0
-            yb = m10 * xa + m11 * xb + b1
-            da = ya - xa
-            db = yb - xb
-            delta = math.sqrt(da * da + db * db)
-            steps.append(delta)
-            xa = ya
-            xb = yb
-            if not delta > threshold:
-                break
-        return np.array([xa, xb]), steps
-    rows = [[float(v) for v in row] for row in matrix]
-    bias = [float(v) for v in offset]
-    x = [float(v) for v in x0]
-    idx = range(d)
-    for _ in range(max_iter):
-        y = [sum(rows[i][j] * x[j] for j in idx) + bias[i] for i in idx]
-        try:
-            delta = math.sqrt(sum((y[i] - x[i]) ** 2 for i in idx))
-        except OverflowError:  # a finite square past the float range
-            delta = math.inf
-        steps.append(delta)
-        x = y
-        if not delta > threshold:
-            break
-    return np.array(x), steps
-
-
 def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int):
-    """Picard loop through G's apply: (last iterate, step norms), as _picard_affine_small.
+    """Picard step by step through G's apply: (last iterate, step norms).
 
-    Raises NonFiniteValue at the first step where G returns NaN or inf.
+    Returns whether or not the stopping rule fired within max_iter steps.
+    The iterate may be an array that G's apply still holds. Raises
+    NonFiniteValue at the first step where G returns NaN or inf.
     """
     # x was checked by picard_solve and every operator keeps the shape of its
     # argument, so the loop skips the public apply's check.
@@ -351,28 +289,6 @@ def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int)
     return current, steps
 
 
-def _scan(G: Operator, parts, x: np.ndarray, threshold: float, max_iter: int):
-    """Picard step by step: (a fresh last iterate, step norms), as _picard_affine_small.
-
-    An affine map (parts is its (matrix, offset)) of dimension at most
-    _FAST_PATH_MAX_DIM runs on plain floats and raises NonFiniteValue when
-    its last iterate is not finite; any other map runs through G's apply.
-    """
-    if parts is not None and x.shape[0] <= _FAST_PATH_MAX_DIM:
-        point, steps = _picard_affine_small(parts[0], parts[1], x, threshold, max_iter)
-        _check_finite(point, 1, len(steps))
-        return point, steps
-    if parts is None:
-        point, steps = _picard_generic(G, x, threshold, max_iter)
-    else:
-        # Huge affine steps overflow to inf without numpy's warnings, as in
-        # the lifted solve; a non-finite iterate raises NonFiniteValue.
-        with np.errstate(over="ignore", invalid="ignore"):
-            point, steps = _picard_generic(G, x, threshold, max_iter)
-    # G's apply may return an array its caller still holds: copy it.
-    return point.copy(), steps
-
-
 def _wide_norm(v: np.ndarray) -> float:
     """||v||, finite wherever the norm itself is, without numpy's overflow warning.
 
@@ -381,13 +297,6 @@ def _wide_norm(v: np.ndarray) -> float:
     """
     squared = np.vdot(v, v)
     return math.sqrt(squared) if squared < math.inf else math.hypot(*v)
-
-
-def _check_finite(x: np.ndarray, first: int, last: int) -> None:
-    if not np.isfinite(x).all():
-        raise NonFiniteValue(
-            f"Picard steps {first}-{last} produced a non-finite value (operator kind 'affine')"
-        )
 
 
 # A lifting level j holds P = M^(2^j) over S = I + M + ... + M^(2^j - 1).
@@ -504,13 +413,11 @@ def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_ite
     """Picard for x -> M x + c with ||M||_2 < 1, whose step norms never increase.
 
     _lift finds the stop in about 3 log2(k) small products in place of the
-    k steps. For d <= _FAST_PATH_MAX_DIM a stop within _PLAIN_STEPS reruns
-    the plain float loop, so that short solves keep its bits, its count and
-    its norms. Otherwise the step norms are left to _scan run for exactly
-    the k steps, when they are read.
+    k steps. The step norms are left to _picard_generic run for exactly the
+    k steps, when they are read.
 
-    Returns (point, iterations, last step norm, step norms or the callable
-    that computes them), or None when max_iter steps pass without a stop.
+    Returns (point, iterations, last step norm, the callable that computes
+    the step norms), or None when max_iter steps pass without a stop.
     Raises NonFiniteValue when the lifted iterate at the stop (or at
     max_iter) is not finite.
     """
@@ -520,19 +427,19 @@ def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_ite
         step = matrix @ x0 + offset - x0
         found, total, last = _lift(matrix, step, threshold, max_iter)
         x = x0 + total
-    _check_finite(x, 1, found or max_iter)
+    if not np.isfinite(x).all():
+        raise NonFiniteValue(
+            f"Picard steps 1-{found or max_iter} produced a non-finite value (operator kind '{G.kind}')"
+        )
     if found is None:
         return None
-    if x0.shape[0] <= _FAST_PATH_MAX_DIM and found <= _PLAIN_STEPS:
-        plain, steps = _scan(G, parts, x0, threshold, min(max_iter, _PLAIN_STEPS))
-        if steps[-1] <= threshold:
-            return plain, len(steps), steps[-1], tuple(steps)
-    return x, found, last, functools.partial(_scanned_norms, G, parts, x0.copy(), found)
+    return x, found, last, functools.partial(_scanned_norms, G, x0.copy(), found)
 
 
-def _scanned_norms(G, parts, x0, count):
-    """The norms of the first count steps, as _scan computes them."""
-    return _scan(G, parts, x0, -math.inf, count)[1]
+def _scanned_norms(G, x0, count):
+    """The norms of the first count steps of _picard_generic on an affine G."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _picard_generic(G, x0, -math.inf, count)[1]
 
 
 def _spectral_norm(G: Operator, matrix: np.ndarray) -> float:
@@ -569,22 +476,20 @@ def picard_solve(
         eps_machine ||x_k|| / (1 - alpha), step_norms the full sequence of
         update norms.
 
-    An affine G = M x + c runs the same iteration with the same stopping
-    rule and step norms, up to rounding. When ||M||_2 < 1 (the
-    AffineOperator's matrix_norm when known, else one SVD here), the step
-    norms never increase, and the stop is found by binary lifting on
-    M^(2^j) in O(log k) small products (see _picard_affine); step_norms is
-    then computed only when read. Otherwise the steps may grow before they
-    decay, and every step is taken: on plain floats up to dimension
-    _FAST_PATH_MAX_DIM, through G's apply above.
+    An affine G = M x + c with ||M||_2 < 1 (the AffineOperator's
+    matrix_norm when known, else one SVD here) runs the same iteration with
+    the same stopping rule and step norms, up to rounding: its step norms
+    never increase, so the stop is found by binary lifting on M^(2^j) in
+    O(log k) small products (see _picard_affine), and step_norms is
+    computed only when read. Every other map, whose steps may grow before
+    they decay, takes every step through G's apply.
 
     Raises MaxIterExceeded when the budget, counted in Picard steps, runs
-    out. Raises NonFiniteValue when an iterate is NaN or infinite: the loop
-    through G's apply at the first step where G returns such a value, the
-    plain float loop when its last iterate is not finite, the lifted solve
-    when its iterate at the stop (or at the budget) is not finite. A step
-    norm that overflows while the iterate stays finite does not end any of
-    them.
+    out. Raises NonFiniteValue when an iterate is NaN or infinite: the
+    step-by-step loop at the first step where G returns such a value, the
+    lifted solve when its iterate at the stop (or at the budget) is not
+    finite. A step norm that overflows while the iterate stays finite ends
+    neither.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -594,7 +499,9 @@ def picard_solve(
         raise DimensionMismatch(f"start point shape {x.shape} does not match dimension {G.dim}")
     if alpha == 0.0:
         # Modulus 0 means one application lands on the fixed point exactly.
-        point, steps = _scan(G, None, x, math.inf, 1)
+        point, steps = _picard_generic(G, x, math.inf, 1)
+        # G's apply may return an array its caller still holds: copy it.
+        point = point.copy()
         point.flags.writeable = False
         return FixedPointResult(point=point, residual=0.0, iterations=1, converged=True, step_norms=tuple(steps))
     threshold = tol * (1.0 - alpha) / alpha
@@ -603,17 +510,24 @@ def picard_solve(
     if parts is not None and _spectral_norm(G, parts[0]) < 1.0:
         outcome = _picard_affine(G, parts, x, threshold, policy.max_iter)
     else:
-        point, steps = _scan(G, parts, x, threshold, policy.max_iter)
-        outcome = (point, len(steps), steps[-1], tuple(steps)) if steps[-1] <= threshold else None
+        if parts is None:
+            point, steps = _picard_generic(G, x, threshold, policy.max_iter)
+        else:
+            # Huge affine steps overflow to inf without numpy's warnings, as
+            # in the lifted solve; a non-finite value raises NonFiniteValue.
+            with np.errstate(over="ignore", invalid="ignore"):
+                point, steps = _picard_generic(G, x, threshold, policy.max_iter)
+        # G's apply may return an array its caller still holds: copy it.
+        outcome = (point.copy(), len(steps), steps[-1], tuple(steps)) if steps[-1] <= threshold else None
     if outcome is None:
         raise MaxIterExceeded(
             f"Picard iteration hit the budget of {policy.max_iter} steps before reaching "
             f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
         )
     point, iterations, last, steps = outcome
-    # Every loop returns a fresh point, and a finite one: the loops check
-    # it, or stopped on a finite step from it, which a non-finite iterate
-    # cannot take.
+    # Both paths give a fresh point, and a finite one: the lifted solve
+    # checks it, and the step-by-step loop stopped on a finite step from it,
+    # which a non-finite iterate cannot take.
     point.flags.writeable = False
     # Each step rounds the iterate by about eps_machine ||x||, and the
     # contraction keeps such errors within that over (1 - alpha) of x*.

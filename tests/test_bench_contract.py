@@ -27,8 +27,8 @@ def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
 def test_piece_solves_keep_one_traced_inner_call_and_blend_per_outer_step(monkeypatch):
     # The tracer counts schemes.picard_solve spans as inner solves and
     # schemes.blend spans as blends; a piece solve that certifies must not
-    # add to either.
-    from viscofix import AffineOperator, BallProjection, CompositeOperator, PlaneRotation, schemes
+    # add to either, and neither may a lifted solve of a collapsed blend.
+    from viscofix import AffineOperator, BallProjection, CompositeOperator, PlaneRotation, make_rotation_flow, schemes
 
     calls = {"picard_solve": [], "blend": []}
     for name in calls:
@@ -45,6 +45,13 @@ def test_piece_solves_keep_one_traced_inner_call_and_blend_per_outer_step(monkey
     assert len(trace) == 30
     assert len(calls["blend"]) == 30
     # Every step took the piece (an affine operator), with no fallback on the blend.
+    assert [type(args[0]) for args in calls["picard_solve"]] == [AffineOperator] * 30
+    # An affine target collapses every blend to one affine map, solved once.
+    for name in calls:
+        calls[name].clear()
+    flow = make_rotation_flow([1.0], [1.0, 2.0])
+    _, trace = schemes.viscosity_implicit_solve(forcing, flow, schemes.make_schedule(n_max=30))
+    assert len(trace) == len(calls["blend"]) == 30
     assert [type(args[0]) for args in calls["picard_solve"]] == [AffineOperator] * 30
 
 

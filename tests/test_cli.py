@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -277,7 +278,7 @@ def test_run_non_finite_inner_value_exits_two(tmp_path, capsys):
 
 
 def test_run_non_finite_inner_value_exits_two_in_the_plane(tmp_path, capsys):
-    # The same overflowing inner problem at d = 2, solved on plain floats.
+    # The same overflowing inner problem at d = 2, lifted on plain floats.
     cfg = _ball_config()
     cfg["problem"] = {
         "target": {"kind": "identity", "dim": 2},
@@ -550,6 +551,20 @@ def test_sweep_records_per_value_errors(tmp_path):
     assert code == 2
     content = (out / "sweep_summary.csv").read_text()
     assert "error:" in content
+
+
+def test_sweep_checks_each_value_as_the_config_loader_does(tmp_path):
+    # argparse floats accept inf and nan, which a config file may not hold.
+    cfg_path = _write(tmp_path, "sweep.json", _sweep_config())
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(cfg_path), "--param", "options.outer_tol", "--values", "inf", "nan", "-1"]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    rows = list(csv.reader((out / "sweep_summary.csv").read_text().splitlines()[2:]))
+    finite = "error: config invalid at options/outer_tol: numbers must be finite"
+    assert rows[:2] == [["inf", "", "", "", finite], ["nan", "", "", "", finite]]
+    assert rows[2][:4] == ["-1.0", "", "", ""]
+    assert rows[2][4].startswith("error: config invalid at options/outer_tol: -1.0 ")
+    assert not any(path.is_dir() for path in out.iterdir())
 
 
 def test_sweep_requires_values(tmp_path, capsys):
