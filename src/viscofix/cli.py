@@ -313,7 +313,7 @@ def execute_run(
     proof = None
     proof_error = None
     try:
-        proof = _proof_report(trace, f, target, retraction_limits).to_dict()
+        proof = _proof_report(trace, forcing, target, retraction_limits).to_dict()
     except (ViscofixError, ValueError) as exc:
         proof_error = str(exc)
     tail = check_step5_convergence(trace)

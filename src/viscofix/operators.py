@@ -12,7 +12,8 @@ compositions. Each constructor assigns a conservative Lipschitz class:
 
 Every operator reports its affine form x -> M x + c through affine_piece:
 globally when it has one, or as the local piece around a given point (a ball
-projection is the identity inside its ball).
+projection is the identity inside its ball). The global form is computed once
+per operator and handed out read-only by affine_parts.
 
 "unknown" operators can be probed empirically with estimate_lipschitz and
 check_nonexpansive. The module also certifies norm attainment of linear maps
@@ -108,6 +109,23 @@ BOUND_ROUNDING_ULPS = 16
 _BOUND_ONE = 1.0 + BOUND_ROUNDING_ULPS * float(np.finfo(float).eps)
 
 
+def spectral_norm(matrix: np.ndarray) -> float:
+    """||M||_2, the largest singular value of a square matrix.
+
+    The first of LAPACK's singular values, which come sorted in descending
+    order: the bits of np.linalg.norm(M, 2), without the checks and axis
+    handling that cost that call about twice the SVD itself.
+    """
+    return float(np.linalg.svd(matrix, compute_uv=False)[0])
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _class_from_bound(bound: float) -> DeclaredClass:
     """Conservative class for a map with known Lipschitz bound; a bound of 1
     up to rounding is nonexpansive, anything larger is left to the probe."""
@@ -122,10 +140,15 @@ def _class_from_bound(bound: float) -> DeclaredClass:
 # Operator base class and catalog
 
 
+#: Marks a global affine form not yet computed (None means there is none).
+_UNBUILT = object()
+
+
 class Operator:
     """Immutable self-map of R^d carrying a declared Lipschitz class."""
 
     kind = "abstract"
+    _global_form = _UNBUILT
 
     def __init__(self, dim: int, declared_class: DeclaredClass):
         dim = int(dim)
@@ -151,8 +174,19 @@ class Operator:
         return self.apply(x)
 
     def affine_parts(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(matrix, offset) when the map is exactly x -> M x + c, else None."""
-        return self.affine_piece()
+        """(matrix, offset) when the map is exactly x -> M x + c, else None.
+
+        The global form affine_piece() gives, computed on the first call and
+        kept: the operator is immutable, so every call returns the same
+        read-only arrays.
+        """
+        parts = self._global_form
+        if parts is _UNBUILT:
+            parts = self.affine_piece()
+            if parts is not None:
+                parts = _frozen(*parts)
+            self._global_form = parts
+        return parts
 
     def affine_piece(self, x=None) -> tuple[np.ndarray, np.ndarray] | None:
         """(matrix, offset) of an affine map x -> M x + c that this map agrees with.
@@ -210,12 +244,15 @@ class LinearOperator(Operator):
     def __init__(self, matrix, declared_class: DeclaredClass | None = None):
         self.matrix = _square_matrix(matrix)
         if declared_class is None:
-            declared_class = _class_from_bound(float(np.linalg.norm(self.matrix, 2)))
+            declared_class = _class_from_bound(spectral_norm(self.matrix))
         super().__init__(self.matrix.shape[0], declared_class)
         self._offset = as_vector(np.zeros(self.dim))
 
     def _apply(self, x):
         return self.matrix @ x
+
+    def affine_parts(self):
+        return self.matrix, self._offset
 
     def affine_piece(self, x=None):
         return self.matrix, self._offset
@@ -228,8 +265,9 @@ class AffineOperator(Operator):
     """x -> M x + c.
 
     Without a declared class the class comes from matrix_norm, the spectral
-    norm ||M||_2: computed by an SVD, or passed in by a caller that already
-    computed it for this very matrix. It stays None for a declared class.
+    norm ||M||_2: computed by spectral_norm, or passed in by a caller that
+    already computed it for this very matrix. It stays None for a declared
+    class.
     """
 
     kind = "affine"
@@ -251,13 +289,16 @@ class AffineOperator(Operator):
         self.matrix_norm = None
         if declared_class is None:
             if matrix_norm is None:
-                matrix_norm = np.linalg.norm(matrix, 2)
+                matrix_norm = spectral_norm(matrix)
             self.matrix_norm = float(matrix_norm)
             declared_class = _class_from_bound(self.matrix_norm)
         super().__init__(matrix.shape[0], declared_class)
 
     def _apply(self, x):
         return self.matrix @ x + self.offset
+
+    def affine_parts(self):
+        return self.matrix, self.offset
 
     def affine_piece(self, x=None):
         return self.matrix, self.offset
@@ -328,6 +369,7 @@ class BallProjection(Operator):
         if not self.radius > 0.0:
             raise InvalidSpec("ball radius must be positive")
         super().__init__(self.center.shape[0], NONEXPANSIVE)
+        self._interior = _frozen(np.eye(self.dim), np.zeros(self.dim))
 
     def _apply(self, x):
         shifted = x - self.center
@@ -342,7 +384,7 @@ class BallProjection(Operator):
             return None
         shifted = self._check_arg(x) - self.center
         if math.sqrt(shifted.dot(shifted)) <= self.radius:
-            return np.eye(self.dim), np.zeros(self.dim)
+            return self._interior
         return None
 
     def to_spec(self):
@@ -364,7 +406,8 @@ class BoxProjection(Operator):
         super().__init__(self.lower.shape[0], NONEXPANSIVE)
 
     def _apply(self, x):
-        return np.clip(x, self.lower, self.upper)
+        # np.clip's bits (NaN stays NaN) without its wrapper's cost.
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def to_spec(self):
         return {"kind": "projection_box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
@@ -431,7 +474,7 @@ class AveragedOperator(Operator):
         return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
 
     def affine_piece(self, x=None):
-        piece = self.inner_op.affine_piece(x)
+        piece = _piece_at(self.inner_op, x)
         if piece is None:
             return None
         m, c = piece
@@ -441,10 +484,18 @@ class AveragedOperator(Operator):
         return {"kind": "averaged", "inner": self.inner_op.to_spec(), "lambda": self.lam}
 
 
+def _piece_at(op: Operator, x):
+    """op's global form when it has one, else its local piece at x (None for x None)."""
+    parts = op.affine_parts()
+    if parts is None and x is not None:
+        return op.affine_piece(x)
+    return parts
+
+
 def _pieces_along(operators, x):
     """Each operator's piece at the point it receives when they run in order from x."""
     for op in operators:
-        yield op.affine_piece(x)
+        yield _piece_at(op, x)
         if x is not None:
             x = op._apply(x)
 
@@ -531,7 +582,7 @@ class IteratedOperator(Operator):
     def affine_piece(self, x=None):
         if x is not None:
             return _compose(_pieces_along((self.base,) * self.n, self._check_arg(x)), self.dim)
-        piece = self.base.affine_piece()
+        piece = self.base.affine_parts()
         return None if piece is None else _compose((piece,) * self.n, self.dim)
 
     def to_spec(self):
@@ -564,10 +615,10 @@ class BlendOperator(Operator):
     def affine_piece(self, x=None):
         # The second map (a solve's target) is the one that may have no
         # piece, so it is asked first and the first map's piece is not built.
-        pt = self.second.affine_piece(x)
+        pt = _piece_at(self.second, x)
         if pt is None:
             return None
-        ps = self.first.affine_piece(x)
+        ps = _piece_at(self.first, x)
         if ps is None:
             return None
         return self.a * ps[0] + self.b * pt[0], self.a * ps[1] + self.b * pt[1]
@@ -607,7 +658,7 @@ class DeclaredWrapper(Operator):
         return self.wrapped._apply(x)
 
     def affine_piece(self, x=None):
-        return self.wrapped.affine_piece(x)
+        return _piece_at(self.wrapped, x)
 
     def to_spec(self):
         return self.wrapped.to_spec()
@@ -634,18 +685,31 @@ def blend(
         with np.errstate(over="ignore", invalid="ignore"):
             matrix = a * ps[0] + b * pt[0]
             offset = a * ps[1] + b * pt[1]
-        # Both are fresh arrays of checked parts, so they are square and of
-        # matching shapes: checked once, for finiteness, and frozen in place.
-        if not np.isfinite(matrix).all():
-            raise InvalidSpec("collapsed matrix has non-finite entries")
-        if not np.isfinite(offset).all():
-            raise InvalidSpec("collapsed offset has non-finite coordinates")
-        matrix.flags.writeable = False
-        offset.flags.writeable = False
-        collapsed = AffineOperator.__new__(AffineOperator)
-        collapsed._init_checked(matrix, offset, None, matrix_norm)
-        return collapsed
+        return _adopt_affine(matrix, offset, None, matrix_norm, "collapsed")
     return BlendOperator(a, first, b, second)
+
+
+def _adopt_affine(
+    matrix: np.ndarray, offset: np.ndarray, declared_class: DeclaredClass | None,
+    matrix_norm: float | None, name: str,
+) -> AffineOperator:
+    """AffineOperator on a matrix and offset just computed from checked parts.
+
+    Such arrays are square and of matching shapes, and nobody else holds
+    them: they are checked once, for finiteness, and frozen in place, with
+    no copy. A NaN or infinite entry raises InvalidSpec, whose message
+    starts with name. declared_class and matrix_norm are as for
+    AffineOperator.
+    """
+    if not np.isfinite(matrix).all():
+        raise InvalidSpec(f"{name} matrix has non-finite entries")
+    if not np.isfinite(offset).all():
+        raise InvalidSpec(f"{name} offset has non-finite coordinates")
+    matrix.flags.writeable = False
+    offset.flags.writeable = False
+    op = AffineOperator.__new__(AffineOperator)
+    op._init_checked(matrix, offset, declared_class, matrix_norm)
+    return op
 
 
 # ---------------------------------------------------------------------------

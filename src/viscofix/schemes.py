@@ -36,9 +36,11 @@ from .operators import (
     DeclaredWrapper,
     NonFiniteValue,
     Operator,
+    _adopt_affine,
     blend,
     contraction,
     estimate_lipschitz,
+    spectral_norm,
 )
 from .operators import check_nonexpansive  # noqa: F401  (bench/tracer.py wraps this binding)
 from .semigroup import OperatorFamily, resolve_nonexpansive
@@ -445,7 +447,7 @@ def _scanned_norms(G, x0, count):
 def _spectral_norm(G: Operator, matrix: np.ndarray) -> float:
     """||M||_2 of G's global affine form: the one its construction computed, or one SVD."""
     known = G.matrix_norm if isinstance(G, AffineOperator) else None
-    return np.linalg.norm(matrix, 2) if known is None else known
+    return spectral_norm(matrix) if known is None else known
 
 
 def picard_solve(
@@ -566,8 +568,10 @@ def _solve_implicit(
     if isinstance(g, BlendOperator) and declared.kind == "contraction" and warm.shape == (g.dim,):
         piece = g.affine_piece(warm)
     if piece is not None:
+        # The piece's arrays are fresh, so they are frozen in place, not copied.
+        g_piece = _adopt_affine(piece[0], piece[1], declared, None, "piece")
         try:
-            res = picard_solve(AffineOperator(piece[0], piece[1], declared), warm, delta, policy)
+            res = picard_solve(g_piece, warm, delta, policy)
         except (MaxIterExceeded, NonFiniteValue):
             pass
         else:

@@ -55,6 +55,40 @@ def test_piece_solves_keep_one_traced_inner_call_and_blend_per_outer_step(monkey
     assert [type(args[0]) for args in calls["picard_solve"]] == [AffineOperator] * 30
 
 
+def test_a_piece_solve_computes_the_targets_global_form_once(monkeypatch):
+    # The composite's global form does not change from step to step, so it
+    # is computed once per solve, not once per blend.
+    from viscofix import AffineOperator, BallProjection, CompositeOperator, PlaneRotation, schemes
+
+    global_forms = []
+    original = CompositeOperator.affine_piece
+
+    def counted(self, x=None):
+        if x is None:
+            global_forms.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(CompositeOperator, "affine_piece", counted)
+    forcing = AffineOperator([[0.5, 0.0], [0.0, 0.5]], [0.1, 0.05])
+    target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    _, trace = schemes.viscosity_implicit_solve(forcing, target, schemes.make_schedule(n_max=30))
+    assert len(trace) == 30
+    assert global_forms == [target]
+
+
+def test_a_retraction_makes_one_traced_inner_call_and_blend_per_outer_step(monkeypatch):
+    # solve-nonaffine's counters for its 3-anchor retraction rest on this.
+    from viscofix import BallProjection, CompositeOperator, PlaneRotation, schemes
+
+    calls = {name: _counted(monkeypatch, schemes, name) for name in ("picard_solve", "blend")}
+    target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    values = schemes.retraction_eval(target, [[3.0, 0.0], [0.0, -3.0], [-2.0, 2.0]], n_max=50)
+    assert values.failures == {}
+    steps = sum(res.iterations for res in values.results.values())
+    assert steps == 3 * 50
+    assert len(calls["blend"]) == len(calls["picard_solve"]) == steps
+
+
 def _counted(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

@@ -249,6 +249,30 @@ def test_run_stagnation_probes_an_undeclared_forcing_term_once(tmp_path, capsys,
     )
 
 
+def test_run_proof_report_takes_the_probed_modulus_of_an_undeclared_forcing_term(tmp_path):
+    # x -> 0.5 (1.5 x) + (1, 0.5): Lipschitz constant 0.75, but classed
+    # unknown, so the report needs the contraction the solve resolved.
+    cfg = {
+        "problem": {
+            "target": {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0},
+            "contraction": {
+                "kind": "composite",
+                "operators": [
+                    {"kind": "linear", "matrix": [[1.5, 0.0], [0.0, 1.5]]},
+                    {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 0.5]},
+                ],
+            },
+        },
+        "schedule": {"kind": "harmonic", "n_max": 30},
+        "seed": 3,
+    }
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "probed.json", cfg)), "--out", str(out), "--quiet"]) == 0
+    summary = _read_summary(out)
+    assert summary["proof_steps_error"] is None
+    assert summary["proof_steps"] is not None
+
+
 def test_run_inner_budget_exhaustion_exits_two(tmp_path, capsys):
     # A constant contraction solves each inner problem in one application, so
     # the budget needs a genuinely iterative contraction to bite.

@@ -710,3 +710,74 @@ def test_a_piece_agrees_with_its_map_at_its_point(x):
         piece = op.affine_piece(x)
         if piece is not None:
             np.testing.assert_allclose(piece[0] @ x + piece[1], op.apply(x), rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Global forms, computed once
+
+GLOBAL_FORMS = {
+    name: op for name, op in SHAPE_CHECKED.items() if op.affine_piece() is not None
+} | {
+    "composite-affine": CompositeOperator([PlaneRotation(2, (0, 1), 0.4), AffineOperator(0.5 * np.eye(2), [1.0, 2.0])]),
+    "declared-affine": DeclaredWrapper(LinearOperator([[0.0, 0.5], [0.5, 0.0]]), contraction(0.5)),
+    "blend-affine": BlendOperator(0.25, ConstantOperator([1.0, 0.0]), 0.75, PlaneRotation(2, (0, 1), 0.3)),
+    "averaged-rotation": AveragedOperator(PlaneRotation(2, (0, 1), 0.3), 0.5),
+}
+
+
+@pytest.mark.parametrize("op", GLOBAL_FORMS.values(), ids=GLOBAL_FORMS.keys())
+def test_global_form_is_built_once_and_read_only(op):
+    parts = op.affine_parts()
+    again = op.affine_parts()
+    assert again[0] is parts[0] and again[1] is parts[1]
+    assert _same_piece(parts, op.affine_piece())
+    with pytest.raises(ValueError):
+        parts[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        parts[1][0] = 1.0
+
+
+@given(x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_a_local_piece_of_a_map_with_a_global_form_is_that_form(x):
+    for op in GLOBAL_FORMS.values():
+        piece = op.affine_piece(x)
+        parts = op.affine_parts()
+        assert piece[0].tobytes() == parts[0].tobytes()
+        assert piece[1].tobytes() == parts[1].tobytes()
+
+
+def test_the_ball_interior_piece_is_built_once():
+    ball = BallProjection([0.0, 0.0], 1.0)
+    first = ball.affine_piece([0.5, 0.0])
+    assert ball.affine_piece([0.0, -0.5]) is first
+    with pytest.raises(ValueError):
+        first[0][0, 0] = 2.0
+
+
+def _square(dim, rank_one):
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    if rank_one:
+        column = arrays(np.float64, (dim,), elements=entries)
+        return st.tuples(column, column).map(lambda uv: np.outer(*uv))
+    return arrays(np.float64, (dim, dim), elements=entries)
+
+
+@given(data=st.data(), dim=st.integers(1, 8), shape=st.sampled_from(["full", "rank-one", "zero"]))
+def test_spectral_norm_has_the_bits_of_the_matrix_2_norm(data, dim, shape):
+    if shape == "zero":
+        matrix = np.zeros((dim, dim))
+    else:
+        matrix = data.draw(_square(dim, shape == "rank-one"))
+    expected = np.linalg.norm(matrix, 2)
+    assert np.float64(operators.spectral_norm(matrix)).tobytes() == expected.tobytes()
+
+
+def test_box_projection_has_the_bits_of_clip():
+    rng = np.random.default_rng(11)
+    lower = np.array([-1.0, 0.0, -0.0, -5.0, 2.0])
+    upper = np.array([1.0, 0.0, 0.0, 3.0, 2.0])
+    box = BoxProjection(lower, upper)
+    points = list(3.0 * rng.standard_normal((200, 5)))
+    points += [np.array([np.nan, -0.0, 0.0, -np.inf, np.inf]), np.array([-0.0, np.nan, -0.0, np.nan, -np.inf])]
+    for x in points:
+        assert box._apply(x).tobytes() == np.clip(x, lower, upper).tobytes()

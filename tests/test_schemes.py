@@ -47,7 +47,7 @@ from viscofix import (
     viscosity_implicit_solve,
 )
 from viscofix import schemes
-from viscofix.operators import NONEXPANSIVE, BlendOperator, blend
+from viscofix.operators import NONEXPANSIVE, BlendOperator, InvalidSpec, blend
 
 from oracles import bisect_increasing
 
@@ -840,6 +840,32 @@ def test_piece_budget_failure_falls_back_and_raises_todays_message(monkeypatch):
     with pytest.raises(MaxIterExceeded) as first:
         picard_solve(blend(0.5, f, 0.5, ball), [0.0, 0.0], 1e-12, tight)
     assert str(outer.value) == f"outer step n=1, eps_n=0.5: {first.value}"
+
+
+def test_a_piece_is_solved_on_its_own_arrays_and_a_non_finite_one_is_rejected(monkeypatch):
+    f = AffineOperator(0.5 * np.eye(2), [0.2, 0.1])
+    ball = BallProjection([0.0, 0.0], 1.0)
+    pieces = []
+    original = BlendOperator.affine_piece
+
+    def recorded(self, x=None):
+        pieces.append(original(self, x))
+        return pieces[-1]
+
+    monkeypatch.setattr(BlendOperator, "affine_piece", recorded)
+    calls = _count_picard_calls(monkeypatch)
+    implicit_step(f, ball, 0.25, [0.0, 0.0], 1e-9)
+    ((matrix, offset),) = pieces
+    # The piece's fresh arrays are frozen in place, not copied.
+    assert [G.matrix is matrix and G.offset is offset for G in calls] == [True]
+    assert not matrix.flags.writeable and not offset.flags.writeable
+    for bad, message in (
+        ((np.full((2, 2), np.nan), np.zeros(2)), "piece matrix has non-finite entries"),
+        ((np.eye(2), np.array([np.inf, 0.0])), "piece offset has non-finite coordinates"),
+    ):
+        monkeypatch.setattr(BlendOperator, "affine_piece", lambda self, x=None, bad=bad: bad)
+        with pytest.raises(InvalidSpec, match=message):
+            implicit_step(f, ball, 0.25, [0.0, 0.0], 1e-9)
 
 
 def test_implicit_step_is_the_outer_loops_first_step(monkeypatch):
