@@ -23,6 +23,7 @@ of linear maps (elimination with a pivot threshold, then orthonormalization).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -501,16 +502,21 @@ def _pieces_along(operators, x):
 
 
 def _compose(pieces, dim: int):
-    """Piece of maps applied in order (the first piece first), or None if one is None."""
-    m = np.eye(dim)
-    c = np.zeros(dim)
+    """Piece of maps applied in order (the first piece first), or None if one is None.
+
+    It starts from the first piece, not from (I, 0), and is (I, 0) for no
+    pieces. A single piece comes back as it was given.
+    """
+    composed = None
     for piece in pieces:
         if piece is None:
             return None
-        mk, ck = piece
-        m = mk @ m
-        c = mk @ c + ck
-    return m, c
+        if composed is None:
+            composed = piece
+            continue
+        (mk, ck), (m, c) = piece, composed
+        composed = mk @ m, mk @ c + ck
+    return (np.eye(dim), np.zeros(dim)) if composed is None else composed
 
 
 class CompositeOperator(Operator):
@@ -665,19 +671,26 @@ class DeclaredWrapper(Operator):
 
 
 def blend(
-    a: float, first: Operator, b: float, second: Operator, matrix_norm: float | None = None
+    a: float, first: Operator, b: float, second: Operator,
+    collapse: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> Operator:
     """a*S + b*T as an operator, collapsed to a single affine map when possible.
 
     The collapse keeps inner Picard loops cheap and lets the affine
     constructor declare the sharp contraction modulus ||a M_S + b M_T||.
-    A caller that has already computed that norm (for a whole schedule at
-    once) passes it as matrix_norm, and the collapse skips its SVD. The
-    collapsed matrix and offset are checked once, for finiteness: a blend
-    whose weights overflow them raises InvalidSpec.
+    Collapsed here, the matrix and offset are checked once, for finiteness
+    (a blend whose weights overflow them raises InvalidSpec), and the
+    modulus takes one SVD. A caller that has already collapsed this very
+    blend (a schedule plan, a batch of steps at a time) passes collapse =
+    (a M_S + b M_T, a c_S + b c_T, ||a M_S + b M_T||_2), with the matrix
+    and offset finite and read-only, and blend() only wraps it in an
+    AffineOperator.
     """
     if first.dim != second.dim:
         raise DimensionMismatch("blend mixes operators of different dimensions")
+    if collapse is not None:
+        matrix, offset, modulus = collapse
+        return _affine_from_checked(matrix, offset, None, modulus)
     ps = first.affine_parts()
     pt = second.affine_parts()
     if ps is not None and pt is not None:
@@ -685,21 +698,20 @@ def blend(
         with np.errstate(over="ignore", invalid="ignore"):
             matrix = a * ps[0] + b * pt[0]
             offset = a * ps[1] + b * pt[1]
-        return _adopt_affine(matrix, offset, None, matrix_norm, "collapsed")
+        return _adopt_affine(matrix, offset, None, "collapsed")
     return BlendOperator(a, first, b, second)
 
 
 def _adopt_affine(
-    matrix: np.ndarray, offset: np.ndarray, declared_class: DeclaredClass | None,
-    matrix_norm: float | None, name: str,
+    matrix: np.ndarray, offset: np.ndarray, declared_class: DeclaredClass | None, name: str,
 ) -> AffineOperator:
     """AffineOperator on a matrix and offset just computed from checked parts.
 
     Such arrays are square and of matching shapes, and nobody else holds
     them: they are checked once, for finiteness, and frozen in place, with
     no copy. A NaN or infinite entry raises InvalidSpec, whose message
-    starts with name. declared_class and matrix_norm are as for
-    AffineOperator.
+    starts with name. declared_class is as for AffineOperator; without one
+    the modulus takes one SVD.
     """
     if not np.isfinite(matrix).all():
         raise InvalidSpec(f"{name} matrix has non-finite entries")
@@ -707,6 +719,11 @@ def _adopt_affine(
         raise InvalidSpec(f"{name} offset has non-finite coordinates")
     matrix.flags.writeable = False
     offset.flags.writeable = False
+    return _affine_from_checked(matrix, offset, declared_class, None)
+
+
+def _affine_from_checked(matrix, offset, declared_class, matrix_norm) -> AffineOperator:
+    """AffineOperator on a square matrix and matching offset, finite and read-only."""
     op = AffineOperator.__new__(AffineOperator)
     op._init_checked(matrix, offset, declared_class, matrix_norm)
     return op
@@ -833,18 +850,23 @@ def _sampled_ratios(T: Operator, n_samples: int, radius: float, seed):
 
     Sampled vectors need no shape check, so T._apply is called directly.
     Raises NonFiniteValue when T returns a NaN or infinite value; a ratio
-    that overflows on finite values is yielded as it is.
+    that overflows on finite values is yielded as it is. An affine T's
+    values overflow without numpy's warnings, as in picard_solve; any other
+    map, outside code included, keeps its warnings.
     """
+    affine = T.affine_parts() is not None
     rng = make_rng(seed)
     for _ in range(n_samples):
         x = sample_ball(rng, T.dim, radius)
         y = sample_ball(rng, T.dim, radius)
         while np.array_equal(x, y):
             y = sample_ball(rng, T.dim, radius)
-        tx, ty = T._apply(x), T._apply(y)
-        image = tx - ty
+        with np.errstate(over="ignore", invalid="ignore") if affine else contextlib.nullcontext():
+            tx, ty = T._apply(x), T._apply(y)
+            image = tx - ty
+            spread = math.sqrt(image.dot(image))
         gap = x - y
-        ratio = math.sqrt(image.dot(image)) / math.sqrt(gap.dot(gap))
+        ratio = spread / math.sqrt(gap.dot(gap))
         if not math.isfinite(ratio) and not (np.isfinite(tx).all() and np.isfinite(ty).all()):
             raise NonFiniteValue(
                 f"Lipschitz probe produced a non-finite value (operator kind '{T.kind}')"

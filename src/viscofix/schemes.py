@@ -545,12 +545,12 @@ def picard_solve(
 
 def _solve_implicit(
     f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
-    matrix_norm: float | None = None,
+    collapse: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> tuple[FixedPointResult, float]:
     """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta: (result, ||xi - g(xi)||).
 
-    matrix_norm, when given, is ||eps M_f + (1 - eps) M_T||_2, already
-    computed for a g that collapses to one affine map.
+    collapse, when given, is g's collapse to one affine map, already made
+    by a schedule plan (see _blend_plan), and is handed to blend().
 
     When g has an affine piece at the warm start, the piece is solved first,
     declared with g's own modulus q so that picard_solve runs its affine
@@ -559,7 +559,7 @@ def _solve_implicit(
     point of the q-contraction g by delta however xi was found. Otherwise,
     or when the piece solve fails, picard_solve runs on g itself.
     """
-    g = blend(eps, f, 1.0 - eps, T, matrix_norm=matrix_norm)
+    g = blend(eps, f, 1.0 - eps, T, collapse)
     declared = g.declared_class
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
@@ -569,7 +569,7 @@ def _solve_implicit(
         piece = g.affine_piece(warm)
     if piece is not None:
         # The piece's arrays are fresh, so they are frozen in place, not copied.
-        g_piece = _adopt_affine(piece[0], piece[1], declared, None, "piece")
+        g_piece = _adopt_affine(piece[0], piece[1], declared, "piece")
         try:
             res = picard_solve(g_piece, warm, delta, policy)
         except (MaxIterExceeded, NonFiniteValue):
@@ -616,30 +616,44 @@ def _step_operators(target, dim: int) -> tuple[Operator, ...]:
     return tuple(resolve_nonexpansive(op) for op in members)
 
 
-#: Most matrix entries in one batched SVD of blend moduli.
-_MODULI_BATCH = 1 << 16
+#: Most matrix entries in one batch of a schedule plan.
+_PLAN_BATCH = 1 << 16
 
 
-def _blend_moduli(f: Operator, step_ops, values):
-    """||eps_n M_f + (1 - eps_n) M_n||_2 for each step n in turn, or None for each
-    when f or a step operator has no global affine form.
+def _blend_plan(f: Operator, step_ops, values):
+    """The collapse blend() would make of each step's eps_n f + (1 - eps_n) T_n, in turn.
 
-    The stacked matrices are built with the products and sums blend() uses,
-    and a batched SVD gives the same bits as one SVD per matrix, so each
-    collapsed blend gets the modulus its own SVD would give.
+    A collapse is (M_n, c_n, ||M_n||_2), with M_n = eps_n M_f + (1 - eps_n)
+    M_T and c_n = eps_n c_f + (1 - eps_n) c_T. The steps are planned a batch
+    at a time: the batch's matrices and offsets are stacked with the
+    products and sums blend() uses, checked for finiteness once and frozen,
+    and one batched SVD, which gives the bits of one SVD per matrix, gives
+    their moduli. So each collapse has the bits of blend()'s own.
+
+    None for each step of a batch with a non-finite entry, which is not
+    passed to the SVD, and for every step when f or a step operator has no
+    global affine form: blend() then collapses the step itself, or does not.
     """
     parts = [op.affine_parts() for op in (f, *step_ops)]
     if any(piece is None for piece in parts):
         yield from [None] * len(values)
         return
-    forcing = parts[0][0]
-    members = np.stack([piece[0] for piece in parts[1:]])
-    batch = max(1, _MODULI_BATCH // forcing.size)
+    (forcing, forcing_offset), members = parts[0], parts[1:]
+    matrices = np.stack([piece[0] for piece in members])
+    offsets = np.stack([piece[1] for piece in members])
+    batch = max(1, _PLAN_BATCH // forcing.size)
     for start in range(0, len(values), batch):
         eps = np.array(values[start : start + batch])
-        weights = eps[:, None, None]
-        stack = weights * forcing + (1.0 - weights) * members[np.arange(start, start + eps.size) % len(members)]
-        yield from np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
+        index = np.arange(start, start + eps.size) % len(members)
+        # A non-finite part shows in the check below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = eps[:, None, None] * forcing + (1.0 - eps[:, None, None]) * matrices[index]
+            shifts = eps[:, None] * forcing_offset + (1.0 - eps[:, None]) * offsets[index]
+        if not (np.isfinite(stack).all() and np.isfinite(shifts).all()):
+            yield from [None] * eps.size
+            continue
+        stack.flags.writeable = shifts.flags.writeable = False
+        yield from zip(stack, shifts, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist())
 
 
 def viscosity_implicit_solve(
@@ -681,8 +695,12 @@ def viscosity_implicit_solve(
     itself. Either way ||xi_n - xi_n*|| <= delta_n for the step's exact
     solution xi_n*, and the trace and inner_monitor see the solve whose
     point was kept. When f and every step operator are affine, each g
-    collapses to one affine map, and the moduli ||M_n||_2 of all of them
-    come from batched SVDs (see _blend_moduli) instead of one per blend.
+    collapses to one affine map M_n x + c_n. A schedule plan (see
+    _blend_plan) builds these a batch of steps at a time, with one
+    finiteness check and one batched SVD for the moduli ||M_n||_2 per
+    batch, and blend() adopts each step's collapse as it comes; a batch
+    with a non-finite entry leaves its steps to blend(), so that the first
+    of them to overflow raises InvalidSpec at its own step.
 
     MaxIterExceeded and NonFiniteValue from an inner solve are raised again
     with the outer step n and eps_n in front of the message.
@@ -699,14 +717,14 @@ def viscosity_implicit_solve(
     started = time.time()
     converged = False
     fix_res = float("inf")
-    moduli = _blend_moduli(f, step_ops, schedule.values)
-    for idx, (eps, modulus) in enumerate(zip(schedule.values, moduli)):
+    plan = _blend_plan(f, step_ops, schedule.values)
+    for idx, (eps, collapse) in enumerate(zip(schedule.values, plan)):
         n = idx + 1
         step_T = step_ops[idx % len(step_ops)]
         delta_n = opts.inner_tol_rule.delta(eps, opts.outer_tol)
         warm = x_prev if opts.warm_start else origin
         try:
-            res, implicit_res = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy, modulus)
+            res, implicit_res = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy, collapse)
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
         xi = res.point

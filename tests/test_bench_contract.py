@@ -89,6 +89,40 @@ def test_a_retraction_makes_one_traced_inner_call_and_blend_per_outer_step(monke
     assert len(calls["blend"]) == len(calls["picard_solve"]) == steps
 
 
+def test_an_affine_schedule_collapses_its_blends_a_batch_at_a_time(monkeypatch):
+    # solve-affine's blend counters rest on this: one traced schemes.blend
+    # call per outer step, which adopts the step's planned collapse, and the
+    # batch work shows in the outer loop's own time.
+    import numpy as np
+
+    from viscofix import AffineOperator, BallProjection, CompositeOperator, PlaneRotation, SolveOptions
+    from viscofix import TolerancePolicy, fixed_inner_tol, make_rotation_flow, operators, schemes
+
+    forcing = AffineOperator([[0.5, 0.0], [0.0, 0.5]], [0.1, 0.05])
+    flow = make_rotation_flow([1.0], [1.0, 2.0])
+    target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    blends = _counted(monkeypatch, schemes, "blend")
+    collapses = _counted(monkeypatch, operators, "_adopt_affine")
+    svds = _counted(monkeypatch, np.linalg, "svd")
+    monkeypatch.setattr(schemes, "_PLAN_BATCH", 4 * 300)
+    # solve-affine's d = 2 options: a fixed inner tolerance and a long budget.
+    opts = SolveOptions(inner_tol_rule=fixed_inner_tol(1e-4), policy=TolerancePolicy(max_iter=50_000))
+    _, trace = schemes.viscosity_implicit_solve(forcing, flow, schemes.make_schedule(n_max=2000), opts)
+    assert len(trace) == len(blends) == 2000
+    assert all(args[4] is not None for args in blends)
+    assert collapses == []
+    # One batched SVD per batch of 300 steps, and no other SVD.
+    assert [args[0].shape for args in svds] == [(300, 2, 2)] * 6 + [(200, 2, 2)]
+    # A target with no global affine form plans nothing: blend() gets no
+    # collapse and keeps the blend, whose pieces are solved as before.
+    for calls in (blends, collapses, svds):
+        calls.clear()
+    _, trace = schemes.viscosity_implicit_solve(forcing, target, schemes.make_schedule(n_max=30))
+    assert len(trace) == len(blends) == 30
+    assert all(args[4] is None for args in blends)
+    assert collapses == [] and all(args[0].ndim == 2 for args in svds)
+
+
 def _counted(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

@@ -373,6 +373,26 @@ def test_probes_keep_a_ratio_that_overflows_on_finite_values():
     assert not check.passed and check.witness[2] == math.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_probes_of_affine_maps_overflow_without_warnings():
+    # M x overflows to inf, and inf - inf = NaN: the probe reports it as a
+    # non-finite value, not as numpy's warnings.
+    overflowing = AffineOperator([[1e308, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(NonFiniteValue, match="probe .*operator kind 'affine'"):
+        estimate_lipschitz(overflowing, 10, 10.0)
+    with pytest.raises(NonFiniteValue, match="probe .*operator kind 'affine'"):
+        check_nonexpansive(overflowing, 10, CATALOG_TOL)
+    # Finite values whose difference overflows give an infinite ratio, quietly.
+    steep = AffineOperator([[1e307, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    assert estimate_lipschitz(steep, 50, 10.0) == math.inf
+    check = check_nonexpansive(steep, 50, CATALOG_TOL)
+    assert not check.passed and check.witness[2] == math.inf
+    # Outside code keeps its warnings.
+    sign = FunctionOperator(lambda x: np.where(x > 0.0, 1e308, -1e308), 2)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        estimate_lipschitz(sign, 50, 10.0)
+
+
 NONEXPANSIVE_CATALOG = [
     BallProjection([1.0, -1.0], 2.0),
     BoxProjection([-1.0, 0.0], [1.0, 2.0]),
@@ -407,38 +427,59 @@ def test_blend_collapses_affine_pairs():
     np.testing.assert_array_equal(combined.apply([3.0, 7.0]), [0.0, 0.0])
 
 
+def _planned(a, first, b, second, modulus):
+    """The collapse a schedule plan hands to blend(): its frozen arrays and a
+    modulus, or None when the arrays are not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = a * first.matrix + b * second.matrix
+        offset = a * first.offset + b * second.offset
+    if not (np.isfinite(matrix).all() and np.isfinite(offset).all()):
+        return None
+    matrix.flags.writeable = offset.flags.writeable = False
+    return matrix, offset, modulus
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("matrix_norm", [None, 0.75])
-def test_blend_collapses_into_frozen_arrays_of_the_blended_parts(dim, matrix_norm):
+@pytest.mark.parametrize("modulus", [None, 0.75])
+def test_blend_collapses_into_frozen_arrays_of_the_blended_parts(dim, modulus):
     rng = np.random.default_rng(dim)
     first = AffineOperator(0.5 * rng.standard_normal((dim, dim)), rng.standard_normal(dim))
     second = AffineOperator(0.5 * rng.standard_normal((dim, dim)), rng.standard_normal(dim))
-    combined = blend(0.3, first, 0.7, second, matrix_norm=matrix_norm)
+    collapse = None if modulus is None else _planned(0.3, first, 0.7, second, modulus)
+    combined = blend(0.3, first, 0.7, second, collapse)
     assert combined.matrix.tobytes() == (0.3 * first.matrix + 0.7 * second.matrix).tobytes()
     assert combined.offset.tobytes() == (0.3 * first.offset + 0.7 * second.offset).tobytes()
     assert not combined.matrix.flags.writeable
     assert not combined.offset.flags.writeable
-    if matrix_norm is None:
+    if modulus is None:
         assert combined.matrix_norm == np.linalg.norm(combined.matrix, 2)
     else:
-        assert combined.matrix_norm == matrix_norm
+        # A planned collapse is adopted as it is: no copy, no SVD.
+        assert combined.matrix is collapse[0] and combined.offset is collapse[1]
+        assert combined.matrix_norm == modulus
+        assert combined.declared_class == contraction(modulus)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("matrix_norm", [None, 0.75])
-def test_blend_rejects_a_non_finite_collapse_without_warnings(dim, matrix_norm):
+@pytest.mark.parametrize("modulus", [None, 0.75])
+def test_blend_rejects_a_non_finite_collapse_without_warnings(dim, modulus):
     base = AffineOperator(0.5 * np.eye(dim), np.ones(dim))
     far = AffineOperator(0.5 * np.eye(dim), [1e300] + [0.0] * (dim - 1))
     far_back = AffineOperator(0.5 * np.eye(dim), [-1e300] + [0.0] * (dim - 1))
     steep = AffineOperator(np.diag([1e300] + [0.0] * (dim - 1)), np.zeros(dim))
+
+    def collapse(a, first, b, second):
+        # A plan hands no collapse for a non-finite blend; blend() rejects it itself.
+        return None if modulus is None else _planned(a, first, b, second, modulus)
+
     # Overflow to inf, and inf - inf = NaN: both are rejected as the spec's fault.
     with pytest.raises(InvalidSpec, match="collapsed offset has non-finite coordinates"):
-        blend(1.0, base, 1e10, far, matrix_norm=matrix_norm)
+        blend(1.0, base, 1e10, far, collapse(1.0, base, 1e10, far))
     with pytest.raises(InvalidSpec, match="collapsed offset has non-finite coordinates"):
-        blend(1e10, far, 1e10, far_back, matrix_norm=matrix_norm)
+        blend(1e10, far, 1e10, far_back, collapse(1e10, far, 1e10, far_back))
     with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
-        blend(1.0, base, 1e10, steep, matrix_norm=matrix_norm)
+        blend(1.0, base, 1e10, steep, collapse(1.0, base, 1e10, steep))
 
 
 def test_blend_falls_back_for_nonaffine_parts():

@@ -32,6 +32,7 @@ from viscofix import (
     NonFiniteValue,
     NotAContraction,
     NotNonexpansive,
+    Operator,
     PlaneRotation,
     SolveOptions,
     TolerancePolicy,
@@ -40,6 +41,7 @@ from viscofix import (
     coupled_inner_tol,
     fixed_inner_tol,
     implicit_step,
+    make_custom_family,
     make_rotation_flow,
     make_schedule,
     picard_solve,
@@ -1067,30 +1069,95 @@ def test_maps_whose_steps_can_grow_match_the_generic_loop(monkeypatch, dim):
         picard_solve(huge, np.zeros(dim), 1e-9)
 
 
+def _affine_family(dim, count):
+    """count affine members x -> 0.9 Q x + c, Q orthogonal, as a custom family."""
+    rng = np.random.default_rng(100 * dim + count)
+    table = {}
+    for k in range(1, count + 1):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        table[k] = AffineOperator(0.9 * q, rng.standard_normal(dim))
+    return make_custom_family(table)
+
+
+_ROTATION_RATES = {2: [1.0], 8: [1.0, 0.7, 1.3, 0.4]}
+
+
 @pytest.mark.parametrize(
-    "dim, rates, grid",
-    [(2, [1.0], [1.0]), (2, [1.0], [0.5, 1.0, 2.0]), (8, [1.0, 0.7, 1.3, 0.4], [1.0]),
-     (8, [1.0, 0.7, 1.3, 0.4], [0.25, 1.0, 3.0])],
+    "kind, dim, count",
+    [("affine", dim, count) for dim in (1, 2, 3, 8) for count in (1, 2, 3, 4)]
+    + [("rotation", dim, count) for dim in _ROTATION_RATES for count in (1, 2, 3, 4)],
 )
-def test_batched_blend_moduli_equal_the_per_step_ones(monkeypatch, dim, rates, grid):
+def test_planned_collapses_equal_blends_own_bit_for_bit(monkeypatch, kind, dim, count):
+    if kind == "rotation":
+        family = make_rotation_flow(_ROTATION_RATES[dim], [0.25, 1.0, 3.0, 5.5][:count])
+    else:
+        family = _affine_family(dim, count)
     f = AffineOperator(0.5 * np.eye(dim), np.linspace(-1.0, 1.0, dim))
-    step_ops = schemes._step_operators(make_rotation_flow(rates, grid), dim)
-    values = make_schedule(n_max=2000).values
-    # A small batch puts batch edges inside the cycle of step operators.
-    monkeypatch.setattr(schemes, "_MODULI_BATCH", 7 * dim * dim)
-    batched = np.array(list(schemes._blend_moduli(f, step_ops, values)))
-    blends = [blend(eps, f, 1.0 - eps, step_ops[i % len(step_ops)]) for i, eps in enumerate(values)]
-    assert np.array_equal(batched, [g.matrix_norm for g in blends])
-    given_norm = blend(values[5], f, 1.0 - values[5], step_ops[5 % len(step_ops)], batched[5])
-    assert np.array_equal(given_norm.matrix, blends[5].matrix)
-    assert given_norm.declared_class == blends[5].declared_class
+    step_ops = schemes._step_operators(family, dim)
+    values = make_schedule(n_max=500).values
+    # A batch of 7 steps puts batch edges inside the cycle of step operators.
+    monkeypatch.setattr(schemes, "_PLAN_BATCH", 7 * dim * dim)
+    plan = list(schemes._blend_plan(f, step_ops, values))
+    assert len(plan) == len(values)
+    for n, (eps, collapse) in enumerate(zip(values, plan)):
+        T = step_ops[n % count]
+        planned = blend(eps, f, 1.0 - eps, T, collapse)
+        own = blend(eps, f, 1.0 - eps, T)
+        assert planned.matrix.tobytes() == own.matrix.tobytes()
+        assert planned.offset.tobytes() == own.offset.tobytes()
+        assert planned.matrix_norm == own.matrix_norm
+        assert planned.declared_class == own.declared_class
+        assert not planned.matrix.flags.writeable and not planned.offset.flags.writeable
+
+
+class _Planted(Operator):
+    """The identity, declared nonexpansive, with a NaN planted in its affine form."""
+
+    kind = "planted"
+
+    def __init__(self, dim, entry=math.nan):
+        super().__init__(dim, NONEXPANSIVE)
+        self.entry = entry
+
+    def _apply(self, x):
+        return x.copy()
+
+    def affine_piece(self, x=None):
+        matrix = np.eye(self.dim)
+        matrix[0, 0] = self.entry
+        return matrix, np.zeros(self.dim)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_plan_batch_raises_at_its_own_step(monkeypatch):
+    monkeypatch.setattr(schemes, "_PLAN_BATCH", 7 * 4)
+    f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+    rotations = [PlaneRotation(2, (0, 1), angle) for angle in (0.5, 1.0)]
+    family = make_custom_family({1: rotations[0], 2: rotations[1], 3: _Planted(2)})
+    plan = list(schemes._blend_plan(f, schemes._step_operators(family, 2), make_schedule(n_max=20).values))
+    # Every batch holds a step with the planted member, so no batch is planned.
+    assert plan == [None] * 20
+    steps = []
+    with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
+        viscosity_implicit_solve(
+            f, family, make_schedule(n_max=20), inner_monitor=lambda n, eps, res: steps.append(n)
+        )
+    # The steps before the planted member's collapse themselves, as blend() would.
+    assert steps == [1, 2]
+    # inf - inf in the stacked sum is caught by the same check, not warned about.
+    with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
+        viscosity_implicit_solve(
+            DeclaredWrapper(_Planted(2, -math.inf), contraction(0.5)),
+            _Planted(2, math.inf),
+            make_schedule(n_max=20),
+        )
 
 
 def test_blend_moduli_are_none_without_affine_forms():
     ball = BallProjection([0.0, 0.0], 1.0)
     f = AffineOperator(0.5 * np.eye(2), [1.0, 0.0])
     values = make_schedule(n_max=5).values
-    assert list(schemes._blend_moduli(f, (ball,), values)) == [None] * 5
+    assert list(schemes._blend_plan(f, (ball,), values)) == [None] * 5
 
 
 def test_rotation_inner_solves_keep_real_step_norms(rotation_run):
