@@ -484,6 +484,28 @@ def cmd_sweep(args) -> int:
     return 0 if any_completed else 2
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance flag's value: a finite float above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """A count flag's value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _config_path(args) -> str:
     path = args.config_flag or args.config
     if path is None:
@@ -512,15 +534,15 @@ def build_parser() -> _Parser:
 
     na_p = sub.add_parser("certify-na", help="certify norm attainment of a square matrix")
     _add_config_arg(na_p, noun="matrix")
-    na_p.add_argument("--tol", type=float, default=1e-8)
+    na_p.add_argument("--tol", type=_tolerance, default=1e-8)
     na_p.add_argument("--seed", type=int, default=None)
     na_p.set_defaults(func=cmd_certify_na)
 
     fam_p = sub.add_parser("check-family", help="sample the family composition law")
     _add_config_arg(fam_p, noun="family")
-    fam_p.add_argument("--pairs", type=int, default=40)
-    fam_p.add_argument("--vectors", type=int, default=5)
-    fam_p.add_argument("--tol", type=float, default=1e-9)
+    fam_p.add_argument("--pairs", type=_count, default=40)
+    fam_p.add_argument("--vectors", type=_count, default=5)
+    fam_p.add_argument("--tol", type=_tolerance, default=1e-9)
     fam_p.add_argument("--seed", type=int, default=None)
     fam_p.set_defaults(func=cmd_check_family)
 

@@ -265,34 +265,39 @@ class LinearOperator(Operator):
 class AffineOperator(Operator):
     """x -> M x + c.
 
-    Without a declared class the class comes from matrix_norm, the spectral
-    norm ||M||_2: computed by spectral_norm, or passed in by a caller that
-    already computed it for this very matrix. It stays None for a declared
-    class.
+    Without a declared class the class comes from the spectral norm
+    ||M||_2. matrix_norm is the bound on ||M||_2 that picard_solve reads
+    to decide whether it may lift, and holds:
+
+    * ||M||_2 from one SVD, for a map built without a declared class and
+      for a blend that a schedule plan collapsed;
+    * the blend's declared modulus q_n, for the affine piece of a blend
+      that a solver builds (a nonexpansive map's local piece has norm at
+      most 1, so with honest classes the piece's norm is at most q_n, and
+      the piece's point is kept only if the blend certifies it);
+    * otherwise None: a map built with a declared class, which picard_solve
+      gives one SVD.
     """
 
     kind = "affine"
 
-    def __init__(
-        self, matrix, offset, declared_class: DeclaredClass | None = None,
-        matrix_norm: float | None = None,
-    ):
+    def __init__(self, matrix, offset, declared_class: DeclaredClass | None = None):
         matrix = _square_matrix(matrix)
         offset = as_vector(offset)
         if offset.shape[0] != matrix.shape[0]:
             raise InvalidSpec("affine offset dimension does not match the matrix")
-        self._init_checked(matrix, offset, declared_class, matrix_norm)
+        self._init_checked(matrix, offset, declared_class, None)
 
     def _init_checked(self, matrix, offset, declared_class, matrix_norm):
-        # matrix is square, offset matches it, both are finite and read-only.
+        # matrix is square, offset matches it, both are finite and read-only;
+        # matrix_norm is one of the values the class docstring lists, or None.
         self.matrix = matrix
         self.offset = offset
-        self.matrix_norm = None
         if declared_class is None:
             if matrix_norm is None:
                 matrix_norm = spectral_norm(matrix)
-            self.matrix_norm = float(matrix_norm)
-            declared_class = _class_from_bound(self.matrix_norm)
+            declared_class = _class_from_bound(matrix_norm)
+        self.matrix_norm = matrix_norm
         super().__init__(matrix.shape[0], declared_class)
 
     def _apply(self, x):
@@ -494,10 +499,14 @@ def _piece_at(op: Operator, x):
 
 
 def _pieces_along(operators, x):
-    """Each operator's piece at the point it receives when they run in order from x."""
-    for op in operators:
+    """Each operator's piece at the point it receives when they run in order from x.
+
+    No piece needs the last operator's value, so the last one is not applied.
+    """
+    last = len(operators) - 1
+    for k, op in enumerate(operators):
         yield _piece_at(op, x)
-        if x is not None:
+        if x is not None and k < last:
             x = op._apply(x)
 
 
@@ -618,6 +627,16 @@ class BlendOperator(Operator):
     def _apply(self, x):
         return self.a * self.first._apply(x) + self.b * self.second._apply(x)
 
+    def _apply_keeping_second(self, x):
+        """(the map's value at x, T(x)): _apply's bits, in its order, with T(x) kept.
+
+        A solver that needs both the blend's value and its target's at the
+        same point evaluates the target once.
+        """
+        scaled = self.a * self.first._apply(x)
+        second = self.second._apply(x)
+        return scaled + self.b * second, second
+
     def affine_piece(self, x=None):
         # The second map (a solve's target) is the one that may have no
         # piece, so it is asked first and the first map's piece is not built.
@@ -704,6 +723,7 @@ def blend(
 
 def _adopt_affine(
     matrix: np.ndarray, offset: np.ndarray, declared_class: DeclaredClass | None, name: str,
+    matrix_norm: float | None = None,
 ) -> AffineOperator:
     """AffineOperator on a matrix and offset just computed from checked parts.
 
@@ -711,7 +731,8 @@ def _adopt_affine(
     them: they are checked once, for finiteness, and frozen in place, with
     no copy. A NaN or infinite entry raises InvalidSpec, whose message
     starts with name. declared_class is as for AffineOperator; without one
-    the modulus takes one SVD.
+    the modulus takes one SVD. matrix_norm is the operator's matrix_norm
+    (see AffineOperator), given for a solver's piece.
     """
     if not np.isfinite(matrix).all():
         raise InvalidSpec(f"{name} matrix has non-finite entries")
@@ -719,7 +740,7 @@ def _adopt_affine(
         raise InvalidSpec(f"{name} offset has non-finite coordinates")
     matrix.flags.writeable = False
     offset.flags.writeable = False
-    return _affine_from_checked(matrix, offset, declared_class, None)
+    return _affine_from_checked(matrix, offset, declared_class, matrix_norm)
 
 
 def _affine_from_checked(matrix, offset, declared_class, matrix_norm) -> AffineOperator:

@@ -445,7 +445,11 @@ def _scanned_norms(G, x0, count):
 
 
 def _spectral_norm(G: Operator, matrix: np.ndarray) -> float:
-    """||M||_2 of G's global affine form: the one its construction computed, or one SVD."""
+    """The bound on ||M||_2 of G's global affine form that decides a lift.
+
+    An AffineOperator's matrix_norm when it has one (see AffineOperator),
+    else ||M||_2 from one SVD.
+    """
     known = G.matrix_norm if isinstance(G, AffineOperator) else None
     return spectral_norm(matrix) if known is None else known
 
@@ -478,9 +482,12 @@ def picard_solve(
         eps_machine ||x_k|| / (1 - alpha), step_norms the full sequence of
         update norms.
 
-    An affine G = M x + c with ||M||_2 < 1 (the AffineOperator's
-    matrix_norm when known, else one SVD here) runs the same iteration with
-    the same stopping rule and step norms, up to rounding: its step norms
+    An affine G = M x + c with ||M||_2 < 1 runs the same iteration with the
+    same stopping rule and step norms, up to rounding. ||M||_2 is read from
+    the AffineOperator's matrix_norm when it has one (an undeclared map's
+    or a planned collapse's SVD norm, or the blend's modulus q_n that
+    _solve_implicit gives the piece it solves), else it takes one SVD here,
+    as for every AffineOperator built with a declared class. Its step norms
     never increase, so the stop is found by binary lifting on M^(2^j) in
     O(log k) small products (see _picard_affine), and step_norms is
     computed only when read. Every other map, whose steps may grow before
@@ -546,40 +553,53 @@ def picard_solve(
 def _solve_implicit(
     f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
     collapse: tuple[np.ndarray, np.ndarray, float] | None = None,
-) -> tuple[FixedPointResult, float]:
-    """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta: (result, ||xi - g(xi)||).
+) -> tuple[FixedPointResult, float, np.ndarray | None]:
+    """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta.
+
+    Returns (result, ||xi - g(xi)||, T(xi)): g's value at xi evaluates T
+    there, and that one value is handed on when g is a BlendOperator. For
+    a g that blend() collapsed to one affine map, T(xi) is None.
 
     collapse, when given, is g's collapse to one affine map, already made
     by a schedule plan (see _blend_plan), and is handed to blend().
 
     When g has an affine piece at the warm start, the piece is solved first,
     declared with g's own modulus q so that picard_solve runs its affine
-    solve with the threshold g would get. Its point is kept only if
+    solve with the threshold g would get. The piece's matrix_norm is q too,
+    so picard_solve lifts on it without an SVD: a nonexpansive T's local
+    piece has ||M||_2 <= 1, so with honest classes the piece's norm is at
+    most eps ||M_f||_2 + (1 - eps) <= q < 1. Its point is kept only if
     ||xi - g(xi)|| <= delta (1 - q), which bounds the distance to the fixed
-    point of the q-contraction g by delta however xi was found. Otherwise,
-    or when the piece solve fails, picard_solve runs on g itself.
+    point of the q-contraction g by delta however xi was found, so a class
+    that overstates how f contracts costs no soundness. Otherwise, or when
+    the piece solve fails, picard_solve runs on g itself.
     """
     g = blend(eps, f, 1.0 - eps, T, collapse)
+    if not isinstance(g, BlendOperator):
+        res = picard_solve(g, warm, delta, policy)
+        return res, norm(res.point - g._apply(res.point)), None
     declared = g.declared_class
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
     # left to picard_solve, which resolves the one and rejects the other.
     piece = None
-    if isinstance(g, BlendOperator) and declared.kind == "contraction" and warm.shape == (g.dim,):
+    if declared.kind == "contraction" and warm.shape == (g.dim,):
         piece = g.affine_piece(warm)
     if piece is not None:
         # The piece's arrays are fresh, so they are frozen in place, not copied.
-        g_piece = _adopt_affine(piece[0], piece[1], declared, "piece")
+        g_piece = _adopt_affine(piece[0], piece[1], declared, "piece", declared.alpha)
         try:
             res = picard_solve(g_piece, warm, delta, policy)
         except (MaxIterExceeded, NonFiniteValue):
             pass
         else:
-            gap = norm(res.point - g._apply(res.point))
+            value, at_target = g._apply_keeping_second(res.point)
+            gap = norm(res.point - value)
             if gap <= delta * (1.0 - declared.alpha):
-                return res, gap
+                return res, gap, at_target
     res = picard_solve(g, warm, delta, policy)
-    return res, norm(res.point - g._apply(res.point))
+    value, at_target = g._apply_keeping_second(res.point)
+    return res, norm(res.point - value), at_target
 
 
 def implicit_step(
@@ -694,7 +714,9 @@ def viscosity_implicit_solve(
     ||xi - g(xi)|| <= delta_n (1 - q_n); otherwise picard_solve runs on g
     itself. Either way ||xi_n - xi_n*|| <= delta_n for the step's exact
     solution xi_n*, and the trace and inner_monitor see the solve whose
-    point was kept. When f and every step operator are affine, each g
+    point was kept. The value of T_n at xi_n that the certificate of a
+    g with no global affine form computes also gives the step's
+    fix_residual. When f and every step operator are affine, each g
     collapses to one affine map M_n x + c_n. A schedule plan (see
     _blend_plan) builds these a batch of steps at a time, with one
     finiteness check and one batched SVD for the moduli ||M_n||_2 per
@@ -724,11 +746,13 @@ def viscosity_implicit_solve(
         delta_n = opts.inner_tol_rule.delta(eps, opts.outer_tol)
         warm = x_prev if opts.warm_start else origin
         try:
-            res, implicit_res = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy, collapse)
+            res, implicit_res, at_target = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy, collapse)
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
         xi = res.point
-        fix_res = norm(xi - step_T._apply(xi))
+        if at_target is None:
+            at_target = step_T._apply(xi)
+        fix_res = norm(xi - at_target)
         step_delta = norm(xi - x_prev)
         trace.append(
             TraceStep(

@@ -89,6 +89,20 @@ def test_a_retraction_makes_one_traced_inner_call_and_blend_per_outer_step(monke
     assert len(calls["blend"]) == len(calls["picard_solve"]) == steps
 
 
+def test_a_retraction_of_a_nonaffine_target_takes_no_svd(monkeypatch):
+    # solve-nonaffine's retraction: each step's piece lifts on the blend's
+    # declared modulus.
+    import numpy as np
+
+    from viscofix import BallProjection, CompositeOperator, PlaneRotation, schemes
+
+    svds = _counted(monkeypatch, np.linalg, "svd")
+    target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    values = schemes.retraction_eval(target, [[3.0, 0.0], [0.0, -3.0], [-2.0, 2.0]], n_max=50)
+    assert values.failures == {}
+    assert svds == []
+
+
 def test_an_affine_schedule_collapses_its_blends_a_batch_at_a_time(monkeypatch):
     # solve-affine's blend counters rest on this: one traced schemes.blend
     # call per outer step, which adopts the step's planned collapse, and the
@@ -114,13 +128,14 @@ def test_an_affine_schedule_collapses_its_blends_a_batch_at_a_time(monkeypatch):
     # One batched SVD per batch of 300 steps, and no other SVD.
     assert [args[0].shape for args in svds] == [(300, 2, 2)] * 6 + [(200, 2, 2)]
     # A target with no global affine form plans nothing: blend() gets no
-    # collapse and keeps the blend, whose pieces are solved as before.
+    # collapse and keeps the blend, whose pieces lift on the blend's
+    # declared modulus, with no SVD.
     for calls in (blends, collapses, svds):
         calls.clear()
     _, trace = schemes.viscosity_implicit_solve(forcing, target, schemes.make_schedule(n_max=30))
     assert len(trace) == len(blends) == 30
     assert all(args[4] is None for args in blends)
-    assert collapses == [] and all(args[0].ndim == 2 for args in svds)
+    assert collapses == [] and svds == []
 
 
 def _counted(monkeypatch, module, name):

@@ -503,6 +503,59 @@ def test_check_family_planted_violation_exits_two(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Numeric flags
+
+
+def _flag_inputs(tmp_path):
+    family = {"kind": "power", "base": {"kind": "rotation", "dim": 2, "plane": [0, 1], "angle": 0.9}}
+    return {
+        "check-family": _write(tmp_path, "family.json", family),
+        "certify-na": _write(tmp_path, "matrix.json", {"matrix": [[2.0, 0.0], [0.0, 1.0]]}),
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("check-family", "--pairs", "0"),
+        ("check-family", "--pairs", "2.5"),
+        ("check-family", "--vectors", "-1"),
+        ("check-family", "--tol", "nan"),
+        ("check-family", "--tol", "0"),
+        ("certify-na", "--tol", "-1"),
+        ("certify-na", "--tol", "nan"),
+        ("certify-na", "--tol", "inf"),
+        ("certify-na", "--tol", "tight"),
+    ],
+)
+def test_bad_numeric_flags_fail_as_errors_that_name_the_flag(tmp_path, capsys, command, flag, value):
+    # The input file is valid: only the flag can fail, and it fails when the
+    # arguments are parsed, before any sampling or power iteration.
+    path = _flag_inputs(tmp_path)[command]
+    assert main([command, str(path), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: argument {flag}: ")
+    assert repr(value) in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, defaults",
+    [
+        ("check-family", ["--pairs", "40", "--vectors", "5", "--tol", "1e-9"]),
+        ("certify-na", ["--tol", "1e-8"]),
+    ],
+)
+def test_numeric_flags_at_their_defaults_print_the_default_output(tmp_path, capsys, command, defaults):
+    path = _flag_inputs(tmp_path)[command]
+    assert main([command, str(path)]) == 0
+    implicit = capsys.readouterr().out
+    assert main([command, str(path), *defaults]) == 0
+    assert capsys.readouterr().out == implicit
+    json.loads(implicit)
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 

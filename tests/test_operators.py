@@ -702,6 +702,27 @@ def test_iterated_piece_follows_the_iterates():
     assert _same_piece(IteratedOperator(step, 0).affine_piece([5.0, 0.0]), (np.eye(2), np.zeros(2)))
 
 
+def test_composite_and_iterated_pieces_apply_all_but_the_last_operator_once(monkeypatch):
+    applied = []
+    for cls in (PlaneRotation, BallProjection):
+        original = cls._apply
+
+        def counted(self, x, _original=original):
+            applied.append(self)
+            return _original(self, x)
+
+        monkeypatch.setattr(cls, "_apply", counted)
+    rot, ball, last = PlaneRotation(2, (0, 1), 0.7), BallProjection([0.0, 0.0], 2.0), PlaneRotation(2, (0, 1), -0.3)
+    piece = CompositeOperator([rot, ball, last]).affine_piece([0.5, 0.5])
+    # Each operator's value is the next one's point; no piece needs the last's.
+    assert applied == [rot, ball]
+    expected = last.affine_parts()[0] @ rot.affine_parts()[0]
+    assert _same_piece(piece, (expected, np.zeros(2)))
+    applied.clear()
+    assert _same_piece(IteratedOperator(ball, 3).affine_piece([0.5, 0.5]), (np.eye(2), np.zeros(2)))
+    assert applied == [ball, ball]
+
+
 def test_averaged_blend_and_declared_pieces_combine_their_children():
     ball = BallProjection([0.0, 0.0], 1.0)
     inside, outside = [0.5, 0.0], [2.0, 0.0]

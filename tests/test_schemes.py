@@ -870,6 +870,95 @@ def test_a_piece_is_solved_on_its_own_arrays_and_a_non_finite_one_is_rejected(mo
             implicit_step(f, ball, 0.25, [0.0, 0.0], 1e-9)
 
 
+def _applications_outside_picard(monkeypatch, target) -> list:
+    """The points at which target's class applies target outside picard_solve from now on."""
+    points, depth = [], [0]
+    original_apply = type(target)._apply
+    original_solve = schemes.picard_solve
+
+    def apply(self, x):
+        if self is target and depth[0] == 0:
+            points.append(x.copy())
+        return original_apply(self, x)
+
+    def solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return original_solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(type(target), "_apply", apply)
+    monkeypatch.setattr(schemes, "picard_solve", solve)
+    return points
+
+
+@pytest.mark.parametrize("path", ["generic", "piece"])
+def test_each_outer_step_applies_the_target_once_outside_picard(monkeypatch, path):
+    if path == "generic":
+        # Every iterate and warm start lies outside the ball: no piece, and
+        # every step runs Picard on the blend.
+        f, target = ConstantOperator([8.0, 0.0]), BallProjection([5.0, 0.0], 1.0)
+    else:
+        f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+        target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    calls = _count_picard_calls(monkeypatch)
+    points = _applications_outside_picard(monkeypatch, target)
+    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
+    solved = {"generic": BlendOperator, "piece": AffineOperator}[path]
+    assert [type(G) for G in calls] == [solved] * 30
+    # One value of T_n at the step's point serves the certificate and the
+    # fixed-point residual.
+    assert [tuple(x.tolist()) for x in points] == [step.point for step in trace.steps]
+
+
+def test_a_piece_lifted_past_its_declared_bound_is_kept_only_if_certified():
+    # f declares 0.5 for a matrix with ||M||_2 > 1, so each piece
+    # eps_n M + (1 - eps_n) I inside the ball has a norm above the modulus
+    # q_n it carries, and its steps can grow before they decay.
+    m = _growing(2)[0].matrix
+    ball = BallProjection([0.0, 0.0], 100.0)
+    delta = 1e-3
+    opts = SolveOptions(inner_tol_rule=fixed_inner_tol(delta))
+    certified = set()
+    # A tiny offset stops the first piece solve after one step, whose point
+    # the blend does not certify.
+    for offset in ([0.0, 2e-3 / 3.5], [1.0, -1.0]):
+        f = AffineOperator(m, offset, contraction(0.5))
+        _, trace = viscosity_implicit_solve(f, ball, make_schedule(n_max=12), opts)
+        warm = np.zeros(2)
+        for step in trace.steps:
+            g = blend(step.eps, f, 1.0 - step.eps, ball)
+            q = g.declared_class.alpha
+            assert np.linalg.norm(g.affine_piece(warm)[0], 2) > q
+            point = np.array(step.point)
+            kept = step.implicit_residual <= delta * (1.0 - q)
+            assert kept or point.tobytes() == picard_solve(g, warm, delta).point.tobytes()
+            certified.add(kept)
+            warm = point
+    assert certified == {True, False}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "offset, policy, error",
+    [
+        ([1.0, -1.0], TolerancePolicy(max_iter=5), MaxIterExceeded),
+        ([1.7e308, 0.0], TolerancePolicy(), NonFiniteValue),
+    ],
+)
+def test_a_failing_step_past_the_declared_bound_raises_what_the_blend_raises(monkeypatch, offset, policy, error):
+    f = AffineOperator(_growing(2)[0].matrix, offset, contraction(0.5))
+    ball = BallProjection([0.0, 0.0], 100.0)
+    with pytest.raises(error) as direct:
+        picard_solve(blend(0.5, f, 0.5, ball), [0.0, 0.0], 1e-9, policy)
+    calls = _count_picard_calls(monkeypatch)
+    with pytest.raises(error) as stepped:
+        implicit_step(f, ball, 0.5, [0.0, 0.0], 1e-9, policy)
+    assert [type(G) for G in calls] == [AffineOperator, BlendOperator]
+    assert str(stepped.value) == str(direct.value)
+
+
 def test_implicit_step_is_the_outer_loops_first_step(monkeypatch):
     f = AffineOperator(0.5 * np.eye(2), [0.3, -0.2])
     ball = BallProjection([0.0, 0.0], 2.0)
