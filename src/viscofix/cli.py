@@ -495,15 +495,25 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """A count flag's value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+def _integer_from(least: int):
+    """The type of an integer flag whose values start at least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: A count flag's value: an integer of at least 1.
+_count = _integer_from(1)
+#: A seed flag's value: numpy's generators take no negative seed.
+_seed = _integer_from(0)
 
 
 def _config_path(args) -> str:
@@ -535,7 +545,7 @@ def build_parser() -> _Parser:
     na_p = sub.add_parser("certify-na", help="certify norm attainment of a square matrix")
     _add_config_arg(na_p, noun="matrix")
     na_p.add_argument("--tol", type=_tolerance, default=1e-8)
-    na_p.add_argument("--seed", type=int, default=None)
+    na_p.add_argument("--seed", type=_seed, default=None)
     na_p.set_defaults(func=cmd_certify_na)
 
     fam_p = sub.add_parser("check-family", help="sample the family composition law")
@@ -543,7 +553,7 @@ def build_parser() -> _Parser:
     fam_p.add_argument("--pairs", type=_count, default=40)
     fam_p.add_argument("--vectors", type=_count, default=5)
     fam_p.add_argument("--tol", type=_tolerance, default=1e-9)
-    fam_p.add_argument("--seed", type=int, default=None)
+    fam_p.add_argument("--seed", type=_seed, default=None)
     fam_p.set_defaults(func=cmd_check_family)
 
     sweep_p = sub.add_parser("sweep", help="re-run one config across parameter values")

@@ -511,15 +511,13 @@ def _pieces_along(operators, x):
 
 
 def _compose(pieces, dim: int):
-    """Piece of maps applied in order (the first piece first), or None if one is None.
+    """Piece of maps applied in order (the first piece first).
 
     It starts from the first piece, not from (I, 0), and is (I, 0) for no
     pieces. A single piece comes back as it was given.
     """
     composed = None
     for piece in pieces:
-        if piece is None:
-            return None
         if composed is None:
             composed = piece
             continue
@@ -528,10 +526,46 @@ def _compose(pieces, dim: int):
     return (np.eye(dim), np.zeros(dim)) if composed is None else composed
 
 
+def _same_piece(piece, other) -> bool:
+    """Whether two pieces are the very same pair of arrays.
+
+    Pieces are values: an operator that hands out the same read-only
+    arrays again hands out the same piece, so whatever was built from
+    the one holds for the other.
+    """
+    return other is not None and piece[0] is other[0] and piece[1] is other[1]
+
+
+def _composed(op, pieces):
+    """_compose of pieces for a composing operator op, kept from op's last call.
+
+    While every piece is the same read-only pair of arrays as at that call,
+    the composed pair it made, read-only, comes back without multiplying
+    again. A piece that is still writeable may change, so a composition of
+    one is not kept. None as soon as a piece is None; the rest are not
+    built.
+    """
+    seen = []
+    for piece in pieces:
+        if piece is None:
+            return None
+        seen.append(piece)
+    last = op._last_piece
+    if last is not None and len(last[0]) == len(seen) and all(map(_same_piece, seen, last[0])):
+        return last[1]
+    composed = _compose(seen, op.dim)
+    if not any(m.flags.writeable or c.flags.writeable for m, c in seen):
+        composed = _frozen(*composed)
+        op._last_piece = seen, composed
+    return composed
+
+
 class CompositeOperator(Operator):
     """Sequential composition; operators[0] is applied first."""
 
     kind = "composite"
+    #: (the child pieces, their composition) of the last piece built; see _composed.
+    _last_piece = None
 
     def __init__(self, operators):
         ops = tuple(operators)
@@ -561,9 +595,15 @@ class CompositeOperator(Operator):
         return x
 
     def affine_piece(self, x=None):
+        """The composition of each operator's piece at the point it receives.
+
+        The same read-only pair comes back while every operator's piece is
+        the same as at the last call (see _composed): inside its ball,
+        rotation ∘ ball has one piece object.
+        """
         if x is not None:
             x = self._check_arg(x)
-        return _compose(_pieces_along(self.operators, x), self.dim)
+        return _composed(self, _pieces_along(self.operators, x))
 
     def to_spec(self):
         return {"kind": "composite", "operators": [op.to_spec() for op in self.operators]}
@@ -573,6 +613,8 @@ class IteratedOperator(Operator):
     """n-fold self-composition of a base operator (n = 0 gives the identity)."""
 
     kind = "iterated"
+    #: (the base's pieces, their composition) of the last local piece built; see _composed.
+    _last_piece = None
 
     def __init__(self, base: Operator, n: int):
         n = int(n)
@@ -595,8 +637,14 @@ class IteratedOperator(Operator):
         return y
 
     def affine_piece(self, x=None):
+        """The composition of the base's pieces at x and its next n - 1 iterates.
+
+        A local piece comes back as the same read-only pair while the
+        base's pieces are the same as at the last call (see _composed).
+        With x None, the base's global form composed n times.
+        """
         if x is not None:
-            return _compose(_pieces_along((self.base,) * self.n, self._check_arg(x)), self.dim)
+            return _composed(self, _pieces_along((self.base,) * self.n, self._check_arg(x)))
         piece = self.base.affine_parts()
         return None if piece is None else _compose((piece,) * self.n, self.dim)
 
@@ -646,7 +694,22 @@ class BlendOperator(Operator):
         ps = _piece_at(self.first, x)
         if ps is None:
             return None
-        return self.a * ps[0] + self.b * pt[0], self.a * ps[1] + self.b * pt[1]
+        return _blend_form(self.a, ps, self.b, pt)
+
+
+def _blend_form(a, first, b, second):
+    """(a M_S + b M_T, a c_S + b c_T): the affine form of x -> a S(x) + b T(x).
+
+    first and second are the forms (M_S, c_S) and (M_T, c_T). a and b are
+    floats, or arrays of n weights for n blends at once, whose forms are
+    then stacked, (n, d, d) and (n, d), or shared by all n. Either way
+    each entry takes the same products and sum, so a blend has the same
+    bits alone and in a stack.
+    """
+    (ms, cs), (mt, ct) = first, second
+    if isinstance(a, np.ndarray) and a.ndim:
+        return a[:, None, None] * ms + b[:, None, None] * mt, a[:, None] * cs + b[:, None] * ct
+    return a * ms + b * mt, a * cs + b * ct
 
 
 class FunctionOperator(Operator):
@@ -715,8 +778,7 @@ def blend(
     if ps is not None and pt is not None:
         # An overflow is reported by the finiteness checks, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            matrix = a * ps[0] + b * pt[0]
-            offset = a * ps[1] + b * pt[1]
+            matrix, offset = _blend_form(a, ps, b, pt)
         return _adopt_affine(matrix, offset, None, "collapsed")
     return BlendOperator(a, first, b, second)
 

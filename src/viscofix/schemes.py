@@ -24,6 +24,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,10 @@ from .operators import (
     NonFiniteValue,
     Operator,
     _adopt_affine,
+    _affine_from_checked,
+    _blend_form,
+    _piece_at,
+    _same_piece,
     blend,
     contraction,
     estimate_lipschitz,
@@ -264,15 +269,16 @@ def _resolve_contraction(G: Operator) -> Operator:
 def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int):
     """Picard step by step through G's apply: (last iterate, step norms).
 
-    Returns whether or not the stopping rule fired within max_iter steps.
-    The iterate may be an array that G's apply still holds. Raises
-    NonFiniteValue at the first step where G returns NaN or inf.
+    Returns whether or not the stopping rule fired within max_iter >= 1
+    steps. The iterate is one of G's apply outputs, never x itself, and may
+    be an array that G's apply still holds. Raises NonFiniteValue at the
+    first step where G returns NaN or inf.
     """
     # x was checked by picard_solve and every operator keeps the shape of its
     # argument, so the loop skips the public apply's check.
     apply = G._apply
     steps: list[float] = []
-    current = x.copy()
+    current = x
     for k in range(1, max_iter + 1):
         nxt = apply(current)
         step = nxt - current
@@ -289,16 +295,6 @@ def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int)
         if delta <= threshold:
             break
     return current, steps
-
-
-def _wide_norm(v: np.ndarray) -> float:
-    """||v||, finite wherever the norm itself is, without numpy's overflow warning.
-
-    vdot gives dot's bits without the warning; past about 1.3e154 its square
-    overflows and hypot's scaled sum takes over.
-    """
-    squared = np.vdot(v, v)
-    return math.sqrt(squared) if squared < math.inf else math.hypot(*v)
 
 
 # A lifting level j holds P = M^(2^j) over S = I + M + ... + M^(2^j - 1).
@@ -419,23 +415,27 @@ def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_ite
     k steps, when they are read.
 
     Returns (point, iterations, last step norm, the callable that computes
-    the step norms), or None when max_iter steps pass without a stop.
-    Raises NonFiniteValue when the lifted iterate at the stop (or at
-    max_iter) is not finite.
+    the step norms), or None when max_iter steps pass without a stop. The
+    point at the stop is not checked here: picard_solve checks it with the
+    same vdot that gives its rounding floor. Raises NonFiniteValue when the
+    iterate at max_iter is not finite.
     """
     matrix, offset = parts
-    # Huge steps overflow to inf; the finiteness check below reports them.
+    # Huge steps overflow to inf without warnings; a non-finite iterate is
+    # reported below at the budget, and by picard_solve at the stop.
     with np.errstate(over="ignore", invalid="ignore"):
         step = matrix @ x0 + offset - x0
         found, total, last = _lift(matrix, step, threshold, max_iter)
         x = x0 + total
-    if not np.isfinite(x).all():
-        raise NonFiniteValue(
-            f"Picard steps 1-{found or max_iter} produced a non-finite value (operator kind '{G.kind}')"
-        )
     if found is None:
+        if not np.isfinite(x).all():
+            raise _non_finite_iterate(G, max_iter)
         return None
     return x, found, last, functools.partial(_scanned_norms, G, x0.copy(), found)
+
+
+def _non_finite_iterate(G: Operator, count: int) -> NonFiniteValue:
+    return NonFiniteValue(f"Picard steps 1-{count} produced a non-finite value (operator kind '{G.kind}')")
 
 
 def _scanned_norms(G, x0, count):
@@ -534,13 +534,23 @@ def picard_solve(
             f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
         )
     point, iterations, last, steps = outcome
-    # Both paths give a fresh point, and a finite one: the lifted solve
-    # checks it, and the step-by-step loop stopped on a finite step from it,
-    # which a non-finite iterate cannot take.
+    # One vdot gives ||x||^2 with dot's bits and without numpy's overflow
+    # warning. Only a square past the float range needs the coordinates
+    # checked: a finite point's norm is then hypot's scaled sum. The
+    # step-by-step loop stopped on a finite step from its point, which a
+    # non-finite iterate cannot take, so only a lifted point can fail here.
+    squared = np.vdot(point, point)
+    if squared < math.inf:
+        size = math.sqrt(squared)
+    elif np.isfinite(point).all():
+        size = math.hypot(*point)
+    else:
+        raise _non_finite_iterate(G, iterations)
+    # Both paths give a fresh point.
     point.flags.writeable = False
     # Each step rounds the iterate by about eps_machine ||x||, and the
     # contraction keeps such errors within that over (1 - alpha) of x*.
-    floor = _MACHINE_EPS * _wide_norm(point) / (1.0 - alpha)
+    floor = _MACHINE_EPS * size / (1.0 - alpha)
     return FixedPointResult(
         point=point,
         residual=last * alpha / (1.0 - alpha) + floor,
@@ -550,9 +560,25 @@ def picard_solve(
     )
 
 
+class _StepPiece(NamedTuple):
+    """A blend's affine piece at a step's warm start, (matrix, offset) or (None, None) for none.
+
+    frozen tells a row of a schedule plan's batch, already checked finite
+    and read-only, from a row built alone, whose arrays are fresh and are
+    checked and frozen at its own step.
+    """
+
+    matrix: np.ndarray | None
+    offset: np.ndarray | None
+    frozen: bool
+
+
+_NO_PIECE = _StepPiece(None, None, False)
+
+
 def _solve_implicit(
     f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
-    collapse: tuple[np.ndarray, np.ndarray, float] | None = None,
+    planned: tuple | None = None,
 ) -> tuple[FixedPointResult, float, np.ndarray | None]:
     """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta.
 
@@ -560,8 +586,12 @@ def _solve_implicit(
     there, and that one value is handed on when g is a BlendOperator. For
     a g that blend() collapsed to one affine map, T(xi) is None.
 
-    collapse, when given, is g's collapse to one affine map, already made
-    by a schedule plan (see _blend_plan), and is handed to blend().
+    planned, when given, is what a schedule plan made of this step (see
+    _blend_plan): g's collapse to one affine map, which is handed to
+    blend(), or g's affine piece at warm, a _StepPiece, which stands in for
+    g.affine_piece(warm). A planned row is only wrapped in an
+    AffineOperator; a row built alone is checked for finiteness first
+    (InvalidSpec).
 
     When g has an affine piece at the warm start, the piece is solved first,
     declared with g's own modulus q so that picard_solve runs its affine
@@ -574,7 +604,8 @@ def _solve_implicit(
     that overstates how f contracts costs no soundness. Otherwise, or when
     the piece solve fails, picard_solve runs on g itself.
     """
-    g = blend(eps, f, 1.0 - eps, T, collapse)
+    piece = planned if isinstance(planned, _StepPiece) else None
+    g = blend(eps, f, 1.0 - eps, T, None if piece is not None else planned)
     if not isinstance(g, BlendOperator):
         res = picard_solve(g, warm, delta, policy)
         return res, norm(res.point - g._apply(res.point)), None
@@ -582,12 +613,17 @@ def _solve_implicit(
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
     # left to picard_solve, which resolves the one and rejects the other.
-    piece = None
+    g_piece = None
     if declared.kind == "contraction" and warm.shape == (g.dim,):
-        piece = g.affine_piece(warm)
-    if piece is not None:
-        # The piece's arrays are fresh, so they are frozen in place, not copied.
-        g_piece = _adopt_affine(piece[0], piece[1], declared, "piece", declared.alpha)
+        if piece is None:
+            row = g.affine_piece(warm)
+            piece = _NO_PIECE if row is None else _StepPiece(*row, False)
+        if piece.frozen:
+            g_piece = _affine_from_checked(piece.matrix, piece.offset, declared, declared.alpha)
+        elif piece.matrix is not None:
+            # The row's arrays are fresh, so they are frozen in place, not copied.
+            g_piece = _adopt_affine(piece.matrix, piece.offset, declared, "piece", declared.alpha)
+    if g_piece is not None:
         try:
             res = picard_solve(g_piece, warm, delta, policy)
         except (MaxIterExceeded, NonFiniteValue):
@@ -640,40 +676,98 @@ def _step_operators(target, dim: int) -> tuple[Operator, ...]:
 _PLAN_BATCH = 1 << 16
 
 
-def _blend_plan(f: Operator, step_ops, values):
-    """The collapse blend() would make of each step's eps_n f + (1 - eps_n) T_n, in turn.
+def _blend_plan(f: Operator, step_ops, values, warm=None):
+    """What a schedule plan builds for each step's blend g_n = eps_n f + (1 - eps_n) T_n, in turn.
 
-    A collapse is (M_n, c_n, ||M_n||_2), with M_n = eps_n M_f + (1 - eps_n)
-    M_T and c_n = eps_n c_f + (1 - eps_n) c_T. The steps are planned a batch
-    at a time: the batch's matrices and offsets are stacked with the
-    products and sums blend() uses, checked for finiteness once and frozen,
-    and one batched SVD, which gives the bits of one SVD per matrix, gives
-    their moduli. So each collapse has the bits of blend()'s own.
+    A generator: next() gives step 1's entry, planned at the warm start
+    warm, and send(w) gives the next step's, planned at its warm start w.
+    Plain iteration sends None, which plans no piece.
 
-    None for each step of a batch with a non-finite entry, which is not
-    passed to the SVD, and for every step when f or a step operator has no
-    global affine form: blend() then collapses the step itself, or does not.
+    When f and every step operator have a global affine form, an entry is
+    g_n's collapse (M_n, c_n, ||M_n||_2), with M_n = eps_n M_f + (1 -
+    eps_n) M_T and c_n = eps_n c_f + (1 - eps_n) c_T. The steps are planned
+    a batch at a time: the batch's matrices and offsets are stacked with
+    the products and sums blend() uses (operators._blend_form), checked for
+    finiteness once and frozen, and one batched SVD, which gives the bits
+    of one SVD per matrix, gives their moduli. So each collapse has the
+    bits of blend()'s own. A batch with a non-finite entry is not passed to
+    the SVD; its entries are None, and blend() collapses those steps
+    itself.
+
+    Otherwise, when f has a global form, a step whose T_n has none gets
+    g_n's affine piece at its warm start w, a _StepPiece. It is keyed by
+    T_n's own piece there, operators._piece_at(T_n, w), compared by
+    identity. A piece seen for the first time gets its one row built alone,
+    with the products and sums BlendOperator.affine_piece uses. When the
+    next step of the same family member sees the same read-only piece (a
+    ball's interior, or a composite's kept composition, see
+    operators._composed), that member's rows for the rest of the batch are
+    stacked the same way, checked for finiteness once and frozen; each
+    member keeps its own. A batch with a non-finite entry is not planned,
+    and its rows are built alone. Pieces take no SVD: _solve_implicit lifts
+    them on the blend's declared modulus. A target whose pieces are fresh
+    objects on every call has every row built alone.
+
+    An entry is None where nothing is planned: a step whose T_n has a
+    global form in a schedule that is not all affine (blend() collapses
+    it), every step when f has no global form, and a step without a warm
+    start.
     """
-    parts = [op.affine_parts() for op in (f, *step_ops)]
-    if any(piece is None for piece in parts):
-        yield from [None] * len(values)
+    forcing, *forms = [op.affine_parts() for op in (f, *step_ops)]
+    batch = max(1, _PLAN_BATCH // (f.dim * f.dim))
+    if forcing is not None and all(form is not None for form in forms):
+        matrices = np.stack([form[0] for form in forms])
+        offsets = np.stack([form[1] for form in forms])
+        for start in range(0, len(values), batch):
+            eps = np.array(values[start : start + batch])
+            index = np.arange(start, start + eps.size) % len(forms)
+            # A non-finite part shows in the check below, not as a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack, shifts = _blend_form(eps, forcing, 1.0 - eps, (matrices[index], offsets[index]))
+            if not (np.isfinite(stack).all() and np.isfinite(shifts).all()):
+                for _ in range(eps.size):
+                    yield None
+                continue
+            stack.flags.writeable = shifts.flags.writeable = False
+            # Entries are yielded one by one, so that the warm starts sent in are taken.
+            for collapse in zip(stack, shifts, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()):
+                yield collapse
         return
-    (forcing, forcing_offset), members = parts[0], parts[1:]
-    matrices = np.stack([piece[0] for piece in members])
-    offsets = np.stack([piece[1] for piece in members])
-    batch = max(1, _PLAN_BATCH // forcing.size)
-    for start in range(0, len(values), batch):
-        eps = np.array(values[start : start + batch])
-        index = np.arange(start, start + eps.size) % len(members)
-        # A non-finite part shows in the check below, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack = eps[:, None, None] * forcing + (1.0 - eps[:, None, None]) * matrices[index]
-            shifts = eps[:, None] * forcing_offset + (1.0 - eps[:, None]) * offsets[index]
-        if not (np.isfinite(stack).all() and np.isfinite(shifts).all()):
-            yield from [None] * eps.size
+    count = len(forms)
+    # Each member's piece at its last step, and its planned rows as
+    # (piece, first step, end of the batch, matrices or None, offsets).
+    seen: list = [None] * count
+    plans: list = [None] * count
+    for idx, eps in enumerate(values):
+        member = idx % count
+        if warm is None or forcing is None or forms[member] is not None:
+            warm = yield None
             continue
-        stack.flags.writeable = shifts.flags.writeable = False
-        yield from zip(stack, shifts, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist())
+        piece = _piece_at(step_ops[member], warm)
+        if piece is None:
+            entry = _NO_PIECE
+        else:
+            plan = plans[member]
+            if plan is None or idx >= plan[2] or not _same_piece(piece, plan[0]):
+                plan = plans[member] = None
+                # A writeable piece may change behind its identity: it is never planned.
+                if _same_piece(piece, seen[member]) and not (piece[0].flags.writeable or piece[1].flags.writeable):
+                    stop = min(len(values), (idx // batch + 1) * batch)
+                    weights = np.array(values[idx:stop:count])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        matrices, offsets = _blend_form(weights, forcing, 1.0 - weights, piece)
+                    if np.isfinite(matrices).all() and np.isfinite(offsets).all():
+                        matrices.flags.writeable = offsets.flags.writeable = False
+                    else:
+                        matrices = None
+                    plan = plans[member] = (piece, idx, stop, matrices, offsets)
+            if plan is not None and plan[3] is not None:
+                row = (idx - plan[1]) // count
+                entry = _StepPiece(plan[3][row], plan[4][row], True)
+            else:
+                entry = _StepPiece(*_blend_form(eps, forcing, 1.0 - eps, piece), False)
+        seen[member] = piece
+        warm = yield entry
 
 
 def viscosity_implicit_solve(
@@ -716,13 +810,19 @@ def viscosity_implicit_solve(
     solution xi_n*, and the trace and inner_monitor see the solve whose
     point was kept. The value of T_n at xi_n that the certificate of a
     g with no global affine form computes also gives the step's
-    fix_residual. When f and every step operator are affine, each g
-    collapses to one affine map M_n x + c_n. A schedule plan (see
-    _blend_plan) builds these a batch of steps at a time, with one
-    finiteness check and one batched SVD for the moduli ||M_n||_2 per
-    batch, and blend() adopts each step's collapse as it comes; a batch
-    with a non-finite entry leaves its steps to blend(), so that the first
-    of them to overflow raises InvalidSpec at its own step.
+    fix_residual.
+
+    A schedule plan (see _blend_plan) builds the steps' affine maps a batch
+    of steps at a time, with one finiteness check per batch. When f and
+    every step operator are affine, each g collapses to one affine map
+    M_n x + c_n, whose moduli ||M_n||_2 come from one batched SVD per
+    batch, and blend() adopts each step's collapse as it comes. When f is
+    affine and T_n is not, the plan builds g's piece at each warm start:
+    alone the first time a member's piece is seen, and for the rest of the
+    batch at once when the member's next step sees the same piece object,
+    as inside the ball of rotation ∘ ball. A batch with a non-finite entry
+    is not planned: its steps build their own maps, so that the first of
+    them to overflow raises InvalidSpec at its own step.
 
     MaxIterExceeded and NonFiniteValue from an inner solve are raised again
     with the outer step n and eps_n in front of the message.
@@ -739,21 +839,26 @@ def viscosity_implicit_solve(
     started = time.time()
     converged = False
     fix_res = float("inf")
-    plan = _blend_plan(f, step_ops, schedule.values)
-    for idx, (eps, collapse) in enumerate(zip(schedule.values, plan)):
+    # Step 1 starts from the origin with or without warm starts.
+    plan = _blend_plan(f, step_ops, schedule.values, origin)
+    for idx, eps in enumerate(schedule.values):
         n = idx + 1
         step_T = step_ops[idx % len(step_ops)]
         delta_n = opts.inner_tol_rule.delta(eps, opts.outer_tol)
         warm = x_prev if opts.warm_start else origin
+        planned = plan.send(warm) if idx else next(plan)
         try:
-            res, implicit_res, at_target = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy, collapse)
+            res, implicit_res, at_target = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy, planned)
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
         xi = res.point
         if at_target is None:
             at_target = step_T._apply(xi)
-        fix_res = norm(xi - at_target)
-        step_delta = norm(xi - x_prev)
+        # space.norm's bits, without its conversions: both are fresh 1-D float arrays.
+        gap = xi - at_target
+        fix_res = math.sqrt(gap.dot(gap))
+        gap = xi - x_prev
+        step_delta = math.sqrt(gap.dot(gap))
         trace.append(
             TraceStep(
                 n=n,

@@ -76,6 +76,27 @@ def test_a_piece_solve_computes_the_targets_global_form_once(monkeypatch):
     assert global_forms == [target]
 
 
+def test_a_piece_schedule_builds_one_row_alone_and_plans_the_rest(monkeypatch):
+    # solve-nonaffine's solve: its iterates stay inside the ball, so the
+    # composite has one piece object, composed once; the plan builds the
+    # first step's row alone and every later row in one batch, while the
+    # tracer still sees one blend and one inner solve per outer step.
+    from viscofix import AffineOperator, BallProjection, CompositeOperator, PlaneRotation, operators, schemes
+
+    blends = _counted(monkeypatch, schemes, "blend")
+    solves = _counted(monkeypatch, schemes, "picard_solve")
+    composes = _counted(monkeypatch, operators, "_compose")
+    adopted = _counted(monkeypatch, schemes, "_adopt_affine")
+    forcing = AffineOperator([[0.5, 0.0], [0.0, 0.5]], [0.1, 0.05])
+    target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    _, trace = schemes.viscosity_implicit_solve(forcing, target, schemes.make_schedule(n_max=30))
+    assert all(sum(x * x for x in step.point) <= 1.0 for step in trace.steps)
+    assert len(trace) == len(blends) == 30
+    assert [type(args[0]) for args in solves] == [AffineOperator] * 30
+    assert len(composes) == 1
+    assert len(adopted) == 1
+
+
 def test_a_retraction_makes_one_traced_inner_call_and_blend_per_outer_step(monkeypatch):
     # solve-nonaffine's counters for its 3-anchor retraction rest on this.
     from viscofix import BallProjection, CompositeOperator, PlaneRotation, schemes

@@ -14,6 +14,7 @@ from jsonschema.validators import validator_for
 
 from viscofix import cli, schemes, semigroup
 from viscofix.cli import RUN_CONFIG_SCHEMA, ConfigInvalid, config_hash, load_run_config, main
+from viscofix.space import DEFAULT_SEED
 
 BALL_PROBLEM = {
     "target": {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0},
@@ -526,6 +527,9 @@ def _flag_inputs(tmp_path):
         ("certify-na", "--tol", "nan"),
         ("certify-na", "--tol", "inf"),
         ("certify-na", "--tol", "tight"),
+        ("check-family", "--seed", "-1"),
+        ("check-family", "--seed", "1.5"),
+        ("certify-na", "--seed", "-5"),
     ],
 )
 def test_bad_numeric_flags_fail_as_errors_that_name_the_flag(tmp_path, capsys, command, flag, value):
@@ -544,6 +548,8 @@ def test_bad_numeric_flags_fail_as_errors_that_name_the_flag(tmp_path, capsys, c
     [
         ("check-family", ["--pairs", "40", "--vectors", "5", "--tol", "1e-9"]),
         ("certify-na", ["--tol", "1e-8"]),
+        ("check-family", ["--seed", str(DEFAULT_SEED)]),
+        ("certify-na", ["--seed", str(DEFAULT_SEED)]),
     ],
 )
 def test_numeric_flags_at_their_defaults_print_the_default_output(tmp_path, capsys, command, defaults):
@@ -553,6 +559,13 @@ def test_numeric_flags_at_their_defaults_print_the_default_output(tmp_path, caps
     assert main([command, str(path), *defaults]) == 0
     assert capsys.readouterr().out == implicit
     json.loads(implicit)
+
+
+@pytest.mark.parametrize("command", ["check-family", "certify-na"])
+def test_seed_zero_is_a_seed(tmp_path, capsys, command):
+    path = _flag_inputs(tmp_path)[command]
+    assert main([command, str(path), "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from viscofix import (
     operator_norm,
 )
 from viscofix import operators, semigroup
-from viscofix.operators import BlendOperator, DeclaredWrapper, blend, nullspace_basis
+from viscofix.operators import NONEXPANSIVE, BlendOperator, DeclaredWrapper, Operator, blend, nullspace_basis
 
 from oracles import brute_force_nullity, charpoly_sigma
 
@@ -814,6 +814,57 @@ def test_the_ball_interior_piece_is_built_once():
     assert ball.affine_piece([0.0, -0.5]) is first
     with pytest.raises(ValueError):
         first[0][0, 0] = 2.0
+
+
+class _TwoPieces(Operator):
+    """The identity, declared nonexpansive, handing out one of two stored pieces by the sign of x[0]."""
+
+    kind = "two-pieces"
+
+    def __init__(self):
+        super().__init__(2, NONEXPANSIVE)
+        self.pieces = [(_read_only(np.eye(2)), _read_only(np.zeros(2))) for _ in range(2)]
+
+    def _apply(self, x):
+        return x.copy()
+
+    def affine_piece(self, x=None):
+        return None if x is None else self.pieces[int(x[0] < 0.0)]
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def test_a_composed_piece_is_the_same_read_only_object_while_its_childrens_are(monkeypatch):
+    composes = []
+    original = operators._compose
+    monkeypatch.setattr(operators, "_compose", lambda *args: composes.append(args) or original(*args))
+    rot, ball = PlaneRotation(2, (0, 1), 0.7), BallProjection([0.0, 0.0], 1.0)
+    turned = CompositeOperator([rot, ball])
+    first = turned.affine_piece([0.5, 0.25])
+    assert turned.affine_piece([-0.3, 0.1]) is first
+    assert turned.affine_piece([2.0, 0.0]) is None
+    assert turned.affine_piece([0.0, -0.5]) is first
+    assert len(composes) == 1
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    # The kept pair has the bits of a composition made afresh.
+    fresh = CompositeOperator([rot, ball]).affine_piece([0.5, 0.25])
+    assert first[0].tobytes() == fresh[0].tobytes() and first[1].tobytes() == fresh[1].tobytes()
+    thrice = IteratedOperator(ball, 3)
+    assert thrice.affine_piece([0.5, 0.5]) is thrice.affine_piece([0.1, -0.2])
+    # A child whose piece changes gives a new composition, kept in its turn.
+    switched = CompositeOperator([_TwoPieces(), rot])
+    right = switched.affine_piece([1.0, 0.0])
+    left = switched.affine_piece([-1.0, 0.0])
+    assert left is not right and left is switched.affine_piece([-2.0, 0.0])
+    assert _same_piece(left, right)
+    # Writeable child pieces may change, so their composition is not kept.
+    averaged = CompositeOperator([AveragedOperator(ball, 0.5), rot])
+    once, again = averaged.affine_piece([0.5, 0.0]), averaged.affine_piece([0.5, 0.0])
+    assert once is not again and _same_piece(once, again)
+    assert once[0].flags.writeable
 
 
 def _square(dim, rank_one):

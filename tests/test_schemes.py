@@ -1249,6 +1249,143 @@ def test_blend_moduli_are_none_without_affine_forms():
     assert list(schemes._blend_plan(f, (ball,), values)) == [None] * 5
 
 
+def _planned_entries(f, target, values, warms):
+    """The schedule plan's entry for each step, fed the given warm starts."""
+    step_ops = schemes._step_operators(target, f.dim)
+    plan = schemes._blend_plan(f, step_ops, values, warms[0])
+    return step_ops, [plan.send(warm) if k else next(plan) for k, warm in enumerate(warms)]
+
+
+def _unplanned(f, step_ops, values, warm=None):
+    """A schedule plan that plans nothing, so that every step builds its own blend and piece."""
+    for _ in values:
+        yield None
+
+
+def _trace_bits(trace) -> bytes:
+    rows = [
+        (*step.point, step.implicit_residual, step.fix_residual, step.inner_iters, step.step_delta)
+        for step in trace.steps
+    ]
+    return np.array(rows, dtype=float).tobytes()
+
+
+def _piece_target(kind, dim, angle):
+    """A target with no global affine form whose pieces are stable objects."""
+    ball = BallProjection(np.zeros(dim), 1.0)
+    turn = PlaneRotation(dim, (0, dim - 1), angle) if dim > 1 else Negation(1)
+    if kind == "ball":
+        return ball
+    if kind == "rotation-ball":
+        return CompositeOperator([turn, ball])
+    if kind == "iterated-ball":
+        return IteratedOperator(ball, 3)
+    return make_custom_family({1: CompositeOperator([turn, ball]), 2: CompositeOperator([ball, turn])})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3, 5]),
+    kind=st.sampled_from(["ball", "rotation-ball", "iterated-ball", "family"]),
+    angle=st.floats(0.1, 3.0),
+    reach=st.floats(0.05, 3.0),
+    n_max=st.integers(2, 40),
+    window=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+def test_planned_pieces_equal_the_blends_own_bit_for_bit(dim, kind, angle, reach, n_max, window, seed):
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(dim)
+    f = AffineOperator(0.5 * np.eye(dim), reach * direction / np.linalg.norm(direction))
+    target = _piece_target(kind, dim, angle)
+    schedule = make_schedule(n_max=n_max)
+    with pytest.MonkeyPatch.context() as mp:
+        # Batches of `window` steps put batch edges inside the run.
+        mp.setattr(schemes, "_PLAN_BATCH", window * dim * dim)
+        _, trace = viscosity_implicit_solve(f, target, schedule)
+        warms = [np.zeros(dim)] + [np.array(step.point) for step in trace.steps[:-1]]
+        step_ops, entries = _planned_entries(f, target, schedule.values[: len(warms)], warms)
+        mp.setattr(schemes, "_blend_plan", _unplanned)
+        _, unplanned = viscosity_implicit_solve(f, target, schedule)
+    assert _trace_bits(trace) == _trace_bits(unplanned)
+    alone = 0
+    for n, (eps, warm, entry) in enumerate(zip(schedule.values, warms, entries)):
+        own = blend(eps, f, 1.0 - eps, step_ops[n % len(step_ops)]).affine_piece(warm)
+        if own is None:
+            assert entry.matrix is None and entry.offset is None
+            continue
+        assert entry.matrix.tobytes() == own[0].tobytes()
+        assert entry.offset.tobytes() == own[1].tobytes()
+        if entry.frozen:
+            assert not entry.matrix.flags.writeable and not entry.offset.flags.writeable
+        else:
+            alone += 1
+    if all(entry.matrix is not None for entry in entries):
+        # Each member's first piece is built alone; every later row is planned.
+        assert alone == min(len(step_ops), len(entries))
+
+
+def test_a_target_with_fresh_pieces_plans_nothing(monkeypatch):
+    f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+    # An averaged map builds its piece afresh on every call. (Averaging a
+    # bare ball would stop at step 2: inside the ball the blend's fixed
+    # point is f's own.)
+    turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    target = AveragedOperator(turned, 0.5)
+    monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
+    _, unplanned = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
+    monkeypatch.undo()
+    planned = _count_calls(monkeypatch, "_affine_from_checked")
+    adopted = _count_calls(monkeypatch, "_adopt_affine")
+    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
+    # Every step has a piece, each a fresh object, so each row is built alone.
+    assert len(adopted) == len(trace) == 30 and planned == []
+    assert _trace_bits(trace) == _trace_bits(unplanned)
+
+
+class _Stored(Operator):
+    """A plane rotation, declared nonexpansive, whose local piece is one stored pair of read-only views."""
+
+    kind = "stored"
+
+    def __init__(self, angle):
+        super().__init__(2, NONEXPANSIVE)
+        self.rotation = PlaneRotation(2, (0, 1), angle)
+        self.base = self.rotation.affine_parts()[0].copy()
+        self.piece = tuple(a.view() for a in (self.base, np.zeros(2)))
+        for a in self.piece:
+            a.flags.writeable = False
+
+    def _apply(self, x):
+        return self.rotation._apply(x)
+
+    def affine_piece(self, x=None):
+        return None if x is None else self.piece
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_planned_piece_batch_raises_at_its_own_step(monkeypatch):
+    # Four steps per batch at d = 2.
+    monkeypatch.setattr(schemes, "_PLAN_BATCH", 4 * 4)
+    f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+    target = _Stored(1.0)
+    planned = _count_calls(monkeypatch, "_affine_from_checked")
+    steps = []
+
+    def monitor(n, eps, res):
+        steps.append(n)
+        if n == 4:
+            # The stored piece is spoiled behind its read-only view.
+            target.base[0, 0] = math.nan
+
+    with pytest.raises(InvalidSpec, match="piece matrix has non-finite entries"):
+        viscosity_implicit_solve(f, target, make_schedule(n_max=20), inner_monitor=monitor)
+    # Step 1 is built alone and steps 2-4 are planned; step 5's batch is not
+    # planned, and its own row raises.
+    assert steps == [1, 2, 3, 4]
+    assert len(planned) == 3
+
+
 def test_rotation_inner_solves_keep_real_step_norms(rotation_run):
     # Criterion 4 reads these norms; they must be Picard's, one per step.
     for _, _, picard in rotation_run.inner:

@@ -10,6 +10,10 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
 * for solve-affine and solve-nonaffine at seeds 4242, 777 and 9701: every
   solve's trace (points, implicit and fixed-point residuals, inner
   iteration counts, step deltas) and every retraction's limits;
+* at the same seeds, the traces of two solves that no benchmark input has,
+  built here: a two-member custom family of rotation-then-ball targets
+  (one schedule plan per member) and an averaged rotation-then-ball
+  target, whose affine pieces are fresh objects on every call (no plan);
 * for cli-pipeline at seed 4242: the exit code and stdout of each command,
   every file the commands write (summary.json, trace.csv,
   sweep_summary.csv) and trace.json without its wall-clock timestamps.
@@ -84,6 +88,36 @@ def _solve_records(prefix: str, spec: dict) -> dict:
     return records
 
 
+def _turned_ball(angle: float) -> dict:
+    return {
+        "kind": "composite",
+        "operators": [
+            {"kind": "rotation", "dim": 2, "plane": [0, 1], "angle": angle},
+            {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0},
+        ],
+    }
+
+
+def _piece_specs(seed: int) -> list:
+    """Seeded solves on targets with local affine pieces that the benchmark inputs lack."""
+    rng = np.random.default_rng([seed, 14])
+    direction = rng.standard_normal(2)
+    first, second = rng.uniform(0.5, 1.5, size=2).tolist()
+    common = {
+        "kind": "solve",
+        "contraction": {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]],
+                        "offset": (direction / np.linalg.norm(direction)).tolist()},
+        "schedule": {"kind": "harmonic", "params": {"p": 1.0}, "n_max": 100},
+        "options": {},
+    }
+    family = {"kind": "custom", "table": {"1": _turned_ball(first), "2": _turned_ball(second)}}
+    averaged = {"kind": "averaged", "inner": _turned_ball(first), "lambda": 0.5}
+    return [
+        {"name": "family-rotation-ball-n100", "family": family, **common},
+        {"name": "averaged-rotation-ball-n100", "target": averaged, **common},
+    ]
+
+
 def _retraction_records(prefix: str, spec: dict) -> dict:
     from viscofix import operators, schemes
 
@@ -141,6 +175,9 @@ def record(checkout: Path) -> dict:
                     records.update(_retraction_records(prefix, spec))
                 else:
                     records.update(_solve_records(prefix, spec))
+    for seed in SOLVE_SEEDS:
+        for spec in _piece_specs(seed):
+            records.update(_solve_records(f"pieces/{seed}/{spec['name']}", spec))
     with tempfile.TemporaryDirectory() as work:
         records.update(_cli_records(inputs, Path(work)))
     return records
