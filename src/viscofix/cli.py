@@ -28,10 +28,7 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema  # noqa: F401  (bench/tracer.py wraps this binding)
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .diagnostics import (
     ProofStepReport,
@@ -144,8 +141,32 @@ RUN_CONFIG_SCHEMA = {
 }
 
 
-#: Built once: jsonschema.validate would check the schema itself on every call.
-_RUN_CONFIG_VALIDATOR = validator_for(RUN_CONFIG_SCHEMA)(RUN_CONFIG_SCHEMA)
+@functools.cache
+def _run_config_validator():
+    """The run-config validator, built at the first config check.
+
+    Importing jsonschema costs more than certify-na computes, so only the
+    commands that check a config pay it. Built once, because
+    jsonschema.validate would check the schema itself on every call.
+    """
+    from jsonschema.validators import validator_for
+
+    return validator_for(RUN_CONFIG_SCHEMA)(RUN_CONFIG_SCHEMA)
+
+
+def __getattr__(name):
+    """`cli.jsonschema`: the jsonschema module itself, imported on first access.
+
+    Kept only for bench/tracer.py, which wraps `cli.jsonschema.validate`
+    and checks between passes that the binding is the original again. The
+    CLI imports jsonschema at its first config check. Remove this once the
+    tracer's PATCHES stop naming the binding (ROADMAP item 2).
+    """
+    if name == "jsonschema":
+        import jsonschema
+
+        return jsonschema
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def config_hash(config: dict) -> str:
@@ -184,7 +205,9 @@ def _check_run_config(raw) -> None:
     """Raise ConfigInvalid naming the path of the first schema violation (the
     error jsonschema.validate(raw, RUN_CONFIG_SCHEMA) would raise) or else of
     the first non-finite number."""
-    error = best_match(_RUN_CONFIG_VALIDATOR.iter_errors(raw))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_run_config_validator().iter_errors(raw))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigInvalid(f"config invalid at {where}: {error.message}")
@@ -263,6 +286,20 @@ def _proof_report(trace, f, target, retraction_limits=None) -> ProofStepReport:
     )
 
 
+def _output_dir(path: Path) -> Path:
+    """path, once it is known that it is a directory or can be made one.
+
+    A file in its place or in place of a parent fails here, before any
+    solve, rather than in mkdir after it.
+    """
+    for node in (path, *path.parents):
+        if node.exists():
+            if not node.is_dir():
+                raise ConfigInvalid(f"output path {path} is not a directory: {node} exists and is not one")
+            break
+    return path
+
+
 def execute_run(
     cfg: dict, out_dir: Path, quiet: bool = True
 ) -> tuple[int, dict, ConvergenceTrace, float]:
@@ -270,8 +307,10 @@ def execute_run(
 
     Returns (exit_code, summary dict, trace, alpha), alpha being the
     forcing term's contraction modulus as the solve resolved it. Solver
-    exceptions propagate; the caller maps them to exit codes.
+    exceptions propagate; the caller maps them to exit codes. An out_dir
+    that cannot be a directory fails as ConfigInvalid before the solve.
     """
+    _output_dir(out_dir)
     digest = config_hash(cfg)
     seed = int(cfg["seed"])
     problem_id = cfg.get("problem_id")
@@ -445,7 +484,7 @@ def cmd_sweep(args) -> int:
                 f"sweep values {seen[name]!r} and {value!r} would both write to '{name}'"
             )
         seen[name] = value
-    root = Path(args.out or cfg.get("output_dir") or ".")
+    root = _output_dir(Path(args.out or cfg.get("output_dir") or "."))
     root.mkdir(parents=True, exist_ok=True)
     rows = []
     any_completed = False

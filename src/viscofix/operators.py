@@ -460,6 +460,8 @@ class AveragedOperator(Operator):
     """x -> (1 - lam) x + lam T(x) for lam in (0, 1]."""
 
     kind = "averaged"
+    #: (the inner piece, its average) of the last piece built; see _kept.
+    _last_piece = None
 
     def __init__(self, inner_op: Operator, lam: float):
         lam = float(lam)
@@ -480,11 +482,17 @@ class AveragedOperator(Operator):
         return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
 
     def affine_piece(self, x=None):
-        piece = _piece_at(self.inner_op, x)
-        if piece is None:
-            return None
-        m, c = piece
-        return (1.0 - self.lam) * np.eye(self.dim) + self.lam * m, self.lam * c
+        """((1 - lam) I + lam M, lam c) for the inner map's piece (M, c).
+
+        The same read-only pair comes back while the inner piece is the
+        same as at the last call (see _kept), so a schedule on an averaged
+        target plans its pieces.
+        """
+        return _kept(self, (_piece_at(self.inner_op, x),), self._average)
+
+    def _average(self, pieces, dim):
+        ((m, c),) = pieces
+        return (1.0 - self.lam) * np.eye(dim) + self.lam * m, self.lam * c
 
     def to_spec(self):
         return {"kind": "averaged", "inner": self.inner_op.to_spec(), "lambda": self.lam}
@@ -536,14 +544,13 @@ def _same_piece(piece, other) -> bool:
     return other is not None and piece[0] is other[0] and piece[1] is other[1]
 
 
-def _composed(op, pieces):
-    """_compose of pieces for a composing operator op, kept from op's last call.
+def _kept(op, pieces, build):
+    """build(pieces, op.dim): op's piece from its children's, kept from op's last call.
 
     While every piece is the same read-only pair of arrays as at that call,
-    the composed pair it made, read-only, comes back without multiplying
-    again. A piece that is still writeable may change, so a composition of
-    one is not kept. None as soon as a piece is None; the rest are not
-    built.
+    the pair build made, read-only, comes back without building again. A
+    piece that is still writeable may change, so what is built from one is
+    not kept. None as soon as a piece is None; the rest are not built.
     """
     seen = []
     for piece in pieces:
@@ -553,18 +560,18 @@ def _composed(op, pieces):
     last = op._last_piece
     if last is not None and len(last[0]) == len(seen) and all(map(_same_piece, seen, last[0])):
         return last[1]
-    composed = _compose(seen, op.dim)
+    built = build(seen, op.dim)
     if not any(m.flags.writeable or c.flags.writeable for m, c in seen):
-        composed = _frozen(*composed)
-        op._last_piece = seen, composed
-    return composed
+        built = _frozen(*built)
+        op._last_piece = seen, built
+    return built
 
 
 class CompositeOperator(Operator):
     """Sequential composition; operators[0] is applied first."""
 
     kind = "composite"
-    #: (the child pieces, their composition) of the last piece built; see _composed.
+    #: (the child pieces, their composition) of the last piece built; see _kept.
     _last_piece = None
 
     def __init__(self, operators):
@@ -598,12 +605,12 @@ class CompositeOperator(Operator):
         """The composition of each operator's piece at the point it receives.
 
         The same read-only pair comes back while every operator's piece is
-        the same as at the last call (see _composed): inside its ball,
+        the same as at the last call (see _kept): inside its ball,
         rotation ∘ ball has one piece object.
         """
         if x is not None:
             x = self._check_arg(x)
-        return _composed(self, _pieces_along(self.operators, x))
+        return _kept(self, _pieces_along(self.operators, x), _compose)
 
     def to_spec(self):
         return {"kind": "composite", "operators": [op.to_spec() for op in self.operators]}
@@ -613,7 +620,7 @@ class IteratedOperator(Operator):
     """n-fold self-composition of a base operator (n = 0 gives the identity)."""
 
     kind = "iterated"
-    #: (the base's pieces, their composition) of the last local piece built; see _composed.
+    #: (the base's pieces, their composition) of the last local piece built; see _kept.
     _last_piece = None
 
     def __init__(self, base: Operator, n: int):
@@ -640,11 +647,11 @@ class IteratedOperator(Operator):
         """The composition of the base's pieces at x and its next n - 1 iterates.
 
         A local piece comes back as the same read-only pair while the
-        base's pieces are the same as at the last call (see _composed).
+        base's pieces are the same as at the last call (see _kept).
         With x None, the base's global form composed n times.
         """
         if x is not None:
-            return _composed(self, _pieces_along((self.base,) * self.n, self._check_arg(x)))
+            return _kept(self, _pieces_along((self.base,) * self.n, self._check_arg(x)), _compose)
         piece = self.base.affine_parts()
         return None if piece is None else _compose((piece,) * self.n, self.dim)
 

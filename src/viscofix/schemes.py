@@ -120,6 +120,10 @@ def _validate_schedule_values(values, kind: str) -> tuple[float, ...]:
     return values
 
 
+#: The params each schedule kind reads; any other param is an error.
+_SCHEDULE_PARAMS = {"harmonic": ("p",), "geometric": ("r",), "explicit": ("values",), "anchored": ()}
+
+
 def make_schedule(kind: str = "harmonic", params: dict | None = None, n_max: int | None = None) -> EpsilonSchedule:
     """Build and validate an eps schedule.
 
@@ -129,6 +133,13 @@ def make_schedule(kind: str = "harmonic", params: dict | None = None, n_max: int
     params["values"]).
     """
     params = dict(params or {})
+    reads = _SCHEDULE_PARAMS.get(kind)
+    if reads is None:
+        raise InvalidSchedule(f"unknown schedule kind '{kind}'")
+    for key in params:
+        if key not in reads:
+            names = ", ".join(f"'{name}'" for name in reads) or "none"
+            raise InvalidSchedule(f"unknown schedule param '{key}' for kind '{kind}', which reads {names}")
     if kind == "explicit":
         raw = params.get("values")
         if raw is None:
@@ -154,10 +165,8 @@ def make_schedule(kind: str = "harmonic", params: dict | None = None, n_max: int
         if not 0.0 < r < 1.0:
             raise InvalidSchedule(f"geometric ratio must lie in (0, 1), got {r}")
         values, params = tuple(r**n for n in range(1, n_max + 1)), {"r": r}
-    elif kind == "anchored":
-        values, params = tuple(1.0 / n for n in range(1, n_max + 1)), {}
     else:
-        raise InvalidSchedule(f"unknown schedule kind '{kind}'")
+        values, params = tuple(1.0 / n for n in range(1, n_max + 1)), {}
     return EpsilonSchedule(kind=kind, n_max=n_max, values=_validate_schedule_values(values, kind), params=params)
 
 
@@ -700,8 +709,8 @@ def _blend_plan(f: Operator, step_ops, values, warm=None):
     identity. A piece seen for the first time gets its one row built alone,
     with the products and sums BlendOperator.affine_piece uses. When the
     next step of the same family member sees the same read-only piece (a
-    ball's interior, or a composite's kept composition, see
-    operators._composed), that member's rows for the rest of the batch are
+    ball's interior, or a composite's or an average's kept piece, see
+    operators._kept), that member's rows for the rest of the batch are
     stacked the same way, checked for finiteness once and frozen; each
     member keeps its own. A batch with a non-finite entry is not planned,
     and its rows are built alone. Pieces take no SVD: _solve_implicit lifts

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +144,55 @@ def test_run_bad_schedule_exits_one(tmp_path, capsys):
     cfg_path = _write(tmp_path, "bad.json", cfg)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert "schedule not strictly decreasing" in capsys.readouterr().err
+
+
+def test_run_rejects_a_schedule_param_its_kind_does_not_read(tmp_path, capsys):
+    cfg = _ball_config()
+    cfg["schedule"]["params"] = {"q": 2}
+    cfg_path = _write(tmp_path, "bad.json", cfg)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: InvalidSchedule: unknown schedule param 'q' for kind 'harmonic', which reads 'p'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _count_solves(monkeypatch):
+    solves = []
+    original = cli.viscosity_implicit_solve
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "viscosity_implicit_solve", counted)
+    return solves
+
+
+@pytest.mark.parametrize("where", ["flag", "config", "parent"])
+def test_run_rejects_an_output_path_that_is_a_file_before_solving(tmp_path, capsys, monkeypatch, where):
+    solves = _count_solves(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    out = taken / "sub" if where == "parent" else taken
+    cfg = _ball_config()
+    argv = ["run", "--quiet"]
+    if where == "config":
+        cfg["output_dir"] = str(out)
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv + [str(_write(tmp_path, "ball.json", cfg))]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output path {out} is not a directory: {taken} exists and is not one\n"
+    assert solves == [] and taken.read_text() == "keep me"
+
+
+def test_run_writes_into_an_existing_directory(tmp_path):
+    cfg_path = _write(tmp_path, "ball.json", _ball_config())
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert _read_summary(out)["exit_code"] == 0
 
 
 def test_run_translation_exits_two_and_reports_stagnation(tmp_path, capsys):
@@ -399,6 +452,61 @@ def test_run_config_errors_match_jsonschema_validate(tmp_path, mutate):
     assert str(raised.value) == f"config invalid at {where}: {expected.value.message}"
 
 
+def _in_a_fresh_interpreter(tmp_path, code: str) -> dict:
+    """The JSON that code prints when run by a new interpreter on this viscofix.
+
+    This module imports jsonschema itself, so what the CLI imports shows
+    only in a process of its own.
+    """
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_jsonschema_is_imported_at_the_first_config_check_only(tmp_path):
+    _write(tmp_path, "matrix.json", {"matrix": [[2.0, 0.0], [0.0, 1.0]]})
+    _write(tmp_path, "family.json", {"kind": "rotation_flow", "rates": [1.0], "grid": [0.5, 1.0]})
+    _write(tmp_path, "ball.json", _ball_config())
+    code = """
+import contextlib, io, json, sys
+import viscofix.cli as cli
+seen = {"import": "jsonschema" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(["certify-na", "matrix.json"]), cli.main(["check-family", "family.json"])]
+    codes.append(cli.main(["spin"]))
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        codes.append(exc.code)
+seen["commands"] = "jsonschema" in sys.modules
+cli.load_run_config("ball.json")
+seen["load"] = "jsonschema" in sys.modules
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+    out = _in_a_fresh_interpreter(tmp_path, code)
+    assert out["codes"] == [0, 0, 1, 0]
+    assert out["seen"] == {"import": False, "commands": False, "load": True}
+
+
+def test_the_jsonschema_binding_is_the_module_itself(tmp_path):
+    code = """
+import json, sys
+import viscofix.cli as cli
+binding = cli.jsonschema
+try:
+    cli.no_such_name
+    missing = False
+except AttributeError:
+    missing = True
+print(json.dumps({"same": binding is sys.modules["jsonschema"] and cli.jsonschema is binding, "missing": missing}))
+"""
+    assert _in_a_fresh_interpreter(tmp_path, code) == {"same": True, "missing": True}
+
+
 @pytest.mark.parametrize("spelling", ["NaN", "1e999"])
 def test_run_rejects_a_non_finite_anchor_at_load_time(tmp_path, capsys, spelling):
     # json reads both spellings as floats that no solve can use.
@@ -655,6 +763,43 @@ def test_sweep_checks_each_value_as_the_config_loader_does(tmp_path):
     assert rows[2][:4] == ["-1.0", "", "", ""]
     assert rows[2][4].startswith("error: config invalid at options/outer_tol: -1.0 ")
     assert not any(path.is_dir() for path in out.iterdir())
+
+
+def test_sweep_rows_carry_an_unread_schedule_param(tmp_path):
+    cfg_path = _write(tmp_path, "sweep.json", _sweep_config())
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(cfg_path), "--param", "schedule.nope", "--values", "1", "7"]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    rows = list(csv.reader((out / "sweep_summary.csv").read_text().splitlines()[2:]))
+    error = "error: unknown schedule param 'nope' for kind 'harmonic', which reads 'p'"
+    assert rows == [["1.0", "", "", "", error], ["7.0", "", "", "", error]]
+
+
+def test_sweep_rejects_an_output_root_that_is_a_file_before_solving(tmp_path, capsys, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    cfg_path = _write(tmp_path, "sweep.json", _sweep_config())
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    argv = ["sweep", str(cfg_path), "--param", "schedule.p", "--values", "0.5", "1"]
+    assert main(argv + ["--out", str(taken), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output path {taken} is not a directory: {taken} exists and is not one\n"
+    assert solves == [] and taken.read_text() == "keep me"
+
+
+def test_sweep_row_carries_a_value_directory_that_is_a_file(tmp_path, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    cfg_path = _write(tmp_path, "sweep.json", _sweep_config())
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "p_1").write_text("keep me")
+    argv = ["sweep", str(cfg_path), "--param", "schedule.p", "--values", "0.5", "1"]
+    assert main(argv + ["--out", str(out), "--quiet"]) == 0
+    rows = list(csv.reader((out / "sweep_summary.csv").read_text().splitlines()[2:]))
+    assert rows[0][-1] == "ok"
+    taken = out / "p_1"
+    assert rows[1] == ["1.0", "", "", "", f"error: output path {taken} is not a directory: {taken} exists and is not one"]
+    assert len(solves) == 1 and taken.read_text() == "keep me"
 
 
 def test_sweep_requires_values(tmp_path, capsys):

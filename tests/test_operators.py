@@ -861,8 +861,27 @@ def test_a_composed_piece_is_the_same_read_only_object_while_its_childrens_are(m
     assert left is not right and left is switched.affine_piece([-2.0, 0.0])
     assert _same_piece(left, right)
     # Writeable child pieces may change, so their composition is not kept.
-    averaged = CompositeOperator([AveragedOperator(ball, 0.5), rot])
-    once, again = averaged.affine_piece([0.5, 0.0]), averaged.affine_piece([0.5, 0.0])
+    # (A blend builds its piece afresh on every call.)
+    mixed = CompositeOperator([BlendOperator(0.5, ball, 0.5, rot), rot])
+    once, again = mixed.affine_piece([0.5, 0.0]), mixed.affine_piece([0.5, 0.0])
+    assert once is not again and _same_piece(once, again)
+    assert once[0].flags.writeable
+
+
+def test_an_averaged_piece_is_the_same_read_only_object_while_its_inner_piece_is():
+    rot, ball = PlaneRotation(2, (0, 1), 0.7), BallProjection([0.0, 0.0], 1.0)
+    averaged = AveragedOperator(CompositeOperator([rot, ball]), 0.5)
+    first = averaged.affine_piece([0.5, 0.25])
+    assert averaged.affine_piece([-0.3, 0.1]) is first
+    assert averaged.affine_piece([2.0, 0.0]) is None
+    assert averaged.affine_piece([0.0, -0.5]) is first
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    m, c = rot.affine_parts()
+    assert first[0].tobytes() == (0.5 * np.eye(2) + 0.5 * m).tobytes()
+    assert first[1].tobytes() == (0.5 * c).tobytes()
+    # A writeable inner piece may change, so its average is not kept.
+    fresh = AveragedOperator(BlendOperator(0.5, ball, 0.5, rot), 0.5)
+    once, again = fresh.affine_piece([0.5, 0.0]), fresh.affine_piece([0.5, 0.0])
     assert once is not again and _same_piece(once, again)
     assert once[0].flags.writeable
 

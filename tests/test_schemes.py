@@ -121,6 +121,22 @@ def test_schedule_validation():
         make_schedule("staircase")
 
 
+@pytest.mark.parametrize(
+    "kind, params, reads",
+    [
+        ("harmonic", {"p": 1.0, "q": 2.0}, "'p'"),
+        ("geometric", {"p": 0.5}, "'r'"),
+        ("explicit", {"values": [0.5, 0.25], "p": 1.0}, "'values'"),
+        ("anchored", {"p": 1.0}, "none"),
+    ],
+)
+def test_a_schedule_rejects_params_its_kind_does_not_read(kind, params, reads):
+    key = next(k for k in params if f"'{k}'" != reads)
+    with pytest.raises(InvalidSchedule) as raised:
+        make_schedule(kind, params, n_max=2)
+    assert str(raised.value) == f"unknown schedule param '{key}' for kind '{kind}', which reads {reads}"
+
+
 def test_anchored_schedule_values():
     sched = make_schedule("anchored", n_max=4)
     assert sched.values == (1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0)
@@ -1327,11 +1343,11 @@ def test_planned_pieces_equal_the_blends_own_bit_for_bit(dim, kind, angle, reach
 
 def test_a_target_with_fresh_pieces_plans_nothing(monkeypatch):
     f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
-    # An averaged map builds its piece afresh on every call. (Averaging a
-    # bare ball would stop at step 2: inside the ball the blend's fixed
-    # point is f's own.)
+    # A blend builds its piece afresh on every call. (Blending in a bare
+    # ball would stop at step 2: inside the ball the blend's fixed point is
+    # f's own.)
     turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
-    target = AveragedOperator(turned, 0.5)
+    target = BlendOperator(0.5, Identity(2), 0.5, turned)
     monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
     _, unplanned = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
     monkeypatch.undo()
@@ -1340,6 +1356,24 @@ def test_a_target_with_fresh_pieces_plans_nothing(monkeypatch):
     _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
     # Every step has a piece, each a fresh object, so each row is built alone.
     assert len(adopted) == len(trace) == 30 and planned == []
+    assert _trace_bits(trace) == _trace_bits(unplanned)
+
+
+def test_an_averaged_piece_schedule_builds_one_row_alone_and_plans_the_rest(monkeypatch):
+    # An averaged map keeps its piece while its inner piece is the same
+    # object, so its schedule plans like a composite's.
+    f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+    turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    target = AveragedOperator(turned, 0.5)
+    monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
+    _, unplanned = viscosity_implicit_solve(f, target, make_schedule(n_max=100))
+    monkeypatch.undo()
+    planned = _count_calls(monkeypatch, "_affine_from_checked")
+    adopted = _count_calls(monkeypatch, "_adopt_affine")
+    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=100))
+    assert all(sum(x * x for x in step.point) <= 1.0 for step in trace.steps)
+    assert len(trace) == 100
+    assert len(adopted) == 1 and len(planned) == 99
     assert _trace_bits(trace) == _trace_bits(unplanned)
 
 

@@ -13,7 +13,7 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
 * at the same seeds, the traces of two solves that no benchmark input has,
   built here: a two-member custom family of rotation-then-ball targets
   (one schedule plan per member) and an averaged rotation-then-ball
-  target, whose affine pieces are fresh objects on every call (no plan);
+  target (its kept piece planned like a composite's);
 * for cli-pipeline at seed 4242: the exit code and stdout of each command,
   every file the commands write (summary.json, trace.csv,
   sweep_summary.csv) and trace.json without its wall-clock timestamps.
