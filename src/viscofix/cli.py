@@ -141,13 +141,59 @@ RUN_CONFIG_SCHEMA = {
 }
 
 
+#: Draft 2020-12 `type` names over the values json.load makes: a bool is not
+#: a number, and an integral float is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+#: keyword -> test(value, keyword's argument, the schema it sits in). Each
+#: passes a value of a type the keyword does not apply to, as jsonschema
+#: does; enum matches values of one type only, which is exact for enums of
+#: strings and otherwise errs towards asking jsonschema.
+_KEYWORDS = {
+    "type": lambda v, name, s: _TYPES[name](v),
+    "enum": lambda v, options, s: any(type(v) is type(o) and v == o for o in options),
+    "required": lambda v, keys, s: not isinstance(v, dict) or all(k in v for k in keys),
+    "properties": lambda v, props, s: not isinstance(v, dict)
+    or all(_conforms(v[k], sub) for k, sub in props.items() if k in v),
+    "additionalProperties": lambda v, extra, s: not isinstance(v, dict)
+    or all(_conforms(v[k], extra) for k in v if k not in s.get("properties", ())),
+    "items": lambda v, sub, s: not isinstance(v, list) or all(_conforms(x, sub) for x in v),
+    "minItems": lambda v, least, s: not isinstance(v, list) or len(v) >= least,
+    "minimum": lambda v, least, s: not _TYPES["number"](v) or not v < least,
+    "exclusiveMinimum": lambda v, bound, s: not _TYPES["number"](v) or not v <= bound,
+    "oneOf": lambda v, subs, s: sum(_conforms(v, sub) for sub in subs) == 1,
+}
+
+
+def _conforms(value, schema) -> bool:
+    """Whether value, as json.load makes values, is valid under schema.
+
+    Reads only the keywords of _KEYWORDS (and boolean schemas), which are
+    all that RUN_CONFIG_SCHEMA uses, and decides them as jsonschema's
+    draft 2020-12 validator does; any other keyword raises KeyError.
+    """
+    if isinstance(schema, bool):
+        return schema
+    return all(_KEYWORDS[key](value, arg, schema) for key, arg in schema.items())
+
+
 @functools.cache
 def _run_config_validator():
-    """The run-config validator, built at the first config check.
+    """The run-config validator, built at the first rejected config.
 
-    Importing jsonschema costs more than certify-na computes, so only the
-    commands that check a config pay it. Built once, because
-    jsonschema.validate would check the schema itself on every call.
+    _conforms decides which configs are valid; jsonschema, whose import
+    costs more than checking a config, is imported only to word the error
+    of one it rejects. Built once, because jsonschema.validate would check
+    the schema itself on every call.
     """
     from jsonschema.validators import validator_for
 
@@ -186,13 +232,18 @@ def _load_json(path):
 
 
 def _non_finite_path(node, path=()):
-    """The key path of the first NaN or infinite number in parsed JSON, or None.
+    """The key path of the first number in parsed JSON that is not a finite
+    float, or None.
 
-    json reads the literals NaN and Infinity, and numbers past the float
-    range such as 1e999, as such floats.
+    json reads the literals NaN and Infinity, and decimals past the float
+    range such as 1e999, as such floats; an integer literal past that range
+    stays an int that no float can hold.
     """
-    if isinstance(node, float):
-        return None if math.isfinite(node) else path
+    if isinstance(node, (int, float)):
+        try:
+            return None if math.isfinite(node) else path
+        except OverflowError:
+            return path
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in children:
         found = _non_finite_path(child, (*path, key))
@@ -201,19 +252,31 @@ def _non_finite_path(node, path=()):
     return None
 
 
+def _require_finite(node, noun: str) -> None:
+    """Raise ConfigInvalid naming the path of the first number in node that
+    is not a finite float."""
+    where = _non_finite_path(node)
+    if where is not None:
+        raise ConfigInvalid(f"{noun} invalid at {'/'.join(map(str, where)) or '<root>'}: numbers must be finite")
+
+
 def _check_run_config(raw) -> None:
     """Raise ConfigInvalid naming the path of the first schema violation (the
     error jsonschema.validate(raw, RUN_CONFIG_SCHEMA) would raise) or else of
-    the first non-finite number."""
-    from jsonschema.exceptions import best_match
+    the first number that is not a finite float.
 
-    error = best_match(_run_config_validator().iter_errors(raw))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigInvalid(f"config invalid at {where}: {error.message}")
-    where = _non_finite_path(raw)
-    if where is not None:
-        raise ConfigInvalid(f"config invalid at {'/'.join(map(str, where))}: numbers must be finite")
+    _conforms decides validity without jsonschema. Only a config it rejects
+    imports jsonschema, whose best_match words the error; should jsonschema
+    find no error there, its verdict stands and the config passes on.
+    """
+    if not _conforms(raw, RUN_CONFIG_SCHEMA):
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_run_config_validator().iter_errors(raw))
+        if error is not None:
+            where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise ConfigInvalid(f"config invalid at {where}: {error.message}")
+    _require_finite(raw, "config")
 
 
 def load_run_config(path, seed_override: int | None = None) -> dict:
@@ -416,6 +479,7 @@ def cmd_run(args) -> int:
 
 def cmd_certify_na(args) -> int:
     data = _load_json(_config_path(args))
+    _require_finite(data, "matrix")
     if isinstance(data, dict):
         data = data.get("matrix")
     try:
@@ -440,6 +504,7 @@ def cmd_check_family(args) -> int:
     raw = _load_json(_config_path(args))
     if not isinstance(raw, dict):
         raise ConfigInvalid("family config must be a JSON object")
+    _require_finite(raw, "family config")
     spec = raw.get("family", raw)
     family = make_family(spec)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
