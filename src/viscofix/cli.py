@@ -44,6 +44,7 @@ from .operators import (
     NotLinear,
     NotNonexpansive,
     Operator,
+    _numbers_only,
     fixed_points_linear,
     make_operator,
     certify_norm_attainable,
@@ -482,6 +483,8 @@ def cmd_certify_na(args) -> int:
     _require_finite(data, "matrix")
     if isinstance(data, dict):
         data = data.get("matrix")
+    if not _numbers_only(data):
+        raise ConfigInvalid("matrix entries must be numbers (a string or a boolean is not one)")
     try:
         matrix = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:

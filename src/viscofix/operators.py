@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +121,6 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only in place."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _class_from_bound(bound: float) -> DeclaredClass:
     """Conservative class for a map with known Lipschitz bound; a bound of 1
     up to rounding is nonexpansive, anything larger is left to the probe."""
@@ -135,6 +129,72 @@ def _class_from_bound(bound: float) -> DeclaredClass:
     if bound <= _BOUND_ONE:
         return NONEXPANSIVE
     return UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# Affine pieces
+
+
+class _Piece:
+    """An affine map x -> M x + c that an operator agrees with, as a read-only value.
+
+    everywhere tells a global form, which the operator equals everywhere,
+    from a local piece, which it agrees with around the point it was asked
+    at. norm is ||M||_2 when known at build (a schedule plan's batched SVD).
+    The arrays are checked finite and made read-only in place once, at
+    build: a NaN or infinite entry raises InvalidSpec, "collapsed ..." for a
+    global form and "piece ..." for a local one. A piece may stack n maps,
+    (n, d, d) and (n, d), whose k-th is row(k). It unpacks and indexes as the
+    pair (matrix, offset).
+    """
+
+    __slots__ = ("matrix", "offset", "everywhere", "norm")
+
+    def __init__(self, matrix: np.ndarray, offset: np.ndarray, everywhere: bool, norm: float | None = None):
+        name = "collapsed" if everywhere else "piece"
+        if not np.isfinite(matrix).all():
+            raise InvalidSpec(f"{name} matrix has non-finite entries")
+        if not np.isfinite(offset).all():
+            raise InvalidSpec(f"{name} offset has non-finite coordinates")
+        matrix.flags.writeable = offset.flags.writeable = False
+        self.matrix, self.offset, self.everywhere, self.norm = matrix, offset, everywhere, norm
+
+    def row(self, index: int, norm: float | None = None) -> "_Piece":
+        """The index-th map of a stacked piece, as a piece of views checked with the stack."""
+        row = object.__new__(_Piece)
+        row.matrix, row.offset, row.everywhere, row.norm = self.matrix[index], self.offset[index], self.everywhere, norm
+        return row
+
+    def __iter__(self):
+        return iter((self.matrix, self.offset))
+
+    def __getitem__(self, index):
+        return (self.matrix, self.offset)[index]
+
+
+def _as_piece(pair, everywhere: bool) -> _Piece | None:
+    """A hook's answer as a piece: None or a piece as it is, a plain (matrix, offset) pair checked and frozen."""
+    return pair if pair is None or isinstance(pair, _Piece) else _Piece(*pair, everywhere)
+
+
+def _kept(op, pieces, build) -> _Piece | None:
+    """op's piece, build(pieces, op.dim) from its children's pieces, kept from op's last call.
+
+    While every piece is the very object it was then, the piece built then
+    comes back. It holds everywhere when all of them do. None as soon as a
+    piece is None; the rest are not asked for.
+    """
+    seen = []
+    for piece in pieces:
+        if piece is None:
+            return None
+        seen.append(piece)
+    last = op._last_piece
+    if last is not None and all(map(operator.is_, seen, last[0])):
+        return last[1]
+    built = _Piece(*build(seen, op.dim), all(piece.everywhere for piece in seen))
+    op._last_piece = seen, built
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +210,8 @@ class Operator:
 
     kind = "abstract"
     _global_form = _UNBUILT
+    #: (the child pieces, the piece built from them) of the last piece built; see _kept.
+    _last_piece = None
 
     def __init__(self, dim: int, declared_class: DeclaredClass):
         dim = int(dim)
@@ -174,33 +236,40 @@ class Operator:
     def __call__(self, x) -> np.ndarray:
         return self.apply(x)
 
-    def affine_parts(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(matrix, offset) when the map is exactly x -> M x + c, else None.
+    def affine_parts(self) -> _Piece | None:
+        """The global form, (matrix, offset) when the map is exactly x -> M x + c, else None.
 
-        The global form affine_piece() gives, computed on the first call and
-        kept: the operator is immutable, so every call returns the same
-        read-only arrays.
+        affine_piece() as a piece, computed on the first call and kept: the
+        operator is immutable, so every call returns the same piece.
         """
-        parts = self._global_form
-        if parts is _UNBUILT:
-            parts = self.affine_piece()
-            if parts is not None:
-                parts = _frozen(*parts)
-            self._global_form = parts
-        return parts
+        form = self._global_form
+        if form is _UNBUILT:
+            form = self._global_form = _as_piece(self.affine_piece(), True)
+        return form
 
-    def affine_piece(self, x=None) -> tuple[np.ndarray, np.ndarray] | None:
+    def affine_piece(self, x=None) -> _Piece | None:
         """(matrix, offset) of an affine map x -> M x + c that this map agrees with.
 
-        With x None, the global form: the map is exactly M x + c everywhere,
-        or there is no piece. With x a vector of this dimension, the local
-        piece: the affine map this one agrees with around x, as far as x
-        shows it (a ball projection is the identity at a point inside the
-        ball). A local piece is a guess, not a certificate: where this map
-        leaves the piece is not checked, so a solve on the piece must be
-        checked against the map itself. None when there is no piece.
+        The one hook a class overrides. With x None, the global form: the
+        map is exactly M x + c everywhere, or there is no piece. With x a
+        vector of this dimension, the local piece: the affine map this one
+        agrees with around x, as far as x shows it (a ball projection is the
+        identity inside the ball). A local piece is a guess, not a
+        certificate: a solve on it must be checked against the map itself.
+        None when there is no piece. The catalog hands out the same _Piece
+        object while the piece is the same, which lets a schedule plan build
+        steps on it; a plain (matrix, offset) pair becomes a new piece. This
+        default hands out the global form a class set at construction.
         """
-        return None
+        form = self._global_form
+        return None if form is _UNBUILT else form
+
+    def _piece(self, x) -> _Piece | None:
+        """The global form when there is one, else the local piece at x (None for x None)."""
+        form = self.affine_parts()
+        if form is None and x is not None:
+            return _as_piece(self.affine_piece(x), False)
+        return form
 
     def linear_matrix(self) -> np.ndarray:
         """Matrix of an exactly linear map; raises NotLinear otherwise."""
@@ -247,16 +316,10 @@ class LinearOperator(Operator):
         if declared_class is None:
             declared_class = _class_from_bound(spectral_norm(self.matrix))
         super().__init__(self.matrix.shape[0], declared_class)
-        self._offset = as_vector(np.zeros(self.dim))
+        self._global_form = _Piece(self.matrix, np.zeros(self.dim), True)
 
     def _apply(self, x):
         return self.matrix @ x
-
-    def affine_parts(self):
-        return self.matrix, self._offset
-
-    def affine_piece(self, x=None):
-        return self.matrix, self._offset
 
     def to_spec(self):
         return {"kind": "linear", "matrix": self.matrix.tolist()}
@@ -269,12 +332,11 @@ class AffineOperator(Operator):
     ||M||_2. matrix_norm is the bound on ||M||_2 that picard_solve reads
     to decide whether it may lift, and holds:
 
-    * ||M||_2 from one SVD, for a map built without a declared class and
-      for a blend that a schedule plan collapsed;
+    * ||M||_2, for a map built without a declared class and for a blend
+      that blend() collapsed: one SVD, or the norm of a planned collapse
+      from the schedule plan's batched SVD, which has the same bits;
     * the blend's declared modulus q_n, for the affine piece of a blend
-      that a solver builds (a nonexpansive map's local piece has norm at
-      most 1, so with honest classes the piece's norm is at most q_n, and
-      the piece's point is kept only if the blend certifies it);
+      that a solver builds (see schemes._solve_implicit);
     * otherwise None: a map built with a declared class, which picard_solve
       gives one SVD.
     """
@@ -286,31 +348,34 @@ class AffineOperator(Operator):
         offset = as_vector(offset)
         if offset.shape[0] != matrix.shape[0]:
             raise InvalidSpec("affine offset dimension does not match the matrix")
-        self._init_checked(matrix, offset, declared_class, None)
-
-    def _init_checked(self, matrix, offset, declared_class, matrix_norm):
-        # matrix is square, offset matches it, both are finite and read-only;
-        # matrix_norm is one of the values the class docstring lists, or None.
-        self.matrix = matrix
-        self.offset = offset
-        if declared_class is None:
-            if matrix_norm is None:
-                matrix_norm = spectral_norm(matrix)
-            declared_class = _class_from_bound(matrix_norm)
-        self.matrix_norm = matrix_norm
-        super().__init__(matrix.shape[0], declared_class)
+        _affine(_Piece(matrix, offset, True), declared_class, None, self)
 
     def _apply(self, x):
         return self.matrix @ x + self.offset
 
-    def affine_parts(self):
-        return self.matrix, self.offset
-
-    def affine_piece(self, x=None):
-        return self.matrix, self.offset
-
     def to_spec(self):
         return {"kind": "affine", "matrix": self.matrix.tolist(), "offset": self.offset.tolist()}
+
+
+def _affine(piece: _Piece, declared_class: DeclaredClass | None, matrix_norm: float | None, op=None) -> AffineOperator:
+    """The AffineOperator whose global form is piece, on its arrays, with no copy.
+
+    declared_class is as for AffineOperator; without one the class comes
+    from matrix_norm (see AffineOperator), or from one SVD when that is
+    None. op, when given, is the instance to set up. A solver's local piece
+    is taken as it is: its everywhere flag still tells about the map it was
+    asked of, and the operator is only solved.
+    """
+    op = AffineOperator.__new__(AffineOperator) if op is None else op
+    op._global_form = piece
+    op.matrix, op.offset = piece.matrix, piece.offset
+    if declared_class is None:
+        if matrix_norm is None:
+            matrix_norm = spectral_norm(piece.matrix)
+        declared_class = _class_from_bound(matrix_norm)
+    op.matrix_norm = matrix_norm
+    Operator.__init__(op, piece.matrix.shape[0], declared_class)
+    return op
 
 
 class Identity(Operator):
@@ -323,7 +388,7 @@ class Identity(Operator):
         return x.copy()
 
     def affine_piece(self, x=None):
-        return np.eye(self.dim), np.zeros(self.dim)
+        return _Piece(np.eye(self.dim), np.zeros(self.dim), True)
 
     def to_spec(self):
         return {"kind": "identity", "dim": self.dim}
@@ -339,7 +404,7 @@ class Negation(Operator):
         return -x
 
     def affine_piece(self, x=None):
-        return -np.eye(self.dim), np.zeros(self.dim)
+        return _Piece(-np.eye(self.dim), np.zeros(self.dim), True)
 
     def to_spec(self):
         return {"kind": "negation", "dim": self.dim}
@@ -358,7 +423,7 @@ class ConstantOperator(Operator):
         return self.value.copy()
 
     def affine_piece(self, x=None):
-        return np.zeros((self.dim, self.dim)), self.value
+        return _Piece(np.zeros((self.dim, self.dim)), self.value, True)
 
     def to_spec(self):
         return {"kind": "constant", "value": self.value.tolist()}
@@ -375,7 +440,7 @@ class BallProjection(Operator):
         if not self.radius > 0.0:
             raise InvalidSpec("ball radius must be positive")
         super().__init__(self.center.shape[0], NONEXPANSIVE)
-        self._interior = _frozen(np.eye(self.dim), np.zeros(self.dim))
+        self._interior = _Piece(np.eye(self.dim), np.zeros(self.dim), False)
 
     def _apply(self, x):
         shifted = x - self.center
@@ -426,6 +491,8 @@ class PlaneRotation(Operator):
 
     def __init__(self, dim: int, plane: tuple[int, int], angle: float):
         super().__init__(dim, ISOMETRY)
+        if np.ndim(plane) != 1 or len(plane) != 2:
+            raise InvalidSpec("rotation plane must be a pair of coordinate indices")
         i, j = int(plane[0]), int(plane[1])
         if i == j or not (0 <= i < self.dim) or not (0 <= j < self.dim):
             raise InvalidSpec(f"rotation plane {plane} invalid for dimension {self.dim}")
@@ -450,7 +517,7 @@ class PlaneRotation(Operator):
         m[i, j] = -s
         m[j, i] = s
         m[j, j] = c
-        return m, np.zeros(self.dim)
+        return _Piece(m, np.zeros(self.dim), True)
 
     def to_spec(self):
         return {"kind": "rotation", "dim": self.dim, "plane": list(self.plane), "angle": self.angle}
@@ -460,8 +527,6 @@ class AveragedOperator(Operator):
     """x -> (1 - lam) x + lam T(x) for lam in (0, 1]."""
 
     kind = "averaged"
-    #: (the inner piece, its average) of the last piece built; see _kept.
-    _last_piece = None
 
     def __init__(self, inner_op: Operator, lam: float):
         lam = float(lam)
@@ -482,13 +547,8 @@ class AveragedOperator(Operator):
         return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
 
     def affine_piece(self, x=None):
-        """((1 - lam) I + lam M, lam c) for the inner map's piece (M, c).
-
-        The same read-only pair comes back while the inner piece is the
-        same as at the last call (see _kept), so a schedule on an averaged
-        target plans its pieces.
-        """
-        return _kept(self, (_piece_at(self.inner_op, x),), self._average)
+        """((1 - lam) I + lam M, lam c) for the inner map's piece (M, c), kept as a composite's is."""
+        return _kept(self, (self.inner_op._piece(x),), self._average)
 
     def _average(self, pieces, dim):
         ((m, c),) = pieces
@@ -498,14 +558,6 @@ class AveragedOperator(Operator):
         return {"kind": "averaged", "inner": self.inner_op.to_spec(), "lambda": self.lam}
 
 
-def _piece_at(op: Operator, x):
-    """op's global form when it has one, else its local piece at x (None for x None)."""
-    parts = op.affine_parts()
-    if parts is None and x is not None:
-        return op.affine_piece(x)
-    return parts
-
-
 def _pieces_along(operators, x):
     """Each operator's piece at the point it receives when they run in order from x.
 
@@ -513,66 +565,29 @@ def _pieces_along(operators, x):
     """
     last = len(operators) - 1
     for k, op in enumerate(operators):
-        yield _piece_at(op, x)
+        yield op._piece(x)
         if x is not None and k < last:
             x = op._apply(x)
 
 
 def _compose(pieces, dim: int):
-    """Piece of maps applied in order (the first piece first).
+    """(M, c) of the pieces' maps applied in order, the first first.
 
     It starts from the first piece, not from (I, 0), and is (I, 0) for no
-    pieces. A single piece comes back as it was given.
+    pieces; a single piece comes back as it was given.
     """
-    composed = None
-    for piece in pieces:
-        if composed is None:
-            composed = piece
-            continue
-        (mk, ck), (m, c) = piece, composed
-        composed = mk @ m, mk @ c + ck
-    return (np.eye(dim), np.zeros(dim)) if composed is None else composed
-
-
-def _same_piece(piece, other) -> bool:
-    """Whether two pieces are the very same pair of arrays.
-
-    Pieces are values: an operator that hands out the same read-only
-    arrays again hands out the same piece, so whatever was built from
-    the one holds for the other.
-    """
-    return other is not None and piece[0] is other[0] and piece[1] is other[1]
-
-
-def _kept(op, pieces, build):
-    """build(pieces, op.dim): op's piece from its children's, kept from op's last call.
-
-    While every piece is the same read-only pair of arrays as at that call,
-    the pair build made, read-only, comes back without building again. A
-    piece that is still writeable may change, so what is built from one is
-    not kept. None as soon as a piece is None; the rest are not built.
-    """
-    seen = []
-    for piece in pieces:
-        if piece is None:
-            return None
-        seen.append(piece)
-    last = op._last_piece
-    if last is not None and len(last[0]) == len(seen) and all(map(_same_piece, seen, last[0])):
-        return last[1]
-    built = build(seen, op.dim)
-    if not any(m.flags.writeable or c.flags.writeable for m, c in seen):
-        built = _frozen(*built)
-        op._last_piece = seen, built
-    return built
+    if not pieces:
+        return np.eye(dim), np.zeros(dim)
+    m, c = pieces[0]
+    for mk, ck in pieces[1:]:
+        m, c = mk @ m, mk @ c + ck
+    return m, c
 
 
 class CompositeOperator(Operator):
     """Sequential composition; operators[0] is applied first."""
 
     kind = "composite"
-    #: (the child pieces, their composition) of the last piece built; see _kept.
-    _last_piece = None
 
     def __init__(self, operators):
         ops = tuple(operators)
@@ -604,13 +619,11 @@ class CompositeOperator(Operator):
     def affine_piece(self, x=None):
         """The composition of each operator's piece at the point it receives.
 
-        The same read-only pair comes back while every operator's piece is
-        the same as at the last call (see _kept): inside its ball,
+        The same piece comes back while every operator's piece is the same
+        object as at the last call (see _kept): inside its ball,
         rotation ∘ ball has one piece object.
         """
-        if x is not None:
-            x = self._check_arg(x)
-        return _kept(self, _pieces_along(self.operators, x), _compose)
+        return _kept(self, _pieces_along(self.operators, None if x is None else self._check_arg(x)), _compose)
 
     def to_spec(self):
         return {"kind": "composite", "operators": [op.to_spec() for op in self.operators]}
@@ -620,8 +633,6 @@ class IteratedOperator(Operator):
     """n-fold self-composition of a base operator (n = 0 gives the identity)."""
 
     kind = "iterated"
-    #: (the base's pieces, their composition) of the last local piece built; see _kept.
-    _last_piece = None
 
     def __init__(self, base: Operator, n: int):
         n = int(n)
@@ -644,16 +655,9 @@ class IteratedOperator(Operator):
         return y
 
     def affine_piece(self, x=None):
-        """The composition of the base's pieces at x and its next n - 1 iterates.
-
-        A local piece comes back as the same read-only pair while the
-        base's pieces are the same as at the last call (see _kept).
-        With x None, the base's global form composed n times.
-        """
-        if x is not None:
-            return _kept(self, _pieces_along((self.base,) * self.n, self._check_arg(x)), _compose)
-        piece = self.base.affine_parts()
-        return None if piece is None else _compose((piece,) * self.n, self.dim)
+        """The composition of the base's pieces at x and its next n - 1 iterates, kept as a
+        composite's is; for n = 0 the empty composition (I, 0), which holds everywhere."""
+        return _kept(self, _pieces_along((self.base,) * self.n, None if x is None else self._check_arg(x)), _compose)
 
     def to_spec(self):
         return {"kind": "iterated", "base": self.base.to_spec(), "n": self.n}
@@ -693,30 +697,34 @@ class BlendOperator(Operator):
         return scaled + self.b * second, second
 
     def affine_piece(self, x=None):
-        # The second map (a solve's target) is the one that may have no
-        # piece, so it is asked first and the first map's piece is not built.
-        pt = _piece_at(self.second, x)
-        if pt is None:
-            return None
-        ps = _piece_at(self.first, x)
-        if ps is None:
-            return None
-        return _blend_form(self.a, ps, self.b, pt)
+        """(a M_S + b M_T, a c_S + b c_T) for the maps' pieces, kept as a composite's is.
+
+        The second map (a solve's target) is the one that may have no
+        piece, so it is asked first and the first map's piece is not built.
+        """
+        second = self.second._piece(x)
+        return None if second is None else _kept(self, (second, self.first._piece(x)), self._blend)
+
+    def _blend(self, pieces, dim):
+        second, first = pieces
+        return _blend_form(self.a, first, self.b, second)
 
 
-def _blend_form(a, first, b, second):
+def _blend_form(a, first: _Piece, b, second: _Piece):
     """(a M_S + b M_T, a c_S + b c_T): the affine form of x -> a S(x) + b T(x).
 
-    first and second are the forms (M_S, c_S) and (M_T, c_T). a and b are
+    first and second are the pieces (M_S, c_S) and (M_T, c_T). a and b are
     floats, or arrays of n weights for n blends at once, whose forms are
     then stacked, (n, d, d) and (n, d), or shared by all n. Either way
     each entry takes the same products and sum, so a blend has the same
-    bits alone and in a stack.
+    bits alone and in a stack. An overflow shows as a non-finite entry,
+    which the piece built from the form rejects, not as a warning.
     """
-    (ms, cs), (mt, ct) = first, second
-    if isinstance(a, np.ndarray) and a.ndim:
-        return a[:, None, None] * ms + b[:, None, None] * mt, a[:, None] * cs + b[:, None] * ct
-    return a * ms + b * mt, a * cs + b * ct
+    ms, cs, mt, ct = first.matrix, first.offset, second.matrix, second.offset
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(a, np.ndarray) and a.ndim:
+            return a[:, None, None] * ms + b[:, None, None] * mt, a[:, None] * cs + b[:, None] * ct
+        return a * ms + b * mt, a * cs + b * ct
 
 
 class FunctionOperator(Operator):
@@ -753,174 +761,93 @@ class DeclaredWrapper(Operator):
         return self.wrapped._apply(x)
 
     def affine_piece(self, x=None):
-        return _piece_at(self.wrapped, x)
+        return self.wrapped._piece(x)
 
     def to_spec(self):
         return self.wrapped.to_spec()
 
 
-def blend(
-    a: float, first: Operator, b: float, second: Operator,
-    collapse: tuple[np.ndarray, np.ndarray, float] | None = None,
-) -> Operator:
+def blend(a: float, first: Operator, b: float, second: Operator, collapse: _Piece | None = None) -> Operator:
     """a*S + b*T as an operator, collapsed to a single affine map when possible.
 
     The collapse keeps inner Picard loops cheap and lets the affine
     constructor declare the sharp contraction modulus ||a M_S + b M_T||.
-    Collapsed here, the matrix and offset are checked once, for finiteness
-    (a blend whose weights overflow them raises InvalidSpec), and the
-    modulus takes one SVD. A caller that has already collapsed this very
-    blend (a schedule plan, a batch of steps at a time) passes collapse =
-    (a M_S + b M_T, a c_S + b c_T, ||a M_S + b M_T||_2), with the matrix
-    and offset finite and read-only, and blend() only wraps it in an
-    AffineOperator.
+    Collapsed here, the global piece is built from S's and T's (a blend
+    whose weights overflow it raises InvalidSpec) and the modulus takes one
+    SVD. A caller that has collapsed this very blend (a schedule plan)
+    passes its global piece as collapse, with the modulus as its norm, and
+    blend() only wraps it in an AffineOperator.
     """
     if first.dim != second.dim:
         raise DimensionMismatch("blend mixes operators of different dimensions")
-    if collapse is not None:
-        matrix, offset, modulus = collapse
-        return _affine_from_checked(matrix, offset, None, modulus)
-    ps = first.affine_parts()
-    pt = second.affine_parts()
-    if ps is not None and pt is not None:
-        # An overflow is reported by the finiteness checks, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            matrix, offset = _blend_form(a, ps, b, pt)
-        return _adopt_affine(matrix, offset, None, "collapsed")
-    return BlendOperator(a, first, b, second)
-
-
-def _adopt_affine(
-    matrix: np.ndarray, offset: np.ndarray, declared_class: DeclaredClass | None, name: str,
-    matrix_norm: float | None = None,
-) -> AffineOperator:
-    """AffineOperator on a matrix and offset just computed from checked parts.
-
-    Such arrays are square and of matching shapes, and nobody else holds
-    them: they are checked once, for finiteness, and frozen in place, with
-    no copy. A NaN or infinite entry raises InvalidSpec, whose message
-    starts with name. declared_class is as for AffineOperator; without one
-    the modulus takes one SVD. matrix_norm is the operator's matrix_norm
-    (see AffineOperator), given for a solver's piece.
-    """
-    if not np.isfinite(matrix).all():
-        raise InvalidSpec(f"{name} matrix has non-finite entries")
-    if not np.isfinite(offset).all():
-        raise InvalidSpec(f"{name} offset has non-finite coordinates")
-    matrix.flags.writeable = False
-    offset.flags.writeable = False
-    return _affine_from_checked(matrix, offset, declared_class, matrix_norm)
-
-
-def _affine_from_checked(matrix, offset, declared_class, matrix_norm) -> AffineOperator:
-    """AffineOperator on a square matrix and matching offset, finite and read-only."""
-    op = AffineOperator.__new__(AffineOperator)
-    op._init_checked(matrix, offset, declared_class, matrix_norm)
-    return op
+    if collapse is None:
+        ps, pt = first.affine_parts(), second.affine_parts()
+        if ps is None or pt is None:
+            return BlendOperator(a, first, b, second)
+        collapse = _Piece(*_blend_form(a, ps, b, pt), True)
+    return _affine(collapse, None, collapse.norm)
 
 
 # ---------------------------------------------------------------------------
 # Serialized operator specs
 
-_SPEC_BUILDERS = {}
+#: kind -> (constructor, the spec's fields in the order the constructor takes them).
+_SPEC_BUILDERS = {
+    "linear": (LinearOperator, ("matrix",)),
+    "affine": (AffineOperator, ("matrix", "offset")),
+    "identity": (Identity, ("dim",)),
+    "negation": (Negation, ("dim",)),
+    "constant": (ConstantOperator, ("value",)),
+    "projection_ball": (BallProjection, ("center", "radius")),
+    "projection_box": (BoxProjection, ("lower", "upper")),
+    "rotation": (PlaneRotation, ("dim", "plane", "angle")),
+    "averaged": (AveragedOperator, ("inner", "lambda")),
+    "composite": (CompositeOperator, ("operators",)),
+    "iterated": (IteratedOperator, ("base", "n")),
+}
 
 
-def _register(kind):
-    def wrap(fn):
-        _SPEC_BUILDERS[kind] = fn
-        return fn
-
-    return wrap
-
-
-def _require(spec: dict, *keys):
-    for key in keys:
-        if key not in spec:
-            raise InvalidSpec(f"operator spec of kind '{spec.get('kind')}' is missing '{key}'")
-    return [spec[k] for k in keys]
+def _numbers_only(value) -> bool:
+    """Whether value is a number or nested lists of numbers; a bool or a string is not a number."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        # A row of plain numbers, as json.load makes them, is passed at once.
+        return set(map(type, value)) <= {int, float} or all(map(_numbers_only, value))
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-@_register("linear")
-def _build_linear(spec):
-    (matrix,) = _require(spec, "matrix")
-    return LinearOperator(matrix)
-
-
-@_register("affine")
-def _build_affine(spec):
-    matrix, offset = _require(spec, "matrix", "offset")
-    return AffineOperator(matrix, offset)
-
-
-@_register("identity")
-def _build_identity(spec):
-    (dim,) = _require(spec, "dim")
-    return Identity(dim)
-
-
-@_register("negation")
-def _build_negation(spec):
-    (dim,) = _require(spec, "dim")
-    return Negation(dim)
-
-
-@_register("constant")
-def _build_constant(spec):
-    (value,) = _require(spec, "value")
-    return ConstantOperator(value)
-
-
-@_register("projection_ball")
-def _build_ball(spec):
-    center, radius = _require(spec, "center", "radius")
-    return BallProjection(center, radius)
-
-
-@_register("projection_box")
-def _build_box(spec):
-    lower, upper = _require(spec, "lower", "upper")
-    return BoxProjection(lower, upper)
-
-
-@_register("rotation")
-def _build_rotation(spec):
-    dim, plane, angle = _require(spec, "dim", "plane", "angle")
-    if not isinstance(plane, (list, tuple)) or len(plane) != 2:
-        raise InvalidSpec("rotation plane must be a pair of coordinate indices")
-    return PlaneRotation(dim, (plane[0], plane[1]), angle)
-
-
-@_register("averaged")
-def _build_averaged(spec):
-    inner_spec, lam = _require(spec, "inner", "lambda")
-    return AveragedOperator(make_operator(inner_spec), lam)
-
-
-@_register("composite")
-def _build_composite(spec):
-    (op_specs,) = _require(spec, "operators")
-    if not isinstance(op_specs, (list, tuple)):
-        raise InvalidSpec("composite 'operators' must be a list of operator specs")
-    return CompositeOperator([make_operator(s) for s in op_specs])
-
-
-@_register("iterated")
-def _build_iterated(spec):
-    base_spec, n = _require(spec, "base", "n")
-    return IteratedOperator(make_operator(base_spec), n)
+def _spec_field(kind: str, key: str, value):
+    """A spec field as its constructor takes it: nested specs built, anything else checked to hold numbers."""
+    if key in ("inner", "base"):
+        return make_operator(value)
+    if key == "operators":
+        if not isinstance(value, (list, tuple)):
+            raise InvalidSpec("composite 'operators' must be a list of operator specs")
+        return [make_operator(s) for s in value]
+    if not _numbers_only(value):
+        raise InvalidSpec(f"operator spec of kind '{kind}' needs numbers in '{key}'")
+    return value
 
 
 def make_operator(spec: dict) -> Operator:
-    """Build a cataloged operator from its serialized (JSON-style) spec."""
+    """Build a cataloged operator from its serialized (JSON-style) spec.
+
+    A field that is not a nested spec must hold numbers: a string or a bool
+    in it raises InvalidSpec naming the field.
+    """
     if not isinstance(spec, dict):
         raise InvalidSpec(f"operator spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
-    builder = _SPEC_BUILDERS.get(kind)
-    if builder is None:
+    if kind not in _SPEC_BUILDERS:
         known = ", ".join(sorted(_SPEC_BUILDERS))
         raise InvalidSpec(f"unknown operator kind '{kind}' (known: {known})")
+    build, keys = _SPEC_BUILDERS[kind]
+    for key in keys:
+        if key not in spec:
+            raise InvalidSpec(f"operator spec of kind '{kind}' is missing '{key}'")
     try:
-        return builder(spec)
+        return build(*(_spec_field(kind, key, spec[key]) for key in keys))
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed '{kind}' spec: {exc}") from exc
 

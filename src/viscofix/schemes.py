@@ -20,11 +20,11 @@ that anchor.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +35,13 @@ from .operators import (
     BlendOperator,
     ConstantOperator,
     DeclaredWrapper,
+    InvalidSpec,
     NonFiniteValue,
     Operator,
-    _adopt_affine,
-    _affine_from_checked,
+    _affine,
+    _as_piece,
     _blend_form,
-    _piece_at,
-    _same_piece,
+    _Piece,
     blend,
     contraction,
     estimate_lipschitz,
@@ -429,7 +429,7 @@ def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_ite
     same vdot that gives its rounding floor. Raises NonFiniteValue when the
     iterate at max_iter is not finite.
     """
-    matrix, offset = parts
+    matrix, offset = parts.matrix, parts.offset
     # Huge steps overflow to inf without warnings; a non-finite iterate is
     # reported below at the budget, and by picard_solve at the stop.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,16 +451,6 @@ def _scanned_norms(G, x0, count):
     """The norms of the first count steps of _picard_generic on an affine G."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _picard_generic(G, x0, -math.inf, count)[1]
-
-
-def _spectral_norm(G: Operator, matrix: np.ndarray) -> float:
-    """The bound on ||M||_2 of G's global affine form that decides a lift.
-
-    An AffineOperator's matrix_norm when it has one (see AffineOperator),
-    else ||M||_2 from one SVD.
-    """
-    known = G.matrix_norm if isinstance(G, AffineOperator) else None
-    return spectral_norm(matrix) if known is None else known
 
 
 def picard_solve(
@@ -492,15 +482,12 @@ def picard_solve(
         update norms.
 
     An affine G = M x + c with ||M||_2 < 1 runs the same iteration with the
-    same stopping rule and step norms, up to rounding. ||M||_2 is read from
-    the AffineOperator's matrix_norm when it has one (an undeclared map's
-    or a planned collapse's SVD norm, or the blend's modulus q_n that
-    _solve_implicit gives the piece it solves), else it takes one SVD here,
-    as for every AffineOperator built with a declared class. Its step norms
-    never increase, so the stop is found by binary lifting on M^(2^j) in
-    O(log k) small products (see _picard_affine), and step_norms is
-    computed only when read. Every other map, whose steps may grow before
-    they decay, takes every step through G's apply.
+    same stopping rule and step norms, up to rounding. ||M||_2 is the
+    AffineOperator's matrix_norm when it has one, else one SVD here. Its
+    step norms never increase, so the stop is found by binary lifting on
+    M^(2^j) in O(log k) small products (see _picard_affine), and step_norms
+    is computed only when read. Every other map, whose steps may grow
+    before they decay, takes every step through G's apply.
 
     Raises MaxIterExceeded when the budget, counted in Picard steps, runs
     out. Raises NonFiniteValue when an iterate is NaN or infinite: the
@@ -525,16 +512,15 @@ def picard_solve(
     threshold = tol * (1.0 - alpha) / alpha
 
     parts = G.affine_parts()
-    if parts is not None and _spectral_norm(G, parts[0]) < 1.0:
+    # The bound on ||M||_2 that decides a lift: an AffineOperator's matrix_norm, else one SVD.
+    known = G.matrix_norm if isinstance(G, AffineOperator) else None
+    if parts is not None and (spectral_norm(parts.matrix) if known is None else known) < 1.0:
         outcome = _picard_affine(G, parts, x, threshold, policy.max_iter)
     else:
-        if parts is None:
+        # Huge affine steps overflow to inf without numpy's warnings, as in
+        # the lifted solve; a non-finite value raises NonFiniteValue.
+        with np.errstate(over="ignore", invalid="ignore") if parts is not None else contextlib.nullcontext():
             point, steps = _picard_generic(G, x, threshold, policy.max_iter)
-        else:
-            # Huge affine steps overflow to inf without numpy's warnings, as
-            # in the lifted solve; a non-finite value raises NonFiniteValue.
-            with np.errstate(over="ignore", invalid="ignore"):
-                point, steps = _picard_generic(G, x, threshold, policy.max_iter)
         # G's apply may return an array its caller still holds: copy it.
         outcome = (point.copy(), len(steps), steps[-1], tuple(steps)) if steps[-1] <= threshold else None
     if outcome is None:
@@ -569,25 +555,13 @@ def picard_solve(
     )
 
 
-class _StepPiece(NamedTuple):
-    """A blend's affine piece at a step's warm start, (matrix, offset) or (None, None) for none.
-
-    frozen tells a row of a schedule plan's batch, already checked finite
-    and read-only, from a row built alone, whose arrays are fresh and are
-    checked and frozen at its own step.
-    """
-
-    matrix: np.ndarray | None
-    offset: np.ndarray | None
-    frozen: bool
-
-
-_NO_PIECE = _StepPiece(None, None, False)
+#: Marks a step that no schedule plan built: _solve_implicit asks g for its own piece.
+_UNPLANNED = object()
 
 
 def _solve_implicit(
     f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
-    planned: tuple | None = None,
+    planned=_UNPLANNED,
 ) -> tuple[FixedPointResult, float, np.ndarray | None]:
     """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta.
 
@@ -595,26 +569,22 @@ def _solve_implicit(
     there, and that one value is handed on when g is a BlendOperator. For
     a g that blend() collapsed to one affine map, T(xi) is None.
 
-    planned, when given, is what a schedule plan made of this step (see
-    _blend_plan): g's collapse to one affine map, which is handed to
-    blend(), or g's affine piece at warm, a _StepPiece, which stands in for
-    g.affine_piece(warm). A planned row is only wrapped in an
-    AffineOperator; a row built alone is checked for finiteness first
-    (InvalidSpec).
-
-    When g has an affine piece at the warm start, the piece is solved first,
-    declared with g's own modulus q so that picard_solve runs its affine
-    solve with the threshold g would get. The piece's matrix_norm is q too,
-    so picard_solve lifts on it without an SVD: a nonexpansive T's local
+    planned is g's piece at warm as a schedule plan built it (see
+    _blend_plan), None where the plan found none, or _UNPLANNED. The one
+    branch is on whether it holds everywhere: such a piece is g's collapse,
+    which blend() adopts; without one, blend() collapses g itself when f
+    and T have global forms. Otherwise a local piece, or for an unplanned
+    step g.affine_piece(warm), is solved first, declared with g's own
+    modulus q, which is also its matrix_norm: a nonexpansive T's local
     piece has ||M||_2 <= 1, so with honest classes the piece's norm is at
-    most eps ||M_f||_2 + (1 - eps) <= q < 1. Its point is kept only if
-    ||xi - g(xi)|| <= delta (1 - q), which bounds the distance to the fixed
-    point of the q-contraction g by delta however xi was found, so a class
-    that overstates how f contracts costs no soundness. Otherwise, or when
-    the piece solve fails, picard_solve runs on g itself.
+    most eps ||M_f||_2 + (1 - eps) <= q < 1, and picard_solve lifts on q
+    without an SVD, with the threshold g would get. The point is kept
+    only if ||xi - g(xi)|| <= delta (1 - q), which bounds its distance to
+    the fixed point of the q-contraction g by delta however it was found,
+    so a class that overstates how f contracts costs no soundness.
+    Otherwise, or when the piece solve fails, picard_solve runs on g.
     """
-    piece = planned if isinstance(planned, _StepPiece) else None
-    g = blend(eps, f, 1.0 - eps, T, None if piece is not None else planned)
+    g = blend(eps, f, 1.0 - eps, T, planned if isinstance(planned, _Piece) and planned.everywhere else None)
     if not isinstance(g, BlendOperator):
         res = picard_solve(g, warm, delta, policy)
         return res, norm(res.point - g._apply(res.point)), None
@@ -622,26 +592,18 @@ def _solve_implicit(
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
     # left to picard_solve, which resolves the one and rejects the other.
-    g_piece = None
     if declared.kind == "contraction" and warm.shape == (g.dim,):
-        if piece is None:
-            row = g.affine_piece(warm)
-            piece = _NO_PIECE if row is None else _StepPiece(*row, False)
-        if piece.frozen:
-            g_piece = _affine_from_checked(piece.matrix, piece.offset, declared, declared.alpha)
-        elif piece.matrix is not None:
-            # The row's arrays are fresh, so they are frozen in place, not copied.
-            g_piece = _adopt_affine(piece.matrix, piece.offset, declared, "piece", declared.alpha)
-    if g_piece is not None:
-        try:
-            res = picard_solve(g_piece, warm, delta, policy)
-        except (MaxIterExceeded, NonFiniteValue):
-            pass
-        else:
-            value, at_target = g._apply_keeping_second(res.point)
-            gap = norm(res.point - value)
-            if gap <= delta * (1.0 - declared.alpha):
-                return res, gap, at_target
+        piece = _as_piece(g.affine_piece(warm), False) if planned is _UNPLANNED else planned
+        if piece is not None:
+            try:
+                res = picard_solve(_affine(piece, declared, declared.alpha), warm, delta, policy)
+            except (MaxIterExceeded, NonFiniteValue):
+                pass
+            else:
+                value, at_target = g._apply_keeping_second(res.point)
+                gap = norm(res.point - value)
+                if gap <= delta * (1.0 - declared.alpha):
+                    return res, gap, at_target
     res = picard_solve(g, warm, delta, policy)
     value, at_target = g._apply_keeping_second(res.point)
     return res, norm(res.point - value), at_target
@@ -686,95 +648,65 @@ _PLAN_BATCH = 1 << 16
 
 
 def _blend_plan(f: Operator, step_ops, values, warm=None):
-    """What a schedule plan builds for each step's blend g_n = eps_n f + (1 - eps_n) T_n, in turn.
+    """g_n's piece for each step's blend g_n = eps_n f + (1 - eps_n) T_n, in turn.
 
     A generator: next() gives step 1's entry, planned at the warm start
     warm, and send(w) gives the next step's, planned at its warm start w.
-    Plain iteration sends None, which plans no piece.
+    Plain iteration sends None, which plans only global pieces.
 
-    When f and every step operator have a global affine form, an entry is
-    g_n's collapse (M_n, c_n, ||M_n||_2), with M_n = eps_n M_f + (1 -
-    eps_n) M_T and c_n = eps_n c_f + (1 - eps_n) c_T. The steps are planned
-    a batch at a time: the batch's matrices and offsets are stacked with
-    the products and sums blend() uses (operators._blend_form), checked for
-    finiteness once and frozen, and one batched SVD, which gives the bits
-    of one SVD per matrix, gives their moduli. So each collapse has the
-    bits of blend()'s own. A batch with a non-finite entry is not passed to
-    the SVD; its entries are None, and blend() collapses those steps
-    itself.
+    When f has a global form, each step is keyed on T_n's piece at its warm
+    start (its global form when it has one), compared by identity, and its
+    entry is g_n's piece M_n = eps_n M_f + (1 - eps_n) M_T, c_n = eps_n c_f
+    + (1 - eps_n) c_T, global or local as T_n's is. A member's pieces are
+    planned for the rest of a batch of steps at once, stacked with the
+    products and sums blend() and BlendOperator use (operators._blend_form),
+    so a planned row has the bits of a row built alone; the stack is
+    checked for finiteness once.
 
-    Otherwise, when f has a global form, a step whose T_n has none gets
-    g_n's affine piece at its warm start w, a _StepPiece. It is keyed by
-    T_n's own piece there, operators._piece_at(T_n, w), compared by
-    identity. A piece seen for the first time gets its one row built alone,
-    with the products and sums BlendOperator.affine_piece uses. When the
-    next step of the same family member sees the same read-only piece (a
-    ball's interior, or a composite's or an average's kept piece, see
-    operators._kept), that member's rows for the rest of the batch are
-    stacked the same way, checked for finiteness once and frozen; each
-    member keeps its own. A batch with a non-finite entry is not planned,
-    and its rows are built alone. Pieces take no SVD: _solve_implicit lifts
-    them on the blend's declared modulus. A target whose pieces are fresh
-    objects on every call has every row built alone.
+    * A global piece is planned from its member's first step in the batch.
+      Its rows carry their norms ||M_n||_2 from one batched SVD, with the
+      bits of one SVD per matrix: each is the collapse blend() adopts.
+    * A local piece seen for the first time has its row built alone; when
+      the member's next step sees the very same object (a ball's interior,
+      a composite's or an average's kept piece), the rest of the batch is
+      planned. It takes no SVD: _solve_implicit lifts it on q_n.
 
-    An entry is None where nothing is planned: a step whose T_n has a
-    global form in a schedule that is not all affine (blend() collapses
-    it), every step when f has no global form, and a step without a warm
-    start.
+    A stack with a non-finite entry is not planned, and its rows are built
+    alone, so the first of them to overflow raises InvalidSpec at its own
+    step. An entry is None where T_n has no piece at the warm start, and
+    _UNPLANNED every step when f has no global form.
     """
-    forcing, *forms = [op.affine_parts() for op in (f, *step_ops)]
+    forcing = f.affine_parts()
+    count = len(step_ops)
     batch = max(1, _PLAN_BATCH // (f.dim * f.dim))
-    if forcing is not None and all(form is not None for form in forms):
-        matrices = np.stack([form[0] for form in forms])
-        offsets = np.stack([form[1] for form in forms])
-        for start in range(0, len(values), batch):
-            eps = np.array(values[start : start + batch])
-            index = np.arange(start, start + eps.size) % len(forms)
-            # A non-finite part shows in the check below, not as a warning.
-            with np.errstate(over="ignore", invalid="ignore"):
-                stack, shifts = _blend_form(eps, forcing, 1.0 - eps, (matrices[index], offsets[index]))
-            if not (np.isfinite(stack).all() and np.isfinite(shifts).all()):
-                for _ in range(eps.size):
-                    yield None
-                continue
-            stack.flags.writeable = shifts.flags.writeable = False
-            # Entries are yielded one by one, so that the warm starts sent in are taken.
-            for collapse in zip(stack, shifts, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()):
-                yield collapse
-        return
-    count = len(forms)
     # Each member's piece at its last step, and its planned rows as
-    # (piece, first step, end of the batch, matrices or None, offsets).
+    # (piece, first step, end of the batch, stacked piece or None, norms).
     seen: list = [None] * count
     plans: list = [None] * count
     for idx, eps in enumerate(values):
         member = idx % count
-        if warm is None or forcing is None or forms[member] is not None:
-            warm = yield None
-            continue
-        piece = _piece_at(step_ops[member], warm)
-        if piece is None:
-            entry = _NO_PIECE
-        else:
+        piece = None if forcing is None else step_ops[member]._piece(warm)
+        entry = None if forcing is not None else _UNPLANNED
+        if piece is not None:
             plan = plans[member]
-            if plan is None or idx >= plan[2] or not _same_piece(piece, plan[0]):
+            if plan is None or idx >= plan[2] or plan[0] is not piece:
                 plan = plans[member] = None
-                # A writeable piece may change behind its identity: it is never planned.
-                if _same_piece(piece, seen[member]) and not (piece[0].flags.writeable or piece[1].flags.writeable):
+                if piece.everywhere or piece is seen[member]:
                     stop = min(len(values), (idx // batch + 1) * batch)
                     weights = np.array(values[idx:stop:count])
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        matrices, offsets = _blend_form(weights, forcing, 1.0 - weights, piece)
-                    if np.isfinite(matrices).all() and np.isfinite(offsets).all():
-                        matrices.flags.writeable = offsets.flags.writeable = False
-                    else:
-                        matrices = None
-                    plan = plans[member] = (piece, idx, stop, matrices, offsets)
+                    try:
+                        stack = _Piece(*_blend_form(weights, forcing, 1.0 - weights, piece), piece.everywhere)
+                    except InvalidSpec:
+                        stack = None
+                    norms = None
+                    if stack is not None and piece.everywhere:
+                        norms = np.linalg.svd(stack.matrix, compute_uv=False)[:, 0].tolist()
+                    plan = plans[member] = (piece, idx, stop, stack, norms)
             if plan is not None and plan[3] is not None:
                 row = (idx - plan[1]) // count
-                entry = _StepPiece(plan[3][row], plan[4][row], True)
+                entry = plan[3].row(row, None if plan[4] is None else plan[4][row])
             else:
-                entry = _StepPiece(*_blend_form(eps, forcing, 1.0 - eps, piece), False)
+                entry = _Piece(*_blend_form(eps, forcing, 1.0 - eps, piece), piece.everywhere)
         seen[member] = piece
         warm = yield entry
 
@@ -811,27 +743,13 @@ def viscosity_implicit_solve(
         ||xi - T(xi)|| <= outer_tol and ||xi_n - xi_{n-1}|| <= outer_tol.
 
     Each step solves the blend g = eps_n f + (1 - eps_n) T_n from the warm
-    start. When g has no global affine form but has an affine piece at the
-    warm start (a ball projection is the identity inside its ball), the
-    piece is solved first with g's modulus q_n and its point kept only if
-    ||xi - g(xi)|| <= delta_n (1 - q_n); otherwise picard_solve runs on g
-    itself. Either way ||xi_n - xi_n*|| <= delta_n for the step's exact
-    solution xi_n*, and the trace and inner_monitor see the solve whose
-    point was kept. The value of T_n at xi_n that the certificate of a
-    g with no global affine form computes also gives the step's
-    fix_residual.
-
-    A schedule plan (see _blend_plan) builds the steps' affine maps a batch
-    of steps at a time, with one finiteness check per batch. When f and
-    every step operator are affine, each g collapses to one affine map
-    M_n x + c_n, whose moduli ||M_n||_2 come from one batched SVD per
-    batch, and blend() adopts each step's collapse as it comes. When f is
-    affine and T_n is not, the plan builds g's piece at each warm start:
-    alone the first time a member's piece is seen, and for the rest of the
-    batch at once when the member's next step sees the same piece object,
-    as inside the ball of rotation ∘ ball. A batch with a non-finite entry
-    is not planned: its steps build their own maps, so that the first of
-    them to overflow raises InvalidSpec at its own step.
+    start on g's affine piece there (see _solve_implicit), which a schedule
+    plan builds a batch of steps at a time (see _blend_plan): g's collapse
+    when T_n has a global form, else its local piece, whose point is kept
+    only if g certifies it. Either way ||xi_n - xi_n*|| <= delta_n for the
+    step's exact solution xi_n*, and the trace and inner_monitor see the
+    solve whose point was kept. The value of T_n at xi_n that a piece's
+    certificate computes also gives the step's fix_residual.
 
     MaxIterExceeded and NonFiniteValue from an inner solve are raised again
     with the outer step n and eps_n in front of the message.

@@ -81,12 +81,14 @@ def test_a_piece_schedule_builds_one_row_alone_and_plans_the_rest(monkeypatch):
     # composite has one piece object, composed once; the plan builds the
     # first step's row alone and every later row in one batch, while the
     # tracer still sees one blend and one inner solve per outer step.
+    import numpy as np
+
     from viscofix import AffineOperator, BallProjection, CompositeOperator, PlaneRotation, operators, schemes
 
     blends = _counted(monkeypatch, schemes, "blend")
     solves = _counted(monkeypatch, schemes, "picard_solve")
     composes = _counted(monkeypatch, operators, "_compose")
-    adopted = _counted(monkeypatch, schemes, "_adopt_affine")
+    built = _counted(monkeypatch, schemes, "_blend_form")
     forcing = AffineOperator([[0.5, 0.0], [0.0, 0.5]], [0.1, 0.05])
     target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
     _, trace = schemes.viscosity_implicit_solve(forcing, target, schemes.make_schedule(n_max=30))
@@ -94,7 +96,8 @@ def test_a_piece_schedule_builds_one_row_alone_and_plans_the_rest(monkeypatch):
     assert len(trace) == len(blends) == 30
     assert [type(args[0]) for args in solves] == [AffineOperator] * 30
     assert len(composes) == 1
-    assert len(adopted) == 1
+    # One row with a scalar weight, then one batch of weights.
+    assert [np.ndim(args[0]) for args in built] == [0, 1]
 
 
 def test_a_retraction_makes_one_traced_inner_call_and_blend_per_outer_step(monkeypatch):
@@ -127,7 +130,8 @@ def test_a_retraction_of_a_nonaffine_target_takes_no_svd(monkeypatch):
 def test_an_affine_schedule_collapses_its_blends_a_batch_at_a_time(monkeypatch):
     # solve-affine's blend counters rest on this: one traced schemes.blend
     # call per outer step, which adopts the step's planned collapse, and the
-    # batch work shows in the outer loop's own time.
+    # batch work shows in the outer loop's own time. No blend builds its own
+    # collapse (operators._blend_form is what blend() itself would call).
     import numpy as np
 
     from viscofix import AffineOperator, BallProjection, CompositeOperator, PlaneRotation, SolveOptions
@@ -137,7 +141,7 @@ def test_an_affine_schedule_collapses_its_blends_a_batch_at_a_time(monkeypatch):
     flow = make_rotation_flow([1.0], [1.0, 2.0])
     target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
     blends = _counted(monkeypatch, schemes, "blend")
-    collapses = _counted(monkeypatch, operators, "_adopt_affine")
+    collapses = _counted(monkeypatch, operators, "_blend_form")
     svds = _counted(monkeypatch, np.linalg, "svd")
     monkeypatch.setattr(schemes, "_PLAN_BATCH", 4 * 300)
     # solve-affine's d = 2 options: a fixed inner tolerance and a long budget.
@@ -146,8 +150,8 @@ def test_an_affine_schedule_collapses_its_blends_a_batch_at_a_time(monkeypatch):
     assert len(trace) == len(blends) == 2000
     assert all(args[4] is not None for args in blends)
     assert collapses == []
-    # One batched SVD per batch of 300 steps, and no other SVD.
-    assert [args[0].shape for args in svds] == [(300, 2, 2)] * 6 + [(200, 2, 2)]
+    # One batched SVD per family member and batch of 300 steps, and no other SVD.
+    assert [args[0].shape for args in svds] == [(150, 2, 2)] * 12 + [(100, 2, 2)] * 2
     # A target with no global affine form plans nothing: blend() gets no
     # collapse and keeps the blend, whose pieces lift on the blend's
     # declared modulus, with no SVD.

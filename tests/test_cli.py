@@ -718,6 +718,18 @@ def test_certify_na_rejects_nonsquare(tmp_path, capsys):
     assert "square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload", [{"matrix": [["2", "0"], ["0", "1"]]}, [[True, False], [False, True]]], ids=["strings", "booleans"]
+)
+def test_certify_na_rejects_entries_that_are_not_numbers(tmp_path, capsys, payload):
+    # np.asarray would read "2" as 2.0 and true as 1.0.
+    path = _write(tmp_path, "matrix.json", payload)
+    assert main(["certify-na", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix entries must be numbers (a string or a boolean is not one)\n"
+
+
 def test_certify_na_clustered_spectrum(tmp_path, capsys):
     matrix = [[(i + 1.0) / (i + 2.0) if i == j else 0.0 for j in range(20)] for i in range(20)]
     path = _write(tmp_path, "clustered.json", {"matrix": matrix})
@@ -748,6 +760,32 @@ def test_certify_na_refuses_a_vector_below_the_norm(tmp_path, capsys, matrix):
 
 # ---------------------------------------------------------------------------
 # check-family
+
+
+@pytest.mark.parametrize("key, value", [("dim", "2"), ("plane", [0, True]), ("angle", "0.5")])
+def test_check_family_rejects_spec_fields_that_are_not_numbers(tmp_path, capsys, key, value):
+    rotation = {"kind": "rotation", "dim": 2, "plane": [0, 1], "angle": 0.5, key: value}
+    path = _write(tmp_path, "family.json", {"family": {"kind": "custom", "table": {"1": rotation}}})
+    assert main(["check-family", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: InvalidSpec: operator spec of kind 'rotation' needs numbers in '{key}'\n"
+
+
+@pytest.mark.parametrize("value", ["0.5", True], ids=["string", "boolean"])
+def test_run_rejects_fields_that_are_not_numbers(tmp_path, capsys, value):
+    # A field the run schema types is rejected by the schema; an operator
+    # spec, which the schema leaves open, by make_operator, as for check-family.
+    path = _write(tmp_path, "cfg.json", {**_ball_config(), "anchors": [[value, 0.0]]})
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: config invalid at anchors/0/0: ")
+    cfg = _ball_config()
+    cfg["problem"]["target"]["radius"] = value
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: InvalidSpec: operator spec of kind 'projection_ball' needs numbers in 'radius'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_family_power_rotation(tmp_path, capsys):

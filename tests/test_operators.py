@@ -111,6 +111,30 @@ def test_iterated_matches_repeated_apply():
     assert IteratedOperator(base, 0).apply(x) == pytest.approx(list(x))
 
 
+def test_a_zero_fold_iterate_is_the_identity_everywhere():
+    # The empty composition holds everywhere, whatever the base's pieces.
+    zero = IteratedOperator(BallProjection([0.0, 0.0], 1.0), 0)
+    form = zero.affine_parts()
+    assert form.everywhere
+    np.testing.assert_array_equal(form.matrix, np.eye(2))
+    np.testing.assert_array_equal(form.offset, np.zeros(2))
+    with pytest.raises(ValueError):
+        form.matrix[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        form.offset[0] = 1.0
+    assert isinstance(blend(0.5, AffineOperator(0.5 * np.eye(2), [1.0, 0.0]), 0.5, zero), AffineOperator)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_form_that_overflows_is_rejected_when_built():
+    steep = AffineOperator(np.diag([1e200, 0.0]), [0.0, 0.0])
+    twice = CompositeOperator([steep, steep])
+    with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
+        twice.affine_parts()
+    with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
+        estimate_lipschitz(twice, 5, 1.0)
+
+
 def test_dimension_mismatch_on_apply():
     with pytest.raises(DimensionMismatch):
         Identity(2).apply([1.0, 2.0, 3.0])
@@ -307,6 +331,25 @@ def test_make_operator_rejects_missing_keys():
         make_operator({"kind": "linear", "matrix": [[1.0, 2.0]]})
 
 
+@pytest.mark.parametrize("spec", ROUND_TRIP_SPECS, ids=lambda s: s["kind"])
+@pytest.mark.parametrize("bad", ["0.5", True, None], ids=["string", "boolean", "null"])
+def test_make_operator_rejects_fields_that_are_not_numbers(spec, bad):
+    # Each numeric field in turn gets a non-number, alone or as an entry.
+    numeric = [key for key in spec if key not in ("kind", "inner", "operators", "base")]
+    for key in numeric:
+        broken = dict(spec, **{key: bad if not isinstance(spec[key], list) else [bad] + spec[key][1:]})
+        with pytest.raises(InvalidSpec, match=f"kind '{spec['kind']}' needs numbers in '{key}'"):
+            make_operator(broken)
+
+
+def test_make_operator_takes_numpy_numbers():
+    op = make_operator({"kind": "affine", "matrix": 0.5 * np.eye(2), "offset": np.array([1, 2])})
+    assert op.to_spec() == {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 2.0]}
+    assert make_operator({"kind": "identity", "dim": np.int64(3)}).dim == 3
+    with pytest.raises(InvalidSpec, match="needs numbers in 'matrix'"):
+        make_operator({"kind": "linear", "matrix": np.eye(2, dtype=bool)})
+
+
 # ---------------------------------------------------------------------------
 # Empirical probes
 
@@ -428,15 +471,14 @@ def test_blend_collapses_affine_pairs():
 
 
 def _planned(a, first, b, second, modulus):
-    """The collapse a schedule plan hands to blend(): its frozen arrays and a
-    modulus, or None when the arrays are not finite."""
+    """The collapse a schedule plan hands to blend(): the blend's global piece,
+    with a modulus as its norm, or None when the arrays are not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = a * first.matrix + b * second.matrix
         offset = a * first.offset + b * second.offset
     if not (np.isfinite(matrix).all() and np.isfinite(offset).all()):
         return None
-    matrix.flags.writeable = offset.flags.writeable = False
-    return matrix, offset, modulus
+    return operators._Piece(matrix, offset, True, modulus)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -817,24 +859,26 @@ def test_the_ball_interior_piece_is_built_once():
 
 
 class _TwoPieces(Operator):
-    """The identity, declared nonexpansive, handing out one of two stored pieces by the sign of x[0]."""
+    """The identity, declared nonexpansive, handing out one of two stored pieces by the sign of x[0].
+
+    With plain, a piece is handed out as a plain (matrix, offset) pair.
+    """
 
     kind = "two-pieces"
 
-    def __init__(self):
+    def __init__(self, plain=False):
         super().__init__(2, NONEXPANSIVE)
-        self.pieces = [(_read_only(np.eye(2)), _read_only(np.zeros(2))) for _ in range(2)]
+        self.pieces = [operators._Piece(np.eye(2), np.zeros(2), False) for _ in range(2)]
+        self.plain = plain
 
     def _apply(self, x):
         return x.copy()
 
     def affine_piece(self, x=None):
-        return None if x is None else self.pieces[int(x[0] < 0.0)]
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
+        if x is None:
+            return None
+        piece = self.pieces[int(x[0] < 0.0)]
+        return tuple(piece) if self.plain else piece
 
 
 def test_a_composed_piece_is_the_same_read_only_object_while_its_childrens_are(monkeypatch):
@@ -860,12 +904,15 @@ def test_a_composed_piece_is_the_same_read_only_object_while_its_childrens_are(m
     left = switched.affine_piece([-1.0, 0.0])
     assert left is not right and left is switched.affine_piece([-2.0, 0.0])
     assert _same_piece(left, right)
-    # Writeable child pieces may change, so their composition is not kept.
-    # (A blend builds its piece afresh on every call.)
-    mixed = CompositeOperator([BlendOperator(0.5, ball, 0.5, rot), rot])
+    # A child that hands out plain pairs gets a new piece on every call, so
+    # their composition is not kept.
+    mixed = CompositeOperator([_TwoPieces(plain=True), rot])
     once, again = mixed.affine_piece([0.5, 0.0]), mixed.affine_piece([0.5, 0.0])
     assert once is not again and _same_piece(once, again)
-    assert once[0].flags.writeable
+    assert not once[0].flags.writeable and not once[1].flags.writeable
+    # A blend keeps its piece as a composite does.
+    blended = BlendOperator(0.5, ball, 0.5, rot)
+    assert blended.affine_piece([0.5, 0.0]) is blended.affine_piece([-0.5, 0.0])
 
 
 def test_an_averaged_piece_is_the_same_read_only_object_while_its_inner_piece_is():
@@ -879,11 +926,11 @@ def test_an_averaged_piece_is_the_same_read_only_object_while_its_inner_piece_is
     m, c = rot.affine_parts()
     assert first[0].tobytes() == (0.5 * np.eye(2) + 0.5 * m).tobytes()
     assert first[1].tobytes() == (0.5 * c).tobytes()
-    # A writeable inner piece may change, so its average is not kept.
-    fresh = AveragedOperator(BlendOperator(0.5, ball, 0.5, rot), 0.5)
+    # An inner map that hands out plain pairs gets a new piece on every
+    # call, so its average is not kept.
+    fresh = AveragedOperator(_TwoPieces(plain=True), 0.5)
     once, again = fresh.affine_piece([0.5, 0.0]), fresh.affine_piece([0.5, 0.0])
     assert once is not again and _same_piece(once, again)
-    assert once[0].flags.writeable
 
 
 def _square(dim, rank_one):

@@ -48,7 +48,7 @@ from viscofix import (
     retraction_eval,
     viscosity_implicit_solve,
 )
-from viscofix import schemes
+from viscofix import operators, schemes
 from viscofix.operators import NONEXPANSIVE, BlendOperator, InvalidSpec, blend
 
 from oracles import bisect_increasing
@@ -909,6 +909,17 @@ def _applications_outside_picard(monkeypatch, target) -> list:
     return points
 
 
+def test_a_step_without_a_piece_asks_for_one_once(monkeypatch):
+    # Every warm start lies outside the ball: the plan asks the target for
+    # its piece once per step, and the step takes that answer.
+    asked = []
+    original = BallProjection.affine_piece
+    monkeypatch.setattr(BallProjection, "affine_piece", lambda self, x=None: asked.append(x) or original(self, x))
+    f, target = ConstantOperator([8.0, 0.0]), BallProjection([5.0, 0.0], 1.0)
+    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
+    assert len([x for x in asked if x is not None]) == len(trace) == 30
+
+
 @pytest.mark.parametrize("path", ["generic", "piece"])
 def test_each_outer_step_applies_the_target_once_outside_picard(monkeypatch, path):
     if path == "generic":
@@ -1239,17 +1250,20 @@ def test_a_non_finite_plan_batch_raises_at_its_own_step(monkeypatch):
     f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
     rotations = [PlaneRotation(2, (0, 1), angle) for angle in (0.5, 1.0)]
     family = make_custom_family({1: rotations[0], 2: rotations[1], 3: _Planted(2)})
-    plan = list(schemes._blend_plan(f, schemes._step_operators(family, 2), make_schedule(n_max=20).values))
-    # Every batch holds a step with the planted member, so no batch is planned.
-    assert plan == [None] * 20
+    plan = schemes._blend_plan(f, schemes._step_operators(family, 2), make_schedule(n_max=20).values)
+    # Each rotation's rows are planned; the planted member's form is
+    # rejected when the plan first asks for it, at its own step.
+    assert next(plan).everywhere and next(plan).everywhere
+    with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
+        next(plan)
     steps = []
     with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
         viscosity_implicit_solve(
             f, family, make_schedule(n_max=20), inner_monitor=lambda n, eps, res: steps.append(n)
         )
-    # The steps before the planted member's collapse themselves, as blend() would.
+    # The steps before the planted member's run on their planned collapses.
     assert steps == [1, 2]
-    # inf - inf in the stacked sum is caught by the same check, not warned about.
+    # A non-finite forcing form is rejected the same way, without a warning.
     with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
         viscosity_implicit_solve(
             DeclaredWrapper(_Planted(2, -math.inf), contraction(0.5)),
@@ -1275,7 +1289,7 @@ def _planned_entries(f, target, values, warms):
 def _unplanned(f, step_ops, values, warm=None):
     """A schedule plan that plans nothing, so that every step builds its own blend and piece."""
     for _ in values:
-        yield None
+        yield schemes._UNPLANNED
 
 
 def _trace_bits(trace) -> bytes:
@@ -1320,42 +1334,72 @@ def test_planned_pieces_equal_the_blends_own_bit_for_bit(dim, kind, angle, reach
         mp.setattr(schemes, "_PLAN_BATCH", window * dim * dim)
         _, trace = viscosity_implicit_solve(f, target, schedule)
         warms = [np.zeros(dim)] + [np.array(step.point) for step in trace.steps[:-1]]
+        built = []
+        original = schemes._blend_form
+        mp.setattr(schemes, "_blend_form", lambda *args: built.append(np.ndim(args[0])) or original(*args))
         step_ops, entries = _planned_entries(f, target, schedule.values[: len(warms)], warms)
         mp.setattr(schemes, "_blend_plan", _unplanned)
         _, unplanned = viscosity_implicit_solve(f, target, schedule)
     assert _trace_bits(trace) == _trace_bits(unplanned)
-    alone = 0
     for n, (eps, warm, entry) in enumerate(zip(schedule.values, warms, entries)):
         own = blend(eps, f, 1.0 - eps, step_ops[n % len(step_ops)]).affine_piece(warm)
         if own is None:
-            assert entry.matrix is None and entry.offset is None
+            assert entry is None
             continue
         assert entry.matrix.tobytes() == own[0].tobytes()
         assert entry.offset.tobytes() == own[1].tobytes()
-        if entry.frozen:
-            assert not entry.matrix.flags.writeable and not entry.offset.flags.writeable
-        else:
-            alone += 1
-    if all(entry.matrix is not None for entry in entries):
-        # Each member's first piece is built alone; every later row is planned.
-        assert alone == min(len(step_ops), len(entries))
+        assert not entry.everywhere
+        assert not entry.matrix.flags.writeable and not entry.offset.flags.writeable
+    if all(entry is not None for entry in entries):
+        # Each member's first piece is built alone (one blend form with a
+        # scalar weight); every later row is planned.
+        assert built.count(0) == min(len(step_ops), len(entries))
+
+
+class _PlainPairs(Operator):
+    """A map, declared nonexpansive, whose hook hands out its pieces as plain (matrix, offset) pairs."""
+
+    kind = "plain-pairs"
+
+    def __init__(self, inner):
+        super().__init__(inner.dim, NONEXPANSIVE)
+        self.inner = inner
+
+    def _apply(self, x):
+        return self.inner._apply(x)
+
+    def affine_piece(self, x=None):
+        piece = self.inner.affine_piece(x)
+        return None if piece is None else tuple(piece)
+
+
+def _planned_rows(monkeypatch) -> list:
+    """The index of every row a schedule plan takes from a stacked piece from now on."""
+    rows = []
+    original = operators._Piece.row
+
+    def counted(self, index, norm=None):
+        rows.append(index)
+        return original(self, index, norm)
+
+    monkeypatch.setattr(operators._Piece, "row", counted)
+    return rows
 
 
 def test_a_target_with_fresh_pieces_plans_nothing(monkeypatch):
     f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
-    # A blend builds its piece afresh on every call. (Blending in a bare
-    # ball would stop at step 2: inside the ball the blend's fixed point is
-    # f's own.)
+    # A plain pair is checked into a new piece on every call.
     turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
-    target = BlendOperator(0.5, Identity(2), 0.5, turned)
+    target = _PlainPairs(turned)
     monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
     _, unplanned = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
     monkeypatch.undo()
-    planned = _count_calls(monkeypatch, "_affine_from_checked")
-    adopted = _count_calls(monkeypatch, "_adopt_affine")
+    built = _count_calls(monkeypatch, "_blend_form")
+    rows = _planned_rows(monkeypatch)
     _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
-    # Every step has a piece, each a fresh object, so each row is built alone.
-    assert len(adopted) == len(trace) == 30 and planned == []
+    # Every step has a piece, each a new object, so each row is built alone.
+    assert [np.ndim(args[0]) for args in built] == [0] * len(trace) and len(trace) == 30
+    assert rows == []
     assert _trace_bits(trace) == _trace_bits(unplanned)
 
 
@@ -1368,17 +1412,51 @@ def test_an_averaged_piece_schedule_builds_one_row_alone_and_plans_the_rest(monk
     monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
     _, unplanned = viscosity_implicit_solve(f, target, make_schedule(n_max=100))
     monkeypatch.undo()
-    planned = _count_calls(monkeypatch, "_affine_from_checked")
-    adopted = _count_calls(monkeypatch, "_adopt_affine")
+    built = _count_calls(monkeypatch, "_blend_form")
+    rows = _planned_rows(monkeypatch)
     _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=100))
     assert all(sum(x * x for x in step.point) <= 1.0 for step in trace.steps)
     assert len(trace) == 100
-    assert len(adopted) == 1 and len(planned) == 99
+    # Step 1's row is built alone, and step 2 stacks the other 99 in one batch.
+    assert [np.ndim(args[0]) for args in built] == [0, 1]
+    assert rows == list(range(99))
     assert _trace_bits(trace) == _trace_bits(unplanned)
 
 
+def test_a_mixed_family_plans_both_members_bit_for_bit(monkeypatch):
+    # An affine member and a member with local pieces: the rotation's steps
+    # take planned collapses, with their norms from one batched SVD, and the
+    # composite's take planned pieces.
+    f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+    turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    family = make_custom_family({1: PlaneRotation(2, (0, 1), 0.5), 2: turned})
+    schedule = make_schedule(n_max=100)
+    monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
+    _, unplanned = viscosity_implicit_solve(f, family, schedule)
+    monkeypatch.undo()
+    blends = _count_calls(monkeypatch, "blend")
+    built = _count_calls(monkeypatch, "_blend_form")
+    svds = []
+    original_svd = np.linalg.svd
+
+    def svd(matrix, *args, **kwargs):
+        svds.append(matrix.shape)
+        return original_svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    _, trace = viscosity_implicit_solve(f, family, schedule)
+    assert len(trace) == 100
+    assert _trace_bits(trace) == _trace_bits(unplanned)
+    assert all(args[4] is not None and args[4].everywhere for args in blends[0::2])
+    assert all(args[4] is None for args in blends[1::2])
+    # No per-step SVD: one for the rotation's 50 rows, none for the pieces.
+    assert svds == [(50, 2, 2)]
+    # Two stacks, and one row built alone: the composite's first.
+    assert [np.ndim(args[0]) for args in built] == [1, 0, 1]
+
+
 class _Stored(Operator):
-    """A plane rotation, declared nonexpansive, whose local piece is one stored pair of read-only views."""
+    """A plane rotation, declared nonexpansive, whose local piece is one stored piece of read-only views."""
 
     kind = "stored"
 
@@ -1386,9 +1464,7 @@ class _Stored(Operator):
         super().__init__(2, NONEXPANSIVE)
         self.rotation = PlaneRotation(2, (0, 1), angle)
         self.base = self.rotation.affine_parts()[0].copy()
-        self.piece = tuple(a.view() for a in (self.base, np.zeros(2)))
-        for a in self.piece:
-            a.flags.writeable = False
+        self.piece = operators._Piece(self.base.view(), np.zeros(2), False)
 
     def _apply(self, x):
         return self.rotation._apply(x)
@@ -1403,7 +1479,8 @@ def test_a_non_finite_planned_piece_batch_raises_at_its_own_step(monkeypatch):
     monkeypatch.setattr(schemes, "_PLAN_BATCH", 4 * 4)
     f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
     target = _Stored(1.0)
-    planned = _count_calls(monkeypatch, "_affine_from_checked")
+    built = _count_calls(monkeypatch, "_blend_form")
+    rows = _planned_rows(monkeypatch)
     steps = []
 
     def monitor(n, eps, res):
@@ -1417,7 +1494,8 @@ def test_a_non_finite_planned_piece_batch_raises_at_its_own_step(monkeypatch):
     # Step 1 is built alone and steps 2-4 are planned; step 5's batch is not
     # planned, and its own row raises.
     assert steps == [1, 2, 3, 4]
-    assert len(planned) == 3
+    assert [np.ndim(args[0]) for args in built] == [0, 1, 1, 0]
+    assert rows == [0, 1, 2]
 
 
 def test_rotation_inner_solves_keep_real_step_norms(rotation_run):

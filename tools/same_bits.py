@@ -10,10 +10,12 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
 * for solve-affine and solve-nonaffine at seeds 4242, 777 and 9701: every
   solve's trace (points, implicit and fixed-point residuals, inner
   iteration counts, step deltas) and every retraction's limits;
-* at the same seeds, the traces of two solves that no benchmark input has,
-  built here: a two-member custom family of rotation-then-ball targets
-  (one schedule plan per member) and an averaged rotation-then-ball
-  target (its kept piece planned like a composite's);
+* at the same seeds, the traces of three solves that no benchmark input
+  has, built here: a two-member custom family of rotation-then-ball
+  targets (one schedule plan per member), an averaged rotation-then-ball
+  target (its kept piece planned like a composite's) and a mixed family
+  of a plain rotation and a rotation-then-ball target (planned collapses
+  and planned pieces in one schedule);
 * for cli-pipeline at seed 4242: the exit code and stdout of each command,
   every file the commands write (summary.json, trace.csv,
   sweep_summary.csv) and trace.json without its wall-clock timestamps.
@@ -88,13 +90,14 @@ def _solve_records(prefix: str, spec: dict) -> dict:
     return records
 
 
+def _rotation(angle: float) -> dict:
+    return {"kind": "rotation", "dim": 2, "plane": [0, 1], "angle": angle}
+
+
 def _turned_ball(angle: float) -> dict:
     return {
         "kind": "composite",
-        "operators": [
-            {"kind": "rotation", "dim": 2, "plane": [0, 1], "angle": angle},
-            {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0},
-        ],
+        "operators": [_rotation(angle), {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0}],
     }
 
 
@@ -112,9 +115,11 @@ def _piece_specs(seed: int) -> list:
     }
     family = {"kind": "custom", "table": {"1": _turned_ball(first), "2": _turned_ball(second)}}
     averaged = {"kind": "averaged", "inner": _turned_ball(first), "lambda": 0.5}
+    mixed = {"kind": "custom", "table": {"1": _rotation(first), "2": _turned_ball(second)}}
     return [
         {"name": "family-rotation-ball-n100", "family": family, **common},
         {"name": "averaged-rotation-ball-n100", "target": averaged, **common},
+        {"name": "mixed-rotation-and-rotation-ball-n100", "family": mixed, **common},
     ]
 
 
