@@ -17,8 +17,10 @@ per operator and handed out read-only by affine_parts.
 
 "unknown" operators can be probed empirically with estimate_lipschitz and
 check_nonexpansive. The module also certifies norm attainment of linear maps
-(power iteration on S^T S) and computes orthonormal bases of fixed-point sets
-of linear maps (elimination with a pivot threshold, then orthonormalization).
+(the top eigenvector of S^T S, with the norm bracketed between ||S v|| and an
+upper bound that a Cholesky factorization proves) and computes orthonormal
+bases of fixed-point sets of linear maps (elimination with a pivot threshold,
+then orthonormalization).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,13 +36,11 @@ from .space import (
     DEFAULT_POLICY,
     DEFAULT_SEED,
     DimensionMismatch,
-    TolerancePolicy,
     ViscofixError,
     as_vector,
     make_rng,
     norm,
     sample_ball,
-    sample_sphere,
 )
 
 
@@ -50,10 +50,6 @@ class InvalidSpec(ViscofixError):
 
 class NotLinear(ViscofixError):
     """An operation requiring an exact linear representation got a nonlinear map."""
-
-
-class NoConvergence(ViscofixError):
-    """An iterative certification failed to settle within the iteration budget."""
 
 
 class NotNonexpansive(ViscofixError):
@@ -817,6 +813,14 @@ def _numbers_only(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+#: Spec fields that count or index, and so must hold whole numbers (2.0 is one, 2.5 is not).
+_WHOLE_FIELDS = ("dim", "plane", "n")
+
+
+def _whole(value) -> bool:
+    return isinstance(value, (int, np.integer)) or float(value).is_integer()
+
+
 def _spec_field(kind: str, key: str, value):
     """A spec field as its constructor takes it: nested specs built, anything else checked to hold numbers."""
     if key in ("inner", "base"):
@@ -827,6 +831,8 @@ def _spec_field(kind: str, key: str, value):
         return [make_operator(s) for s in value]
     if not _numbers_only(value):
         raise InvalidSpec(f"operator spec of kind '{kind}' needs numbers in '{key}'")
+    if key in _WHOLE_FIELDS and not all(map(_whole, np.ravel(value))):
+        raise InvalidSpec(f"operator spec of kind '{kind}' needs whole numbers in '{key}'")
     return value
 
 
@@ -834,7 +840,8 @@ def make_operator(spec: dict) -> Operator:
     """Build a cataloged operator from its serialized (JSON-style) spec.
 
     A field that is not a nested spec must hold numbers: a string or a bool
-    in it raises InvalidSpec naming the field.
+    in it raises InvalidSpec naming the field, as does a fraction in a field
+    that counts or indexes.
     """
     if not isinstance(spec, dict):
         raise InvalidSpec(f"operator spec must be an object, got {type(spec).__name__}")
@@ -929,7 +936,12 @@ def check_nonexpansive(
 
 @dataclass(frozen=True)
 class NACertificate:
-    """Certificate that a unit vector attains the operator norm of a linear map."""
+    """Certificate that a unit vector attains the operator norm of a linear map.
+
+    sigma = ||S vector|| <= ||S||_2 <= sigma + residual; residual is inf when
+    no upper bound was proved. iterations counts this package's own steps
+    toward the vector: 0, since one eigensolver call finds it.
+    """
 
     sigma: float
     vector: np.ndarray
@@ -945,66 +957,75 @@ class NACertificate:
         }
 
 
-def _unit_coordinate(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[index] = 1.0
-    return e
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+#: Width of the bracket [sigma, t], in Cholesky shifts k: B's smallest
+#: eigenvalue is then about 3 k sigma, so the factorization succeeds even when
+#: its rounding reaches the worst case the shift covers.
+_BRACKET_SHIFTS = 4
 
 
-def _power_iteration(matrix: np.ndarray, tol: float, policy: TolerancePolicy, seed):
-    """Power iteration on M^T M. Returns (sigma, unit vector, iterations).
+def _certify(matrix: np.ndarray, v: np.ndarray) -> NACertificate:
+    """Bracket ||S||_2 between ||S v|| and an upper bound t that a Cholesky factorization proves.
 
-    Starts from the normalized all-ones vector, falling back to a seeded
-    random direction if that start lies in the null space. Stops once
-    successive Rayleigh quotients differ by at most tol * max(1, quotient).
-    A map that annihilates both start vectors is treated as zero, with
-    attaining vector e_1 by convention.
+    v is any unit vector, however it was found, so sigma = ||S v|| is a lower
+    bound (up to the rounding of S v). The symmetric block matrix
+    A(t) = [[t I, S^T], [S, t I]] of order n = 2d has the eigenvalues
+    t +- sigma_i(S), so it is positive definite exactly when t > ||S||_2; it
+    holds S itself, so no rounding of S^T S enters. A floating-point Cholesky
+    factorization of a symmetric B that runs to completion is exact for B + E,
+    |E| <= a d d^T with d_i = sqrt(b_ii), a = g / (1 - g) and
+    g = (n + 1) u / (1 - (n + 1) u) (Demmel's bound; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 10.1), so
+    ||E||_2 <= a trace(B). B is A(t) shifted down by k t, with k = n a + 3 u
+    covering that trace and the rounding of the shifted diagonal s; if B
+    factors, A(t) is positive definite (Rump's test, BIT 46 (2006) 433-452)
+    and ||S||_2 < t. The analysis assumes no underflow or overflow, which
+    entries of S below 1 in magnitude, as certify_norm_attainable passes,
+    keep clear of.
+
+    residual is the width t - sigma of the bracket, or inf when the
+    factorization fails.
     """
     d = matrix.shape[0]
-    gram = matrix.T @ matrix
-    v = np.ones(d) / math.sqrt(d)
-    if norm(gram @ v) <= tol:
-        v = sample_sphere(make_rng(seed), d)
-        if norm(gram @ v) <= tol:
-            return 0.0, _unit_coordinate(d, 0), 0
-    w = gram @ v
-    rho = float(v @ w)
-    for iteration in range(1, policy.max_iter + 1):
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, _unit_coordinate(d, 0), iteration
-        v = w / nw
-        w = gram @ v
-        rho_new = float(v @ w)
-        if abs(rho_new - rho) <= tol * max(1.0, abs(rho_new)):
-            return math.sqrt(max(rho_new, 0.0)), v, iteration
-        rho = rho_new
-    raise NoConvergence(
-        f"power iteration did not settle within {policy.max_iter} iterations (tol={tol})"
-    )
+    sigma = norm(matrix @ v)
+    g = (2 * d + 1) * _UNIT_ROUNDOFF / (1.0 - (2 * d + 1) * _UNIT_ROUNDOFF)
+    k = 2 * d * g / (1.0 - g) + 3 * _UNIT_ROUNDOFF
+    # The smallest normal number keeps t positive when S v = 0.
+    t = sigma * (1.0 + _BRACKET_SHIFTS * k) + float(np.finfo(float).tiny)
+    block = np.zeros((2 * d, 2 * d))
+    block[d:, :d] = matrix
+    block[:d, d:] = matrix.T
+    np.fill_diagonal(block, t * (1.0 - k))
+    try:
+        np.linalg.cholesky(block)
+        residual = t - sigma
+    except np.linalg.LinAlgError:
+        residual = math.inf
+    return NACertificate(sigma=sigma, vector=as_vector(v), residual=residual, iterations=0)
 
 
-def operator_norm(
-    S: Operator, tol: float, policy: TolerancePolicy = DEFAULT_POLICY, seed=DEFAULT_SEED
-) -> tuple[float, np.ndarray]:
-    """Operator norm of a linear map together with a maximizing unit vector."""
-    matrix = S.linear_matrix()
-    sigma, vector, _ = _power_iteration(matrix, tol, policy, seed)
-    return sigma, vector
+def operator_norm(S: Operator) -> tuple[float, np.ndarray]:
+    """Operator norm of a linear map together with a maximizing unit vector, as certified."""
+    cert = certify_norm_attainable(S)
+    return cert.sigma, cert.vector
 
 
-def certify_norm_attainable(
-    S: Operator, tol: float, policy: TolerancePolicy = DEFAULT_POLICY, seed=DEFAULT_SEED
-) -> NACertificate:
+def certify_norm_attainable(S: Operator) -> NACertificate:
     """Certify that S attains its operator norm at a concrete unit vector.
 
-    The certificate reports sigma, the attaining vector x, the residual
-    | ||S x|| - sigma |, and the number of power-iteration steps.
+    The vector is the top eigenvector of S^T S from LAPACK's symmetric
+    eigensolver; _certify bounds the norm on both sides of ||S x|| without
+    relying on how it was found. Both work on S scaled by a power of two,
+    which is exact, to entries below 1 in magnitude: S^T S then neither
+    overflows nor underflows.
     """
     matrix = S.linear_matrix()
-    sigma, vector, iterations = _power_iteration(matrix, tol, policy, seed)
-    residual = abs(norm(matrix @ vector) - sigma)
-    return NACertificate(sigma=sigma, vector=as_vector(vector), residual=residual, iterations=iterations)
+    exponent = math.frexp(float(np.abs(matrix).max()))[1]
+    scaled = np.ldexp(matrix, -exponent)
+    _, vectors = np.linalg.eigh(scaled.T @ scaled)
+    cert = _certify(scaled, vectors[:, -1])
+    return replace(cert, sigma=math.ldexp(cert.sigma, exponent), residual=math.ldexp(cert.residual, exponent))
 
 
 # ---------------------------------------------------------------------------

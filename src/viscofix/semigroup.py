@@ -26,6 +26,7 @@ from .operators import (
     ISOMETRY,
     NotNonexpansive,
     Operator,
+    _numbers_only,
     check_nonexpansive,
     make_operator,
     nullspace_basis,
@@ -209,7 +210,11 @@ def make_custom_family(table: dict) -> CustomFamily:
 
 
 def make_family(spec: dict) -> OperatorFamily:
-    """Build a family from its serialized (JSON-style) spec."""
+    """Build a family from its serialized (JSON-style) spec.
+
+    Numeric fields must hold numbers: a string or a bool in them raises
+    InvalidSpec naming the field, as make_operator does for operator specs.
+    """
     if not isinstance(spec, dict):
         raise InvalidSpec(f"family spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
@@ -220,6 +225,9 @@ def make_family(spec: dict) -> OperatorFamily:
     if kind == "rotation_flow":
         if "rates" not in spec or "grid" not in spec:
             raise InvalidSpec("rotation_flow family spec needs 'rates' and 'grid'")
+        for key in ("rates", "grid"):
+            if not _numbers_only(spec[key]):
+                raise InvalidSpec(f"family spec of kind 'rotation_flow' needs numbers in '{key}'")
         return RotationFlowFamily(spec["rates"], spec["grid"])
     if kind == "custom":
         if "table" not in spec or not isinstance(spec["table"], dict):

@@ -14,6 +14,21 @@ from itertools import combinations
 import numpy as np
 
 
+def _rank_two_d6() -> list:
+    """u u^T + 3 w w^T, u the unit all-ones vector and w orthogonal to it: norm 3."""
+    u = np.ones(6) / math.sqrt(6.0)
+    w = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
+    return (np.outer(u, u) + 3.0 * np.outer(w, w)).tolist()
+
+
+#: Symmetric matrices with their norms, worked on paper, where the all-ones
+#: vector spans an invariant subspace below the norm (||S 1|| / ||1|| is 1).
+ALL_ONES_FALLS_SHORT = {
+    "two-by-two": ([[2.5, -1.5], [-1.5, 2.5]], 4.0),
+    "rank-two-d6": (_rank_two_d6(), 3.0),
+}
+
+
 def bisect_increasing(fn, lo: float, hi: float, iters: int = 200) -> float:
     """Root of an increasing function with fn(lo) < 0 < fn(hi)."""
     if not fn(lo) < 0.0 < fn(hi):

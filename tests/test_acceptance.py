@@ -163,13 +163,13 @@ def test_criterion_6_norm_certificates_hold_on_random_matrices():
         for i in range(100):
             d = 2 + i % 49
             matrix = rng.standard_normal((d, d))
-            cert = certify_norm_attainable(LinearOperator(matrix), 1e-12)
+            cert = certify_norm_attainable(LinearOperator(matrix))
             assert cert.residual <= CERT_RESIDUAL_TOL
             assert abs(np.linalg.norm(cert.vector) - 1.0) <= 1e-10
             if d <= 3:
                 assert abs(cert.sigma - charpoly_sigma(matrix)) <= SIGMA_ORACLE_TOL
         clustered = LinearOperator(np.diag([k / (k + 1) for k in range(1, 21)]))
-        cert = certify_norm_attainable(clustered, 1e-14)
+        cert = certify_norm_attainable(clustered)
         assert abs(cert.sigma - 20.0 / 21.0) <= SIGMA_ORACLE_TOL
         assert abs(cert.vector[19]) >= 1.0 - 1e-8
         assert time.perf_counter() - start < CERT_BUDGET

@@ -8,15 +8,21 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH / "tracer.py"
+
+
+def _load(name, path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # The tracer's dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_binding_resolves_to_a_callable(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
-    tracer = importlib.util.module_from_spec(spec)
-    # The tracer's dataclasses look their module up in sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    tracer = _load("bench_tracer", TRACER_PATH, monkeypatch)
     for module_name, attr, _, _ in tracer.PATCHES:
         value = getattr(importlib.import_module(module_name), attr, None)
         assert callable(value), f"{module_name}.{attr} is not a callable binding"
@@ -208,3 +214,20 @@ def test_the_nonexpansive_probe_runs_through_the_traced_binding(tmp_path, monkey
     assert _run(tmp_path, scaled) == 0
     assert len(probes) == 1
     assert probes[0][1] == semigroup.PROBE_SAMPLES
+
+
+def test_the_benchmark_matrix_certifies_at_its_norm(monkeypatch):
+    # cli-pipeline's certify-na input: U diag(s) V^T with top singular value 2.
+    # The benchmark oracle needs it attained at the default --tol of 1e-8,
+    # and the tracer counts the certificate's iterations.
+    import numpy as np
+
+    from viscofix import LinearOperator, certify_norm_attainable
+
+    inputs = _load("bench_inputs", BENCH / "inputs.py", monkeypatch)
+    tracer = _load("bench_tracer", TRACER_PATH, monkeypatch)
+    matrix = np.array(inputs.generate("cli-pipeline", 4242)["matrix"])
+    cert = certify_norm_attainable(LinearOperator(matrix))
+    assert abs(cert.sigma - 2.0) <= 1e-12
+    assert cert.residual <= 1e-8
+    assert tracer._count_certify((), {}, cert, None) == {"power_iters": 0}

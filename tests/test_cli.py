@@ -23,6 +23,8 @@ from viscofix import cli, schemes, semigroup
 from viscofix.cli import RUN_CONFIG_SCHEMA, ConfigInvalid, config_hash, load_run_config, main
 from viscofix.space import DEFAULT_SEED
 
+from oracles import ALL_ONES_FALLS_SHORT
+
 BALL_PROBLEM = {
     "target": {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0},
     "contraction": {"kind": "constant", "value": [2.0, 0.0]},
@@ -702,7 +704,8 @@ def test_certify_na_diagonal(tmp_path, capsys):
     assert payload["attained"] is True
     assert payload["sigma"] == pytest.approx(2.0, abs=1e-6)
     assert abs(payload["vector"][0]) == pytest.approx(1.0, abs=1e-6)
-    assert payload["seed"] == 42
+    # The certificate draws no random numbers, so it takes no seed.
+    assert set(payload) == {"sigma", "vector", "residual", "iterations", "tol", "attained"}
 
 
 def test_certify_na_accepts_a_bare_matrix_array(tmp_path, capsys):
@@ -730,46 +733,66 @@ def test_certify_na_rejects_entries_that_are_not_numbers(tmp_path, capsys, paylo
     assert captured.err == "error: matrix entries must be numbers (a string or a boolean is not one)\n"
 
 
+def _clustered_d20():
+    return [[(i + 1.0) / (i + 2.0) if i == j else 0.0 for j in range(20)] for i in range(20)]
+
+
 def test_certify_na_clustered_spectrum(tmp_path, capsys):
-    matrix = [[(i + 1.0) / (i + 2.0) if i == j else 0.0 for j in range(20)] for i in range(20)]
-    path = _write(tmp_path, "clustered.json", {"matrix": matrix})
-    assert main(["certify-na", str(path), "--tol", "1e-14"]) == 0
+    path = _write(tmp_path, "clustered.json", {"matrix": _clustered_d20()})
+    assert main(["certify-na", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["sigma"] == pytest.approx(20.0 / 21.0, abs=1e-8)
     assert abs(payload["vector"][19]) >= 1.0 - 1e-8
 
 
-def _rank_two_d6():
-    """u u^T + 3 w w^T, u the unit all-ones vector and w orthogonal to it: norm 3."""
-    u = np.ones(6) / math.sqrt(6.0)
-    w = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
-    return (np.outer(u, u) + 3.0 * np.outer(w, w)).tolist()
+def test_certify_na_exits_two_when_the_bracket_is_wider_than_tol(tmp_path, capsys):
+    # At d = 20 the proved bracket on the norm is about 1e-12 wide.
+    path = _write(tmp_path, "clustered.json", {"matrix": _clustered_d20()})
+    assert main(["certify-na", str(path), "--tol", "1e-14"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["attained"] is False
+    assert 1e-14 < payload["residual"] <= 1e-10
+    assert payload["sigma"] == pytest.approx(20.0 / 21.0, abs=1e-12)
 
 
-# The power iteration starts from the all-ones vector, which spans an
-# invariant subspace below the norm of each matrix here.
-@pytest.mark.xfail(strict=True, reason="the certificate checks no upper bound on the norm (ROADMAP item 1)")
-@pytest.mark.parametrize("matrix", [[[2.5, -1.5], [-1.5, 2.5]], _rank_two_d6()], ids=["two-by-two", "rank-two-d6"])
-def test_certify_na_refuses_a_vector_below_the_norm(tmp_path, capsys, matrix):
-    assert np.linalg.norm(np.asarray(matrix), 2) >= 3.0 - 1e-12
+@pytest.mark.parametrize("matrix, norm_2", ALL_ONES_FALLS_SHORT.values(), ids=ALL_ONES_FALLS_SHORT.keys())
+def test_certify_na_finds_the_norm_where_the_all_ones_vector_falls_short(tmp_path, capsys, matrix, norm_2):
     path = _write(tmp_path, "matrix.json", {"matrix": matrix})
-    code = main(["certify-na", str(path)])
-    assert json.loads(capsys.readouterr().out)["attained"] is False
-    assert code == 2
+    assert main(["certify-na", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["attained"] is True
+    assert abs(payload["sigma"] - norm_2) <= 1e-12
+    assert payload["residual"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # check-family
 
 
-@pytest.mark.parametrize("key, value", [("dim", "2"), ("plane", [0, True]), ("angle", "0.5")])
-def test_check_family_rejects_spec_fields_that_are_not_numbers(tmp_path, capsys, key, value):
+def _custom_rotation(key, value):
     rotation = {"kind": "rotation", "dim": 2, "plane": [0, 1], "angle": 0.5, key: value}
-    path = _write(tmp_path, "family.json", {"family": {"kind": "custom", "table": {"1": rotation}}})
+    return {"kind": "custom", "table": {"1": rotation}}, f"operator spec of kind 'rotation' needs numbers in '{key}'"
+
+
+@pytest.mark.parametrize(
+    "family, error",
+    [
+        _custom_rotation("dim", "2"),
+        _custom_rotation("plane", [0, True]),
+        _custom_rotation("angle", "0.5"),
+        (
+            {"kind": "rotation_flow", "rates": ["1.0"], "grid": [True]},
+            "family spec of kind 'rotation_flow' needs numbers in 'rates'",
+        ),
+    ],
+    ids=["dim-2", "plane-value1", "angle-0.5", "rotation_flow"],
+)
+def test_check_family_rejects_spec_fields_that_are_not_numbers(tmp_path, capsys, family, error):
+    path = _write(tmp_path, "family.json", {"family": family})
     assert main(["check-family", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: InvalidSpec: operator spec of kind 'rotation' needs numbers in '{key}'\n"
+    assert captured.err == f"error: InvalidSpec: {error}\n"
 
 
 @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "boolean"])
@@ -852,12 +875,11 @@ def _flag_inputs(tmp_path):
         ("certify-na", "--tol", "tight"),
         ("check-family", "--seed", "-1"),
         ("check-family", "--seed", "1.5"),
-        ("certify-na", "--seed", "-5"),
     ],
 )
 def test_bad_numeric_flags_fail_as_errors_that_name_the_flag(tmp_path, capsys, command, flag, value):
     # The input file is valid: only the flag can fail, and it fails when the
-    # arguments are parsed, before any sampling or power iteration.
+    # arguments are parsed, before any sampling or factorization.
     path = _flag_inputs(tmp_path)[command]
     assert main([command, str(path), flag, value]) == 1
     captured = capsys.readouterr()
@@ -872,7 +894,6 @@ def test_bad_numeric_flags_fail_as_errors_that_name_the_flag(tmp_path, capsys, c
         ("check-family", ["--pairs", "40", "--vectors", "5", "--tol", "1e-9"]),
         ("certify-na", ["--tol", "1e-8"]),
         ("check-family", ["--seed", str(DEFAULT_SEED)]),
-        ("certify-na", ["--seed", str(DEFAULT_SEED)]),
     ],
 )
 def test_numeric_flags_at_their_defaults_print_the_default_output(tmp_path, capsys, command, defaults):
@@ -884,7 +905,15 @@ def test_numeric_flags_at_their_defaults_print_the_default_output(tmp_path, caps
     json.loads(implicit)
 
 
-@pytest.mark.parametrize("command", ["check-family", "certify-na"])
+def test_certify_na_takes_no_seed(tmp_path, capsys):
+    path = _flag_inputs(tmp_path)["certify-na"]
+    assert main(["certify-na", str(path), "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 0" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check-family"])
 def test_seed_zero_is_a_seed(tmp_path, capsys, command):
     path = _flag_inputs(tmp_path)[command]
     assert main([command, str(path), "--seed", "0"]) == 0

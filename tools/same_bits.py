@@ -21,8 +21,8 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
   sweep_summary.csv) and trace.json without its wall-clock timestamps.
 
 Floats are compared by their bits. The exit code is 0 when every record
-agrees, 1 when one differs (the first that differs is named) and 2 when a
-checkout could not be recorded.
+agrees, 1 when any differs (each one that differs is named, then their
+count) and 2 when a checkout could not be recorded.
 """
 
 from __future__ import annotations
@@ -213,10 +213,13 @@ def main() -> int:
     if args.parent is None or args.change is None:
         parser.error("PARENT and CHANGE are required")
     before, after = _run(args.parent.resolve()), _run(args.change.resolve())
-    for key in list(before) + [key for key in after if key not in before]:
-        if key not in before or key not in after or before[key] != after[key]:
-            print(f"differs: {key}")
-            return 1
+    keys = list(before) + [key for key in after if key not in before]
+    differing = [key for key in keys if key not in before or key not in after or before[key] != after[key]]
+    for key in differing:
+        print(f"differs: {key}")
+    if differing:
+        print(f"{len(differing)} of {len(keys)} records differ")
+        return 1
     print(f"same bits: {len(before)} records agree")
     return 0
 
