@@ -492,7 +492,10 @@ def cmd_certify_na(args) -> int:
         raise ConfigInvalid(f"matrix must be square, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ConfigInvalid("matrix entries must be finite")
-    cert = certify_norm_attainable(LinearOperator(matrix))
+    try:
+        cert = certify_norm_attainable(LinearOperator(matrix))
+    except OverflowError as exc:
+        raise ConfigInvalid(f"matrix invalid: {exc}") from exc
     payload = cert.to_dict()
     payload["tol"] = float(args.tol)
     payload["attained"] = bool(cert.residual <= args.tol)

@@ -28,7 +28,9 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +66,8 @@ class NonFiniteValue(ViscofixError):
 # Declared Lipschitz classes
 
 
-@dataclass(frozen=True)
-class DeclaredClass:
-    """Lipschitz class attached to an operator at construction time."""
+class DeclaredClass(NamedTuple):
+    """Lipschitz class attached to an operator at construction time, as an immutable value."""
 
     kind: str  # "contraction" | "nonexpansive" | "isometry" | "unknown"
     alpha: float | None = None
@@ -119,9 +120,13 @@ def spectral_norm(matrix: np.ndarray) -> float:
 
 def _class_from_bound(bound: float) -> DeclaredClass:
     """Conservative class for a map with known Lipschitz bound; a bound of 1
-    up to rounding is nonexpansive, anything larger is left to the probe."""
+    up to rounding is nonexpansive, anything larger is left to the probe.
+
+    The bound is a norm or a product and sum of declared bounds, never
+    negative, so a bound below 1 is a valid contraction modulus as it is.
+    """
     if bound < 1.0:
-        return contraction(bound)
+        return DeclaredClass("contraction", float(bound))
     if bound <= _BOUND_ONE:
         return NONEXPANSIVE
     return UNKNOWN
@@ -140,8 +145,8 @@ class _Piece:
     The arrays are checked finite and made read-only in place once, at
     build: a NaN or infinite entry raises InvalidSpec, "collapsed ..." for a
     global form and "piece ..." for a local one. A piece may stack n maps,
-    (n, d, d) and (n, d), whose k-th is row(k). It unpacks and indexes as the
-    pair (matrix, offset).
+    (n, d, d) and (n, d), which rows() gives in turn. It unpacks and
+    indexes as the pair (matrix, offset).
     """
 
     __slots__ = ("matrix", "offset", "everywhere", "norm")
@@ -152,14 +157,21 @@ class _Piece:
             raise InvalidSpec(f"{name} matrix has non-finite entries")
         if not np.isfinite(offset).all():
             raise InvalidSpec(f"{name} offset has non-finite coordinates")
-        matrix.flags.writeable = offset.flags.writeable = False
+        matrix.setflags(write=False)
+        offset.setflags(write=False)
         self.matrix, self.offset, self.everywhere, self.norm = matrix, offset, everywhere, norm
 
-    def row(self, index: int, norm: float | None = None) -> "_Piece":
-        """The index-th map of a stacked piece, as a piece of views checked with the stack."""
-        row = object.__new__(_Piece)
-        row.matrix, row.offset, row.everywhere, row.norm = self.matrix[index], self.offset[index], self.everywhere, norm
-        return row
+    def rows(self, norms=None):
+        """The maps of a stacked piece in turn, as pieces of views checked with the stack.
+
+        norms, when given, holds their norms in the same order. Each row is
+        made when it is taken, so the rows of a stack are never all held.
+        """
+        everywhere = self.everywhere
+        for matrix, offset, norm in zip(self.matrix, self.offset, repeat(None) if norms is None else norms):
+            row = object.__new__(_Piece)
+            row.matrix, row.offset, row.everywhere, row.norm = matrix, offset, everywhere, norm
+            yield row
 
     def __iter__(self):
         return iter((self.matrix, self.offset))
@@ -369,8 +381,10 @@ def _affine(piece: _Piece, declared_class: DeclaredClass | None, matrix_norm: fl
         if matrix_norm is None:
             matrix_norm = spectral_norm(piece.matrix)
         declared_class = _class_from_bound(matrix_norm)
-    op.matrix_norm = matrix_norm
-    Operator.__init__(op, piece.matrix.shape[0], declared_class)
+    # Operator.__init__'s check is redundant: a piece's matrix is square and
+    # nonempty, as AffineOperator checks its argument and every other piece
+    # comes from operators.
+    op.matrix_norm, op.dim, op.declared_class = matrix_norm, piece.matrix.shape[0], declared_class
     return op
 
 
@@ -677,7 +691,8 @@ class BlendOperator(Operator):
             declared = UNKNOWN
         else:
             declared = _class_from_bound(abs(self.a) * bound_s + abs(self.b) * bound_t)
-        super().__init__(first.dim, declared)
+        # Operator.__init__'s check is redundant: first.dim is an operator's, checked when it was built.
+        self.dim, self.declared_class = first.dim, declared
 
     def _apply(self, x):
         return self.a * self.first._apply(x) + self.b * self.second._apply(x)
@@ -1019,13 +1034,48 @@ def certify_norm_attainable(S: Operator) -> NACertificate:
     relying on how it was found. Both work on S scaled by a power of two,
     which is exact, to entries below 1 in magnitude: S^T S then neither
     overflows nor underflows.
+
+    Scaling the bracket back is exact unless it leaves the normal float
+    range, so its ends are rounded outward: sigma down, as a subnormal
+    result can round up, and sigma + residual up, as one can round down
+    (to 0 for a residual). An upper end past the float range is inf, like
+    a bound not proved. Raises OverflowError when sigma itself, and so
+    ||S||_2, lies past the float range.
     """
     matrix = S.linear_matrix()
     exponent = math.frexp(float(np.abs(matrix).max()))[1]
     scaled = np.ldexp(matrix, -exponent)
     _, vectors = np.linalg.eigh(scaled.T @ scaled)
     cert = _certify(scaled, vectors[:, -1])
-    return replace(cert, sigma=math.ldexp(cert.sigma, exponent), residual=math.ldexp(cert.residual, exponent))
+    try:
+        sigma = _scaled_back(cert.sigma, exponent, -math.inf)
+    except OverflowError:
+        raise OverflowError(
+            f"operator norm lies past the float range (at least {cert.sigma!r} * 2**{exponent})"
+        ) from None
+    # The scaled ends are sigma and t, whose difference _certify took exactly (Sterbenz).
+    upper = _scaled_back(cert.sigma + cert.residual, exponent, math.inf)
+    residual = upper - sigma
+    if sigma + residual < upper:
+        residual = math.nextafter(residual, math.inf)
+    return NACertificate(sigma=sigma, vector=cert.vector, residual=residual, iterations=cert.iterations)
+
+
+def _scaled_back(value: float, exponent: int, toward: float) -> float:
+    """value * 2**exponent, rounded toward -inf or inf; inf past the float range toward inf.
+
+    ldexp rounds to nearest only where the result is subnormal, and there
+    scaling it up again is exact, which tells the way it rounded.
+    """
+    try:
+        result = math.ldexp(value, exponent)
+    except OverflowError:
+        if toward > 0:
+            return math.inf
+        raise
+    back = math.ldexp(result, -exponent)
+    rounded_against = back < value if toward > 0 else back > value
+    return math.nextafter(result, toward) if rounded_against else result
 
 
 # ---------------------------------------------------------------------------

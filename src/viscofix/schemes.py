@@ -25,6 +25,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from .space import (
     TolerancePolicy,
     ViscofixError,
     as_vector,
-    norm,
 )
 from .trace import ConvergenceTrace, TraceStep
 
@@ -215,30 +215,16 @@ class SolveOptions:
             raise ValueError("outer_tol must be positive")
 
 
-class _ComputedOnRead:
-    """Dataclass field that may be given a zero-argument callable in place of its tuple.
-
-    The callable runs on the first read, and the tuple it returns replaces it.
-    """
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return ()
-        value = obj.__dict__[self.slot]
-        if callable(value):
-            value = obj.__dict__[self.slot] = tuple(value())
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
+class _FixedPointFields(NamedTuple):
+    point: np.ndarray
+    residual: float
+    iterations: int
+    converged: bool
+    step_norms: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
-    """Outcome of a fixed-point solve.
+class FixedPointResult(_FixedPointFields):
+    """Outcome of a fixed-point solve, as an immutable value.
 
     For picard_solve, residual is the a-posteriori bound on the distance to
     the true fixed point and step_norms holds every ||x_{k+1} - x_k||. For
@@ -249,11 +235,22 @@ class FixedPointResult:
     runs on the first read only.
     """
 
-    point: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
-    step_norms: tuple[float, ...] = _ComputedOnRead()
+    __slots__ = ()
+
+    def __new__(cls, point, residual, iterations, converged, step_norms=()):
+        # A callable is held in a one-item list, where its tuple replaces it on the first read.
+        if callable(step_norms):
+            step_norms = [step_norms]
+        return tuple.__new__(cls, (point, residual, iterations, converged, step_norms))
+
+    @property
+    def step_norms(self) -> tuple[float, ...]:
+        steps = self[4]
+        if type(steps) is list:
+            if callable(steps[0]):
+                steps[0] = tuple(steps[0]())
+            steps = steps[0]
+        return steps
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,8 @@ def _lift(matrix, step, threshold, max_iter):
     step stays above the threshold, and then by descending, trying each
     lower level once from the last step above it. No step past max_iter is
     tried. A NaN norm counts as above the threshold, so that a non-finite
-    step lands in the sum. step is s_1.
+    step lands in the sum. step is s_1, an array, or for d = 2 also a pair
+    of floats.
 
     Returns (k, s_1 + ... + s_k, ||s_k||), or (None, s_1 + ... +
     s_max_iter, None) when every step within the budget is above. For
@@ -328,11 +326,12 @@ def _lift(matrix, step, threshold, max_iter):
     Otherwise a level is one (2d, d) array [P; S], so that each costs one
     product, and the sum is an array.
     """
-    d = step.shape[0]
-    if d != 2:
-        return _lift_stacked(matrix, step, threshold, max_iter)
+    if type(step) is not tuple:
+        if step.shape[0] != 2:
+            return _lift_stacked(matrix, step, threshold, max_iter)
+        step = step.tolist()
     (p00, p01), (p10, p11) = matrix.tolist()
-    a, b = step.tolist()
+    a, b = step
     first = math.sqrt(a * a + b * b)
     if first <= threshold:
         return 1, (a, b), first
@@ -382,7 +381,8 @@ def _lift(matrix, step, threshold, max_iter):
 def _lift_stacked(matrix, step, threshold, max_iter):
     """_lift for d != 2, on stacked (2d, d) levels."""
     d = step.shape[0]
-    first = norm(step)
+    # space.norm's bits without its conversions: the vectors here are 1-D float arrays.
+    first = math.sqrt(step.dot(step))
     if first <= threshold:
         return 1, step, first
     # v = s_p, total = s_1 + ... + s_(p-1); last = the least step tried at or below.
@@ -395,25 +395,32 @@ def _lift_stacked(matrix, step, threshold, max_iter):
             square[d:] += level[d:]
             level = square
         out = level @ v
-        h = norm(out[:d])
+        head = out[:d]
+        h = math.sqrt(head.dot(head))
         if h <= threshold:
-            last = out[:d], h
+            last = head, h
             break
         levels.append(level)
-        p, v, total = 2 * p, out[:d], total + out[d:]
+        p, v, total = 2 * p, head, total + out[d:]
     for j in range(len(levels) - 1, -1, -1):
         if p + (1 << j) > max_iter:
             continue
         out = levels[j] @ v
-        h = norm(out[:d])
+        head = out[:d]
+        h = math.sqrt(head.dot(head))
         if h <= threshold:
-            last = out[:d], h
+            last = head, h
         else:
-            p, v, total = p + (1 << j), out[:d], total + out[d:]
+            p, v, total = p + (1 << j), head, total + out[d:]
     total = total + v
     if last is None:
         return None, total, None
     return p + 1, total + last[0], last[1]
+
+
+#: A bound on sum |M_ij| sum |x_j| below which no term or sum of M x can
+#: overflow, nor a NaN arise from finite entries: 2^1000, far under 2^1024.
+_PAIR_PRODUCT_LIMIT = 2.0**1000
 
 
 def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_iter: int):
@@ -432,15 +439,34 @@ def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_ite
     matrix, offset = parts.matrix, parts.offset
     # Huge steps overflow to inf without warnings; a non-finite iterate is
     # reported below at the budget, and by picard_solve at the stop.
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = matrix @ x0 + offset - x0
-        found, total, last = _lift(matrix, step, threshold, max_iter)
-        x = x0 + total
+    if x0.shape[0] == 2:
+        # The plain floats of _lift: Python's sums and differences have
+        # numpy's bits and never warn. Only M x0 is numpy's, whose bits
+        # may come from fused multiply-adds, and it needs numpy's warnings
+        # silenced only where its terms can leave the float range.
+        (p00, p01), (p10, p11) = matrix.tolist()
+        y0, y1 = x0.tolist()
+        if (abs(p00) + abs(p01) + abs(p10) + abs(p11)) * (abs(y0) + abs(y1)) < _PAIR_PRODUCT_LIMIT:
+            m0, m1 = (matrix @ x0).tolist()
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m0, m1 = (matrix @ x0).tolist()
+        c0, c1 = offset.tolist()
+        found, (t0, t1), last = _lift(matrix, (m0 + c0 - y0, m1 + c1 - y1), threshold, max_iter)
+        x = np.array((y0 + t0, y1 + t1))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = matrix @ x0 + offset - x0
+            found, total, last = _lift(matrix, step, threshold, max_iter)
+            x = x0 + total
     if found is None:
         if not np.isfinite(x).all():
             raise _non_finite_iterate(G, max_iter)
         return None
-    return x, found, last, functools.partial(_scanned_norms, G, x0.copy(), found)
+    # A start that owns its data and is read-only cannot change before the
+    # norms are read, so it is kept as it is.
+    start = x0 if x0.base is None and not x0.flags.writeable else x0.copy()
+    return x, found, last, functools.partial(_scanned_norms, G, start, found)
 
 
 def _non_finite_iterate(G: Operator, count: int) -> NonFiniteValue:
@@ -498,7 +524,8 @@ def picard_solve(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    alpha = _resolve_contraction(G).declared_class.alpha
+    declared = G.declared_class
+    alpha = (declared if declared.kind == "contraction" else _resolve_contraction(G).declared_class).alpha
     x = np.asarray(x0, dtype=float)
     if x.shape != (G.dim,):
         raise DimensionMismatch(f"start point shape {x.shape} does not match dimension {G.dim}")
@@ -507,8 +534,8 @@ def picard_solve(
         point, steps = _picard_generic(G, x, math.inf, 1)
         # G's apply may return an array its caller still holds: copy it.
         point = point.copy()
-        point.flags.writeable = False
-        return FixedPointResult(point=point, residual=0.0, iterations=1, converged=True, step_norms=tuple(steps))
+        point.setflags(write=False)
+        return FixedPointResult(point, 0.0, 1, True, tuple(steps))
     threshold = tol * (1.0 - alpha) / alpha
 
     parts = G.affine_parts()
@@ -541,18 +568,12 @@ def picard_solve(
         size = math.hypot(*point)
     else:
         raise _non_finite_iterate(G, iterations)
-    # Both paths give a fresh point.
-    point.flags.writeable = False
+    # Both paths give a fresh point. setflags costs half of flags.writeable's setter.
+    point.setflags(write=False)
     # Each step rounds the iterate by about eps_machine ||x||, and the
     # contraction keeps such errors within that over (1 - alpha) of x*.
     floor = _MACHINE_EPS * size / (1.0 - alpha)
-    return FixedPointResult(
-        point=point,
-        residual=last * alpha / (1.0 - alpha) + floor,
-        iterations=iterations,
-        converged=True,
-        step_norms=steps,
-    )
+    return FixedPointResult(point, last * alpha / (1.0 - alpha) + floor, iterations, True, steps)
 
 
 #: Marks a step that no schedule plan built: _solve_implicit asks g for its own piece.
@@ -585,9 +606,12 @@ def _solve_implicit(
     Otherwise, or when the piece solve fails, picard_solve runs on g.
     """
     g = blend(eps, f, 1.0 - eps, T, planned if isinstance(planned, _Piece) and planned.everywhere else None)
+    # The gaps below take space.norm's bits without its conversions: each
+    # is a fresh 1-D float array.
     if not isinstance(g, BlendOperator):
         res = picard_solve(g, warm, delta, policy)
-        return res, norm(res.point - g._apply(res.point)), None
+        gap = res.point - g._apply(res.point)
+        return res, math.sqrt(gap.dot(gap)), None
     declared = g.declared_class
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
@@ -601,12 +625,14 @@ def _solve_implicit(
                 pass
             else:
                 value, at_target = g._apply_keeping_second(res.point)
-                gap = norm(res.point - value)
-                if gap <= delta * (1.0 - declared.alpha):
-                    return res, gap, at_target
+                gap = res.point - value
+                size = math.sqrt(gap.dot(gap))
+                if size <= delta * (1.0 - declared.alpha):
+                    return res, size, at_target
     res = picard_solve(g, warm, delta, policy)
     value, at_target = g._apply_keeping_second(res.point)
-    return res, norm(res.point - value), at_target
+    gap = res.point - value
+    return res, math.sqrt(gap.dot(gap)), at_target
 
 
 def implicit_step(
@@ -679,34 +705,39 @@ def _blend_plan(f: Operator, step_ops, values, warm=None):
     forcing = f.affine_parts()
     count = len(step_ops)
     batch = max(1, _PLAN_BATCH // (f.dim * f.dim))
-    # Each member's piece at its last step, and its planned rows as
-    # (piece, first step, end of the batch, stacked piece or None, norms).
+    # Each member's piece at its last step, and its plan as (piece, end of
+    # the batch, the stack's rows or None for a stack not planned).
     seen: list = [None] * count
     plans: list = [None] * count
     for idx, eps in enumerate(values):
         member = idx % count
         piece = None if forcing is None else step_ops[member]._piece(warm)
         entry = None if forcing is not None else _UNPLANNED
-        if piece is not None:
-            plan = plans[member]
-            if plan is None or idx >= plan[2] or plan[0] is not piece:
-                plan = plans[member] = None
-                if piece.everywhere or piece is seen[member]:
-                    stop = min(len(values), (idx // batch + 1) * batch)
-                    weights = np.array(values[idx:stop:count])
-                    try:
-                        stack = _Piece(*_blend_form(weights, forcing, 1.0 - weights, piece), piece.everywhere)
-                    except InvalidSpec:
-                        stack = None
+        plan = plans[member]
+        if plan is not None and idx >= plan[1]:
+            plan = None
+        # A plan gives one row to each step of its member up to its end,
+        # taken whether or not the step keeps it.
+        row = None if plan is None or plan[2] is None else next(plan[2])
+        if piece is not None and (plan is None or plan[0] is not piece):
+            plan = None
+            if piece.everywhere or piece is seen[member]:
+                stop = min(len(values), (idx // batch + 1) * batch)
+                weights = np.array(values[idx:stop:count])
+                try:
+                    stack = _Piece(*_blend_form(weights, forcing, 1.0 - weights, piece), piece.everywhere)
+                except InvalidSpec:
+                    rows = None
+                else:
                     norms = None
-                    if stack is not None and piece.everywhere:
+                    if piece.everywhere:
                         norms = np.linalg.svd(stack.matrix, compute_uv=False)[:, 0].tolist()
-                    plan = plans[member] = (piece, idx, stop, stack, norms)
-            if plan is not None and plan[3] is not None:
-                row = (idx - plan[1]) // count
-                entry = plan[3].row(row, None if plan[4] is None else plan[4][row])
-            else:
-                entry = _Piece(*_blend_form(eps, forcing, 1.0 - eps, piece), piece.everywhere)
+                    rows = stack.rows(norms)
+                plan = (piece, stop, rows)
+                row = None if rows is None else next(rows)
+            plans[member] = plan
+        if piece is not None:
+            entry = row if row is not None else _Piece(*_blend_form(eps, forcing, 1.0 - eps, piece), piece.everywhere)
         seen[member] = piece
         warm = yield entry
 
@@ -757,7 +788,7 @@ def viscosity_implicit_solve(
     opts = opts or SolveOptions()
     if not isinstance(schedule, EpsilonSchedule):
         raise InvalidSchedule("schedule must be an EpsilonSchedule (see make_schedule)")
-    _validate_schedule_values(schedule.values, schedule.kind)
+    values = _validate_schedule_values(schedule.values, schedule.kind)
     f = _resolve_contraction(f)
     step_ops = _step_operators(target, f.dim)
     origin = np.zeros(f.dim)
@@ -766,16 +797,19 @@ def viscosity_implicit_solve(
     started = time.time()
     converged = False
     fix_res = float("inf")
+    count, delta, outer_tol = len(step_ops), opts.inner_tol_rule.delta, opts.outer_tol
     # Step 1 starts from the origin with or without warm starts.
-    plan = _blend_plan(f, step_ops, schedule.values, origin)
-    for idx, eps in enumerate(schedule.values):
+    plan = _blend_plan(f, step_ops, values, origin)
+    # values holds floats, as the trace and inner_monitor take them.
+    for idx, eps in enumerate(values):
         n = idx + 1
-        step_T = step_ops[idx % len(step_ops)]
-        delta_n = opts.inner_tol_rule.delta(eps, opts.outer_tol)
+        step_T = step_ops[idx % count]
         warm = x_prev if opts.warm_start else origin
         planned = plan.send(warm) if idx else next(plan)
         try:
-            res, implicit_res, at_target = _solve_implicit(f, step_T, eps, warm, delta_n, opts.policy, planned)
+            res, implicit_res, at_target = _solve_implicit(
+                f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned
+            )
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
         xi = res.point
@@ -786,31 +820,15 @@ def viscosity_implicit_solve(
         fix_res = math.sqrt(gap.dot(gap))
         gap = xi - x_prev
         step_delta = math.sqrt(gap.dot(gap))
-        trace.append(
-            TraceStep(
-                n=n,
-                eps=float(eps),
-                point=tuple(xi.tolist()),
-                implicit_residual=implicit_res,
-                fix_residual=fix_res,
-                inner_iters=res.iterations,
-                step_delta=step_delta,
-            )
-        )
+        trace.append(TraceStep(n, eps, tuple(xi.tolist()), implicit_res, fix_res, res.iterations, step_delta))
         if inner_monitor is not None:
-            inner_monitor(n, float(eps), res)
+            inner_monitor(n, eps, res)
         x_prev = xi
-        if fix_res <= opts.outer_tol and step_delta <= opts.outer_tol:
+        if fix_res <= outer_tol and step_delta <= outer_tol:
             converged = True
             break
     trace.metadata["timestamps"] = {"started": started, "finished": time.time()}
-    result = FixedPointResult(
-        point=as_vector(x_prev),
-        residual=float(fix_res),
-        iterations=len(trace.steps),
-        converged=converged,
-    )
-    return result, trace
+    return FixedPointResult(as_vector(x_prev), float(fix_res), len(trace.steps), converged), trace
 
 
 def anchored_implicit_solve(

@@ -9,6 +9,7 @@ fixed-point subspaces of the family generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,8 @@ def make_family(spec: dict) -> OperatorFamily:
 
     Numeric fields must hold numbers: a string or a bool in them raises
     InvalidSpec naming the field, as make_operator does for operator specs.
+    So does a rotation flow's 'rates' or 'grid' that is not a list of
+    numbers, and a custom 'table' key that is not a finite number.
     """
     if not isinstance(spec, dict):
         raise InvalidSpec(f"family spec must be an object, got {type(spec).__name__}")
@@ -226,13 +229,24 @@ def make_family(spec: dict) -> OperatorFamily:
         if "rates" not in spec or "grid" not in spec:
             raise InvalidSpec("rotation_flow family spec needs 'rates' and 'grid'")
         for key in ("rates", "grid"):
-            if not _numbers_only(spec[key]):
+            value = spec[key]
+            if not isinstance(value, (list, tuple)) or any(isinstance(v, (list, tuple)) for v in value):
+                raise InvalidSpec(f"family spec of kind 'rotation_flow' needs a list of numbers in '{key}'")
+            if not _numbers_only(value):
                 raise InvalidSpec(f"family spec of kind 'rotation_flow' needs numbers in '{key}'")
         return RotationFlowFamily(spec["rates"], spec["grid"])
     if kind == "custom":
         if "table" not in spec or not isinstance(spec["table"], dict):
             raise InvalidSpec("custom family spec needs a 'table' object")
-        table = {float(k): make_operator(v) for k, v in spec["table"].items()}
+        table = {}
+        for key, value in spec["table"].items():
+            try:
+                index = float(key)
+            except (TypeError, ValueError):
+                index = math.nan
+            if not math.isfinite(index):
+                raise InvalidSpec(f"family spec of kind 'custom' needs finite numbers as 'table' keys, got {key!r}")
+            table[index] = make_operator(value)
         return CustomFamily(table)
     raise InvalidSpec(f"unknown family kind '{kind}'")
 

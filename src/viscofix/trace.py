@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,9 +16,8 @@ TRACE_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("n", "eps", "implicit_residual", "fix_residual", "step_delta", "inner_iters")
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One outer step of an implicit iteration."""
+class TraceStep(NamedTuple):
+    """One outer step of an implicit iteration, as an immutable value."""
 
     n: int
     eps: float
@@ -42,17 +41,18 @@ class ConvergenceTrace:
         self.metadata: dict = dict(metadata or {})
 
     def append(self, step: TraceStep) -> None:
-        if not 0.0 < step.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {step.eps}")
-        if self.steps:
-            last = self.steps[-1]
+        steps, eps = self.steps, step.eps
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        if steps:
+            last = steps[-1]
             if step.n <= last.n:
                 raise ValueError(f"step numbers must increase: {last.n} then {step.n}")
-            if step.eps >= last.eps:
-                raise ValueError(f"eps must decrease strictly: {last.eps} then {step.eps}")
+            if eps >= last.eps:
+                raise ValueError(f"eps must decrease strictly: {last.eps} then {eps}")
             if len(step.point) != len(last.point):
                 raise ValueError("point dimension changed inside a trace")
-        self.steps.append(step)
+        steps.append(step)
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -745,6 +745,15 @@ def test_certify_na_clustered_spectrum(tmp_path, capsys):
     assert abs(payload["vector"][19]) >= 1.0 - 1e-8
 
 
+def test_certify_na_fails_as_one_error_line_on_a_norm_past_the_float_range(tmp_path, capsys):
+    path = _write(tmp_path, "matrix.json", {"matrix": [[1.7e308, 1.7e308], [0.0, 0.0]]})
+    assert main(["certify-na", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrix invalid: operator norm lies past the float range")
+    assert captured.err.count("\n") == 1
+
+
 def test_certify_na_exits_two_when_the_bracket_is_wider_than_tol(tmp_path, capsys):
     # At d = 20 the proved bracket on the norm is about 1e-12 wide.
     path = _write(tmp_path, "clustered.json", {"matrix": _clustered_d20()})
@@ -784,8 +793,24 @@ def _custom_rotation(key, value):
             {"kind": "rotation_flow", "rates": ["1.0"], "grid": [True]},
             "family spec of kind 'rotation_flow' needs numbers in 'rates'",
         ),
+        (
+            {"kind": "rotation_flow", "rates": 1.0, "grid": [1.0]},
+            "family spec of kind 'rotation_flow' needs a list of numbers in 'rates'",
+        ),
+        (
+            {"kind": "rotation_flow", "rates": [1.0], "grid": 1.0},
+            "family spec of kind 'rotation_flow' needs a list of numbers in 'grid'",
+        ),
+        (
+            {"kind": "custom", "table": {"a": {"kind": "identity", "dim": 2}}},
+            "family spec of kind 'custom' needs finite numbers as 'table' keys, got 'a'",
+        ),
+        (
+            {"kind": "custom", "table": {"inf": {"kind": "identity", "dim": 2}}},
+            "family spec of kind 'custom' needs finite numbers as 'table' keys, got 'inf'",
+        ),
     ],
-    ids=["dim-2", "plane-value1", "angle-0.5", "rotation_flow"],
+    ids=["dim-2", "plane-value1", "angle-0.5", "rotation_flow", "bare-rates", "bare-grid", "key-a", "key-inf"],
 )
 def test_check_family_rejects_spec_fields_that_are_not_numbers(tmp_path, capsys, family, error):
     path = _write(tmp_path, "family.json", {"family": family})
@@ -793,6 +818,16 @@ def test_check_family_rejects_spec_fields_that_are_not_numbers(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: InvalidSpec: {error}\n"
+    # A run config takes the same family spec and fails the same way.
+    config = _ball_config()
+    del config["problem"]["target"]
+    config["problem"]["family"] = family
+    path = _write(tmp_path, "cfg.json", config)
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: InvalidSpec: {error}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "boolean"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -656,6 +657,35 @@ def test_certificate_scales_with_the_matrix(scale):
     assert cert.sigma == pytest.approx(scale * unscaled.sigma, rel=1e-14)
     assert cert.residual <= 1e-12 * cert.sigma
     np.testing.assert_allclose(cert.vector, unscaled.vector, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        # Subnormal norms, where scaling the bracket back rounds.
+        (1e-320, 1e-320),
+        (7e-321, 3e-321),
+        (5e-324, 5e-324),
+        (3e-310, 1e-310),
+        # Norms near the top of the float range.
+        (1e300, 1e300),
+        (1.27e308, 1.27e308),
+    ],
+)
+def test_a_rescaled_certificate_brackets_the_exact_norm(row):
+    # The norm of a matrix whose only nonzero row is its first is that
+    # row's length, here in exact decimal arithmetic.
+    with localcontext() as ctx:
+        ctx.prec = 100
+        a, b = map(Decimal, row)
+        exact = (a * a + b * b).sqrt()
+    cert = certify_norm_attainable(LinearOperator([list(row), [0.0, 0.0]]))
+    assert Decimal(cert.sigma) <= exact <= Decimal(cert.sigma + cert.residual)
+
+
+def test_a_norm_past_the_float_range_raises_overflow():
+    with pytest.raises(OverflowError, match="operator norm lies past the float range"):
+        certify_norm_attainable(LinearOperator([[1.7e308, 1.7e308], [0.0, 0.0]]))
 
 
 def test_every_criterion_6_certificate_brackets_the_norm():

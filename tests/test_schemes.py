@@ -49,7 +49,8 @@ from viscofix import (
     viscosity_implicit_solve,
 )
 from viscofix import operators, schemes
-from viscofix.operators import NONEXPANSIVE, BlendOperator, InvalidSpec, blend
+from viscofix.operators import NONEXPANSIVE, BlendOperator, DeclaredClass, InvalidSpec, blend
+from viscofix.trace import TraceStep
 
 from oracles import bisect_increasing
 
@@ -1092,6 +1093,8 @@ def test_lifted_step_norms_are_computed_when_read(monkeypatch):
     calls = _count_calls(monkeypatch, "_picard_generic")
     res = picard_solve(lifted, start, 1e-8)
     assert res.iterations == scan.iterations
+    with pytest.raises(AttributeError):
+        res.step_norms = ()
     assert calls == []
     assert res.step_norms == scan.step_norms
     assert len(calls) == 1
@@ -1101,6 +1104,22 @@ def test_lifted_step_norms_are_computed_when_read(monkeypatch):
     unread = pickle.loads(pickle.dumps(picard_solve(lifted, start, 1e-8)))
     assert len(calls) == 1
     assert unread.step_norms == scan.step_norms
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lifted_step_norms_replay_the_start_as_it_was(dim):
+    lifted, start = _lifted(4, dim, 0.99)
+    expected = _scanned(lifted, start, 1e-8).step_norms
+    # A writeable start, and a read-only view of a writeable array: the
+    # caller can still change both after the solve.
+    data = start.copy()
+    view = data.view()
+    view.setflags(write=False)
+    for given in (data, view):
+        res = picard_solve(lifted, given, 1e-8)
+        data[:] = 0.0
+        assert res.step_norms == expected
+        data[:] = start
 
 
 def test_viscosity_solves_on_affine_blends_read_no_step_norms(monkeypatch):
@@ -1376,13 +1395,14 @@ class _PlainPairs(Operator):
 def _planned_rows(monkeypatch) -> list:
     """The index of every row a schedule plan takes from a stacked piece from now on."""
     rows = []
-    original = operators._Piece.row
+    original = operators._Piece.rows
 
-    def counted(self, index, norm=None):
-        rows.append(index)
-        return original(self, index, norm)
+    def counted(self, norms=None):
+        for index, row in enumerate(original(self, norms)):
+            rows.append(index)
+            yield row
 
-    monkeypatch.setattr(operators._Piece, "row", counted)
+    monkeypatch.setattr(operators._Piece, "rows", counted)
     return rows
 
 
@@ -1684,3 +1704,39 @@ def test_declared_affine_past_the_square_range_sizes_its_blocks_without_warnings
     assert math.isfinite(res.residual)
     assert res.step_norms[0] == math.inf
     assert len(res.step_norms) == res.iterations
+
+
+# ---------------------------------------------------------------------------
+# Per-step values
+
+
+_PER_STEP_VALUES = {
+    "TraceStep": (
+        TraceStep,
+        ("n", "eps", "point", "implicit_residual", "fix_residual", "inner_iters", "step_delta"),
+        (3, 0.25, (1.0, -2.0), 1e-9, 2e-8, 17, 0.5),
+    ),
+    "FixedPointResult": (
+        schemes.FixedPointResult,
+        ("point", "residual", "iterations", "converged", "step_norms"),
+        (np.array([1.0, -2.0]), 1e-9, 2, True, (0.5, 0.25)),
+    ),
+    "DeclaredClass": (DeclaredClass, ("kind", "alpha"), ("contraction", 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PER_STEP_VALUES))
+def test_per_step_values_are_immutable_and_built_by_position(name):
+    cls, names, values = _PER_STEP_VALUES[name]
+    value = cls(*values)
+    assert value._fields == names
+    by_name = cls(**dict(zip(names, values)))
+    for field, given in zip(names, values):
+        assert getattr(value, field) is given
+        assert getattr(by_name, field) is given
+        with pytest.raises(AttributeError):
+            setattr(value, field, given)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1

@@ -9,7 +9,9 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
 
 * for solve-affine and solve-nonaffine at seeds 4242, 777 and 9701: every
   solve's trace (points, implicit and fixed-point residuals, inner
-  iteration counts, step deltas) and every retraction's limits;
+  iteration counts, step deltas), the residual, iteration count and
+  converged flag of the inner solve result that inner_monitor receives at
+  each outer step, and every retraction's limits;
 * at the same seeds, the traces of three solves that no benchmark input
   has, built here: a two-member custom family of rotation-then-ball
   targets (one schedule plan per member), an averaged rotation-then-ball
@@ -45,6 +47,8 @@ SOLVE_SEEDS = (4242, 777, 9701)
 CLI_SEED = 4242
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRACE_FIELDS = ("point", "implicit_residual", "fix_residual", "inner_iters", "step_delta")
+#: Fields of each inner solve's result, recorded through inner_monitor.
+INNER_FIELDS = ("residual", "iterations", "converged")
 
 
 def _digest(data: bytes) -> str:
@@ -59,7 +63,7 @@ def _load_inputs(checkout: Path):
 
 
 def _solve_records(prefix: str, spec: dict) -> dict:
-    """The trace fields of one seeded solve, or its error."""
+    """The trace fields and inner results of one seeded solve, or its error."""
     from viscofix import operators, schemes, semigroup
     from viscofix.space import TolerancePolicy, ViscofixError
 
@@ -78,8 +82,15 @@ def _solve_records(prefix: str, spec: dict) -> dict:
         target = operators.make_operator(spec["target"])
     sched = spec["schedule"]
     schedule = schemes.make_schedule(sched["kind"], sched["params"], sched["n_max"])
+    inner = []
+
+    def monitor(n, eps, result):
+        inner.append(tuple(getattr(result, name) for name in INNER_FIELDS))
+
     try:
-        _, trace = schemes.viscosity_implicit_solve(f, target, schedule, schemes.SolveOptions(**kwargs))
+        _, trace = schemes.viscosity_implicit_solve(
+            f, target, schedule, schemes.SolveOptions(**kwargs), inner_monitor=monitor
+        )
     except ViscofixError as exc:
         return {f"{prefix}/error": f"{type(exc).__name__}: {exc}"}
     records = {}
@@ -87,6 +98,10 @@ def _solve_records(prefix: str, spec: dict) -> dict:
         dtype = np.int64 if name == "inner_iters" else float
         values = np.array([getattr(step, name) for step in trace.steps], dtype=dtype)
         records[f"{prefix}/{name}"] = _digest(values.tobytes())
+    for k, name in enumerate(INNER_FIELDS):
+        dtype = float if name == "residual" else np.int64
+        values = np.array([fields[k] for fields in inner], dtype=dtype)
+        records[f"{prefix}/inner {name}"] = _digest(values.tobytes())
     return records
 
 
