@@ -490,8 +490,6 @@ def cmd_certify_na(args) -> int:
         raise ConfigInvalid(f"matrix data does not parse: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ConfigInvalid(f"matrix must be square, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise ConfigInvalid("matrix entries must be finite")
     try:
         cert = certify_norm_attainable(LinearOperator(matrix))
     except OverflowError as exc:

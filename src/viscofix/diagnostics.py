@@ -65,6 +65,19 @@ def _deltas_from(trace: ConvergenceTrace, deltas) -> np.ndarray:
     return arr
 
 
+def _worst(excess, trace: ConvergenceTrace) -> tuple[float, int]:
+    """The largest excess over the steps and its step number.
+
+    The first of equal maxima wins and a NaN excess never does; without a
+    step the result is (-inf, 0).
+    """
+    max_excess, worst = -np.inf, 0
+    for value, step in zip(excess, trace.steps):
+        if value > max_excess:
+            max_excess, worst = value, step.n
+    return float(max_excess), worst
+
+
 @dataclass(frozen=True)
 class Step2Report:
     """Boundedness: ||xi_n - p|| <= ||f(p) - p||/(1 - alpha) + 10*delta_n."""
@@ -82,7 +95,6 @@ def check_step2_bound(
     p,
     deltas=None,
     T: Operator | None = None,
-    slack: float = STEP_SLACK,
 ) -> Step2Report:
     """Check the a-priori bound around the fixed point p of the target.
 
@@ -98,20 +110,10 @@ def check_step2_bound(
             f"reference point has fixed-point residual {residual(T, p):.3g} > {FIXED_POINT_TOL}"
         )
     base = norm(f.apply(p) - p) / (1.0 - alpha)
-    allowances = _deltas_from(trace, deltas)
-    worst = 0
-    max_violation = -np.inf
-    for i, step in enumerate(trace.steps):
-        lhs = norm(np.array(step.point) - p)
-        rhs = base + INEXACT_FACTOR * allowances[i]
-        if lhs - rhs > max_violation:
-            max_violation = lhs - rhs
-            worst = step.n
+    rhs = base + INEXACT_FACTOR * _deltas_from(trace, deltas)
+    max_violation, worst = _worst([norm(x - p) for x in trace.points()] - rhs, trace)
     return Step2Report(
-        bound_base=base,
-        max_violation=float(max_violation),
-        worst_step=worst,
-        ok=bool(max_violation <= slack),
+        bound_base=base, max_violation=max_violation, worst_step=worst, ok=max_violation <= STEP_SLACK
     )
 
 
@@ -129,7 +131,6 @@ def check_step3_residual(
     trace: ConvergenceTrace,
     f: Operator,
     T: Operator,
-    slack: float = STEP_SLACK,
 ) -> Step3Report:
     """Check that the fixed-point residual is controlled by eps_n.
 
@@ -137,21 +138,14 @@ def check_step3_residual(
     residual, so violations beyond float slack indicate a corrupted trace or
     a mismatched operator.
     """
-    worst = 0
-    max_violation = -np.inf
-    for step in trace.steps:
-        xi = np.array(step.point)
-        gap = norm(f.apply(xi) - T.apply(xi))
-        rhs = step.eps * gap + step.implicit_residual
-        lhs = step.fix_residual
-        if lhs - rhs > max_violation:
-            max_violation = lhs - rhs
-            worst = step.n
+    gaps = np.array([norm(f.apply(x) - T.apply(x)) for x in trace.points()])
+    rhs = trace.eps_values() * gaps + trace.implicit_residuals()
+    max_violation, worst = _worst(trace.fix_residuals() - rhs, trace)
     return Step3Report(
         final_residual=float(trace.last().fix_residual),
-        max_violation=float(max_violation),
+        max_violation=max_violation,
         worst_step=worst,
-        ok=bool(max_violation <= slack),
+        ok=max_violation <= STEP_SLACK,
     )
 
 
@@ -165,25 +159,19 @@ class Step4Report:
     ok: bool
 
 
-def check_step4_vi(
-    trace: ConvergenceTrace,
-    anchor,
-    limit,
-    vi_tol: float = VI_TOL,
-    rel_tol: float = VI_REL_TOL,
-) -> Step4Report:
+def check_step4_vi(trace: ConvergenceTrace, anchor, limit) -> Step4Report:
     """Check the variational-inequality gap along the trace.
 
     vi_value is the maximum of v_n = <anchor - limit, xi_n - limit> over the
     tail window; the limit target is a limsup <= 0, so at finite n the check
-    accepts either vi_value <= vi_tol outright or a positive-decaying gap:
+    accepts either vi_value <= VI_TOL outright or a positive-decaying gap:
     v ~ c*eps fitted by least squares over the last half of the trace, with
-    c >= 0 and relative fit residual <= rel_tol.
+    c >= 0 and relative fit residual <= VI_REL_TOL.
     """
     anchor = as_vector(anchor)
     limit = as_vector(limit)
     direction = anchor - limit
-    values = np.array([inner(direction, np.array(s.point) - limit) for s in trace.steps])
+    values = np.array([inner(direction, x - limit) for x in trace.points()])
     eps = trace.eps_values()
 
     half = len(values) // 2 if len(values) >= 4 else 0
@@ -197,9 +185,9 @@ def check_step4_vi(
     else:
         rel = float(np.linalg.norm(v_fit - coeff * e_fit) / scale)
 
-    tail = trace.window(TAIL_FRACTION, MIN_WINDOW)
-    vi_value = max(inner(direction, np.array(s.point) - limit) for s in tail)
-    ok = vi_value <= vi_tol or (coeff >= -STEP_SLACK and rel <= rel_tol)
+    tail = len(trace.window(TAIL_FRACTION, MIN_WINDOW))
+    vi_value = max(values[-tail:])
+    ok = vi_value <= VI_TOL or (coeff >= -STEP_SLACK and rel <= VI_REL_TOL)
     return Step4Report(
         vi_value=float(vi_value),
         fit_coeff=coeff,
@@ -318,15 +306,7 @@ class ProofStepReport:
         return stages
 
     def to_dict(self) -> dict:
-        payload = {
-            "step2": asdict(self.step2),
-            "step3": asdict(self.step3),
-            "step4": asdict(self.step4),
-            "step5": asdict(self.step5),
-            "retraction": asdict(self.retraction) if self.retraction is not None else None,
-            "ok": self.ok,
-        }
-        return payload
+        return {**asdict(self), "ok": self.ok}
 
 
 def build_proof_step_report(
@@ -337,7 +317,6 @@ def build_proof_step_report(
     fixed_set: FixedPointSet | None = None,
     oracle_limit=None,
     step5_tol: float = 1e-6,
-    deltas=None,
     retraction_limits=None,
 ) -> ProofStepReport:
     """Run the stage checks against one trace.
@@ -379,7 +358,7 @@ def build_proof_step_report(
         verify_against = None
     anchor = f.apply(limit)
 
-    step2 = check_step2_bound(trace, f, alpha, p, deltas=deltas, T=verify_against)
+    step2 = check_step2_bound(trace, f, alpha, p, T=verify_against)
     step3 = check_step3_residual(trace, f, T)
     step4 = check_step4_vi(trace, anchor, limit)
     step5 = check_step5_convergence(trace, oracle_limit=oracle_limit, tol=step5_tol)

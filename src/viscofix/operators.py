@@ -80,12 +80,6 @@ class DeclaredClass(NamedTuple):
             return 1.0
         return None
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.alpha is not None:
-            d["alpha"] = float(self.alpha)
-        return d
-
 
 NONEXPANSIVE = DeclaredClass("nonexpansive")
 ISOMETRY = DeclaredClass("isometry")
@@ -1147,9 +1141,13 @@ def nullspace_basis(matrix: np.ndarray, tol: float) -> list[np.ndarray]:
     return [q[:, k].copy() for k in range(q.shape[1])]
 
 
+def _common_fixed_set(dim: int, matrices, tol: float) -> FixedPointSet:
+    """The common fixed points of linear maps: the null space of the stacked blocks I - M."""
+    eye = np.eye(dim)
+    basis = nullspace_basis(np.vstack([eye - m for m in matrices]), tol)
+    return FixedPointSet(dim=dim, basis=tuple(as_vector(b) for b in basis), tol_used=float(tol))
+
+
 def fixed_points_linear(T: Operator, tol: float = DEFAULT_POLICY.abs_tol) -> FixedPointSet:
     """Orthonormal basis of Fix(T) = null(I - T) for a linear map T."""
-    matrix = T.linear_matrix()
-    d = matrix.shape[0]
-    basis = nullspace_basis(np.eye(d) - matrix, tol)
-    return FixedPointSet(dim=d, basis=tuple(as_vector(b) for b in basis), tol_used=float(tol))
+    return _common_fixed_set(T.dim, [T.linear_matrix()], tol)

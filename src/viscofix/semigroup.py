@@ -27,10 +27,10 @@ from .operators import (
     ISOMETRY,
     NotNonexpansive,
     Operator,
+    _common_fixed_set,
     _numbers_only,
     check_nonexpansive,
     make_operator,
-    nullspace_basis,
 )
 from .space import DEFAULT_POLICY, DEFAULT_SEED, as_vector, make_rng, norm, sample_sphere
 
@@ -216,7 +216,8 @@ def make_family(spec: dict) -> OperatorFamily:
     Numeric fields must hold numbers: a string or a bool in them raises
     InvalidSpec naming the field, as make_operator does for operator specs.
     So does a rotation flow's 'rates' or 'grid' that is not a list of
-    numbers, and a custom 'table' key that is not a finite number.
+    numbers, a custom 'table' key that is not a finite number, and two
+    'table' keys that name the same number (such as "1" and "1.0").
     """
     if not isinstance(spec, dict):
         raise InvalidSpec(f"family spec must be an object, got {type(spec).__name__}")
@@ -238,7 +239,7 @@ def make_family(spec: dict) -> OperatorFamily:
     if kind == "custom":
         if "table" not in spec or not isinstance(spec["table"], dict):
             raise InvalidSpec("custom family spec needs a 'table' object")
-        table = {}
+        table, keys = {}, {}
         for key, value in spec["table"].items():
             try:
                 index = float(key)
@@ -246,6 +247,12 @@ def make_family(spec: dict) -> OperatorFamily:
                 index = math.nan
             if not math.isfinite(index):
                 raise InvalidSpec(f"family spec of kind 'custom' needs finite numbers as 'table' keys, got {key!r}")
+            if index in keys:
+                raise InvalidSpec(
+                    f"family spec of kind 'custom' has 'table' keys {keys[index]!r} and {key!r} "
+                    f"for the same index {index!r}"
+                )
+            keys[index] = key
             table[index] = make_operator(value)
         return CustomFamily(table)
     raise InvalidSpec(f"unknown family kind '{kind}'")
@@ -344,11 +351,4 @@ def common_fixed_set_linear(
 
     Stacks the blocks (I - T_g) and takes the null space of the stack.
     """
-    generators = family.generator_operators()
-    eye = np.eye(family.dim)
-    blocks = [eye - g.linear_matrix() for g in generators]
-    stacked = np.vstack(blocks)
-    basis = nullspace_basis(stacked, tol)
-    return FixedPointSet(
-        dim=family.dim, basis=tuple(as_vector(b) for b in basis), tol_used=float(tol)
-    )
+    return _common_fixed_set(family.dim, [g.linear_matrix() for g in family.generator_operators()], tol)

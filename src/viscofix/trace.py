@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -12,8 +13,23 @@ import numpy as np
 
 TRACE_SCHEMA_VERSION = 1
 
-#: Fixed leading CSV columns; point coordinates x0..x{d-1} follow.
-CSV_COLUMNS = ("n", "eps", "implicit_residual", "fix_residual", "step_delta", "inner_iters")
+#: TraceStep's scalar fields in CSV column order, each with the type it is
+#: read back as; the point coordinates x0..x{d-1} follow them in a CSV row.
+_FIELDS = (
+    ("n", int),
+    ("eps", float),
+    ("implicit_residual", float),
+    ("fix_residual", float),
+    ("step_delta", float),
+    ("inner_iters", int),
+)
+#: Fixed leading CSV columns.
+CSV_COLUMNS = tuple(name for name, _ in _FIELDS)
+#: A step's CSV fields as str(int) and format(x, ".17g") render them: the
+#: bytes csv.writer gives, as none of them needs quoting. 17 significant
+#: digits round-trip any float64 exactly.
+_CSV_FORMAT = ",".join("%d" if kind is int else "%.17g" for _, kind in _FIELDS)
+_csv_fields = attrgetter(*CSV_COLUMNS)
 
 
 class TraceStep(NamedTuple):
@@ -95,48 +111,38 @@ class ConvergenceTrace:
 def export_trace(trace: ConvergenceTrace, fmt: str, destination, header_comment: str | None = None) -> Path:
     """Write a trace as 'csv' or 'json'. Returns the path written.
 
-    CSV columns are exactly n, eps, implicit_residual, fix_residual,
-    step_delta, inner_iters, then the point coordinates x0..x{d-1}, every
-    float rendered with 17 significant digits. An optional '#' comment line
-    may precede the header. JSON is one line of sorted keys (then a
-    newline) carrying a schema version and the metadata.
+    CSV columns are exactly CSV_COLUMNS (TraceStep's scalar fields: n, eps,
+    implicit_residual, fix_residual, step_delta, inner_iters), then the
+    point coordinates x0..x{d-1}, every float rendered with 17 significant
+    digits. An optional '#' comment line may precede the header. JSON is one
+    line of sorted keys (then a newline) carrying a schema version, the
+    metadata and each step as an object keyed by TraceStep's field names.
     """
     path = Path(destination)
     if fmt == "csv":
         dim = trace.dim or 0
         lines = [] if header_comment is None else [f"# {header_comment}\n"]
         lines.append(",".join(CSV_COLUMNS + tuple(f"x{i}" for i in range(dim))) + "\r\n")
-        # The bytes csv.writer gives for str(int) and format(x, ".17g")
-        # fields, none of which needs quoting. 17 significant digits
-        # round-trip any float64 exactly.
-        row = "%d,%.17g,%.17g,%.17g,%.17g,%d" + ",%.17g" * dim + "\r\n"
-        lines.extend(
-            row % (s.n, s.eps, s.implicit_residual, s.fix_residual, s.step_delta, s.inner_iters, *s.point)
-            for s in trace.steps
-        )
+        row = _CSV_FORMAT + ",%.17g" * dim + "\r\n"
+        lines.extend(row % (*_csv_fields(s), *s.point) for s in trace.steps)
         path.write_text("".join(lines), newline="")
         return path
     if fmt == "json":
         payload = {
             "schema": TRACE_SCHEMA_VERSION,
             "metadata": trace.metadata,
-            "steps": [
-                {
-                    "n": s.n,
-                    "eps": s.eps,
-                    "point": list(s.point),
-                    "implicit_residual": s.implicit_residual,
-                    "fix_residual": s.fix_residual,
-                    "inner_iters": s.inner_iters,
-                    "step_delta": s.step_delta,
-                }
-                for s in trace.steps
-            ],
+            "steps": [s._asdict() for s in trace.steps],
         }
         # Without indent, dumps runs the C encoder in one call.
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         return path
     raise ValueError(f"unknown trace format '{fmt}'")
+
+
+def _read_step(fields_by_name, point) -> TraceStep:
+    """A step from its scalar fields, read back by name as their table types, and its point."""
+    scalars = {name: kind(fields_by_name[name]) for name, kind in _FIELDS}
+    return TraceStep(point=tuple(map(float, point)), **scalars)
 
 
 def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
@@ -151,17 +157,7 @@ def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
             raise ValueError(f"unsupported trace schema {payload.get('schema')!r}")
         trace = ConvergenceTrace(metadata=payload.get("metadata", {}))
         for s in payload["steps"]:
-            trace.append(
-                TraceStep(
-                    n=int(s["n"]),
-                    eps=float(s["eps"]),
-                    point=tuple(float(c) for c in s["point"]),
-                    implicit_residual=float(s["implicit_residual"]),
-                    fix_residual=float(s["fix_residual"]),
-                    inner_iters=int(s["inner_iters"]),
-                    step_delta=float(s["step_delta"]),
-                )
-            )
+            trace.append(_read_step(s, s["point"]))
         return trace
     if fmt == "csv":
         # A '# key=value ...' comment line, as written for header_comment,
@@ -184,16 +180,6 @@ def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
         if tuple(header[: len(CSV_COLUMNS)]) != CSV_COLUMNS:
             raise ValueError(f"unexpected trace CSV header: {header}")
         for row in reader:
-            trace.append(
-                TraceStep(
-                    n=int(row[0]),
-                    eps=float(row[1]),
-                    point=tuple(float(c) for c in row[6:]),
-                    implicit_residual=float(row[2]),
-                    fix_residual=float(row[3]),
-                    inner_iters=int(row[5]),
-                    step_delta=float(row[4]),
-                )
-            )
+            trace.append(_read_step(dict(zip(CSV_COLUMNS, row)), row[len(CSV_COLUMNS) :]))
         return trace
     raise ValueError(f"unknown trace format '{fmt}'")

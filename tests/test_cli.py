@@ -809,8 +809,15 @@ def _custom_rotation(key, value):
             {"kind": "custom", "table": {"inf": {"kind": "identity", "dim": 2}}},
             "family spec of kind 'custom' needs finite numbers as 'table' keys, got 'inf'",
         ),
+        (
+            {"kind": "custom", "table": {"1": {"kind": "identity", "dim": 2}, "1.0": {"kind": "negation", "dim": 2}}},
+            "family spec of kind 'custom' has 'table' keys '1' and '1.0' for the same index 1.0",
+        ),
     ],
-    ids=["dim-2", "plane-value1", "angle-0.5", "rotation_flow", "bare-rates", "bare-grid", "key-a", "key-inf"],
+    ids=[
+        "dim-2", "plane-value1", "angle-0.5", "rotation_flow", "bare-rates", "bare-grid", "key-a", "key-inf",
+        "key-1-and-1.0",
+    ],
 )
 def test_check_family_rejects_spec_fields_that_are_not_numbers(tmp_path, capsys, family, error):
     path = _write(tmp_path, "family.json", {"family": family})

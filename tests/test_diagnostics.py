@@ -135,6 +135,35 @@ def test_step3_flags_a_tampered_trace(scalar_run):
     assert report.max_violation == pytest.approx(0.1, abs=1e-6)
 
 
+def test_worst_step_is_the_first_of_ties_and_never_a_nan():
+    # f = 0 and T = identity at p = 0: the step-2 excess is |x_n| - 10 delta_n
+    # and the step-3 excess is fix_residual_n - implicit_residual_n.
+    f, T = ConstantOperator([0.0]), Identity(1)
+
+    def doctored(points, fix_residuals):
+        trace = ConvergenceTrace()
+        for n, (x, fix) in enumerate(zip(points, fix_residuals), start=1):
+            trace.append(TraceStep(n, 1.0 / n, (x,), 0.0, fix, 1, 0.0))
+        return trace
+
+    tied = doctored([1.0, 3.0, 3.0, 2.0], [0.0, 0.0, 0.0, 0.0])
+    step2 = check_step2_bound(tied, f, 0.0, [0.0], deltas=[0.0, 0.0, 0.0, 0.0])
+    assert (step2.max_violation, step2.worst_step, step2.ok) == (3.0, 2, False)
+    tied = doctored([0.0, 0.0, 0.0, 0.0], [0.1, 0.3, 0.3, 0.2])
+    step3 = check_step3_residual(tied, f, T)
+    assert (step3.max_violation, step3.worst_step, step3.ok) == (0.3, 2, False)
+
+    nan_first = doctored([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    step2 = check_step2_bound(nan_first, f, 0.0, [0.0], deltas=[np.nan, 0.0, 0.0])
+    assert (step2.max_violation, step2.worst_step) == (2.0, 3)
+    nan_first = doctored([0.0, 0.0, 0.0], [np.nan, 0.1, 0.2])
+    step3 = check_step3_residual(nan_first, f, T)
+    assert (step3.max_violation, step3.worst_step) == (0.2, 3)
+    # With every excess NaN no step is reported.
+    step3 = check_step3_residual(doctored([0.0], [np.nan]), f, T)
+    assert (step3.max_violation, step3.worst_step, step3.ok) == (-np.inf, 0, True)
+
+
 # ---------------------------------------------------------------------------
 # Step 4: variational inequality gap
 

@@ -18,6 +18,13 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
   target (its kept piece planned like a composite's) and a mixed family
   of a plain rotation and a rotation-then-ball target (planned collapses
   and planned pieces in one schedule);
+* for each of these solves: the stage-check report that
+  build_proof_step_report(trace, f, T).to_dict() gives, where T is the
+  target or the one member of a family with a single sampled index (as the
+  CLI takes it; a family of more members has no report), and again with the
+  target's linear fixed set when it has one; the bytes export_trace writes
+  as trace.csv and as trace.json (the trace's wall-clock timestamps dropped
+  first), and each file's load_trace round trip;
 * for cli-pipeline at seed 4242: the exit code and stdout of each command,
   every file the commands write (summary.json, trace.csv,
   sweep_summary.csv) and trace.json without its wall-clock timestamps.
@@ -93,7 +100,7 @@ def _solve_records(prefix: str, spec: dict) -> dict:
         )
     except ViscofixError as exc:
         return {f"{prefix}/error": f"{type(exc).__name__}: {exc}"}
-    records = {}
+    records = {**_report_records(prefix, trace, f, target), **_export_records(prefix, trace)}
     for name in TRACE_FIELDS:
         dtype = np.int64 if name == "inner_iters" else float
         values = np.array([getattr(step, name) for step in trace.steps], dtype=dtype)
@@ -102,6 +109,49 @@ def _solve_records(prefix: str, spec: dict) -> dict:
         dtype = float if name == "residual" else np.int64
         values = np.array([fields[k] for fields in inner], dtype=dtype)
         records[f"{prefix}/inner {name}"] = _digest(values.tobytes())
+    return records
+
+
+def _report_records(prefix: str, trace, f, target) -> dict:
+    """The stage-check report of one solve, with and without the target's linear fixed set."""
+    from viscofix import (
+        NotLinear, OperatorFamily, build_proof_step_report, common_fixed_set_linear, fixed_points_linear,
+    )
+    from viscofix.space import ViscofixError
+
+    if isinstance(target, OperatorFamily):
+        indices = set(target.sample_indices())
+        if len(indices) != 1:
+            return {}
+        T, fixed_set_of = target.evaluate(indices.pop()), common_fixed_set_linear
+    else:
+        T, fixed_set_of = target, fixed_points_linear
+    try:
+        fixed_sets = {"report": None, "report with fixed set": fixed_set_of(target)}
+    except NotLinear:
+        fixed_sets = {"report": None}
+    records = {}
+    for name, fixed_set in fixed_sets.items():
+        try:
+            report = build_proof_step_report(trace, f, T, fixed_set=fixed_set).to_dict()
+        except (ViscofixError, ValueError) as exc:
+            report = f"{type(exc).__name__}: {exc}"
+        records[f"{prefix}/{name}"] = _digest(json.dumps(report, sort_keys=True).encode())
+    return records
+
+
+def _export_records(prefix: str, trace) -> dict:
+    """The bytes of both trace files, timestamps dropped, and what load_trace reads back from each."""
+    from viscofix import export_trace, load_trace
+
+    trace.metadata.pop("timestamps", None)
+    records = {}
+    with tempfile.TemporaryDirectory() as work:
+        for fmt in ("csv", "json"):
+            path = export_trace(trace, fmt, Path(work) / f"trace.{fmt}", header_comment=f"op={prefix}")
+            loaded = load_trace(path)
+            records[f"{prefix}/trace.{fmt}"] = _digest(path.read_bytes())
+            records[f"{prefix}/trace.{fmt} round trip"] = _digest(repr((loaded.metadata, loaded.steps)).encode())
     return records
 
 
