@@ -292,12 +292,18 @@ def load_run_config(path, seed_override: int | None = None) -> dict:
 
 
 def _build_problem(problem_cfg: dict):
-    f = make_operator(problem_cfg["contraction"])
+    """(forcing term, target) of a problem config; a bad spec raises ConfigInvalid naming where it sits."""
+    f = _build_spec(problem_cfg, "contraction", make_operator)
     if "target" in problem_cfg:
-        target = make_operator(problem_cfg["target"])
-    else:
-        target = make_family(problem_cfg["family"])
-    return f, target
+        return f, _build_spec(problem_cfg, "target", make_operator)
+    return f, _build_spec(problem_cfg, "family", make_family)
+
+
+def _build_spec(problem_cfg: dict, key: str, build):
+    try:
+        return build(problem_cfg[key])
+    except InvalidSpec as exc:
+        raise ConfigInvalid(f"config invalid at problem/{key}: {exc}") from exc
 
 
 def _build_options(options_cfg: dict) -> SolveOptions:

@@ -17,6 +17,7 @@ observed margin so a failure is attributable to a specific step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,11 +69,14 @@ def _deltas_from(trace: ConvergenceTrace, deltas) -> np.ndarray:
 def _worst(excess, trace: ConvergenceTrace) -> tuple[float, int]:
     """The largest excess over the steps and its step number.
 
-    The first of equal maxima wins and a NaN excess never does; without a
-    step the result is (-inf, 0).
+    The first of equal maxima wins, and a NaN excess is worse than any
+    number: the first NaN is the worst step, and its NaN fails the stage's
+    check. Without a step the result is (-inf, 0).
     """
     max_excess, worst = -np.inf, 0
     for value, step in zip(excess, trace.steps):
+        if math.isnan(value):
+            return math.nan, step.n
         if value > max_excess:
             max_excess, worst = value, step.n
     return float(max_excess), worst

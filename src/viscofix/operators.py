@@ -252,7 +252,8 @@ class Operator:
     def affine_piece(self, x=None) -> _Piece | None:
         """(matrix, offset) of an affine map x -> M x + c that this map agrees with.
 
-        The one hook a class overrides. With x None, the global form: the
+        The hook a class overrides, with _apply_piece where one pass finds
+        both a value and a local piece. With x None, the global form: the
         map is exactly M x + c everywhere, or there is no piece. With x a
         vector of this dimension, the local piece: the affine map this one
         agrees with around x, as far as x shows it (a ball projection is the
@@ -272,6 +273,16 @@ class Operator:
         if form is None and x is not None:
             return _as_piece(self.affine_piece(x), False)
         return form
+
+    def _apply_piece(self, x: np.ndarray) -> tuple[np.ndarray, _Piece | None]:
+        """(T(x), _piece(x)) on a checked vector: _apply's bits, and the piece _piece gives.
+
+        This default evaluates the map and asks for its piece apart. A class
+        that finds its local piece by evaluating itself (a ball's distance,
+        a composite's walk through its operators) computes both in one pass
+        here and answers a local affine_piece(x) from that pass.
+        """
+        return self._apply(x), self._piece(x)
 
     def linear_matrix(self) -> np.ndarray:
         """Matrix of an exactly linear map; raises NotLinear otherwise."""
@@ -447,20 +458,19 @@ class BallProjection(Operator):
         self._interior = _Piece(np.eye(self.dim), np.zeros(self.dim), False)
 
     def _apply(self, x):
+        return self._apply_piece(x)[0]
+
+    def _apply_piece(self, x):
+        """The projection, with the identity piece inside the closed ball and none outside, from one distance."""
         shifted = x - self.center
         dist = math.sqrt(shifted.dot(shifted))
         if dist <= self.radius:
-            return x.copy()
-        return self.center + shifted * (self.radius / dist)
+            return x.copy(), self._interior
+        return self.center + shifted * (self.radius / dist), None
 
     def affine_piece(self, x=None):
         """The identity around a point of the closed ball; no piece outside it."""
-        if x is None:
-            return None
-        shifted = self._check_arg(x) - self.center
-        if math.sqrt(shifted.dot(shifted)) <= self.radius:
-            return self._interior
-        return None
+        return None if x is None else self._apply_piece(self._check_arg(x))[1]
 
     def to_spec(self):
         return {"kind": "projection_ball", "center": self.center.tolist(), "radius": self.radius}
@@ -550,9 +560,15 @@ class AveragedOperator(Operator):
     def _apply(self, x):
         return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
 
+    def _apply_piece(self, x):
+        inner, piece = self.inner_op._apply_piece(x)
+        return (1.0 - self.lam) * x + self.lam * inner, _kept(self, (piece,), self._average)
+
     def affine_piece(self, x=None):
         """((1 - lam) I + lam M, lam c) for the inner map's piece (M, c), kept as a composite's is."""
-        return _kept(self, (self.inner_op._piece(x),), self._average)
+        if x is None:
+            return _kept(self, (self.inner_op.affine_parts(),), self._average)
+        return self._apply_piece(self._check_arg(x))[1]
 
     def _average(self, pieces, dim):
         ((m, c),) = pieces
@@ -562,16 +578,18 @@ class AveragedOperator(Operator):
         return {"kind": "averaged", "inner": self.inner_op.to_spec(), "lambda": self.lam}
 
 
-def _pieces_along(operators, x):
-    """Each operator's piece at the point it receives when they run in order from x.
+def _walk(op, operators, x):
+    """(the value, op's piece) for op the operators applied in order from x, in one pass.
 
-    No piece needs the last operator's value, so the last one is not applied.
+    Each operator's value is the next one's point, and op's piece is the
+    composition of each operator's piece at the point it receives, kept as
+    _kept keeps it.
     """
-    last = len(operators) - 1
-    for k, op in enumerate(operators):
-        yield op._piece(x)
-        if x is not None and k < last:
-            x = op._apply(x)
+    pieces = []
+    for child in operators:
+        x, piece = child._apply_piece(x)
+        pieces.append(piece)
+    return x, _kept(op, pieces, _compose)
 
 
 def _compose(pieces, dim: int):
@@ -620,6 +638,9 @@ class CompositeOperator(Operator):
             x = op._apply(x)
         return x
 
+    def _apply_piece(self, x):
+        return _walk(self, self.operators, x)
+
     def affine_piece(self, x=None):
         """The composition of each operator's piece at the point it receives.
 
@@ -627,7 +648,9 @@ class CompositeOperator(Operator):
         object as at the last call (see _kept): inside its ball,
         rotation ∘ ball has one piece object.
         """
-        return _kept(self, _pieces_along(self.operators, None if x is None else self._check_arg(x)), _compose)
+        if x is None:
+            return _kept(self, (op.affine_parts() for op in self.operators), _compose)
+        return self._apply_piece(self._check_arg(x))[1]
 
     def to_spec(self):
         return {"kind": "composite", "operators": [op.to_spec() for op in self.operators]}
@@ -658,10 +681,16 @@ class IteratedOperator(Operator):
             y = self.base._apply(y)
         return y
 
+    def _apply_piece(self, x):
+        # The copy makes n = 0's value fresh, as _apply's is.
+        return _walk(self, (self.base,) * self.n, x.copy())
+
     def affine_piece(self, x=None):
         """The composition of the base's pieces at x and its next n - 1 iterates, kept as a
         composite's is; for n = 0 the empty composition (I, 0), which holds everywhere."""
-        return _kept(self, _pieces_along((self.base,) * self.n, None if x is None else self._check_arg(x)), _compose)
+        if x is None:
+            return _kept(self, [self.base.affine_parts()] * self.n, _compose)
+        return self._apply_piece(self._check_arg(x))[1]
 
     def to_spec(self):
         return {"kind": "iterated", "base": self.base.to_spec(), "n": self.n}
@@ -691,15 +720,21 @@ class BlendOperator(Operator):
     def _apply(self, x):
         return self.a * self.first._apply(x) + self.b * self.second._apply(x)
 
-    def _apply_keeping_second(self, x):
-        """(the map's value at x, T(x)): _apply's bits, in its order, with T(x) kept.
+    def _apply_piece(self, x):
+        first, first_piece = self.first._apply_piece(x)
+        second, second_piece = self.second._apply_piece(x)
+        return self.a * first + self.b * second, _kept(self, (second_piece, first_piece), self._blend)
+
+    def _apply_keeping_second(self, x, with_piece=False):
+        """(the map's value at x, T(x), T's piece at x): _apply's bits, in its order, with T(x) kept.
 
         A solver that needs both the blend's value and its target's at the
-        same point evaluates the target once.
+        same point evaluates the target once. With with_piece, that one pass
+        also gives T's piece there (T._apply_piece); without, the piece is None.
         """
         scaled = self.a * self.first._apply(x)
-        second = self.second._apply(x)
-        return scaled + self.b * second, second
+        second, piece = self.second._apply_piece(x) if with_piece else (self.second._apply(x), None)
+        return scaled + self.b * second, second, piece
 
     def affine_piece(self, x=None):
         """(a M_S + b M_T, a c_S + b c_T) for the maps' pieces, kept as a composite's is.
@@ -764,6 +799,9 @@ class DeclaredWrapper(Operator):
 
     def _apply(self, x):
         return self.wrapped._apply(x)
+
+    def _apply_piece(self, x):
+        return self.wrapped._apply_piece(x)
 
     def affine_piece(self, x=None):
         return self.wrapped._piece(x)

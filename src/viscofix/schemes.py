@@ -582,13 +582,17 @@ _UNPLANNED = object()
 
 def _solve_implicit(
     f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
-    planned=_UNPLANNED,
-) -> tuple[FixedPointResult, float, np.ndarray | None]:
+    planned=_UNPLANNED, with_piece: bool = False,
+) -> tuple[FixedPointResult, float, np.ndarray | None, _Piece | None]:
     """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta.
 
-    Returns (result, ||xi - g(xi)||, T(xi)): g's value at xi evaluates T
-    there, and that one value is handed on when g is a BlendOperator. For
-    a g that blend() collapsed to one affine map, T(xi) is None.
+    Returns (result, ||xi - g(xi)||, T(xi), T's piece at xi): g's value at
+    xi evaluates T there, and that one value is handed on when g is a
+    BlendOperator. With with_piece, the same pass over T also gives T's
+    piece at xi (None where T has none), which a schedule plan takes for a
+    next step that starts from xi; without, the piece is None. For a g that
+    blend() collapsed to one affine map, T(xi) is None and T's piece is
+    its global form.
 
     planned is g's piece at warm as a schedule plan built it (see
     _blend_plan), None where the plan found none, or _UNPLANNED. The one
@@ -611,7 +615,7 @@ def _solve_implicit(
     if not isinstance(g, BlendOperator):
         res = picard_solve(g, warm, delta, policy)
         gap = res.point - g._apply(res.point)
-        return res, math.sqrt(gap.dot(gap)), None
+        return res, math.sqrt(gap.dot(gap)), None, T.affine_parts()
     declared = g.declared_class
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
@@ -624,15 +628,15 @@ def _solve_implicit(
             except (MaxIterExceeded, NonFiniteValue):
                 pass
             else:
-                value, at_target = g._apply_keeping_second(res.point)
+                value, at_target, piece = g._apply_keeping_second(res.point, with_piece)
                 gap = res.point - value
                 size = math.sqrt(gap.dot(gap))
                 if size <= delta * (1.0 - declared.alpha):
-                    return res, size, at_target
+                    return res, size, at_target, piece
     res = picard_solve(g, warm, delta, policy)
-    value, at_target = g._apply_keeping_second(res.point)
+    value, at_target, piece = g._apply_keeping_second(res.point, with_piece)
     gap = res.point - value
-    return res, math.sqrt(gap.dot(gap)), at_target
+    return res, math.sqrt(gap.dot(gap)), at_target, piece
 
 
 def implicit_step(
@@ -678,7 +682,10 @@ def _blend_plan(f: Operator, step_ops, values, warm=None):
 
     A generator: next() gives step 1's entry, planned at the warm start
     warm, and send(w) gives the next step's, planned at its warm start w.
-    Plain iteration sends None, which plans only global pieces.
+    Plain iteration sends None, which plans only global pieces. A caller
+    that holds T_n's piece at w already sends that piece in w's place, or
+    None where T_n has no piece at w: such a T_n has no global form, so
+    None plans it as having no piece, and T_n is not asked again.
 
     When f has a global form, each step is keyed on T_n's piece at its warm
     start (its global form when it has one), compared by identity, and its
@@ -711,7 +718,10 @@ def _blend_plan(f: Operator, step_ops, values, warm=None):
     plans: list = [None] * count
     for idx, eps in enumerate(values):
         member = idx % count
-        piece = None if forcing is None else step_ops[member]._piece(warm)
+        if forcing is None:
+            piece = None
+        else:
+            piece = warm if isinstance(warm, _Piece) else step_ops[member]._piece(warm)
         entry = None if forcing is not None else _UNPLANNED
         plan = plans[member]
         if plan is not None and idx >= plan[1]:
@@ -780,7 +790,10 @@ def viscosity_implicit_solve(
     only if g certifies it. Either way ||xi_n - xi_n*|| <= delta_n for the
     step's exact solution xi_n*, and the trace and inner_monitor see the
     solve whose point was kept. The value of T_n at xi_n that a piece's
-    certificate computes also gives the step's fix_residual.
+    certificate computes also gives the step's fix_residual, and with warm
+    starts and a single step operator the same pass gives T_n's piece at
+    xi_n, from which the plan builds the next step's: T is evaluated once
+    at each point.
 
     MaxIterExceeded and NonFiniteValue from an inner solve are raised again
     with the outer step n and eps_n in front of the message.
@@ -798,6 +811,10 @@ def viscosity_implicit_solve(
     converged = False
     fix_res = float("inf")
     count, delta, outer_tol = len(step_ops), opts.inner_tol_rule.delta, opts.outer_tol
+    # With warm starts and one member, a step starts where the last ended,
+    # on the same T: the last certificate's pass over T gives the plan T's
+    # piece there. The plan asks for pieces only when f has a global form.
+    hand_on = opts.warm_start and count == 1 and f.affine_parts() is not None
     # Step 1 starts from the origin with or without warm starts.
     plan = _blend_plan(f, step_ops, values, origin)
     # values holds floats, as the trace and inner_monitor take them.
@@ -805,10 +822,10 @@ def viscosity_implicit_solve(
         n = idx + 1
         step_T = step_ops[idx % count]
         warm = x_prev if opts.warm_start else origin
-        planned = plan.send(warm) if idx else next(plan)
+        planned = plan.send(piece if hand_on else warm) if idx else next(plan)
         try:
-            res, implicit_res, at_target = _solve_implicit(
-                f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned
+            res, implicit_res, at_target, piece = _solve_implicit(
+                f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned, hand_on
             )
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc

@@ -833,14 +833,15 @@ def test_check_family_rejects_spec_fields_that_are_not_numbers(tmp_path, capsys,
     assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: InvalidSpec: {error}\n"
+    assert captured.err == f"error: config invalid at problem/family: {error}\n"
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "boolean"])
 def test_run_rejects_fields_that_are_not_numbers(tmp_path, capsys, value):
     # A field the run schema types is rejected by the schema; an operator
-    # spec, which the schema leaves open, by make_operator, as for check-family.
+    # spec, which the schema leaves open, by make_operator, as for
+    # check-family, with the spec's place in the config in front.
     path = _write(tmp_path, "cfg.json", {**_ball_config(), "anchors": [[value, 0.0]]})
     assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("error: config invalid at anchors/0/0: ")
@@ -849,7 +850,9 @@ def test_run_rejects_fields_that_are_not_numbers(tmp_path, capsys, value):
     path = _write(tmp_path, "cfg.json", cfg)
     assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: InvalidSpec: operator spec of kind 'projection_ball' needs numbers in 'radius'\n"
+    assert err == (
+        "error: config invalid at problem/target: operator spec of kind 'projection_ball' needs numbers in 'radius'\n"
+    )
     assert not (tmp_path / "o").exists()
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_step3_flags_a_tampered_trace(scalar_run):
     assert report.max_violation == pytest.approx(0.1, abs=1e-6)
 
 
-def test_worst_step_is_the_first_of_ties_and_never_a_nan():
+def test_worst_step_is_the_first_of_ties_or_the_first_nan():
     # f = 0 and T = identity at p = 0: the step-2 excess is |x_n| - 10 delta_n
     # and the step-3 excess is fix_residual_n - implicit_residual_n.
     f, T = ConstantOperator([0.0]), Identity(1)
@@ -153,15 +154,17 @@ def test_worst_step_is_the_first_of_ties_and_never_a_nan():
     step3 = check_step3_residual(tied, f, T)
     assert (step3.max_violation, step3.worst_step, step3.ok) == (0.3, 2, False)
 
-    nan_first = doctored([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-    step2 = check_step2_bound(nan_first, f, 0.0, [0.0], deltas=[np.nan, 0.0, 0.0])
-    assert (step2.max_violation, step2.worst_step) == (2.0, 3)
+    # A NaN excess fails the stage closed: the first NaN is the worst step,
+    # ahead of larger numbers before or after it.
+    nan_second = doctored([5.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    step2 = check_step2_bound(nan_second, f, 0.0, [0.0], deltas=[0.0, np.nan, np.nan])
+    assert math.isnan(step2.max_violation) and (step2.worst_step, step2.ok) == (2, False)
     nan_first = doctored([0.0, 0.0, 0.0], [np.nan, 0.1, 0.2])
     step3 = check_step3_residual(nan_first, f, T)
-    assert (step3.max_violation, step3.worst_step) == (0.2, 3)
-    # With every excess NaN no step is reported.
+    assert math.isnan(step3.max_violation) and (step3.worst_step, step3.ok) == (1, False)
+    # A trace whose every excess is NaN fails too.
     step3 = check_step3_residual(doctored([0.0], [np.nan]), f, T)
-    assert (step3.max_violation, step3.worst_step, step3.ok) == (-np.inf, 0, True)
+    assert math.isnan(step3.max_violation) and (step3.worst_step, step3.ok) == (1, False)
 
 
 # ---------------------------------------------------------------------------

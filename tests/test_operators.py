@@ -845,25 +845,47 @@ def test_iterated_piece_follows_the_iterates():
     assert _same_piece(IteratedOperator(step, 0).affine_piece([5.0, 0.0]), (np.eye(2), np.zeros(2)))
 
 
-def test_composite_and_iterated_pieces_apply_all_but_the_last_operator_once(monkeypatch):
-    applied = []
-    for cls in (PlaneRotation, BallProjection):
-        original = cls._apply
+class _Logged(Operator):
+    """inner's map, which logs itself in log whenever _apply or _apply_piece evaluates it."""
 
-        def counted(self, x, _original=original):
-            applied.append(self)
-            return _original(self, x)
+    kind = "logged"
 
-        monkeypatch.setattr(cls, "_apply", counted)
-    rot, ball, last = PlaneRotation(2, (0, 1), 0.7), BallProjection([0.0, 0.0], 2.0), PlaneRotation(2, (0, 1), -0.3)
-    piece = CompositeOperator([rot, ball, last]).affine_piece([0.5, 0.5])
-    # Each operator's value is the next one's point; no piece needs the last's.
-    assert applied == [rot, ball]
+    def __init__(self, inner, log):
+        super().__init__(inner.dim, inner.declared_class)
+        self.inner, self.log = inner, log
+
+    def _apply(self, x):
+        self.log.append(self)
+        return self.inner._apply(x)
+
+    def _apply_piece(self, x):
+        self.log.append(self)
+        return self.inner._apply_piece(x)
+
+    def affine_piece(self, x=None):
+        return self.inner._piece(x)
+
+
+def test_composite_and_iterated_pieces_evaluate_each_operator_once():
+    log = []
+    rot, ball, last = (
+        _Logged(op, log)
+        for op in (PlaneRotation(2, (0, 1), 0.7), BallProjection([0.0, 0.0], 2.0), PlaneRotation(2, (0, 1), -0.3))
+    )
+    composite = CompositeOperator([rot, ball, last])
+    piece = composite.affine_piece([0.5, 0.5])
+    # Each operator's value is the next one's point: one pass evaluates
+    # each once, the last included, whose value the pass returns.
+    assert log == [rot, ball, last]
     expected = last.affine_parts()[0] @ rot.affine_parts()[0]
     assert _same_piece(piece, (expected, np.zeros(2)))
-    applied.clear()
+    log.clear()
+    value, again = composite._apply_piece(np.array([0.5, 0.5]))
+    assert log == [rot, ball, last] and again is piece
+    assert value.tobytes() == composite._apply(np.array([0.5, 0.5])).tobytes()
+    log.clear()
     assert _same_piece(IteratedOperator(ball, 3).affine_piece([0.5, 0.5]), (np.eye(2), np.zeros(2)))
-    assert applied == [ball, ball]
+    assert log == [ball, ball, ball]
 
 
 def test_averaged_blend_and_declared_pieces_combine_their_children():
@@ -915,6 +937,25 @@ def test_a_piece_agrees_with_its_map_at_its_point(x):
         piece = op.affine_piece(x)
         if piece is not None:
             np.testing.assert_allclose(piece[0] @ x + piece[1], op.apply(x), rtol=1e-12, atol=1e-12)
+
+
+ONE_PASS = SHAPE_CHECKED | {
+    "averaged-rotation-ball": AveragedOperator(
+        CompositeOperator([PlaneRotation(2, (0, 1), 0.4), BallProjection([0.0, 0.0], 1.0)]), 0.5
+    ),
+    "iterated-ball": IteratedOperator(BallProjection([0.5, 0.0], 1.5), 2),
+    "declared-ball": DeclaredWrapper(BallProjection([0.0, 0.0], 1.0), NONEXPANSIVE),
+    "blend-of-pieces": BlendOperator(0.5, BallProjection([0.0, 0.5], 2.0), 0.5, BallProjection([0.0, 0.0], 1.0)),
+}
+
+
+@given(x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_one_pass_gives_the_value_and_the_piece_that_are_asked_for_apart(x):
+    point = np.array(x)
+    for op in ONE_PASS.values():
+        value, piece = op._apply_piece(point)
+        assert value.tobytes() == op._apply(point).tobytes()
+        assert piece is op._piece(point)
 
 
 # ---------------------------------------------------------------------------

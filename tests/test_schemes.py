@@ -887,16 +887,29 @@ def test_a_piece_is_solved_on_its_own_arrays_and_a_non_finite_one_is_rejected(mo
             implicit_step(f, ball, 0.25, [0.0, 0.0], 1e-9)
 
 
-def _applications_outside_picard(monkeypatch, target) -> list:
-    """The points at which target's class applies target outside picard_solve from now on."""
-    points, depth = [], [0]
-    original_apply = type(target)._apply
-    original_solve = schemes.picard_solve
+def _evaluations_outside_picard(monkeypatch, target) -> list:
+    """The points at which target is evaluated outside picard_solve from now on.
 
-    def apply(self, x):
-        if self is target and depth[0] == 0:
-            points.append(x.copy())
-        return original_apply(self, x)
+    An evaluation is a call of its class's _apply or of the one-pass
+    _apply_piece, whichever comes first; what that call runs inside is not
+    counted again.
+    """
+    points, depth = [], [0]
+    cls = type(target)
+
+    def counted(original):
+        def hook(self, x):
+            if self is target and depth[0] == 0:
+                points.append(x.copy())
+            depth[0] += 1
+            try:
+                return original(self, x)
+            finally:
+                depth[0] -= 1
+
+        return hook
+
+    original_solve = schemes.picard_solve
 
     def solve(*args, **kwargs):
         depth[0] += 1
@@ -905,20 +918,26 @@ def _applications_outside_picard(monkeypatch, target) -> list:
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(type(target), "_apply", apply)
+    monkeypatch.setattr(cls, "_apply", counted(cls._apply))
+    monkeypatch.setattr(cls, "_apply_piece", counted(cls._apply_piece))
     monkeypatch.setattr(schemes, "picard_solve", solve)
     return points
 
 
 def test_a_step_without_a_piece_asks_for_one_once(monkeypatch):
-    # Every warm start lies outside the ball: the plan asks the target for
-    # its piece once per step, and the step takes that answer.
+    # Every warm start lies outside the ball. The plan asks the target for
+    # step 1's piece at the origin; every later step's piece (none) comes
+    # from the one pass of the last step's certificate over the target at
+    # the point the step starts from, so each point is evaluated once.
     asked = []
     original = BallProjection.affine_piece
     monkeypatch.setattr(BallProjection, "affine_piece", lambda self, x=None: asked.append(x) or original(self, x))
     f, target = ConstantOperator([8.0, 0.0]), BallProjection([5.0, 0.0], 1.0)
+    points = _evaluations_outside_picard(monkeypatch, target)
     _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
-    assert len([x for x in asked if x is not None]) == len(trace) == 30
+    assert len(trace) == 30
+    assert [tuple(x) for x in asked if x is not None] == [(0.0, 0.0)]
+    assert [tuple(x.tolist()) for x in points] == [(0.0, 0.0)] + [step.point for step in trace.steps]
 
 
 @pytest.mark.parametrize("path", ["generic", "piece"])
@@ -931,13 +950,49 @@ def test_each_outer_step_applies_the_target_once_outside_picard(monkeypatch, pat
         f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
         target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
     calls = _count_picard_calls(monkeypatch)
-    points = _applications_outside_picard(monkeypatch, target)
+    points = _evaluations_outside_picard(monkeypatch, target)
     _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
     solved = {"generic": BlendOperator, "piece": AffineOperator}[path]
     assert [type(G) for G in calls] == [solved] * 30
-    # One value of T_n at the step's point serves the certificate and the
-    # fixed-point residual.
-    assert [tuple(x.tolist()) for x in points] == [step.point for step in trace.steps]
+    # One pass over T_n at the step's point serves the certificate, the
+    # fixed-point residual and the next step's piece; the plan asks for
+    # step 1's piece at its warm start, the origin.
+    assert [tuple(x.tolist()) for x in points] == [(0.0, 0.0)] + [step.point for step in trace.steps]
+
+
+@pytest.mark.parametrize("case", ["two-members", "cold-starts"])
+def test_a_step_that_does_not_start_on_the_last_ones_point_and_target_asks_the_plan(monkeypatch, case):
+    # A two-member family's next step has another member, and without warm
+    # starts every step starts from the origin: no certificate holds the
+    # piece such a step needs, so the plan asks its target for it.
+    f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+    turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    if case == "two-members":
+        other = CompositeOperator([PlaneRotation(2, (0, 1), 0.5), BallProjection([0.0, 0.0], 1.0)])
+        target, opts = make_custom_family({1: turned, 2: other}), SolveOptions()
+    else:
+        target, opts = turned, SolveOptions(warm_start=False)
+    asked, passes = [], []
+    original_piece, original_pass = CompositeOperator.affine_piece, CompositeOperator._apply_piece
+
+    def query(self, x=None):
+        if x is not None:
+            asked.append(np.array(x))
+        return original_piece(self, x)
+
+    monkeypatch.setattr(CompositeOperator, "affine_piece", query)
+    monkeypatch.setattr(CompositeOperator, "_apply_piece", lambda self, x: passes.append(x) or original_pass(self, x))
+    calls = _count_picard_calls(monkeypatch)
+    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30), opts)
+    assert len(trace) == 30
+    assert [type(G) for G in calls] == [AffineOperator] * 30
+    if case == "two-members":
+        warms = [(0.0, 0.0)] + [step.point for step in trace.steps[:-1]]
+    else:
+        warms = [(0.0, 0.0)] * 30
+    assert [tuple(x.tolist()) for x in asked] == warms
+    # Each query is one pass, and no certificate takes a piece.
+    assert len(passes) == len(asked)
 
 
 def test_a_piece_lifted_past_its_declared_bound_is_kept_only_if_certified():
@@ -1317,6 +1372,49 @@ def _trace_bits(trace) -> bytes:
         for step in trace.steps
     ]
     return np.array(rows, dtype=float).tobytes()
+
+
+def _turned_ball(angle=1.0):
+    return CompositeOperator([PlaneRotation(2, (0, 1), angle), BallProjection([0.0, 0.0], 1.0)])
+
+
+@pytest.mark.parametrize("case", ["rotation-ball", "averaged-rotation-ball", "retraction"])
+def test_a_handed_on_piece_gives_the_bits_of_one_the_plan_asks_for(monkeypatch, case):
+    # The benchmark's nonaffine solves, each run twice: once as it is, with
+    # each certificate's piece handed on to the plan, and once with the
+    # piece dropped: each solve hands on its point in the piece's place,
+    # the next step's warm start, where the plan then asks the target.
+    def traces():
+        if case == "retraction":
+            return [
+                anchored_implicit_solve(anchor, _turned_ball(), n_max=50)[1]
+                for anchor in ([3.0, 0.0], [0.0, -3.0], [-2.0, 2.0])
+            ]
+        target = _turned_ball() if case == "rotation-ball" else AveragedOperator(_turned_ball(), 0.5)
+        f = AffineOperator(0.5 * np.eye(2), [0.6, -0.8])
+        return [viscosity_implicit_solve(f, target, make_schedule(n_max=100))[1]]
+
+    queries = []
+    for cls in (CompositeOperator, AveragedOperator):
+        original = cls.affine_piece
+        monkeypatch.setattr(
+            cls, "affine_piece", lambda self, x=None, _original=original: queries.append(x) or _original(self, x)
+        )
+    handed = traces()
+    asked_once = sum(x is not None for x in queries)
+    queries.clear()
+    original_solve = schemes._solve_implicit
+
+    def dropping(*args):
+        res, size, at_target, _ = original_solve(*args[:7], False)
+        return res, size, at_target, res.point
+
+    monkeypatch.setattr(schemes, "_solve_implicit", dropping)
+    dropped = traces()
+    # Handed on, the plan asks only for each solve's first piece.
+    assert asked_once == len(handed)
+    assert sum(x is not None for x in queries) == sum(len(trace) for trace in dropped)
+    assert [_trace_bits(trace) for trace in handed] == [_trace_bits(trace) for trace in dropped]
 
 
 def _piece_target(kind, dim, angle):
