@@ -284,6 +284,14 @@ class Operator:
         """
         return self._apply(x), self._piece(x)
 
+    def _apply_rows(self, points: np.ndarray) -> np.ndarray:
+        """T at each row of a checked (n, dim) array, as an (n, dim) array with _apply's bits row by row.
+
+        This default calls _apply on each row; linear and affine maps take
+        one stacked product.
+        """
+        return np.array([self._apply(x) for x in points])
+
     def linear_matrix(self) -> np.ndarray:
         """Matrix of an exactly linear map; raises NotLinear otherwise."""
         parts = self.affine_parts()
@@ -307,6 +315,16 @@ class Operator:
 
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim} class={self.declared_class.kind}>"
+
+
+def _stacked_product(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """matrix @ points[i] for each row, or matrix[i] @ points[i] for a stack of n matrices.
+
+    np.matmul takes one matrix-vector product per row, with the bits of
+    matrix @ point on that row alone; points @ matrix.T is one matrix
+    product, whose rows differ from those in their last bits.
+    """
+    return np.matmul(matrix, points[..., None])[..., 0]
 
 
 def _square_matrix(matrix) -> np.ndarray:
@@ -333,6 +351,9 @@ class LinearOperator(Operator):
 
     def _apply(self, x):
         return self.matrix @ x
+
+    def _apply_rows(self, points):
+        return _stacked_product(self.matrix, points)
 
     def to_spec(self):
         return {"kind": "linear", "matrix": self.matrix.tolist()}
@@ -365,6 +386,9 @@ class AffineOperator(Operator):
 
     def _apply(self, x):
         return self.matrix @ x + self.offset
+
+    def _apply_rows(self, points):
+        return _stacked_product(self.matrix, points) + self.offset
 
     def to_spec(self):
         return {"kind": "affine", "matrix": self.matrix.tolist(), "offset": self.offset.tolist()}
@@ -742,7 +766,13 @@ class BlendOperator(Operator):
         The second map (a solve's target) is the one that may have no
         piece, so it is asked first and the first map's piece is not built.
         """
-        second = self.second._piece(x)
+        return self._piece_from(self.second._piece(x), x)
+
+    def _piece_from(self, second, x):
+        """affine_piece(x) from second, the second map's piece at x as found already.
+
+        The first map is asked for its piece only when second is not None.
+        """
         return None if second is None else _kept(self, (second, self.first._piece(x)), self._blend)
 
     def _blend(self, pieces, dim):

@@ -43,6 +43,7 @@ from .operators import (
     _as_piece,
     _blend_form,
     _Piece,
+    _stacked_product,
     blend,
     contraction,
     estimate_lipschitz,
@@ -57,7 +58,7 @@ from .space import (
     ViscofixError,
     as_vector,
 )
-from .trace import ConvergenceTrace, TraceStep
+from .trace import ConvergenceTrace
 
 
 class InvalidSchedule(ViscofixError):
@@ -582,8 +583,8 @@ _UNPLANNED = object()
 
 def _solve_implicit(
     f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
-    planned=_UNPLANNED, with_piece: bool = False,
-) -> tuple[FixedPointResult, float, np.ndarray | None, _Piece | None]:
+    planned=_UNPLANNED, with_piece: bool = False, held=_UNPLANNED,
+) -> tuple[FixedPointResult, float | _Piece, np.ndarray | None, _Piece | None]:
     """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta.
 
     Returns (result, ||xi - g(xi)||, T(xi), T's piece at xi): g's value at
@@ -591,15 +592,16 @@ def _solve_implicit(
     BlendOperator. With with_piece, the same pass over T also gives T's
     piece at xi (None where T has none), which a schedule plan takes for a
     next step that starts from xi; without, the piece is None. For a g that
-    blend() collapsed to one affine map, T(xi) is None and T's piece is
-    its global form.
+    blend() collapsed to one affine map, nothing is evaluated at xi: the
+    second value is g's form (M, c) in place of the residual, which the
+    caller computes, T(xi) is None and T's piece is its global form.
 
     planned is g's piece at warm as a schedule plan built it (see
     _blend_plan), None where the plan found none, or _UNPLANNED. The one
     branch is on whether it holds everywhere: such a piece is g's collapse,
     which blend() adopts; without one, blend() collapses g itself when f
     and T have global forms. Otherwise a local piece, or for an unplanned
-    step g.affine_piece(warm), is solved first, declared with g's own
+    step g's piece at warm, is solved first, declared with g's own
     modulus q, which is also its matrix_norm: a nonexpansive T's local
     piece has ||M||_2 <= 1, so with honest classes the piece's norm is at
     most eps ||M_f||_2 + (1 - eps) <= q < 1, and picard_solve lifts on q
@@ -607,24 +609,26 @@ def _solve_implicit(
     only if ||xi - g(xi)|| <= delta (1 - q), which bounds its distance to
     the fixed point of the q-contraction g by delta however it was found,
     so a class that overstates how f contracts costs no soundness.
-    Otherwise, or when the piece solve fails, picard_solve runs on g.
+    Otherwise, or when the piece solve fails, picard_solve runs on g. An
+    unplanned step asks g.affine_piece(warm), or, when the caller holds
+    T's piece at warm as held (None where T has none), builds g's piece
+    from it without evaluating T again.
     """
     g = blend(eps, f, 1.0 - eps, T, planned if isinstance(planned, _Piece) and planned.everywhere else None)
     # The gaps below take space.norm's bits without its conversions: each
     # is a fresh 1-D float array.
     if not isinstance(g, BlendOperator):
-        res = picard_solve(g, warm, delta, policy)
-        gap = res.point - g._apply(res.point)
-        return res, math.sqrt(gap.dot(gap)), None, T.affine_parts()
+        return picard_solve(g, warm, delta, policy), g.affine_parts(), None, T.affine_parts()
     declared = g.declared_class
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
     # left to picard_solve, which resolves the one and rejects the other.
     if declared.kind == "contraction" and warm.shape == (g.dim,):
-        piece = _as_piece(g.affine_piece(warm), False) if planned is _UNPLANNED else planned
-        if piece is not None:
+        if planned is _UNPLANNED:
+            planned = _as_piece(g.affine_piece(warm) if held is _UNPLANNED else g._piece_from(held, warm), False)
+        if planned is not None:
             try:
-                res = picard_solve(_affine(piece, declared, declared.alpha), warm, delta, policy)
+                res = picard_solve(_affine(planned, declared, declared.alpha), warm, delta, policy)
             except (MaxIterExceeded, NonFiniteValue):
                 pass
             else:
@@ -792,8 +796,15 @@ def viscosity_implicit_solve(
     solve whose point was kept. The value of T_n at xi_n that a piece's
     certificate computes also gives the step's fix_residual, and with warm
     starts and a single step operator the same pass gives T_n's piece at
-    xi_n, from which the plan builds the next step's: T is evaluated once
-    at each point.
+    xi_n, from which the plan (or, for an f without a global form, the
+    next step's own query) builds the next step's: T is evaluated once at
+    each point.
+
+    A collapsed step computes only what the stop test reads, in its order:
+    step_delta, then fix_residual only when step_delta <= outer_tol. The
+    rest comes from stacked passes whose rows have the bits of the step's
+    own products and dot (see _fill_gaps): implicit residuals a plan batch
+    of steps at a time, and the fix_residuals left after the loop.
 
     MaxIterExceeded and NonFiniteValue from an inner solve are raised again
     with the outer step n and eps_n in front of the message.
@@ -806,15 +817,18 @@ def viscosity_implicit_solve(
     step_ops = _step_operators(target, f.dim)
     origin = np.zeros(f.dim)
     x_prev = origin
-    trace = ConvergenceTrace(metadata={"problem_id": problem_id, "schedule": schedule.kind, "seed": None})
     started = time.time()
-    converged = False
-    fix_res = float("inf")
     count, delta, outer_tol = len(step_ops), opts.inner_tol_rule.delta, opts.outer_tol
     # With warm starts and one member, a step starts where the last ended,
-    # on the same T: the last certificate's pass over T gives the plan T's
-    # piece there. The plan asks for pieces only when f has a global form.
-    hand_on = opts.warm_start and count == 1 and f.affine_parts() is not None
+    # on the same T: the last certificate's pass over T gives T's piece
+    # there, which the plan takes, or, when f has no global form and the
+    # plan plans nothing, the step's own query.
+    hand_on = opts.warm_start and count == 1
+    # The trace's columns but n and eps, which are the schedule's.
+    points, implicit, fixes, deltas, iters = [], [], [], [], []
+    # Collapsed forms wait for their residuals at most a plan batch of steps,
+    # so that no more of them than of the plan's rows are held at once.
+    batch = max(1, _PLAN_BATCH // (f.dim * f.dim))
     # Step 1 starts from the origin with or without warm starts.
     plan = _blend_plan(f, step_ops, values, origin)
     # values holds floats, as the trace and inner_monitor take them.
@@ -825,27 +839,62 @@ def viscosity_implicit_solve(
         planned = plan.send(piece if hand_on else warm) if idx else next(plan)
         try:
             res, implicit_res, at_target, piece = _solve_implicit(
-                f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned, hand_on
+                f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned, hand_on,
+                piece if hand_on and idx else _UNPLANNED,
             )
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
         xi = res.point
-        if at_target is None:
-            at_target = step_T._apply(xi)
         # space.norm's bits, without its conversions: both are fresh 1-D float arrays.
-        gap = xi - at_target
-        fix_res = math.sqrt(gap.dot(gap))
         gap = xi - x_prev
         step_delta = math.sqrt(gap.dot(gap))
-        trace.append(TraceStep(n, eps, tuple(xi.tolist()), implicit_res, fix_res, res.iterations, step_delta))
+        # The stop test reads fix_residual only after step_delta; a
+        # collapsed step leaves the rest to the stacked pass below.
+        fix_res = None
+        if at_target is not None or step_delta <= outer_tol:
+            gap = xi - (step_T._apply(xi) if at_target is None else at_target)
+            fix_res = math.sqrt(gap.dot(gap))
+        points.append(xi)
+        implicit.append(implicit_res)
+        fixes.append(fix_res)
+        deltas.append(step_delta)
+        iters.append(res.iterations)
+        converged = step_delta <= outer_tol and fix_res <= outer_tol
+        if converged or n % batch == 0 or n == len(values):
+            # The collapsed steps since the last batch left g_n's form in
+            # place of their implicit residuals.
+            collapsed = [k for k in range((n - 1) // batch * batch, n) if isinstance(implicit[k], _Piece)]
+            matrices, offsets = (np.array([implicit[k][part] for k in collapsed]) for part in (0, 1))
+            _fill_gaps(implicit, collapsed, points, lambda X: _stacked_product(matrices, X) + offsets)
         if inner_monitor is not None:
             inner_monitor(n, eps, res)
         x_prev = xi
-        if fix_res <= outer_tol and step_delta <= outer_tol:
-            converged = True
+        if converged:
             break
+    # A collapsed step left None in place of a fixed-point residual that no stop test read.
+    for member, op in enumerate(step_ops):
+        _fill_gaps(fixes, [k for k in range(member, n, count) if fixes[k] is None], points, op._apply_rows)
+    trace = ConvergenceTrace({"problem_id": problem_id, "schedule": schedule.kind, "seed": None})
+    # The trace takes the columns as they are (n, the last step's number, is the number of steps).
+    trace._columns, trace._points = (list(range(1, n + 1)), list(values[:n]), implicit, fixes, deltas, iters), points
     trace.metadata["timestamps"] = {"started": started, "finished": time.time()}
-    return FixedPointResult(as_vector(x_prev), float(fix_res), len(trace.steps), converged), trace
+    return FixedPointResult(as_vector(x_prev), fixes[-1], n, converged), trace
+
+
+def _fill_gaps(column: list, steps: list, points: list, images_of) -> None:
+    """column[k] = ||points[k] - image_k|| for each k of steps, in one stacked pass.
+
+    images_of maps the steps' points, stacked in an (n, d) array, to their
+    images. The row dots are np.matmul's, one dot product per row, so each
+    value has the bits of math.sqrt(gap.dot(gap)) on its step alone when
+    each image has that step's own bits (see operators._stacked_product).
+    """
+    if steps:
+        X = np.array([points[k] for k in steps])
+        gaps = X - images_of(X)
+        sizes = np.sqrt(np.matmul(gaps[:, None, :], gaps[:, :, None])[:, 0, 0])
+        for k, size in zip(steps, sizes.tolist()):
+            column[k] = size
 
 
 def anchored_implicit_solve(

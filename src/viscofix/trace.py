@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,6 +16,7 @@ TRACE_SCHEMA_VERSION = 1
 
 #: TraceStep's scalar fields in CSV column order, each with the type it is
 #: read back as; the point coordinates x0..x{d-1} follow them in a CSV row.
+#: ConvergenceTrace keeps one column per field, in this order.
 _FIELDS = (
     ("n", int),
     ("eps", float),
@@ -45,67 +47,92 @@ class TraceStep(NamedTuple):
 
 
 class ConvergenceTrace:
-    """Ordered trace of outer steps plus run metadata.
+    """Ordered trace of outer steps plus run metadata, held as columns.
 
     Appends enforce strictly increasing step numbers and strictly decreasing
     eps values in (0, 1]; eps = 1 appears only as the first step of an
     anchored run.
+
+    The trace keeps one list per _FIELDS column, _columns, and one of
+    points, _points: tuples of floats as appended or loaded, or the solver's
+    read-only arrays. The solver sets both lists as it built them, without
+    append's checks, which its schedule validation and loop already hold.
+    The accessors read the columns; steps, the TraceStep values with each
+    solver's point as a tuple of floats, is built on its first read and kept
+    until the next append.
     """
 
     def __init__(self, metadata: dict | None = None):
-        self.steps: list[TraceStep] = []
         self.metadata: dict = dict(metadata or {})
+        self._columns: tuple[list, ...] = tuple([] for _ in _FIELDS)
+        self._points: list = []
 
     def append(self, step: TraceStep) -> None:
-        steps, eps = self.steps, step.eps
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        if steps:
-            last = steps[-1]
-            if step.n <= last.n:
-                raise ValueError(f"step numbers must increase: {last.n} then {step.n}")
-            if eps >= last.eps:
-                raise ValueError(f"eps must decrease strictly: {last.eps} then {eps}")
-            if len(step.point) != len(last.point):
-                raise ValueError("point dimension changed inside a trace")
-        steps.append(step)
+        self._extend([[value] for value in _csv_fields(step)], [step.point])
+
+    def _extend(self, columns, points) -> None:
+        """Append rows, given as columns in _FIELDS order and their points, checked as append checks each."""
+        last = (self._columns[0][-1], self._columns[1][-1], len(self._points[-1])) if self._points else None
+        for n, eps, point in zip(columns[0], columns[1], points):
+            if not 0.0 < eps <= 1.0:
+                raise ValueError(f"eps must lie in (0, 1], got {eps}")
+            if last is not None:
+                if n <= last[0]:
+                    raise ValueError(f"step numbers must increase: {last[0]} then {n}")
+                if eps >= last[1]:
+                    raise ValueError(f"eps must decrease strictly: {last[1]} then {eps}")
+                if len(point) != last[2]:
+                    raise ValueError("point dimension changed inside a trace")
+            last = n, eps, len(point)
+        for column, values in zip(self._columns, columns):
+            column.extend(values)
+        self._points.extend(points)
+        self.__dict__.pop("steps", None)
+
+    @functools.cached_property
+    def steps(self) -> list[TraceStep]:
+        """The TraceStep values; built on the first read and kept until an append."""
+        n, eps, implicit, fix, delta, iters = self._columns
+        return list(map(TraceStep, n, eps, map(_point_tuple, self._points), implicit, fix, iters, delta))
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._points)
 
     @property
     def dim(self) -> int | None:
-        return len(self.steps[0].point) if self.steps else None
+        return len(self._points[0]) if self._points else None
 
     def last(self) -> TraceStep:
-        if not self.steps:
+        if not self._points:
             raise IndexError("trace is empty")
-        return self.steps[-1]
+        n, eps, implicit, fix, delta, iters = (column[-1] for column in self._columns)
+        return TraceStep(n, eps, _point_tuple(self._points[-1]), implicit, fix, iters, delta)
 
     def points(self) -> np.ndarray:
-        return np.array([s.point for s in self.steps], dtype=float)
+        return np.array(self._points, dtype=float)
 
     def eps_values(self) -> np.ndarray:
-        return np.array([s.eps for s in self.steps], dtype=float)
+        return np.array(self._columns[1], dtype=float)
 
     def fix_residuals(self) -> np.ndarray:
-        return np.array([s.fix_residual for s in self.steps], dtype=float)
+        return np.array(self._columns[3], dtype=float)
 
     def implicit_residuals(self) -> np.ndarray:
-        return np.array([s.implicit_residual for s in self.steps], dtype=float)
+        return np.array(self._columns[2], dtype=float)
 
     def window(self, fraction: float = 0.1, min_steps: int = 5) -> list[TraceStep]:
-        """Trailing window: the last max(min_steps, fraction of the run)."""
-        if not self.steps:
-            return []
-        count = max(min_steps, math.ceil(fraction * len(self.steps)))
+        """Trailing window: the last max(min_steps, fraction of the run); empty for an empty trace."""
+        count = max(min_steps, math.ceil(fraction * len(self)))
         return self.steps[-count:]
 
     def head_window(self, fraction: float = 0.1, min_steps: int = 5) -> list[TraceStep]:
-        if not self.steps:
-            return []
-        count = max(min_steps, math.ceil(fraction * len(self.steps)))
+        count = max(min_steps, math.ceil(fraction * len(self)))
         return self.steps[:count]
+
+
+def _point_tuple(point):
+    """A point as TraceStep holds it: a solver's array as a tuple of floats, any other point as it is."""
+    return tuple(point.tolist()) if isinstance(point, np.ndarray) else point
 
 
 def export_trace(trace: ConvergenceTrace, fmt: str, destination, header_comment: str | None = None) -> Path:
@@ -139,10 +166,9 @@ def export_trace(trace: ConvergenceTrace, fmt: str, destination, header_comment:
     raise ValueError(f"unknown trace format '{fmt}'")
 
 
-def _read_step(fields_by_name, point) -> TraceStep:
-    """A step from its scalar fields, read back by name as their table types, and its point."""
-    scalars = {name: kind(fields_by_name[name]) for name, kind in _FIELDS}
-    return TraceStep(point=tuple(map(float, point)), **scalars)
+def _read_columns(rows, keys) -> list[list]:
+    """The _FIELDS columns of rows, read from row[key] for each field's key as the field's type."""
+    return [list(map(kind, map(itemgetter(key), rows))) for key, (_, kind) in zip(keys, _FIELDS)]
 
 
 def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
@@ -156,8 +182,8 @@ def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
         if payload.get("schema") != TRACE_SCHEMA_VERSION:
             raise ValueError(f"unsupported trace schema {payload.get('schema')!r}")
         trace = ConvergenceTrace(metadata=payload.get("metadata", {}))
-        for s in payload["steps"]:
-            trace.append(_read_step(s, s["point"]))
+        steps = payload["steps"]
+        trace._extend(_read_columns(steps, CSV_COLUMNS), [tuple(map(float, step["point"])) for step in steps])
         return trace
     if fmt == "csv":
         # A '# key=value ...' comment line, as written for header_comment,
@@ -179,7 +205,7 @@ def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
             return trace
         if tuple(header[: len(CSV_COLUMNS)]) != CSV_COLUMNS:
             raise ValueError(f"unexpected trace CSV header: {header}")
-        for row in reader:
-            trace.append(_read_step(dict(zip(CSV_COLUMNS, row)), row[len(CSV_COLUMNS) :]))
+        cells, width = list(reader), len(CSV_COLUMNS)
+        trace._extend(_read_columns(cells, range(width)), [tuple(map(float, row[width:])) for row in cells])
         return trace
     raise ValueError(f"unknown trace format '{fmt}'")

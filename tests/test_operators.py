@@ -170,6 +170,30 @@ def test_public_apply_rejects_bad_shapes(op, bad):
         op(bad)
 
 
+def _random_affine(dim, seed):
+    rng = np.random.default_rng([seed, dim])
+    return AffineOperator(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+
+
+ROWS_APPLIED = {
+    **SHAPE_CHECKED,
+    **{f"linear-d{d}": LinearOperator(_random_affine(d, 1).matrix) for d in (2, 3, 8)},
+    **{f"affine-d{d}": _random_affine(d, 2) for d in (2, 3, 8)},
+    "composite-affine": CompositeOperator([_random_affine(3, 3), LinearOperator(_random_affine(3, 4).matrix)]),
+}
+
+
+@pytest.mark.parametrize("op", ROWS_APPLIED.values(), ids=ROWS_APPLIED.keys())
+def test_rows_applied_at_once_have_each_rows_own_bits(op):
+    # Rows inside and outside the balls, as a read-only view of a larger array.
+    held = 3.0 * np.random.default_rng(op.dim).standard_normal((41, op.dim))
+    held.setflags(write=False)
+    rows = held[1:]
+    images = op._apply_rows(rows)
+    assert images.shape == rows.shape
+    assert [image.tobytes() for image in images] == [op._apply(x).tobytes() for x in rows]
+
+
 def test_blend_checks_the_shape_a_wrapped_callable_returns():
     truncating = FunctionOperator(lambda x: x[:1], 2, name="truncating")
     mixed = BlendOperator(0.5, Identity(2), 0.5, CompositeOperator([Negation(2), truncating]))

@@ -940,23 +940,32 @@ def test_a_step_without_a_piece_asks_for_one_once(monkeypatch):
     assert [tuple(x.tolist()) for x in points] == [(0.0, 0.0)] + [step.point for step in trace.steps]
 
 
-@pytest.mark.parametrize("path", ["generic", "piece"])
+def _half_and_shift(offset) -> FunctionOperator:
+    """x -> 0.5 x + offset as a callable: a forcing term with no global affine form."""
+    offset = np.array(offset)
+    return FunctionOperator(lambda x: 0.5 * x + offset, 2, contraction(0.5))
+
+
+@pytest.mark.parametrize("path", ["generic", "piece", "function-forcing"])
 def test_each_outer_step_applies_the_target_once_outside_picard(monkeypatch, path):
     if path == "generic":
         # Every iterate and warm start lies outside the ball: no piece, and
         # every step runs Picard on the blend.
         f, target = ConstantOperator([8.0, 0.0]), BallProjection([5.0, 0.0], 1.0)
     else:
-        f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+        # A forcing term without a global form plans nothing, and its blend
+        # has no piece: each step runs Picard on the blend.
+        f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05]) if path == "piece" else _half_and_shift([0.1, 0.05])
         target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
     calls = _count_picard_calls(monkeypatch)
     points = _evaluations_outside_picard(monkeypatch, target)
     _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
-    solved = {"generic": BlendOperator, "piece": AffineOperator}[path]
+    solved = {"generic": BlendOperator, "piece": AffineOperator, "function-forcing": BlendOperator}[path]
     assert [type(G) for G in calls] == [solved] * 30
     # One pass over T_n at the step's point serves the certificate, the
-    # fixed-point residual and the next step's piece; the plan asks for
-    # step 1's piece at its warm start, the origin.
+    # fixed-point residual and the next step's piece, which the plan or,
+    # for a forcing term without a global form, the step's own query takes;
+    # step 1's piece is asked at its warm start, the origin.
     assert [tuple(x.tolist()) for x in points] == [(0.0, 0.0)] + [step.point for step in trace.steps]
 
 
@@ -1053,6 +1062,70 @@ def test_implicit_step_is_the_outer_loops_first_step(monkeypatch):
     xi = implicit_step(f, ball, eps, np.zeros(2), opts.inner_tol_rule.delta(eps, opts.outer_tol))
     assert [type(G).__name__ for G in calls] == ["AffineOperator"]
     assert xi.tobytes() == np.array(trace.steps[0].point).tobytes()
+
+
+def _gap_size(x, y) -> float:
+    gap = x - y
+    return math.sqrt(gap.dot(gap))
+
+
+@pytest.mark.parametrize("case", ["stops-early", "cold-starts", "two-members", "small-batches"])
+def test_a_planned_affine_solve_replays_step_by_step(monkeypatch, case):
+    # Each step of a planned affine solve, redone alone: implicit_step from
+    # the step's warm start gives its point, and the residuals taken one at
+    # a time give the trace's columns, which the solver fills in for most
+    # steps in stacked passes. With outer_tol 1e-2 the first steps move by
+    # more than outer_tol, and the solve stops at step 100 of 300. Plan
+    # batches of 7 steps fill the implicit residuals 7 steps at a time and
+    # then for the last 2.
+    if case == "small-batches":
+        monkeypatch.setattr(schemes, "_PLAN_BATCH", 7 * 2 * 2)
+    f = AffineOperator(0.5 * np.eye(2), [0.6, -0.8])
+    target = make_rotation_flow([1.0], [1.0, 2.0] if case == "two-members" else [1.0])
+    opts = SolveOptions(outer_tol=1e-2, warm_start=case != "cold-starts")
+    result, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=300), opts)
+    assert result.converged and len(trace) == result.iterations == 100
+    members = [target.evaluate(t) for t in target.sample_indices()]
+    mf, cf = f.matrix, f.offset
+    x_prev = np.zeros(2)
+    moved = []
+    for step in trace.steps:
+        T = members[(step.n - 1) % len(members)]
+        warm = x_prev if opts.warm_start else np.zeros(2)
+        x = implicit_step(f, T, step.eps, warm, opts.inner_tol_rule.delta(step.eps, opts.outer_tol))
+        assert x.tobytes() == np.array(step.point).tobytes()
+        mt, ct = T.affine_parts()
+        m, c = step.eps * mf + (1.0 - step.eps) * mt, step.eps * cf + (1.0 - step.eps) * ct
+        assert _gap_size(x, m @ x + c) == step.implicit_residual
+        assert _gap_size(x, T.matrix @ x) == step.fix_residual
+        assert _gap_size(x, x_prev) == step.step_delta
+        moved.append(step.step_delta > opts.outer_tol)
+        x_prev = x
+    assert True in moved and False in moved
+    assert result.residual == trace.last().fix_residual
+    assert result.point.tobytes() == x_prev.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_the_stacked_residual_pass_has_each_steps_bits(dim):
+    # Read-only views, as a schedule plan's rows and the solver's points
+    # are; the pass fills in every other step, each stack built as the
+    # solver builds it.
+    rng = np.random.default_rng([dim, 22])
+    held = [rng.standard_normal(shape) for shape in ((502, dim, dim), (502, dim), (502, dim))]
+    for array in held:
+        array.setflags(write=False)
+    matrices, offsets, points = (array[1:-1] for array in held)
+    steps = list(range(0, 500, 2))
+    stacked = [np.array([stack[k] for k in steps]) for stack in (matrices, offsets)]
+    column = [None] * 500
+    schemes._fill_gaps(column, steps, list(points), lambda X: operators._stacked_product(stacked[0], X) + stacked[1])
+    assert column[1::2] == [None] * 250
+    for m, c, x, size in zip(matrices[steps], offsets[steps], points[steps], column[::2]):
+        assert size == _gap_size(x, m @ x + c)
+    # One matrix for every row, as a linear step operator takes it.
+    shared = operators._stacked_product(matrices[0], points)
+    assert [row.tobytes() for row in shared] == [(matrices[0] @ x).tobytes() for x in points]
 
 
 # ---------------------------------------------------------------------------
@@ -1378,20 +1451,24 @@ def _turned_ball(angle=1.0):
     return CompositeOperator([PlaneRotation(2, (0, 1), angle), BallProjection([0.0, 0.0], 1.0)])
 
 
-@pytest.mark.parametrize("case", ["rotation-ball", "averaged-rotation-ball", "retraction"])
+@pytest.mark.parametrize("case", ["rotation-ball", "averaged-rotation-ball", "retraction", "function-forcing"])
 def test_a_handed_on_piece_gives_the_bits_of_one_the_plan_asks_for(monkeypatch, case):
-    # The benchmark's nonaffine solves, each run twice: once as it is, with
-    # each certificate's piece handed on to the plan, and once with the
-    # piece dropped: each solve hands on its point in the piece's place,
-    # the next step's warm start, where the plan then asks the target.
+    # The benchmark's nonaffine solves and one with a forcing term without
+    # a global form, each run twice: once as it is, with each certificate's
+    # piece handed on to the plan or the step's own query, and once with
+    # the piece dropped: each solve hands on its point in the piece's
+    # place, the next step's warm start, where the target is asked again.
     def traces():
         if case == "retraction":
             return [
                 anchored_implicit_solve(anchor, _turned_ball(), n_max=50)[1]
                 for anchor in ([3.0, 0.0], [0.0, -3.0], [-2.0, 2.0])
             ]
-        target = _turned_ball() if case == "rotation-ball" else AveragedOperator(_turned_ball(), 0.5)
-        f = AffineOperator(0.5 * np.eye(2), [0.6, -0.8])
+        target = AveragedOperator(_turned_ball(), 0.5) if case == "averaged-rotation-ball" else _turned_ball()
+        if case == "function-forcing":
+            f = _half_and_shift([0.6, -0.8])
+        else:
+            f = AffineOperator(0.5 * np.eye(2), [0.6, -0.8])
         return [viscosity_implicit_solve(f, target, make_schedule(n_max=100))[1]]
 
     queries = []

@@ -86,6 +86,47 @@ def test_array_accessors():
     assert trace.implicit_residuals()[0] == 1e-17
 
 
+def test_steps_are_built_on_first_read_and_kept_until_an_append():
+    appended = [_step(1, 0.5, (1.0 / 3.0, math.pi)), _step(2, 0.25, (0.1 + 0.2, 1e-300))]
+    trace = ConvergenceTrace()
+    for step in appended:
+        trace.append(step)
+    steps = trace.steps
+    assert steps == appended and trace.steps is steps
+    assert trace.last() == steps[-1]
+    appended.append(_step(6, 0.1, (0.0, 0.0)))
+    trace.append(appended[-1])
+    assert trace.steps == appended
+    assert trace.last() == appended[-1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((3, 0.5, (0.0, 0.0)), "step numbers must increase"),
+        ((6, 0.25, (0.0, 0.0)), "eps must decrease strictly"),
+        ((6, 1.5, (0.0, 0.0)), "eps must lie in"),
+        ((6, 0.1, (0.0,)), "point dimension changed"),
+    ],
+)
+def test_loads_check_each_row_as_append_does(tmp_path, fmt, row, message):
+    # A file whose last row breaks one of append's rules, written row by row.
+    trace = _messy_trace()
+    path = export_trace(trace, fmt, tmp_path / f"trace.{fmt}")
+    n, eps, point = row
+    bad = _step(n, eps, point)
+    if fmt == "csv":
+        cells = [str(bad.n), repr(bad.eps), "0", "0", "0", "1", *map(repr, point)]
+        path.write_text(path.read_text() + ",".join(cells) + "\r\n")
+    else:
+        payload = json.loads(path.read_text())
+        payload["steps"].append(bad._asdict())
+        path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_trace(path)
+
+
 def test_window_sizes():
     trace = ConvergenceTrace()
     for n in range(1, 101):

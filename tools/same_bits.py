@@ -12,13 +12,17 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
   iteration counts, step deltas), the residual, iteration count and
   converged flag of the inner solve result that inner_monitor receives at
   each outer step, and every retraction's limits;
-* at the same seeds, the traces of three solves that no benchmark input
+* at the same seeds, the traces of six solves that no benchmark input
   has, built here: a two-member custom family of rotation-then-ball
   targets (one schedule plan per member), an averaged rotation-then-ball
-  target (its kept piece planned like a composite's) and a mixed family
-  of a plain rotation and a rotation-then-ball target (planned collapses
-  and planned pieces in one schedule);
-* for each of these solves: the stage-check report that
+  target (its kept piece planned like a composite's), a mixed family of a
+  plain rotation and a rotation-then-ball target (planned collapses and
+  planned pieces in one schedule), and three planned affine solves on
+  rotation flows that stop early, at outer_tol 1e-2, inside the plan's
+  first batch: one member with warm starts, the same without, and two
+  members;
+* for each of these solves: the outer result (point, residual, step
+  count, converged flag), the stage-check report that
   build_proof_step_report(trace, f, T).to_dict() gives, where T is the
   target or the one member of a family with a single sampled index (as the
   CLI takes it; a family of more members has no report), and again with the
@@ -29,9 +33,9 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
   every file the commands write (summary.json, trace.csv,
   sweep_summary.csv) and trace.json without its wall-clock timestamps.
 
-Floats are compared by their bits. The exit code is 0 when every record
-agrees, 1 when any differs (each one that differs is named, then their
-count) and 2 when a checkout could not be recorded.
+That makes 431 records. Floats are compared by their bits. The exit code
+is 0 when every record agrees, 1 when any differs (each one that differs
+is named, then their count) and 2 when a checkout could not be recorded.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ def _solve_records(prefix: str, spec: dict) -> dict:
         kwargs["inner_tol_rule"] = schemes.InnerTolRule(options["inner_tol"]["kind"], options["inner_tol"]["value"])
     if "max_iter" in options:
         kwargs["policy"] = TolerancePolicy(max_iter=options["max_iter"])
+    if "warm_start" in options:
+        kwargs["warm_start"] = options["warm_start"]
     f = operators.make_operator(spec["contraction"])
     if "family" in spec:
         target = semigroup.make_family(spec["family"])
@@ -95,12 +101,14 @@ def _solve_records(prefix: str, spec: dict) -> dict:
         inner.append(tuple(getattr(result, name) for name in INNER_FIELDS))
 
     try:
-        _, trace = schemes.viscosity_implicit_solve(
+        result, trace = schemes.viscosity_implicit_solve(
             f, target, schedule, schemes.SolveOptions(**kwargs), inner_monitor=monitor
         )
     except ViscofixError as exc:
         return {f"{prefix}/error": f"{type(exc).__name__}: {exc}"}
     records = {**_report_records(prefix, trace, f, target), **_export_records(prefix, trace)}
+    outcome = (result.point.tobytes().hex(), result.residual.hex(), result.iterations, result.converged)
+    records[f"{prefix}/result"] = _digest(repr(outcome).encode())
     for name in TRACE_FIELDS:
         dtype = np.int64 if name == "inner_iters" else float
         values = np.array([getattr(step, name) for step in trace.steps], dtype=dtype)
@@ -188,6 +196,32 @@ def _piece_specs(seed: int) -> list:
     ]
 
 
+def _early_stop_specs(seed: int) -> list:
+    """Seeded planned affine solves that stop before n_max, inside the schedule plan's first batch.
+
+    At outer_tol 1e-2 the first steps move by more than outer_tol, later
+    ones by less, and the fixed-point residual falls below it within 300
+    steps.
+    """
+    rng = np.random.default_rng([seed, 22])
+    direction = rng.standard_normal(2)
+    rate = float(rng.uniform(0.5, 1.5))
+    common = {
+        "kind": "solve",
+        "contraction": {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]],
+                        "offset": (direction / np.linalg.norm(direction)).tolist()},
+        "schedule": {"kind": "harmonic", "params": {"p": 1.0}, "n_max": 300},
+    }
+    flow = {"kind": "rotation_flow", "rates": [rate], "grid": [1.0]}
+    pair = {"kind": "rotation_flow", "rates": [rate], "grid": [1.0, 2.0]}
+    return [
+        {"name": "rotation-flow-stops-early", "family": flow, "options": {"outer_tol": 1e-2}, **common},
+        {"name": "rotation-flow-stops-early-cold", "family": flow,
+         "options": {"outer_tol": 1e-2, "warm_start": False}, **common},
+        {"name": "two-member-flow-stops-early", "family": pair, "options": {"outer_tol": 1e-2}, **common},
+    ]
+
+
 def _retraction_records(prefix: str, spec: dict) -> dict:
     from viscofix import operators, schemes
 
@@ -248,6 +282,8 @@ def record(checkout: Path) -> dict:
     for seed in SOLVE_SEEDS:
         for spec in _piece_specs(seed):
             records.update(_solve_records(f"pieces/{seed}/{spec['name']}", spec))
+        for spec in _early_stop_specs(seed):
+            records.update(_solve_records(f"early-stops/{seed}/{spec['name']}", spec))
     with tempfile.TemporaryDirectory() as work:
         records.update(_cli_records(inputs, Path(work)))
     return records
