@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .operators import FixedPointSet, Operator
-from .space import ViscofixError, as_vector, inner, norm
+from .operators import FixedPointSet, Operator, _row_dots, _row_norms
+from .space import ViscofixError, as_vector, norm
 from .trace import ConvergenceTrace
 
 #: Additive slack for float noise in per-step inequality checks.
@@ -74,12 +74,34 @@ def _worst(excess, trace: ConvergenceTrace) -> tuple[float, int]:
     check. Without a step the result is (-inf, 0).
     """
     max_excess, worst = -np.inf, 0
-    for value, step in zip(excess, trace.steps):
+    for value, n in zip(excess, trace._columns[0]):
         if math.isnan(value):
-            return math.nan, step.n
+            return math.nan, n
         if value > max_excess:
-            max_excess, worst = value, step.n
+            max_excess, worst = value, n
     return float(max_excess), worst
+
+
+def _largest(values) -> float:
+    """max(values), or NaN when one of them is NaN: Python's max skips a NaN unless it comes first.
+
+    Raises ValueError for no values, as max does.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _points(trace: ConvergenceTrace, dim: int, *ops: Operator) -> np.ndarray:
+    """The trace's points as one (n, d) array, (0, dim) for an empty trace.
+
+    The first point is checked against each operator in turn, as its
+    public apply checks it: the trace's points all have one dimension.
+    """
+    points = trace.points()
+    if not len(points):
+        return np.empty((0, dim))
+    for op in ops:
+        op._check_arg(points[0])
+    return points
 
 
 @dataclass(frozen=True)
@@ -115,7 +137,7 @@ def check_step2_bound(
         )
     base = norm(f.apply(p) - p) / (1.0 - alpha)
     rhs = base + INEXACT_FACTOR * _deltas_from(trace, deltas)
-    max_violation, worst = _worst([norm(x - p) for x in trace.points()] - rhs, trace)
+    max_violation, worst = _worst(_row_norms(_points(trace, p.shape[0]) - p) - rhs, trace)
     return Step2Report(
         bound_base=base, max_violation=max_violation, worst_step=worst, ok=max_violation <= STEP_SLACK
     )
@@ -142,7 +164,8 @@ def check_step3_residual(
     residual, so violations beyond float slack indicate a corrupted trace or
     a mismatched operator.
     """
-    gaps = np.array([norm(f.apply(x) - T.apply(x)) for x in trace.points()])
+    points = _points(trace, f.dim, f, T)
+    gaps = _row_norms(f._apply_rows(points) - T._apply_rows(points))
     rhs = trace.eps_values() * gaps + trace.implicit_residuals()
     max_violation, worst = _worst(trace.fix_residuals() - rhs, trace)
     return Step3Report(
@@ -175,7 +198,7 @@ def check_step4_vi(trace: ConvergenceTrace, anchor, limit) -> Step4Report:
     anchor = as_vector(anchor)
     limit = as_vector(limit)
     direction = anchor - limit
-    values = np.array([inner(direction, x - limit) for x in trace.points()])
+    values = _row_dots(_points(trace, limit.shape[0]) - limit, direction)
     eps = trace.eps_values()
 
     half = len(values) // 2 if len(values) >= 4 else 0
@@ -190,8 +213,9 @@ def check_step4_vi(trace: ConvergenceTrace, anchor, limit) -> Step4Report:
         rel = float(np.linalg.norm(v_fit - coeff * e_fit) / scale)
 
     tail = len(trace.window(TAIL_FRACTION, MIN_WINDOW))
-    vi_value = max(values[-tail:])
-    ok = vi_value <= VI_TOL or (coeff >= -STEP_SLACK and rel <= VI_REL_TOL)
+    # A NaN in the tail window is the VI value, and fails the check.
+    vi_value = _largest(values[-tail:])
+    ok = not math.isnan(vi_value) and (vi_value <= VI_TOL or (coeff >= -STEP_SLACK and rel <= VI_REL_TOL))
     return Step4Report(
         vi_value=float(vi_value),
         fit_coeff=coeff,
@@ -222,7 +246,8 @@ def check_step5_convergence(
         dist = norm(final - as_vector(oracle_limit))
         return Step5Report(distance=float(dist), used_oracle=True, ok=bool(dist <= tol))
     tail = trace.window(TAIL_FRACTION, MIN_WINDOW)
-    cauchy = max(s.step_delta for s in tail)
+    # A NaN step_delta in the tail window is the distance, and fails the check.
+    cauchy = _largest([s.step_delta for s in tail])
     return Step5Report(distance=float(cauchy), used_oracle=False, ok=bool(cauchy <= tol))
 
 

@@ -287,10 +287,10 @@ class Operator:
     def _apply_rows(self, points: np.ndarray) -> np.ndarray:
         """T at each row of a checked (n, dim) array, as an (n, dim) array with _apply's bits row by row.
 
-        This default calls _apply on each row; linear and affine maps take
-        one stacked product.
+        This default calls _apply on each row, as a callable's outputs need
+        their shapes checked; every cataloged map takes stacked passes.
         """
-        return np.array([self._apply(x) for x in points])
+        return np.array([self._apply(x) for x in points], dtype=float).reshape(points.shape)
 
     def linear_matrix(self) -> np.ndarray:
         """Matrix of an exactly linear map; raises NotLinear otherwise."""
@@ -325,6 +325,22 @@ def _stacked_product(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
     product, whose rows differ from those in their last bits.
     """
     return np.matmul(matrix, points[..., None])[..., 0]
+
+
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """rows[i] . other[i] for each row of an (n, d) array, or rows[i] . other for a vector.
+
+    np.matmul takes one dot product per row, with the bits of np.dot on that
+    row alone (rows @ other is one product whose rows differ). It flags an
+    overflow that np.dot does not, so that flag is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return np.matmul(rows[:, None, :], other[..., None])[:, 0, 0]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """||rows[i]|| for each row, with space.norm's bits row by row."""
+    return np.sqrt(_row_dots(rows, rows))
 
 
 def _square_matrix(matrix) -> np.ndarray:
@@ -426,6 +442,9 @@ class Identity(Operator):
     def _apply(self, x):
         return x.copy()
 
+    # Coordinatewise, so _apply takes the rows at once.
+    _apply_rows = _apply
+
     def affine_piece(self, x=None):
         return _Piece(np.eye(self.dim), np.zeros(self.dim), True)
 
@@ -441,6 +460,8 @@ class Negation(Operator):
 
     def _apply(self, x):
         return -x
+
+    _apply_rows = _apply
 
     def affine_piece(self, x=None):
         return _Piece(-np.eye(self.dim), np.zeros(self.dim), True)
@@ -460,6 +481,9 @@ class ConstantOperator(Operator):
 
     def _apply(self, x):
         return self.value.copy()
+
+    def _apply_rows(self, points):
+        return np.tile(self.value, (len(points), 1))
 
     def affine_piece(self, x=None):
         return _Piece(np.zeros((self.dim, self.dim)), self.value, True)
@@ -492,6 +516,15 @@ class BallProjection(Operator):
             return x.copy(), self._interior
         return self.center + shifted * (self.radius / dist), None
 
+    def _apply_rows(self, points):
+        shifted = points - self.center
+        dist = _row_norms(shifted)
+        # A NaN distance is outside, as in _apply_piece.
+        outside = ~(dist <= self.radius)
+        out = points.copy()
+        out[outside] = self.center + shifted[outside] * (self.radius / dist[outside])[:, None]
+        return out
+
     def affine_piece(self, x=None):
         """The identity around a point of the closed ball; no piece outside it."""
         return None if x is None else self._apply_piece(self._check_arg(x))[1]
@@ -517,6 +550,8 @@ class BoxProjection(Operator):
     def _apply(self, x):
         # np.clip's bits (NaN stays NaN) without its wrapper's cost.
         return np.minimum(np.maximum(x, self.lower), self.upper)
+
+    _apply_rows = _apply
 
     def to_spec(self):
         return {"kind": "projection_box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
@@ -546,6 +581,15 @@ class PlaneRotation(Operator):
         x[i] = c * xi - s * xj
         x[j] = s * xi + c * xj
         return x
+
+    def _apply_rows(self, points):
+        out = points.copy()
+        i, j = self.plane
+        c, s = self._cos_sin
+        xi, xj = points[:, i], points[:, j]
+        out[:, i] = c * xi - s * xj
+        out[:, j] = s * xi + c * xj
+        return out
 
     def affine_piece(self, x=None):
         m = np.eye(self.dim)
@@ -583,6 +627,9 @@ class AveragedOperator(Operator):
 
     def _apply(self, x):
         return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
+
+    def _apply_rows(self, points):
+        return (1.0 - self.lam) * points + self.lam * self.inner_op._apply_rows(points)
 
     def _apply_piece(self, x):
         inner, piece = self.inner_op._apply_piece(x)
@@ -662,6 +709,11 @@ class CompositeOperator(Operator):
             x = op._apply(x)
         return x
 
+    def _apply_rows(self, points):
+        for op in self.operators:
+            points = op._apply_rows(points)
+        return points
+
     def _apply_piece(self, x):
         return _walk(self, self.operators, x)
 
@@ -705,6 +757,12 @@ class IteratedOperator(Operator):
             y = self.base._apply(y)
         return y
 
+    def _apply_rows(self, points):
+        y = points.copy()
+        for _ in range(self.n):
+            y = self.base._apply_rows(y)
+        return y
+
     def _apply_piece(self, x):
         # The copy makes n = 0's value fresh, as _apply's is.
         return _walk(self, (self.base,) * self.n, x.copy())
@@ -744,21 +802,25 @@ class BlendOperator(Operator):
     def _apply(self, x):
         return self.a * self.first._apply(x) + self.b * self.second._apply(x)
 
+    def _apply_rows(self, points):
+        return self.a * self.first._apply_rows(points) + self.b * self.second._apply_rows(points)
+
     def _apply_piece(self, x):
         first, first_piece = self.first._apply_piece(x)
         second, second_piece = self.second._apply_piece(x)
         return self.a * first + self.b * second, _kept(self, (second_piece, first_piece), self._blend)
 
     def _apply_keeping_second(self, x, with_piece=False):
-        """(the map's value at x, T(x), T's piece at x): _apply's bits, in its order, with T(x) kept.
+        """(the map's value at x, S(x), T(x), T's piece at x): _apply's bits, in its order, with S(x) and T(x) kept.
 
-        A solver that needs both the blend's value and its target's at the
-        same point evaluates the target once. With with_piece, that one pass
-        also gives T's piece there (T._apply_piece); without, the piece is None.
+        A solver that needs the blend's value, its target's and a next
+        blend's at the same point evaluates each map once. With with_piece,
+        that one pass also gives T's piece there (T._apply_piece); without,
+        the piece is None.
         """
-        scaled = self.a * self.first._apply(x)
+        first = self.first._apply(x)
         second, piece = self.second._apply_piece(x) if with_piece else (self.second._apply(x), None)
-        return scaled + self.b * second, second, piece
+        return self.a * first + self.b * second, first, second, piece
 
     def affine_piece(self, x=None):
         """(a M_S + b M_T, a c_S + b c_T) for the maps' pieces, kept as a composite's is.
@@ -830,6 +892,9 @@ class DeclaredWrapper(Operator):
     def _apply(self, x):
         return self.wrapped._apply(x)
 
+    def _apply_rows(self, points):
+        return self.wrapped._apply_rows(points)
+
     def _apply_piece(self, x):
         return self.wrapped._apply_piece(x)
 
@@ -856,7 +921,10 @@ def blend(a: float, first: Operator, b: float, second: Operator, collapse: _Piec
     if collapse is None:
         ps, pt = first.affine_parts(), second.affine_parts()
         if ps is None or pt is None:
-            return BlendOperator(a, first, b, second)
+            # Its global form is known to be None, which picard_solve asks for.
+            g = BlendOperator(a, first, b, second)
+            g._global_form = None
+            return g
         collapse = _Piece(*_blend_form(a, ps, b, pt), True)
     return _affine(collapse, None, collapse.norm)
 

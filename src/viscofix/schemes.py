@@ -43,6 +43,7 @@ from .operators import (
     _as_piece,
     _blend_form,
     _Piece,
+    _row_norms,
     _stacked_product,
     blend,
     contraction,
@@ -273,21 +274,22 @@ def _resolve_contraction(G: Operator) -> Operator:
     raise NotAContraction(f"operator declared '{declared.kind}' has Lipschitz bound 1")
 
 
-def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int):
+def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int, first=None):
     """Picard step by step through G's apply: (last iterate, step norms).
 
     Returns whether or not the stopping rule fired within max_iter >= 1
-    steps. The iterate is one of G's apply outputs, never x itself, and may
-    be an array that G's apply still holds. Raises NonFiniteValue at the
-    first step where G returns NaN or inf.
+    steps. first, when given, is G(x) as its caller holds it, and is taken
+    as the first iterate in place of applying G. The iterate is one of G's
+    apply outputs, never x itself, and may be an array that G's apply still
+    holds. Raises NonFiniteValue at the first step where G returns NaN or
+    inf.
     """
     # x was checked by picard_solve and every operator keeps the shape of its
     # argument, so the loop skips the public apply's check.
     apply = G._apply
     steps: list[float] = []
-    current = x
+    current, nxt = x, (apply(x) if first is None else first)
     for k in range(1, max_iter + 1):
-        nxt = apply(current)
         step = nxt - current
         # vdot gives dot's bits without numpy's warning when the square overflows.
         delta = math.sqrt(np.vdot(step, step))
@@ -299,8 +301,9 @@ def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int)
             )
         steps.append(delta)
         current = nxt
-        if delta <= threshold:
+        if delta <= threshold or k == max_iter:
             break
+        nxt = apply(current)
     return current, steps
 
 
@@ -481,7 +484,7 @@ def _scanned_norms(G, x0, count):
 
 
 def picard_solve(
-    G: Operator, x0, tol: float, policy: TolerancePolicy = DEFAULT_POLICY
+    G: Operator, x0, tol: float, policy: TolerancePolicy = DEFAULT_POLICY, *, _first=None
 ) -> FixedPointResult:
     """Banach-Picard iteration x_{k+1} = G(x_k) for a contraction G.
 
@@ -516,6 +519,9 @@ def picard_solve(
     is computed only when read. Every other map, whose steps may grow
     before they decay, takes every step through G's apply.
 
+    A solver that holds G(x0) already passes it as _first, and the
+    step-by-step loop takes it as its first iterate, counted as a step.
+
     Raises MaxIterExceeded when the budget, counted in Picard steps, runs
     out. Raises NonFiniteValue when an iterate is NaN or infinite: the
     step-by-step loop at the first step where G returns such a value, the
@@ -532,7 +538,7 @@ def picard_solve(
         raise DimensionMismatch(f"start point shape {x.shape} does not match dimension {G.dim}")
     if alpha == 0.0:
         # Modulus 0 means one application lands on the fixed point exactly.
-        point, steps = _picard_generic(G, x, math.inf, 1)
+        point, steps = _picard_generic(G, x, math.inf, 1, _first)
         # G's apply may return an array its caller still holds: copy it.
         point = point.copy()
         point.setflags(write=False)
@@ -548,7 +554,7 @@ def picard_solve(
         # Huge affine steps overflow to inf without numpy's warnings, as in
         # the lifted solve; a non-finite value raises NonFiniteValue.
         with np.errstate(over="ignore", invalid="ignore") if parts is not None else contextlib.nullcontext():
-            point, steps = _picard_generic(G, x, threshold, policy.max_iter)
+            point, steps = _picard_generic(G, x, threshold, policy.max_iter, _first)
         # G's apply may return an array its caller still holds: copy it.
         outcome = (point.copy(), len(steps), steps[-1], tuple(steps)) if steps[-1] <= threshold else None
     if outcome is None:
@@ -583,18 +589,23 @@ _UNPLANNED = object()
 
 def _solve_implicit(
     f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
-    planned=_UNPLANNED, with_piece: bool = False, held=_UNPLANNED,
-) -> tuple[FixedPointResult, float | _Piece, np.ndarray | None, _Piece | None]:
+    planned=_UNPLANNED, with_piece: bool = False, held=_UNPLANNED, seen=None,
+) -> tuple[FixedPointResult, float | _Piece, np.ndarray | None, _Piece | None, tuple | None]:
     """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta.
 
-    Returns (result, ||xi - g(xi)||, T(xi), T's piece at xi): g's value at
-    xi evaluates T there, and that one value is handed on when g is a
-    BlendOperator. With with_piece, the same pass over T also gives T's
-    piece at xi (None where T has none), which a schedule plan takes for a
-    next step that starts from xi; without, the piece is None. For a g that
-    blend() collapsed to one affine map, nothing is evaluated at xi: the
-    second value is g's form (M, c) in place of the residual, which the
-    caller computes, T(xi) is None and T's piece is its global form.
+    Returns (result, ||xi - g(xi)||, T(xi), T's piece at xi, (xi, f(xi),
+    T(xi))): g's value at xi evaluates f and T there, and those values are
+    handed on when g is a BlendOperator. With with_piece, the same pass
+    over T also gives T's piece at xi (None where T has none), which a
+    schedule plan takes for a next step that starts from xi; without, the
+    piece is None. For a g that blend() collapsed to one affine map,
+    nothing is evaluated at xi: the second value is g's form (M, c) in
+    place of the residual, which the caller computes, T(xi) and the last
+    value are None and T's piece is its global form.
+
+    seen is the last value of a step before, (x, f(x), T(x)), or None.
+    When x is warm itself, the same array, Picard on g takes
+    g.a f(x) + g.b T(x), g's value with its own bits, as its first iterate.
 
     planned is g's piece at warm as a schedule plan built it (see
     _blend_plan), None where the plan found none, or _UNPLANNED. The one
@@ -618,7 +629,7 @@ def _solve_implicit(
     # The gaps below take space.norm's bits without its conversions: each
     # is a fresh 1-D float array.
     if not isinstance(g, BlendOperator):
-        return picard_solve(g, warm, delta, policy), g.affine_parts(), None, T.affine_parts()
+        return picard_solve(g, warm, delta, policy), g.affine_parts(), None, T.affine_parts(), None
     declared = g.declared_class
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
@@ -632,15 +643,16 @@ def _solve_implicit(
             except (MaxIterExceeded, NonFiniteValue):
                 pass
             else:
-                value, at_target, piece = g._apply_keeping_second(res.point, with_piece)
+                value, at_forcing, at_target, piece = g._apply_keeping_second(res.point, with_piece)
                 gap = res.point - value
                 size = math.sqrt(gap.dot(gap))
                 if size <= delta * (1.0 - declared.alpha):
-                    return res, size, at_target, piece
-    res = picard_solve(g, warm, delta, policy)
-    value, at_target, piece = g._apply_keeping_second(res.point, with_piece)
+                    return res, size, at_target, piece, (res.point, at_forcing, at_target)
+    first = g.a * seen[1] + g.b * seen[2] if seen is not None and seen[0] is warm else None
+    res = picard_solve(g, warm, delta, policy, _first=first)
+    value, at_forcing, at_target, piece = g._apply_keeping_second(res.point, with_piece)
     gap = res.point - value
-    return res, math.sqrt(gap.dot(gap)), at_target, piece
+    return res, math.sqrt(gap.dot(gap)), at_target, piece, (res.point, at_forcing, at_target)
 
 
 def implicit_step(
@@ -793,12 +805,13 @@ def viscosity_implicit_solve(
     when T_n has a global form, else its local piece, whose point is kept
     only if g certifies it. Either way ||xi_n - xi_n*|| <= delta_n for the
     step's exact solution xi_n*, and the trace and inner_monitor see the
-    solve whose point was kept. The value of T_n at xi_n that a piece's
+    solve whose point was kept. The value of T_n at xi_n that a step's
     certificate computes also gives the step's fix_residual, and with warm
     starts and a single step operator the same pass gives T_n's piece at
     xi_n, from which the plan (or, for an f without a global form, the
-    next step's own query) builds the next step's: T is evaluated once at
-    each point.
+    next step's own query) builds the next step's, and its values of f and
+    T_n at xi_n give the next step's Picard solve on the blend its first
+    iterate: f and T are evaluated once at each point.
 
     A collapsed step computes only what the stop test reads, in its order:
     step_delta, then fix_residual only when step_delta <= outer_tol. The
@@ -822,8 +835,10 @@ def viscosity_implicit_solve(
     # With warm starts and one member, a step starts where the last ended,
     # on the same T: the last certificate's pass over T gives T's piece
     # there, which the plan takes, or, when f has no global form and the
-    # plan plans nothing, the step's own query.
+    # plan plans nothing, the step's own query, and its values of f and T
+    # there give a Picard solve on the blend its first iterate.
     hand_on = opts.warm_start and count == 1
+    seen = None
     # The trace's columns but n and eps, which are the schedule's.
     points, implicit, fixes, deltas, iters = [], [], [], [], []
     # Collapsed forms wait for their residuals at most a plan batch of steps,
@@ -838,9 +853,9 @@ def viscosity_implicit_solve(
         warm = x_prev if opts.warm_start else origin
         planned = plan.send(piece if hand_on else warm) if idx else next(plan)
         try:
-            res, implicit_res, at_target, piece = _solve_implicit(
+            res, implicit_res, at_target, piece, seen = _solve_implicit(
                 f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned, hand_on,
-                piece if hand_on and idx else _UNPLANNED,
+                piece if hand_on and idx else _UNPLANNED, seen if hand_on else None,
             )
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
@@ -885,14 +900,13 @@ def _fill_gaps(column: list, steps: list, points: list, images_of) -> None:
     """column[k] = ||points[k] - image_k|| for each k of steps, in one stacked pass.
 
     images_of maps the steps' points, stacked in an (n, d) array, to their
-    images. The row dots are np.matmul's, one dot product per row, so each
-    value has the bits of math.sqrt(gap.dot(gap)) on its step alone when
-    each image has that step's own bits (see operators._stacked_product).
+    images. Each value has the bits of math.sqrt(gap.dot(gap)) on its step
+    alone (see operators._row_norms) when each image has that step's own
+    bits (see operators._stacked_product).
     """
     if steps:
         X = np.array([points[k] for k in steps])
-        gaps = X - images_of(X)
-        sizes = np.sqrt(np.matmul(gaps[:, None, :], gaps[:, :, None])[:, 0, 0])
+        sizes = _row_norms(X - images_of(X))
         for k, size in zip(steps, sizes.tolist()):
             column[k] = size
 

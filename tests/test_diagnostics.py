@@ -11,9 +11,13 @@ import pytest
 from viscofix import (
     AffineOperator,
     BallProjection,
+    BoxProjection,
+    CompositeOperator,
     ConstantOperator,
     ConvergenceTrace,
+    DimensionMismatch,
     Identity,
+    LinearOperator,
     Negation,
     NotAFixedPoint,
     PlaneRotation,
@@ -36,6 +40,18 @@ from viscofix import (
     residual,
     viscosity_implicit_solve,
 )
+from viscofix.diagnostics import (
+    INEXACT_FACTOR,
+    MIN_WINDOW,
+    STEP_SLACK,
+    TAIL_FRACTION,
+    VI_REL_TOL,
+    VI_TOL,
+    Step2Report,
+    Step3Report,
+    Step4Report,
+)
+from viscofix.space import as_vector, inner, norm
 
 BALL_LIMIT = [1.0, 0.0]
 SCALAR_LIMIT = [0.0]
@@ -212,6 +228,134 @@ def test_step5_cauchy_fallback(ball_run):
     assert not report.used_oracle
     assert report.ok
     assert report.distance == pytest.approx(1.0 / (181.0 * 182.0), rel=1e-3)
+
+
+def _tiny_trace(nan_steps) -> ConvergenceTrace:
+    """20 steps at (1e-9 eps_n, 0) with step_delta 1e-9; each of nan_steps has NaN in both."""
+    trace = ConvergenceTrace()
+    for n in range(1, 21):
+        eps = 1.0 / (n + 1)
+        x, delta = (math.nan, math.nan) if n in nan_steps else (1e-9 * eps, 1e-9)
+        trace.append(TraceStep(n, eps, (x, 0.0), 0.0, 0.0, 1, delta))
+    return trace
+
+
+@pytest.mark.parametrize(
+    "nan_steps", [(16,), (19,), tuple(range(1, 21))], ids=["first-in-window", "inside-window", "all"]
+)
+def test_a_nan_in_the_tail_window_fails_steps_4_and_5(nan_steps):
+    # The tail window is the last 5 steps, 16-20. Python's max skips a NaN
+    # unless it comes first, which let a NaN inside the window pass.
+    trace = _tiny_trace(nan_steps)
+    step4 = check_step4_vi(trace, [1.0, 0.0], [0.0, 0.0])
+    assert math.isnan(step4.vi_value) and not step4.ok
+    step5 = check_step5_convergence(trace)
+    assert math.isnan(step5.distance) and not step5.ok
+    # Without the NaN both pass.
+    assert check_step4_vi(_tiny_trace(()), [1.0, 0.0], [0.0, 0.0]).ok
+    assert check_step5_convergence(_tiny_trace(())).ok
+
+
+def test_a_nan_loaded_from_a_csv_fails_steps_4_and_5(tmp_path):
+    loaded = load_trace(export_trace(_tiny_trace((19,)), "csv", tmp_path / "trace.csv"))
+    assert not check_step4_vi(loaded, [1.0, 0.0], [0.0, 0.0]).ok
+    assert not check_step5_convergence(loaded).ok
+
+
+# ---------------------------------------------------------------------------
+# Stacked passes against the per-point reference
+
+
+def _per_point_reports(trace, f, T, alpha, p, anchor, limit):
+    """Steps 2-4 as they were computed one point at a time through the public apply."""
+
+    def worst(excess):
+        max_excess, at = -np.inf, 0
+        for value, step in zip(excess, trace.steps):
+            if math.isnan(value):
+                return math.nan, step.n
+            if value > max_excess:
+                max_excess, at = value, step.n
+        return float(max_excess), at
+
+    points = trace.points()
+    base = norm(f.apply(p) - p) / (1.0 - alpha)
+    excess = [norm(x - p) for x in points] - (base + INEXACT_FACTOR * trace.implicit_residuals())
+    violation, at = worst(excess)
+    step2 = Step2Report(base, violation, at, violation <= STEP_SLACK)
+    gaps = np.array([norm(f.apply(x) - T.apply(x)) for x in points])
+    violation, at = worst(trace.fix_residuals() - (trace.eps_values() * gaps + trace.implicit_residuals()))
+    step3 = Step3Report(float(trace.last().fix_residual), violation, at, violation <= STEP_SLACK)
+    direction = as_vector(anchor) - limit
+    values = np.array([inner(direction, x - limit) for x in points])
+    eps = trace.eps_values()
+    v_fit, e_fit = values[len(values) // 2:], eps[len(values) // 2:]
+    coeff = float(np.dot(v_fit, e_fit) / np.dot(e_fit, e_fit))
+    scale = float(np.linalg.norm(v_fit))
+    rel = 0.0 if scale <= 1e-15 else float(np.linalg.norm(v_fit - coeff * e_fit) / scale)
+    tail = values[-len(trace.window(TAIL_FRACTION, MIN_WINDOW)):]
+    vi_value = math.nan if np.isnan(tail).any() else float(max(tail))
+    ok = vi_value <= VI_TOL or (coeff >= -STEP_SLACK and rel <= VI_REL_TOL and not math.isnan(vi_value))
+    return step2, step3, Step4Report(vi_value, coeff, rel, ok)
+
+
+def _doctored_trace(dim, nan_cells) -> ConvergenceTrace:
+    """30 seeded steps in R^dim; with nan_cells, NaN in a point coordinate and in each residual column."""
+    rng = np.random.default_rng([dim, 23])
+    points = 2.0 * rng.standard_normal((30, dim))
+    cells = 1e-3 * rng.random((30, 3))
+    if nan_cells:
+        points[7, dim - 1] = np.nan
+        points[27, 0] = np.nan
+        cells[11, 0] = cells[13, 1] = cells[26, 2] = np.nan
+    trace = ConvergenceTrace()
+    for n in range(1, 31):
+        implicit, fix, delta = cells[n - 1].tolist()
+        trace.append(TraceStep(n, 1.0 / (n + 1), tuple(points[n - 1].tolist()), implicit, fix, 3, delta))
+    return trace
+
+
+def _stage_targets(dim):
+    center = np.linspace(-0.5, 0.5, dim)
+    ball = BallProjection(center, 1.5)
+    return {
+        "ball": ball,
+        "box": BoxProjection(-np.ones(dim), np.linspace(0.5, 1.5, dim)),
+        "rotation-ball": CompositeOperator([PlaneRotation(dim, (0, dim - 1), 0.7), ball]),
+        "linear": LinearOperator(np.random.default_rng([dim, 5]).standard_normal((dim, dim))),
+    }
+
+
+@pytest.mark.parametrize("nan_cells", [False, True], ids=["finite", "nan-cells"])
+@pytest.mark.parametrize("kind", ["ball", "box", "rotation-ball", "linear"])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_stacked_stage_checks_equal_the_per_point_reference(dim, kind, nan_cells):
+    trace = _doctored_trace(dim, nan_cells)
+    f, T = AffineOperator(0.5 * np.eye(dim), np.linspace(0.1, 0.3, dim)), _stage_targets(dim)[kind]
+    p, limit = np.full(dim, 0.25), as_vector(np.linspace(0.3, -0.3, dim))
+    anchor = f.apply(limit)
+    stacked = (
+        check_step2_bound(trace, f, 0.5, p),
+        check_step3_residual(trace, f, T),
+        check_step4_vi(trace, anchor, limit),
+    )
+    # repr shows each float's every bit, and a NaN as nan.
+    assert repr(stacked) == repr(_per_point_reports(trace, f, T, 0.5, p, anchor, limit))
+
+
+def test_stacked_stage_checks_keep_the_dimension_check_and_the_empty_trace():
+    trace = _doctored_trace(3, False)
+    with pytest.raises(DimensionMismatch, match="operator of dimension 2 applied to vector of shape \\(3,\\)"):
+        check_step3_residual(trace, ConstantOperator([0.0, 0.0]), Identity(3))
+    with pytest.raises(DimensionMismatch, match="operator of dimension 4"):
+        check_step3_residual(trace, ConstantOperator([0.0, 0.0, 0.0]), Identity(4))
+    empty = ConvergenceTrace()
+    step2 = check_step2_bound(empty, ConstantOperator([0.0]), 0.0, [0.0])
+    assert (step2.max_violation, step2.worst_step, step2.ok) == (-math.inf, 0, True)
+    with pytest.raises(IndexError):
+        check_step3_residual(empty, ConstantOperator([0.0]), Identity(1))
+    with pytest.raises(ValueError):
+        check_step4_vi(empty, [1.0], [0.0])
 
 
 # ---------------------------------------------------------------------------

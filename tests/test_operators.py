@@ -183,15 +183,46 @@ ROWS_APPLIED = {
 }
 
 
+#: Rows exactly on the spheres of the balls above (radius 2 about (1, -1),
+#: radius 1 about the origin) and on the box's faces and corners.
+BOUNDARY_ROWS = [
+    [3.0, -1.0], [1.0, 1.0], [-1.0, -1.0], [1.0, -3.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0],
+    [1.0, 0.5], [-0.5, 0.0], [0.25, 2.0], [-1.0, 2.0], [1.0, 0.0],
+]
+
+
+def _non_finite_rows(dim):
+    """A NaN row, a NaN in one coordinate, and rows with +inf, -inf and both."""
+    rows = np.zeros((5, dim))
+    rows[0] = np.nan
+    rows[1, 0] = np.nan
+    rows[2, 0] = np.inf
+    rows[3, -1] = -np.inf
+    rows[4, 0], rows[4, -1] = np.inf, -np.inf
+    return rows
+
+
 @pytest.mark.parametrize("op", ROWS_APPLIED.values(), ids=ROWS_APPLIED.keys())
 def test_rows_applied_at_once_have_each_rows_own_bits(op):
-    # Rows inside and outside the balls, as a read-only view of a larger array.
+    # Rows inside and outside the balls, and in the plane on their spheres
+    # and the box's faces, as a read-only view of a larger array.
     held = 3.0 * np.random.default_rng(op.dim).standard_normal((41, op.dim))
+    if op.dim == 2:
+        held = np.vstack([held, BOUNDARY_ROWS])
     held.setflags(write=False)
     rows = held[1:]
     images = op._apply_rows(rows)
     assert images.shape == rows.shape
     assert [image.tobytes() for image in images] == [op._apply(x).tobytes() for x in rows]
+    # A NaN coordinate sends a ball's row outside, as a NaN distance does
+    # in _apply; infinite ones make NaNs (inf * 0, inf - inf) with numpy's
+    # warning, on both sides alike.
+    rows = _non_finite_rows(op.dim)
+    with np.errstate(invalid="ignore"):
+        images = op._apply_rows(rows)
+        expected = [op._apply(x).tobytes() for x in rows]
+    assert [image.tobytes() for image in images] == expected
+    assert op._apply_rows(held[:0]).shape == (0, op.dim)
 
 
 def test_blend_checks_the_shape_a_wrapped_callable_returns():

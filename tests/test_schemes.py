@@ -887,20 +887,22 @@ def test_a_piece_is_solved_on_its_own_arrays_and_a_non_finite_one_is_rejected(mo
             implicit_step(f, ball, 0.25, [0.0, 0.0], 1e-9)
 
 
-def _evaluations_outside_picard(monkeypatch, target) -> list:
-    """The points at which target is evaluated outside picard_solve from now on.
+def _evaluations_outside_picard(monkeypatch, *targets, cut_at_picard=True) -> list:
+    """The points at which any of targets, all of one class, is evaluated outside picard_solve from now on.
 
     An evaluation is a call of its class's _apply or of the one-pass
     _apply_piece, whichever comes first; what that call runs inside is not
-    counted again.
+    counted again. With cut_at_picard false, the evaluations inside
+    picard_solve count too. Each point is the array the target got, which
+    the solvers never write into.
     """
     points, depth = [], [0]
-    cls = type(target)
+    cls = type(targets[0])
 
     def counted(original):
         def hook(self, x):
-            if self is target and depth[0] == 0:
-                points.append(x.copy())
+            if any(self is target for target in targets) and depth[0] == 0:
+                points.append(x)
             depth[0] += 1
             try:
                 return original(self, x)
@@ -920,7 +922,8 @@ def _evaluations_outside_picard(monkeypatch, target) -> list:
 
     monkeypatch.setattr(cls, "_apply", counted(cls._apply))
     monkeypatch.setattr(cls, "_apply_piece", counted(cls._apply_piece))
-    monkeypatch.setattr(schemes, "picard_solve", solve)
+    if cut_at_picard:
+        monkeypatch.setattr(schemes, "picard_solve", solve)
     return points
 
 
@@ -967,6 +970,45 @@ def test_each_outer_step_applies_the_target_once_outside_picard(monkeypatch, pat
     # for a forcing term without a global form, the step's own query takes;
     # step 1's piece is asked at its warm start, the origin.
     assert [tuple(x.tolist()) for x in points] == [(0.0, 0.0)] + [step.point for step in trace.steps]
+
+
+@pytest.mark.parametrize("case", ["handed-on", "cold-starts", "two-members"])
+def test_each_point_is_evaluated_once_inside_and_outside_picard(monkeypatch, case):
+    # Every iterate and warm start lies outside the balls: no piece, and
+    # every step runs Picard on the blend. Handed on, step n's first Picard
+    # iterate comes from the f and T values that step n - 1's certificate
+    # computed at xi_(n-1), so each step evaluates T at its later Picard
+    # iterates and at its point; only step 1's origin is evaluated twice,
+    # by the plan's query and by the first iterate. (On the ray from the
+    # center through f's value, where the points lie, the projection is
+    # constant, so iterates may repeat a value: points count as arrays.)
+    f = ConstantOperator([8.0, 3.0])
+    ball, other = BallProjection([5.0, 0.0], 1.0), BallProjection([5.0, 0.0], 1.0)
+    target, opts = ball, SolveOptions()
+    if case == "cold-starts":
+        opts = SolveOptions(warm_start=False)
+    elif case == "two-members":
+        target = make_custom_family({1: ball, 2: other})
+    points = _evaluations_outside_picard(monkeypatch, ball, other, cut_at_picard=False)
+    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30), opts)
+    assert len(trace) == 30
+    iterations = sum(step.inner_iters for step in trace.steps)
+    at_origin = sum(x.tolist() == [0.0, 0.0] for x in points)
+    if case == "handed-on":
+        assert len(points) == iterations + 2
+        assert at_origin == 2
+        assert len({id(x) for x in points}) == len(points) - 1
+        return
+    # Nothing is handed on: each step's plan asks its T for a piece at the
+    # warm start, Picard evaluates g there for its first iterate, and the
+    # certificate evaluates T at the step's point.
+    assert len(points) == iterations + 60
+    if case == "cold-starts":
+        assert at_origin == 60
+    else:
+        # The last step's certificate evaluated its own member at each later warm start.
+        assert at_origin == 2
+        assert [sum(x is point for x in points) for point in trace._points[:-1]] == [3] * 29
 
 
 @pytest.mark.parametrize("case", ["two-members", "cold-starts"])
@@ -1483,8 +1525,8 @@ def test_a_handed_on_piece_gives_the_bits_of_one_the_plan_asks_for(monkeypatch, 
     original_solve = schemes._solve_implicit
 
     def dropping(*args):
-        res, size, at_target, _ = original_solve(*args[:7], False)
-        return res, size, at_target, res.point
+        res, size, at_target, _, seen = original_solve(*args[:7], False)
+        return res, size, at_target, res.point, seen
 
     monkeypatch.setattr(schemes, "_solve_implicit", dropping)
     dropped = traces()

@@ -21,6 +21,12 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
   rotation flows that stop early, at outer_tol 1e-2, inside the plan's
   first batch: one member with warm starts, the same without, and two
   members;
+* at the same seeds, four more solves built here, three of them on the
+  step-by-step Picard path where no step hands its values of f and T on
+  to the next: an anchored solve on a ball target without warm starts, a
+  two-member custom family of ball projections, and a d = 3 box run; and
+  a d = 8 affine run on a plane rotation, whose report also takes its
+  linear fixed set;
 * for each of these solves: the outer result (point, residual, step
   count, converged flag), the stage-check report that
   build_proof_step_report(trace, f, T).to_dict() gives, where T is the
@@ -33,7 +39,7 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
   every file the commands write (summary.json, trace.csv,
   sweep_summary.csv) and trace.json without its wall-clock timestamps.
 
-That makes 431 records. Floats are compared by their bits. The exit code
+That makes 599 records. Floats are compared by their bits. The exit code
 is 0 when every record agrees, 1 when any differs (each one that differs
 is named, then their count) and 2 when a checkout could not be recorded.
 """
@@ -222,6 +228,38 @@ def _early_stop_specs(seed: int) -> list:
     ]
 
 
+def _unit(rng) -> np.ndarray:
+    direction = rng.standard_normal(2)
+    return direction / np.linalg.norm(direction)
+
+
+def _generic_specs(seed: int) -> list:
+    """Seeded solves whose steps hand nothing on to the next, and two runs of stage reports at d = 3 and d = 8."""
+    rng = np.random.default_rng([seed, 23])
+    # The origin and the anchor lie 3 and 2 from the center, outside the unit ball.
+    center, other, anchor = (_unit(rng) * 3.0).tolist(), rng.standard_normal(2), _unit(rng)
+    ball = {"kind": "projection_ball", "center": center, "radius": 1.0}
+    harmonic = {"kind": "harmonic", "params": {"p": 1.0}, "n_max": 100}
+    table = {"1": ball, "2": {"kind": "projection_ball", "center": other.tolist(), "radius": 0.5}}
+    box = {"kind": "projection_box", "lower": rng.uniform(-1.0, 0.0, 3).tolist(),
+           "upper": rng.uniform(0.5, 1.5, 3).tolist()}
+    rotation = {"kind": "rotation", "dim": 8, "plane": [0, 7], "angle": float(rng.uniform(0.5, 1.5))}
+    return [
+        {"name": "ball-anchored-cold", "kind": "solve", "target": ball,
+         "contraction": {"kind": "constant", "value": (np.array(center) + 2.0 * anchor).tolist()},
+         "schedule": {"kind": "anchored", "params": {}, "n_max": 100}, "options": {"warm_start": False}},
+        {"name": "two-ball-family", "kind": "solve", "family": {"kind": "custom", "table": table},
+         "contraction": {"kind": "constant", "value": (4.0 * anchor).tolist()}, "schedule": harmonic, "options": {}},
+        {"name": "box-d3", "kind": "solve", "target": box,
+         "contraction": {"kind": "constant", "value": (2.0 * rng.standard_normal(3)).tolist()},
+         "schedule": harmonic, "options": {}},
+        {"name": "rotation-d8", "kind": "solve", "target": rotation,
+         "contraction": {"kind": "affine", "matrix": (0.5 * np.eye(8)).tolist(),
+                         "offset": rng.standard_normal(8).tolist()},
+         "schedule": harmonic, "options": {}},
+    ]
+
+
 def _retraction_records(prefix: str, spec: dict) -> dict:
     from viscofix import operators, schemes
 
@@ -284,6 +322,8 @@ def record(checkout: Path) -> dict:
             records.update(_solve_records(f"pieces/{seed}/{spec['name']}", spec))
         for spec in _early_stop_specs(seed):
             records.update(_solve_records(f"early-stops/{seed}/{spec['name']}", spec))
+        for spec in _generic_specs(seed):
+            records.update(_solve_records(f"generic/{seed}/{spec['name']}", spec))
     with tempfile.TemporaryDirectory() as work:
         records.update(_cli_records(inputs, Path(work)))
     return records
