@@ -300,16 +300,19 @@ def detect_no_common_fixed_point(
     The rule: the run did not converge, the best residual in the tail window
     is still above outer_tol, and that tail best is no better than half the
     head-window best (so the residual is not trending down). Decaying
-    residuals that merely miss the tolerance are not flagged.
+    residuals that merely miss the tolerance are not flagged. A NaN in a
+    window is that window's best: a NaN tail best, or a NaN head best with
+    the tail above outer_tol, shows neither the tolerance met nor a decay,
+    so the run is flagged.
     """
     if converged or len(trace) == 0:
         return StagnationReport(stalled=False, tail_min=0.0, head_min=0.0)
-    tail = trace.window(TAIL_FRACTION, MIN_WINDOW)
-    head = trace.head_window(TAIL_FRACTION, MIN_WINDOW)
-    tail_min = min(s.fix_residual for s in tail)
-    head_min = min(s.fix_residual for s in head)
-    stalled = tail_min > outer_tol and tail_min >= 0.5 * head_min
-    return StagnationReport(stalled=bool(stalled), tail_min=float(tail_min), head_min=float(head_min))
+    residuals = trace.fix_residuals()
+    count = len(trace.window(TAIL_FRACTION, MIN_WINDOW))
+    # numpy's min, unlike Python's, gives NaN whenever a NaN is among the values.
+    tail_min, head_min = float(residuals[-count:].min()), float(residuals[:count].min())
+    stalled = not (tail_min <= outer_tol or tail_min < 0.5 * head_min)
+    return StagnationReport(stalled=stalled, tail_min=tail_min, head_min=head_min)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -303,7 +303,10 @@ class Operator:
         return matrix
 
     def to_spec(self) -> dict:
-        raise InvalidSpec(f"'{self.kind}' operator has no serializable spec")
+        """The spec make_operator builds this map from, written back from its kind's row of _SPEC_BUILDERS."""
+        if self.kind not in _SPEC_BUILDERS:
+            raise InvalidSpec(f"'{self.kind}' operator has no serializable spec")
+        return _spec_of(self, _SPEC_BUILDERS)
 
     def _check_arg(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -371,9 +374,6 @@ class LinearOperator(Operator):
     def _apply_rows(self, points):
         return _stacked_product(self.matrix, points)
 
-    def to_spec(self):
-        return {"kind": "linear", "matrix": self.matrix.tolist()}
-
 
 class AffineOperator(Operator):
     """x -> M x + c.
@@ -405,9 +405,6 @@ class AffineOperator(Operator):
 
     def _apply_rows(self, points):
         return _stacked_product(self.matrix, points) + self.offset
-
-    def to_spec(self):
-        return {"kind": "affine", "matrix": self.matrix.tolist(), "offset": self.offset.tolist()}
 
 
 def _affine(piece: _Piece, declared_class: DeclaredClass | None, matrix_norm: float | None, op=None) -> AffineOperator:
@@ -448,9 +445,6 @@ class Identity(Operator):
     def affine_piece(self, x=None):
         return _Piece(np.eye(self.dim), np.zeros(self.dim), True)
 
-    def to_spec(self):
-        return {"kind": "identity", "dim": self.dim}
-
 
 class Negation(Operator):
     kind = "negation"
@@ -465,9 +459,6 @@ class Negation(Operator):
 
     def affine_piece(self, x=None):
         return _Piece(-np.eye(self.dim), np.zeros(self.dim), True)
-
-    def to_spec(self):
-        return {"kind": "negation", "dim": self.dim}
 
 
 class ConstantOperator(Operator):
@@ -487,9 +478,6 @@ class ConstantOperator(Operator):
 
     def affine_piece(self, x=None):
         return _Piece(np.zeros((self.dim, self.dim)), self.value, True)
-
-    def to_spec(self):
-        return {"kind": "constant", "value": self.value.tolist()}
 
 
 class BallProjection(Operator):
@@ -529,9 +517,6 @@ class BallProjection(Operator):
         """The identity around a point of the closed ball; no piece outside it."""
         return None if x is None else self._apply_piece(self._check_arg(x))[1]
 
-    def to_spec(self):
-        return {"kind": "projection_ball", "center": self.center.tolist(), "radius": self.radius}
-
 
 class BoxProjection(Operator):
     """Coordinatewise clamp onto the box [lower, upper]."""
@@ -552,9 +537,6 @@ class BoxProjection(Operator):
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
     _apply_rows = _apply
-
-    def to_spec(self):
-        return {"kind": "projection_box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
 
 class PlaneRotation(Operator):
@@ -577,7 +559,7 @@ class PlaneRotation(Operator):
         x = x.copy()
         i, j = self.plane
         c, s = self._cos_sin
-        xi, xj = x[i], x[j]
+        xi, xj = x.item(i), x.item(j)
         x[i] = c * xi - s * xj
         x[j] = s * xi + c * xj
         return x
@@ -600,9 +582,6 @@ class PlaneRotation(Operator):
         m[j, i] = s
         m[j, j] = c
         return _Piece(m, np.zeros(self.dim), True)
-
-    def to_spec(self):
-        return {"kind": "rotation", "dim": self.dim, "plane": list(self.plane), "angle": self.angle}
 
 
 class AveragedOperator(Operator):
@@ -644,9 +623,6 @@ class AveragedOperator(Operator):
     def _average(self, pieces, dim):
         ((m, c),) = pieces
         return (1.0 - self.lam) * np.eye(dim) + self.lam * m, self.lam * c
-
-    def to_spec(self):
-        return {"kind": "averaged", "inner": self.inner_op.to_spec(), "lambda": self.lam}
 
 
 def _walk(op, operators, x):
@@ -728,9 +704,6 @@ class CompositeOperator(Operator):
             return _kept(self, (op.affine_parts() for op in self.operators), _compose)
         return self._apply_piece(self._check_arg(x))[1]
 
-    def to_spec(self):
-        return {"kind": "composite", "operators": [op.to_spec() for op in self.operators]}
-
 
 class IteratedOperator(Operator):
     """n-fold self-composition of a base operator (n = 0 gives the identity)."""
@@ -773,9 +746,6 @@ class IteratedOperator(Operator):
         if x is None:
             return _kept(self, [self.base.affine_parts()] * self.n, _compose)
         return self._apply_piece(self._check_arg(x))[1]
-
-    def to_spec(self):
-        return {"kind": "iterated", "base": self.base.to_spec(), "n": self.n}
 
 
 class BlendOperator(Operator):
@@ -930,22 +900,12 @@ def blend(a: float, first: Operator, b: float, second: Operator, collapse: _Piec
 
 
 # ---------------------------------------------------------------------------
-# Serialized operator specs
-
-#: kind -> (constructor, the spec's fields in the order the constructor takes them).
-_SPEC_BUILDERS = {
-    "linear": (LinearOperator, ("matrix",)),
-    "affine": (AffineOperator, ("matrix", "offset")),
-    "identity": (Identity, ("dim",)),
-    "negation": (Negation, ("dim",)),
-    "constant": (ConstantOperator, ("value",)),
-    "projection_ball": (BallProjection, ("center", "radius")),
-    "projection_box": (BoxProjection, ("lower", "upper")),
-    "rotation": (PlaneRotation, ("dim", "plane", "angle")),
-    "averaged": (AveragedOperator, ("inner", "lambda")),
-    "composite": (CompositeOperator, ("operators",)),
-    "iterated": (IteratedOperator, ("base", "n")),
-}
+# Serialized specs
+#
+# One row per kind declares its constructor and the fields it takes, each
+# with a type. _build_spec checks and builds every spec from its row, and
+# _spec_of writes every spec back from it: make_operator and to_spec here,
+# make_family and the families' to_spec in semigroup.
 
 
 def _numbers_only(value) -> bool:
@@ -958,50 +918,143 @@ def _numbers_only(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-#: Spec fields that count or index, and so must hold whole numbers (2.0 is one, 2.5 is not).
-_WHOLE_FIELDS = ("dim", "plane", "n")
+def _listed(value) -> bool:
+    return isinstance(value, (list, tuple))
 
 
-def _whole(value) -> bool:
-    return isinstance(value, (int, np.integer)) or float(value).is_integer()
+def _flat_list(value) -> bool:
+    return _listed(value) and not any(map(_listed, value))
 
 
-def _spec_field(kind: str, key: str, value):
-    """A spec field as its constructor takes it: nested specs built, anything else checked to hold numbers."""
-    if key in ("inner", "base"):
-        return make_operator(value)
-    if key == "operators":
-        if not isinstance(value, (list, tuple)):
-            raise InvalidSpec("composite 'operators' must be a list of operator specs")
-        return [make_operator(s) for s in value]
-    if not _numbers_only(value):
-        raise InvalidSpec(f"operator spec of kind '{kind}' needs numbers in '{key}'")
-    if key in _WHOLE_FIELDS and not all(map(_whole, np.ravel(value))):
-        raise InvalidSpec(f"operator spec of kind '{kind}' needs whole numbers in '{key}'")
+def _all_whole(value) -> bool:
+    """Whether each number in value is whole: 2.0 is one, 2.5 is not."""
+    return all(isinstance(v, (int, np.integer)) or float(v).is_integer() for v in np.ravel(value))
+
+
+def _given(value, *_):
     return value
 
 
+def _keyed_operators(table: dict, where: str, field: str) -> dict:
+    """A number-keyed table of operator specs as {index: operator}, built entry by entry.
+
+    Each key must parse to a finite number, and no two keys to the same one
+    (such as "1" and "1.0"); the message names where, as the field checks do.
+    """
+    built, keys = {}, {}
+    for key, spec in table.items():
+        try:
+            index = float(key)
+        except (TypeError, ValueError):
+            index = math.nan
+        if not math.isfinite(index):
+            raise InvalidSpec(f"{where} needs finite numbers as '{field}' keys, got {key!r}")
+        if index in keys:
+            raise InvalidSpec(f"{where} has '{field}' keys {keys[index]!r} and {key!r} for the same index {index!r}")
+        keys[index] = key
+        built[index] = make_operator(spec)
+    return built
+
+
+class _SpecType(NamedTuple):
+    """The type of a spec field: how its value is checked, built and written back.
+
+    checks are (test, phrase) pairs, taken in turn: the first test the value
+    fails raises "<operator|family> spec of kind '<kind>' needs <phrase> in
+    '<field>'". load(value, where, field), where that message's start, makes
+    a value that passed them the constructor's argument. dump makes the
+    attribute the constructor set the field's value again; None for a type
+    that no serializable kind has.
+    """
+
+    name: str
+    checks: tuple
+    load: Callable
+    dump: Callable | None
+
+
+_NUMBERS = ((_numbers_only, "numbers"),)
+_WHOLE_NUMBERS = _NUMBERS + ((_all_whole, "whole numbers"),)
+_NUMBER = _SpecType("number", _NUMBERS, _given, _given)
+_VECTOR = _SpecType("vector", _NUMBERS, _given, np.ndarray.tolist)
+_MATRIX = _SpecType("matrix", _NUMBERS, _given, np.ndarray.tolist)
+_WHOLE = _SpecType("whole number", _WHOLE_NUMBERS, _given, _given)
+_INDEX_PAIR = _SpecType("index pair", _WHOLE_NUMBERS, _given, list)
+_NUMBER_LIST = _SpecType("number list", ((_flat_list, "a list of numbers"),) + _NUMBERS, _given, list)
+_SPEC = _SpecType("nested spec", (), lambda spec, *_: make_operator(spec), operator.methodcaller("to_spec"))
+_SPEC_LIST = _SpecType("spec list", ((_listed, "a list of operator specs"),),
+                       lambda specs, *_: list(map(make_operator, specs)), lambda ops: [op.to_spec() for op in ops])
+_TABLE = _SpecType("number-keyed table", ((lambda value: isinstance(value, dict), "an object of operator specs"),),
+                   _keyed_operators, None)
+
+#: kind -> (constructor, the spec's fields in the order the constructor takes
+#: them), each field (name, type), or (name, type, attribute) when the
+#: attribute the constructor sets from it has another name.
+_SPEC_BUILDERS = {
+    "linear": (LinearOperator, (("matrix", _MATRIX),)),
+    "affine": (AffineOperator, (("matrix", _MATRIX), ("offset", _VECTOR))),
+    "identity": (Identity, (("dim", _WHOLE),)),
+    "negation": (Negation, (("dim", _WHOLE),)),
+    "constant": (ConstantOperator, (("value", _VECTOR),)),
+    "projection_ball": (BallProjection, (("center", _VECTOR), ("radius", _NUMBER))),
+    "projection_box": (BoxProjection, (("lower", _VECTOR), ("upper", _VECTOR))),
+    "rotation": (PlaneRotation, (("dim", _WHOLE), ("plane", _INDEX_PAIR), ("angle", _NUMBER))),
+    "averaged": (AveragedOperator, (("inner", _SPEC, "inner_op"), ("lambda", _NUMBER, "lam"))),
+    "composite": (CompositeOperator, (("operators", _SPEC_LIST),)),
+    "iterated": (IteratedOperator, (("base", _SPEC), ("n", _WHOLE))),
+}
+
+
+def _build_spec(what: str, rows: dict, spec):
+    """The operator or family (what) that spec's row of rows builds.
+
+    The first failing check raises InvalidSpec, in this order: spec is an
+    object; its kind is a row; each field of the row is present; each
+    field's value passes its type's checks and loads, in row order, nested
+    specs built depth-first. Then the constructor runs. A TypeError or
+    ValueError in the last two, such as a wrong shape, reads "malformed
+    '<kind>' spec: ...". Keys outside the row are ignored.
+    """
+    if not isinstance(spec, dict):
+        raise InvalidSpec(f"{what} spec must be an object, got {type(spec).__name__}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in rows:
+        known = f" (known: {', '.join(sorted(rows))})" if what == "operator" else ""
+        raise InvalidSpec(f"unknown {what} kind '{kind}'{known}")
+    build, fields = rows[kind]
+    where = f"{what} spec of kind '{kind}'"
+    for name, *_ in fields:
+        if name not in spec:
+            raise InvalidSpec(f"{where} is missing '{name}'")
+    try:
+        args = []
+        for name, field_type, *_ in fields:
+            value = spec[name]
+            for test, phrase in field_type.checks:
+                if not test(value):
+                    raise InvalidSpec(f"{where} needs {phrase} in '{name}'")
+            args.append(field_type.load(value, where, name))
+        return build(*args)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed '{kind}' spec: {exc}") from exc
+
+
+def _spec_of(obj, rows: dict) -> dict:
+    """obj's spec: each field of its kind's row written back from the attribute it set."""
+    spec = {"kind": obj.kind}
+    for name, field_type, *attribute in rows[obj.kind][1]:
+        spec[name] = field_type.dump(getattr(obj, attribute[0] if attribute else name))
+    return spec
+
+
 def make_operator(spec: dict) -> Operator:
-    """Build a cataloged operator from its serialized (JSON-style) spec.
+    """Build a cataloged operator from its serialized (JSON-style) spec, by its kind's row of _SPEC_BUILDERS.
 
     A field that is not a nested spec must hold numbers: a string or a bool
     in it raises InvalidSpec naming the field, as does a fraction in a field
     that counts or indexes.
     """
-    if not isinstance(spec, dict):
-        raise InvalidSpec(f"operator spec must be an object, got {type(spec).__name__}")
-    kind = spec.get("kind")
-    if kind not in _SPEC_BUILDERS:
-        known = ", ".join(sorted(_SPEC_BUILDERS))
-        raise InvalidSpec(f"unknown operator kind '{kind}' (known: {known})")
-    build, keys = _SPEC_BUILDERS[kind]
-    for key in keys:
-        if key not in spec:
-            raise InvalidSpec(f"operator spec of kind '{kind}' is missing '{key}'")
-    try:
-        return build(*(_spec_field(kind, key, spec[key]) for key in keys))
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed '{kind}' spec: {exc}") from exc
+    return _build_spec("operator", _SPEC_BUILDERS, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ fixed-point subspaces of the family generators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,13 @@ from .operators import (
     ISOMETRY,
     NotNonexpansive,
     Operator,
+    _NUMBER_LIST,
+    _SPEC,
+    _TABLE,
+    _build_spec,
     _common_fixed_set,
-    _numbers_only,
+    _spec_of,
     check_nonexpansive,
-    make_operator,
 )
 from .space import DEFAULT_POLICY, DEFAULT_SEED, as_vector, make_rng, norm, sample_sphere
 
@@ -89,6 +91,14 @@ def resolve_nonexpansive(T: Operator) -> Operator:
     raise NotNonexpansive(f"'{T.kind}' operator expands sampled pairs (worst ratio {ratio:.6g})")
 
 
+def _family_spec(family) -> dict:
+    """The spec make_family builds a power or rotation flow family from, written back from its row.
+
+    A custom family has none: its operators are not kept as specs.
+    """
+    return _spec_of(family, _FAMILY_SPECS)
+
+
 class PowerFamily(OperatorFamily):
     """T_n = base^n over the naturals, with T_0 the identity."""
 
@@ -112,8 +122,7 @@ class PowerFamily(OperatorFamily):
     def sample_indices(self) -> tuple:
         return (1,)
 
-    def to_spec(self) -> dict:
-        return {"kind": "power", "base": self.base.to_spec()}
+    to_spec = _family_spec
 
 
 class RotationFlowFamily(OperatorFamily):
@@ -158,8 +167,7 @@ class RotationFlowFamily(OperatorFamily):
     def sample_indices(self) -> tuple:
         return self.grid
 
-    def to_spec(self) -> dict:
-        return {"kind": "rotation_flow", "rates": list(self.rates), "grid": list(self.grid)}
+    to_spec = _family_spec
 
 
 class CustomFamily(OperatorFamily):
@@ -210,52 +218,23 @@ def make_custom_family(table: dict) -> CustomFamily:
     return CustomFamily(table)
 
 
-def make_family(spec: dict) -> OperatorFamily:
-    """Build a family from its serialized (JSON-style) spec.
+#: kind -> (constructor, the spec's fields in the order it takes them), as operators._SPEC_BUILDERS.
+_FAMILY_SPECS = {
+    "power": (PowerFamily, (("base", _SPEC),)),
+    "rotation_flow": (RotationFlowFamily, (("rates", _NUMBER_LIST), ("grid", _NUMBER_LIST))),
+    "custom": (CustomFamily, (("table", _TABLE),)),
+}
 
-    Numeric fields must hold numbers: a string or a bool in them raises
-    InvalidSpec naming the field, as make_operator does for operator specs.
-    So does a rotation flow's 'rates' or 'grid' that is not a list of
-    numbers, a custom 'table' key that is not a finite number, and two
-    'table' keys that name the same number (such as "1" and "1.0").
+
+def make_family(spec: dict) -> OperatorFamily:
+    """Build a family from its serialized (JSON-style) spec, by its kind's row of _FAMILY_SPECS.
+
+    Fields are checked as make_operator checks operator specs: a rotation
+    flow's 'rates' and 'grid' must be lists of numbers, and a custom
+    'table' an object of operator specs whose keys are finite numbers, no
+    two of them the same number (such as "1" and "1.0").
     """
-    if not isinstance(spec, dict):
-        raise InvalidSpec(f"family spec must be an object, got {type(spec).__name__}")
-    kind = spec.get("kind")
-    if kind == "power":
-        if "base" not in spec:
-            raise InvalidSpec("power family spec is missing 'base'")
-        return PowerFamily(make_operator(spec["base"]))
-    if kind == "rotation_flow":
-        if "rates" not in spec or "grid" not in spec:
-            raise InvalidSpec("rotation_flow family spec needs 'rates' and 'grid'")
-        for key in ("rates", "grid"):
-            value = spec[key]
-            if not isinstance(value, (list, tuple)) or any(isinstance(v, (list, tuple)) for v in value):
-                raise InvalidSpec(f"family spec of kind 'rotation_flow' needs a list of numbers in '{key}'")
-            if not _numbers_only(value):
-                raise InvalidSpec(f"family spec of kind 'rotation_flow' needs numbers in '{key}'")
-        return RotationFlowFamily(spec["rates"], spec["grid"])
-    if kind == "custom":
-        if "table" not in spec or not isinstance(spec["table"], dict):
-            raise InvalidSpec("custom family spec needs a 'table' object")
-        table, keys = {}, {}
-        for key, value in spec["table"].items():
-            try:
-                index = float(key)
-            except (TypeError, ValueError):
-                index = math.nan
-            if not math.isfinite(index):
-                raise InvalidSpec(f"family spec of kind 'custom' needs finite numbers as 'table' keys, got {key!r}")
-            if index in keys:
-                raise InvalidSpec(
-                    f"family spec of kind 'custom' has 'table' keys {keys[index]!r} and {key!r} "
-                    f"for the same index {index!r}"
-                )
-            keys[index] = key
-            table[index] = make_operator(value)
-        return CustomFamily(table)
-    raise InvalidSpec(f"unknown family kind '{kind}'")
+    return _build_spec("family", _FAMILY_SPECS, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -140,3 +140,143 @@ def brute_force_nullity(matrix, tol: float = 1e-8) -> int:
                 if abs(_det(m[np.ix_(rows, cols)])) > tol:
                     return ncols - size
     return ncols
+
+
+# ---------------------------------------------------------------------------
+# Spec corpus: specs that make_operator and make_family accept, and specs
+# they reject, each with the message worked out from the spec rules (see the
+# README's spec section). tools/same_bits.py records the same corpus.
+
+_TURN = {"kind": "rotation", "dim": 2, "plane": [0, 1], "angle": 0.5}
+_BALL = {"kind": "projection_ball", "center": [0.0, 0.0], "radius": 1.0}
+_ID2 = {"kind": "identity", "dim": 2}
+_NEG2 = {"kind": "negation", "dim": 2}
+
+#: One spec of each operator kind, then nested ones; each is its own to_spec().
+ACCEPTED_OPERATOR_SPECS = [
+    {"kind": "linear", "matrix": [[0.5, 0.25], [0.0, 0.5]]},
+    {"kind": "affine", "matrix": [[0.5, 0.0], [0.25, 0.5]], "offset": [1.0, -2.0]},
+    {"kind": "identity", "dim": 3},
+    {"kind": "negation", "dim": 2},
+    {"kind": "constant", "value": [2.0, -1.0]},
+    {"kind": "projection_ball", "center": [0.5, 0.0], "radius": 1.5},
+    {"kind": "projection_box", "lower": [-1.0, 0.0, -2.0], "upper": [1.0, 0.5, 2.0]},
+    {"kind": "rotation", "dim": 3, "plane": [2, 0], "angle": -0.75},
+    {"kind": "averaged", "inner": _NEG2, "lambda": 0.25},
+    {"kind": "composite", "operators": [_TURN, _BALL]},
+    {"kind": "iterated", "base": _TURN, "n": 3},
+    {"kind": "iterated", "base": _NEG2, "n": 0},
+    {"kind": "averaged", "inner": {"kind": "composite", "operators": [_TURN, _BALL]}, "lambda": 0.5},
+    {"kind": "composite", "operators": [
+        {"kind": "iterated", "base": {"kind": "averaged", "inner": _TURN, "lambda": 1.0}, "n": 2}, _NEG2,
+    ]},
+]
+
+#: Family specs make_family accepts: a custom family has no to_spec, the others are their own.
+ACCEPTED_FAMILY_SPECS = [
+    {"kind": "power", "base": _TURN},
+    {"kind": "power", "base": {"kind": "composite", "operators": [_TURN, _BALL]}},
+    {"kind": "rotation_flow", "rates": [1.0, -0.5], "grid": [0.0, 0.5, 1.0]},
+    {"kind": "custom", "table": {"0": _ID2, "1": _TURN, "2.5": {"kind": "iterated", "base": _TURN, "n": 2}}},
+]
+
+_KNOWN = (
+    "affine, averaged, composite, constant, identity, iterated, linear, negation, projection_ball, "
+    "projection_box, rotation"
+)
+
+#: (id, "operator" or "family", spec, the InvalidSpec message it raises), by field type, then the
+#: checks that come before any field's.
+REJECTED_SPECS = [
+    # number
+    ("number-string", "operator", {**_BALL, "radius": "1.0"},
+     "operator spec of kind 'projection_ball' needs numbers in 'radius'"),
+    ("number-bool", "operator", {"kind": "averaged", "inner": _NEG2, "lambda": True},
+     "operator spec of kind 'averaged' needs numbers in 'lambda'"),
+    ("number-list", "operator", {**_TURN, "angle": [0.5]},
+     "malformed 'rotation' spec: float() argument must be a string or a real number, not 'list'"),
+    # vector
+    ("vector-string", "operator", {"kind": "constant", "value": "1.0"},
+     "operator spec of kind 'constant' needs numbers in 'value'"),
+    ("vector-bool", "operator", {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, False]},
+     "operator spec of kind 'affine' needs numbers in 'offset'"),
+    ("vector-bare-number", "operator", {**_BALL, "center": 1.0},
+     "malformed 'projection_ball' spec: expected a 1-D vector with at least one coordinate, got shape ()"),
+    # matrix
+    ("matrix-string", "operator", {"kind": "linear", "matrix": [["1", 0.0], [0.0, 1.0]]},
+     "operator spec of kind 'linear' needs numbers in 'matrix'"),
+    ("matrix-bool", "operator", {"kind": "linear", "matrix": [[True, 0.0], [0.0, 1.0]]},
+     "operator spec of kind 'linear' needs numbers in 'matrix'"),
+    ("matrix-bare-number", "operator", {"kind": "linear", "matrix": 1.0}, "expected a square matrix, got shape ()"),
+    # whole number
+    ("whole-string", "operator", {"kind": "identity", "dim": "2"},
+     "operator spec of kind 'identity' needs numbers in 'dim'"),
+    ("whole-bool", "operator", {"kind": "negation", "dim": True},
+     "operator spec of kind 'negation' needs numbers in 'dim'"),
+    ("whole-fraction", "operator", {"kind": "iterated", "base": _NEG2, "n": 1.5},
+     "operator spec of kind 'iterated' needs whole numbers in 'n'"),
+    ("whole-infinite", "operator", {"kind": "identity", "dim": math.inf},
+     "operator spec of kind 'identity' needs whole numbers in 'dim'"),
+    # index pair
+    ("pair-string", "operator", {**_TURN, "plane": [0, "1"]},
+     "operator spec of kind 'rotation' needs numbers in 'plane'"),
+    ("pair-bool", "operator", {**_TURN, "plane": [True, 0]},
+     "operator spec of kind 'rotation' needs numbers in 'plane'"),
+    ("pair-fraction", "operator", {**_TURN, "plane": [0, 1.5]},
+     "operator spec of kind 'rotation' needs whole numbers in 'plane'"),
+    ("pair-bare-number", "operator", {**_TURN, "plane": 1}, "rotation plane must be a pair of coordinate indices"),
+    # number list
+    ("list-string", "family", {"kind": "rotation_flow", "rates": "1.0", "grid": [1.0]},
+     "family spec of kind 'rotation_flow' needs a list of numbers in 'rates'"),
+    ("list-bool", "family", {"kind": "rotation_flow", "rates": [1.0], "grid": [False, 1.0]},
+     "family spec of kind 'rotation_flow' needs numbers in 'grid'"),
+    ("list-bare-number", "family", {"kind": "rotation_flow", "rates": [1.0], "grid": 1.0},
+     "family spec of kind 'rotation_flow' needs a list of numbers in 'grid'"),
+    ("list-nested", "family", {"kind": "rotation_flow", "rates": [[1.0]], "grid": [1.0]},
+     "family spec of kind 'rotation_flow' needs a list of numbers in 'rates'"),
+    # nested spec
+    ("nested-string", "operator", {"kind": "iterated", "base": "negation", "n": 2},
+     "operator spec must be an object, got str"),
+    ("nested-unknown", "operator", {"kind": "averaged", "inner": {"kind": "teleport"}, "lambda": 0.5},
+     f"unknown operator kind 'teleport' (known: {_KNOWN})"),
+    ("nested-bad-field", "family", {"kind": "power", "base": {"kind": "identity", "dim": "2"}},
+     "operator spec of kind 'identity' needs numbers in 'dim'"),
+    # spec list
+    ("spec-list-object", "operator", {"kind": "composite", "operators": _ID2},
+     "operator spec of kind 'composite' needs a list of operator specs in 'operators'"),
+    ("spec-list-bare-number", "operator", {"kind": "composite", "operators": 1.0},
+     "operator spec of kind 'composite' needs a list of operator specs in 'operators'"),
+    ("spec-list-bad-entry", "operator", {"kind": "composite", "operators": [_ID2, {"kind": "negation"}]},
+     "operator spec of kind 'negation' is missing 'dim'"),
+    ("spec-list-empty", "operator", {"kind": "composite", "operators": []}, "composite requires at least one operator"),
+    # number-keyed table
+    ("table-list", "family", {"kind": "custom", "table": [_ID2]},
+     "family spec of kind 'custom' needs an object of operator specs in 'table'"),
+    ("table-key-string", "family", {"kind": "custom", "table": {"a": _ID2}},
+     "family spec of kind 'custom' needs finite numbers as 'table' keys, got 'a'"),
+    ("table-key-nan", "family", {"kind": "custom", "table": {"nan": _ID2}},
+     "family spec of kind 'custom' needs finite numbers as 'table' keys, got 'nan'"),
+    ("table-same-index", "family", {"kind": "custom", "table": {"2": _ID2, "2.0": _NEG2}},
+     "family spec of kind 'custom' has 'table' keys '2' and '2.0' for the same index 2.0"),
+    ("table-bad-entry", "family", {"kind": "custom", "table": {"1": {**_TURN, "dim": True}}},
+     "operator spec of kind 'rotation' needs numbers in 'dim'"),
+    # a missing field, reported in row order before any field is checked
+    ("missing-operator-field", "operator", {"kind": "rotation", "dim": "2", "angle": 0.5},
+     "operator spec of kind 'rotation' is missing 'plane'"),
+    ("missing-base", "family", {"kind": "power"},
+     "family spec of kind 'power' is missing 'base'"),
+    ("missing-grid", "family", {"kind": "rotation_flow", "rates": "1.0"},
+     "family spec of kind 'rotation_flow' is missing 'grid'"),
+    ("missing-table", "family", {"kind": "custom"},
+     "family spec of kind 'custom' is missing 'table'"),
+    # an unknown kind
+    ("unknown-operator", "operator", {"kind": "teleport", "dim": 2},
+     f"unknown operator kind 'teleport' (known: {_KNOWN})"),
+    ("no-operator-kind", "operator", {"dim": 2}, f"unknown operator kind 'None' (known: {_KNOWN})"),
+    ("unknown-family", "family", {"kind": "spiral"}, "unknown family kind 'spiral'"),
+    ("list-operator-kind", "operator", {"kind": ["linear"]}, f"unknown operator kind '['linear']' (known: {_KNOWN})"),
+    ("list-family-kind", "family", {"kind": ["power"]}, "unknown family kind '['power']'"),
+    # a spec that is not an object
+    ("operator-not-object", "operator", ["kind", "identity"], "operator spec must be an object, got list"),
+    ("family-not-object", "family", "power", "family spec must be an object, got str"),
+]

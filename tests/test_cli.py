@@ -837,6 +837,13 @@ def test_check_family_rejects_spec_fields_that_are_not_numbers(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def test_check_family_rejects_a_kind_that_is_not_a_string(tmp_path, capsys):
+    # A list is no kind: it is reported as unknown, not as an unhashable key.
+    path = _write(tmp_path, "family.json", {"family": {"kind": "custom", "table": {"1": {"kind": ["linear"]}}}})
+    assert main(["check-family", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidSpec: unknown operator kind '['linear']' (known: affine, ")
+
+
 @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "boolean"])
 def test_run_rejects_fields_that_are_not_numbers(tmp_path, capsys, value):
     # A field the run schema types is rejected by the schema; an operator

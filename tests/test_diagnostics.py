@@ -422,6 +422,42 @@ def test_stagnation_short_circuits_converged_runs():
     assert report.tail_min == 0.0
 
 
+def _residual_trace(residuals) -> ConvergenceTrace:
+    """A trace whose fixed-point residuals are the given values, steps 1, 2, ... in turn."""
+    trace = ConvergenceTrace()
+    for n, fix in enumerate(residuals, start=1):
+        trace.append(TraceStep(n, 1.0 / n, (0.0,), 0.0, fix, 1, 0.0))
+    return trace
+
+
+def test_stagnation_flags_an_all_nan_tail():
+    # Python's min over the tail window skipped these NaNs and left the run unflagged.
+    report = detect_no_common_fixed_point(_residual_trace([1.0] * 15 + [math.nan] * 5), False, 1e-8)
+    assert report.stalled
+    assert math.isnan(report.tail_min)
+    assert report.head_min == 1.0
+
+
+def test_stagnation_flags_one_nan_inside_a_decayed_tail():
+    # Without the NaN the tail best, 0.1, is below half the head best and the run decays.
+    residuals = [1.0] * 15 + [0.1] * 5
+    assert not detect_no_common_fixed_point(_residual_trace(residuals), False, 1e-8).stalled
+    residuals[17] = math.nan
+    report = detect_no_common_fixed_point(_residual_trace(residuals), False, 1e-8)
+    assert report.stalled
+    assert math.isnan(report.tail_min)
+
+
+def test_stagnation_flags_a_nan_head_above_tolerance():
+    # A NaN head best shows no decay, so a tail above the tolerance stalls; one below it does not.
+    residuals = [1.0, 1.0, math.nan] + [1.0] * 12 + [0.1] * 5
+    report = detect_no_common_fixed_point(_residual_trace(residuals), False, 1e-8)
+    assert report.stalled
+    assert math.isnan(report.head_min)
+    assert report.tail_min == 0.1
+    assert not detect_no_common_fixed_point(_residual_trace(residuals), False, 0.5).stalled
+
+
 # ---------------------------------------------------------------------------
 # Bundled reports
 

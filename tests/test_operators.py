@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,14 @@ from viscofix import (
 from viscofix import operators, semigroup
 from viscofix.operators import NONEXPANSIVE, BlendOperator, DeclaredWrapper, Operator, blend, nullspace_basis
 
-from oracles import ALL_ONES_FALLS_SHORT, brute_force_nullity, charpoly_sigma
+from oracles import (
+    ACCEPTED_FAMILY_SPECS,
+    ACCEPTED_OPERATOR_SPECS,
+    ALL_ONES_FALLS_SHORT,
+    REJECTED_SPECS,
+    brute_force_nullity,
+    charpoly_sigma,
+)
 
 CATALOG_TOL = 1e-9
 ORACLE_TOL = 1e-8
@@ -422,6 +430,54 @@ def test_make_operator_takes_numpy_numbers():
     assert make_operator({"kind": "identity", "dim": np.int64(3)}).dim == 3
     with pytest.raises(InvalidSpec, match="needs numbers in 'matrix'"):
         make_operator({"kind": "linear", "matrix": np.eye(2, dtype=bool)})
+
+
+# ---------------------------------------------------------------------------
+# The spec table: every spec checked, built and written back from its kind's row
+
+
+@pytest.mark.parametrize("spec", ACCEPTED_OPERATOR_SPECS, ids=lambda s: s["kind"])
+def test_every_operator_row_round_trips(spec):
+    op = make_operator(spec)
+    assert op.to_spec() == spec
+    assert make_operator(op.to_spec()).to_spec() == spec
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for spec in ACCEPTED_FAMILY_SPECS if spec["kind"] != "custom"], ids=lambda s: s["kind"]
+)
+def test_power_and_rotation_flow_families_round_trip(spec):
+    family = semigroup.make_family(spec)
+    assert family.to_spec() == spec
+    assert semigroup.make_family(family.to_spec()).to_spec() == spec
+
+
+def test_kinds_without_a_spec_have_none():
+    custom = semigroup.make_family(ACCEPTED_FAMILY_SPECS[-1])
+    assert not hasattr(custom, "to_spec")
+    for op in (FunctionOperator(lambda x: x, 2), BlendOperator(0.5, Identity(2), 0.5, Negation(2))):
+        with pytest.raises(InvalidSpec, match=f"^'{op.kind}' operator has no serializable spec$"):
+            op.to_spec()
+    # A wrapper writes back the spec of the map it wraps.
+    assert DeclaredWrapper(Negation(2), NONEXPANSIVE).to_spec() == {"kind": "negation", "dim": 2}
+
+
+@pytest.mark.parametrize("what, spec, message", [pytest.param(*case[1:], id=case[0]) for case in REJECTED_SPECS])
+def test_rejected_specs_raise_their_exact_message(what, spec, message):
+    build = make_operator if what == "operator" else semigroup.make_family
+    with pytest.raises(InvalidSpec) as info:
+        build(spec)
+    assert str(info.value) == message
+
+
+def test_readme_lists_every_row_and_type():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for rows in (operators._SPEC_BUILDERS, semigroup._FAMILY_SPECS):
+        for kind, (_, fields) in rows.items():
+            listed = ", ".join(f"`{name}` {field_type.name}" for name, field_type, *_ in fields)
+            assert f"| `{kind}` | {listed} |" in readme
+            for _, field_type, *_ in fields:
+                assert f"| {field_type.name} |" in readme
 
 
 # ---------------------------------------------------------------------------

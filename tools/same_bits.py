@@ -37,9 +37,14 @@ thread, on the seeded benchmark inputs that its bench/inputs.py generates
   first), and each file's load_trace round trip;
 * for cli-pipeline at seed 4242: the exit code and stdout of each command,
   every file the commands write (summary.json, trace.csv,
-  sweep_summary.csv) and trace.json without its wall-clock timestamps.
+  sweep_summary.csv) and trace.json without its wall-clock timestamps;
+* for the spec corpus in tests/oracles.py, read from this script's own
+  tree: each accepted operator or family spec's to_spec() (AttributeError
+  for a custom family, which has none) and the bits of apply at seeded points, of the
+  operator or of the family's member at each sample index, and each
+  rejected spec's exception class and message.
 
-That makes 599 records. Floats are compared by their bits. The exit code
+That makes 679 records. Floats are compared by their bits. The exit code
 is 0 when every record agrees, 1 when any differs (each one that differs
 is named, then their count) and 2 when a checkout could not be recorded.
 """
@@ -72,8 +77,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_inputs(checkout: Path):
-    spec = importlib.util.spec_from_file_location("bench_inputs", checkout / "bench" / "inputs.py")
+def _load_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -271,6 +276,35 @@ def _retraction_records(prefix: str, spec: dict) -> dict:
     return records
 
 
+def _spec_records() -> dict:
+    """The spec corpus: what each accepted spec writes back and computes, and how each rejected spec fails."""
+    from viscofix import make_family, make_operator
+
+    corpus = _load_module("spec_corpus", Path(__file__).resolve().parents[1] / "tests" / "oracles.py")
+    build = {"operator": make_operator, "family": make_family}
+    records = {}
+    accepted = [("operator", spec) for spec in corpus.ACCEPTED_OPERATOR_SPECS]
+    accepted += [("family", spec) for spec in corpus.ACCEPTED_FAMILY_SPECS]
+    for k, (what, spec) in enumerate(accepted):
+        prefix = f"specs/{what} {k} {spec['kind']}"
+        built = build[what](spec)
+        try:
+            records[f"{prefix}/to_spec"] = json.dumps(built.to_spec())
+        except AttributeError as exc:
+            records[f"{prefix}/to_spec"] = type(exc).__name__
+        members = [built] if what == "operator" else [built.evaluate(t) for t in built.sample_indices()]
+        points = np.random.default_rng([k, 25]).standard_normal((8, built.dim)) * 3.0
+        values = np.array([[member.apply(x) for x in points] for member in members])
+        records[f"{prefix}/apply"] = _digest(values.tobytes())
+    for name, what, spec, _ in corpus.REJECTED_SPECS:
+        try:
+            build[what](spec)
+            records[f"specs/rejected {name}"] = "accepted"
+        except Exception as exc:  # any class, as the class is recorded
+            records[f"specs/rejected {name}"] = f"{type(exc).__name__}: {exc}"
+    return records
+
+
 def _artifact(path: Path) -> str:
     if path.name == "trace.json":
         data = json.loads(path.read_text())
@@ -307,7 +341,7 @@ def record(checkout: Path) -> dict:
     source = Path(viscofix.__file__).resolve()
     if not source.is_relative_to((checkout / "src").resolve()):
         raise SystemExit(f"viscofix imported from {source}, not from {checkout / 'src'}")
-    inputs = _load_inputs(checkout)
+    inputs = _load_module("bench_inputs", checkout / "bench" / "inputs.py")
     records: dict = {}
     for workload in ("solve-affine", "solve-nonaffine"):
         for seed in SOLVE_SEEDS:
@@ -326,6 +360,7 @@ def record(checkout: Path) -> dict:
             records.update(_solve_records(f"generic/{seed}/{spec['name']}", spec))
     with tempfile.TemporaryDirectory() as work:
         records.update(_cli_records(inputs, Path(work)))
+    records.update(_spec_records())
     return records
 
 
