@@ -165,7 +165,7 @@ def check_step3_residual(
     a mismatched operator.
     """
     points = _points(trace, f.dim, f, T)
-    gaps = _row_norms(f._apply_rows(points) - T._apply_rows(points))
+    gaps = _row_norms(f._apply(points) - T._apply(points))
     rhs = trace.eps_values() * gaps + trace.implicit_residuals()
     max_violation, worst = _worst(trace.fix_residuals() - rhs, trace)
     return Step3Report(

@@ -10,10 +10,14 @@ compositions. Each constructor assigns a conservative Lipschitz class:
 * linear/affine with matrix norm < 1              -> contraction(norm)
 * anything else                                   -> unknown
 
-Every operator reports its affine form x -> M x + c through affine_piece:
-globally when it has one, or as the local piece around a given point (a ball
-projection is the identity inside its ball). The global form is computed once
-per operator and handed out read-only by affine_parts.
+Every operator answers through one protocol. _apply evaluates it on a
+checked vector or on each row of a stack, and affine_piece reports its
+affine form x -> M x + c: globally when it has one, or as the local piece
+around a given point (a ball projection is the identity inside its ball).
+A map that finds its local piece by evaluating itself gives the value and
+the piece from one pass, _apply_piece, which answers affine_piece(x). The
+global form is computed once per operator and handed out read-only by
+affine_parts.
 
 "unknown" operators can be probed empirically with estimate_lipschitz and
 check_nonexpansive. The module also certifies norm attainment of linear maps
@@ -227,11 +231,16 @@ class Operator:
         return self._apply(self._check_arg(x))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """T(x) on a float vector of shape (dim,) that has already been checked.
+        """T(x) on a checked float vector of shape (dim,), or T at each row of an (n, dim) stack.
 
         Composing operators call their children's _apply, and solver loops
-        call it on vectors they built, so the shape check runs once, at the
-        public boundary.
+        and stacked checks call it on arrays they built, so the shape check
+        runs once, at the public boundary. A stack gives an (n, dim) array
+        whose rows have, for numbers, the bits each row gets alone. Where a
+        NaN meets another NaN or an infinity, its sign may differ between
+        the two: PlaneRotation takes a vector's coordinates as floats and a
+        stack's columns as arrays, and which operand's NaN a sum returns
+        differs between them (PlaneRotation(2, (0, 1), 0.0) on [-inf, nan]).
         """
         raise NotImplementedError
 
@@ -252,20 +261,26 @@ class Operator:
     def affine_piece(self, x=None) -> _Piece | None:
         """(matrix, offset) of an affine map x -> M x + c that this map agrees with.
 
-        The hook a class overrides, with _apply_piece where one pass finds
-        both a value and a local piece. With x None, the global form: the
-        map is exactly M x + c everywhere, or there is no piece. With x a
-        vector of this dimension, the local piece: the affine map this one
-        agrees with around x, as far as x shows it (a ball projection is the
-        identity inside the ball). A local piece is a guess, not a
-        certificate: a solve on it must be checked against the map itself.
-        None when there is no piece. The catalog hands out the same _Piece
-        object while the piece is the same, which lets a schedule plan build
-        steps on it; a plain (matrix, offset) pair becomes a new piece. This
-        default hands out the global form a class set at construction.
+        The hook a class overrides for a global form it does not set at
+        construction, or for local pieces it finds apart from its value.
+        With x None, the global form: the map is exactly M x + c everywhere,
+        or there is no piece. With x a vector of this dimension, the local
+        piece: the affine map this one agrees with around x, as far as x
+        shows it (a ball projection is the identity inside the ball). A
+        local piece is a guess, not a certificate: a solve on it must be
+        checked against the map itself. None when there is no piece. The
+        catalog hands out the same _Piece object while the piece is the
+        same, which lets a schedule plan build steps on it; a plain
+        (matrix, offset) pair becomes a new piece. This default hands out
+        the global form a class set at construction, and the local piece
+        from _apply_piece where a class finds it in one pass (overrides
+        _apply_piece); a class that does neither has no local piece but its
+        global form.
         """
-        form = self._global_form
-        return None if form is _UNBUILT else form
+        if x is None or type(self)._apply_piece is Operator._apply_piece:
+            form = self._global_form
+            return None if form is _UNBUILT else form
+        return self._apply_piece(self._check_arg(x))[1]
 
     def _piece(self, x) -> _Piece | None:
         """The global form when there is one, else the local piece at x (None for x None)."""
@@ -280,17 +295,9 @@ class Operator:
         This default evaluates the map and asks for its piece apart. A class
         that finds its local piece by evaluating itself (a ball's distance,
         a composite's walk through its operators) computes both in one pass
-        here and answers a local affine_piece(x) from that pass.
+        here, and the default affine_piece(x) answers from that pass.
         """
         return self._apply(x), self._piece(x)
-
-    def _apply_rows(self, points: np.ndarray) -> np.ndarray:
-        """T at each row of a checked (n, dim) array, as an (n, dim) array with _apply's bits row by row.
-
-        This default calls _apply on each row, as a callable's outputs need
-        their shapes checked; every cataloged map takes stacked passes.
-        """
-        return np.array([self._apply(x) for x in points], dtype=float).reshape(points.shape)
 
     def linear_matrix(self) -> np.ndarray:
         """Matrix of an exactly linear map; raises NotLinear otherwise."""
@@ -369,10 +376,7 @@ class LinearOperator(Operator):
         self._global_form = _Piece(self.matrix, np.zeros(self.dim), True)
 
     def _apply(self, x):
-        return self.matrix @ x
-
-    def _apply_rows(self, points):
-        return _stacked_product(self.matrix, points)
+        return self.matrix @ x if x.ndim == 1 else _stacked_product(self.matrix, x)
 
 
 class AffineOperator(Operator):
@@ -401,10 +405,7 @@ class AffineOperator(Operator):
         _affine(_Piece(matrix, offset, True), declared_class, None, self)
 
     def _apply(self, x):
-        return self.matrix @ x + self.offset
-
-    def _apply_rows(self, points):
-        return _stacked_product(self.matrix, points) + self.offset
+        return (self.matrix @ x if x.ndim == 1 else _stacked_product(self.matrix, x)) + self.offset
 
 
 def _affine(piece: _Piece, declared_class: DeclaredClass | None, matrix_norm: float | None, op=None) -> AffineOperator:
@@ -439,9 +440,6 @@ class Identity(Operator):
     def _apply(self, x):
         return x.copy()
 
-    # Coordinatewise, so _apply takes the rows at once.
-    _apply_rows = _apply
-
     def affine_piece(self, x=None):
         return _Piece(np.eye(self.dim), np.zeros(self.dim), True)
 
@@ -454,8 +452,6 @@ class Negation(Operator):
 
     def _apply(self, x):
         return -x
-
-    _apply_rows = _apply
 
     def affine_piece(self, x=None):
         return _Piece(-np.eye(self.dim), np.zeros(self.dim), True)
@@ -471,10 +467,7 @@ class ConstantOperator(Operator):
         super().__init__(self.value.shape[0], contraction(0.0))
 
     def _apply(self, x):
-        return self.value.copy()
-
-    def _apply_rows(self, points):
-        return np.tile(self.value, (len(points), 1))
+        return self.value.copy() if x.ndim == 1 else np.tile(self.value, (len(x), 1))
 
     def affine_piece(self, x=None):
         return _Piece(np.zeros((self.dim, self.dim)), self.value, True)
@@ -494,7 +487,15 @@ class BallProjection(Operator):
         self._interior = _Piece(np.eye(self.dim), np.zeros(self.dim), False)
 
     def _apply(self, x):
-        return self._apply_piece(x)[0]
+        if x.ndim == 1:
+            return self._apply_piece(x)[0]
+        shifted = x - self.center
+        dist = _row_norms(shifted)
+        # A NaN distance is outside, as in _apply_piece.
+        outside = ~(dist <= self.radius)
+        out = x.copy()
+        out[outside] = self.center + shifted[outside] * (self.radius / dist[outside])[:, None]
+        return out
 
     def _apply_piece(self, x):
         """The projection, with the identity piece inside the closed ball and none outside, from one distance."""
@@ -503,19 +504,6 @@ class BallProjection(Operator):
         if dist <= self.radius:
             return x.copy(), self._interior
         return self.center + shifted * (self.radius / dist), None
-
-    def _apply_rows(self, points):
-        shifted = points - self.center
-        dist = _row_norms(shifted)
-        # A NaN distance is outside, as in _apply_piece.
-        outside = ~(dist <= self.radius)
-        out = points.copy()
-        out[outside] = self.center + shifted[outside] * (self.radius / dist[outside])[:, None]
-        return out
-
-    def affine_piece(self, x=None):
-        """The identity around a point of the closed ball; no piece outside it."""
-        return None if x is None else self._apply_piece(self._check_arg(x))[1]
 
 
 class BoxProjection(Operator):
@@ -536,8 +524,6 @@ class BoxProjection(Operator):
         # np.clip's bits (NaN stays NaN) without its wrapper's cost.
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
-    _apply_rows = _apply
-
 
 class PlaneRotation(Operator):
     """Rotation by a fixed angle in the coordinate plane (i, j)."""
@@ -556,21 +542,18 @@ class PlaneRotation(Operator):
         self._cos_sin = (math.cos(self.angle), math.sin(self.angle))
 
     def _apply(self, x):
-        x = x.copy()
+        out = x.copy()
         i, j = self.plane
         c, s = self._cos_sin
-        xi, xj = x.item(i), x.item(j)
-        x[i] = c * xi - s * xj
-        x[j] = s * xi + c * xj
-        return x
-
-    def _apply_rows(self, points):
-        out = points.copy()
-        i, j = self.plane
-        c, s = self._cos_sin
-        xi, xj = points[:, i], points[:, j]
-        out[:, i] = c * xi - s * xj
-        out[:, j] = s * xi + c * xj
+        if x.ndim == 1:
+            # A vector's two coordinates as floats: the array path costs six times as much on one vector.
+            xi, xj = x.item(i), x.item(j)
+            out[i] = c * xi - s * xj
+            out[j] = s * xi + c * xj
+        else:
+            xi, xj = x[:, i], x[:, j]
+            out[:, i] = c * xi - s * xj
+            out[:, j] = s * xi + c * xj
         return out
 
     def affine_piece(self, x=None):
@@ -607,18 +590,15 @@ class AveragedOperator(Operator):
     def _apply(self, x):
         return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
 
-    def _apply_rows(self, points):
-        return (1.0 - self.lam) * points + self.lam * self.inner_op._apply_rows(points)
-
     def _apply_piece(self, x):
         inner, piece = self.inner_op._apply_piece(x)
         return (1.0 - self.lam) * x + self.lam * inner, _kept(self, (piece,), self._average)
 
     def affine_piece(self, x=None):
-        """((1 - lam) I + lam M, lam c) for the inner map's piece (M, c), kept as a composite's is."""
-        if x is None:
-            return _kept(self, (self.inner_op.affine_parts(),), self._average)
-        return self._apply_piece(self._check_arg(x))[1]
+        """((1 - lam) I + lam M, lam c) for the inner map's global form (M, c), kept as a composite's is."""
+        if x is not None:
+            return super().affine_piece(x)
+        return _kept(self, (self.inner_op.affine_parts(),), self._average)
 
     def _average(self, pieces, dim):
         ((m, c),) = pieces
@@ -685,24 +665,20 @@ class CompositeOperator(Operator):
             x = op._apply(x)
         return x
 
-    def _apply_rows(self, points):
-        for op in self.operators:
-            points = op._apply_rows(points)
-        return points
-
     def _apply_piece(self, x):
         return _walk(self, self.operators, x)
 
     def affine_piece(self, x=None):
-        """The composition of each operator's piece at the point it receives.
+        """The composition of the operators' global forms.
 
-        The same piece comes back while every operator's piece is the same
-        object as at the last call (see _kept): inside its ball,
-        rotation ∘ ball has one piece object.
+        A local piece composes each operator's piece at the point it
+        receives, from one pass (_walk). The same piece comes back while
+        every operator's piece is the same object as at the last call (see
+        _kept): inside its ball, rotation ∘ ball has one piece object.
         """
-        if x is None:
-            return _kept(self, (op.affine_parts() for op in self.operators), _compose)
-        return self._apply_piece(self._check_arg(x))[1]
+        if x is not None:
+            return super().affine_piece(x)
+        return _kept(self, (op.affine_parts() for op in self.operators), _compose)
 
 
 class IteratedOperator(Operator):
@@ -730,22 +706,17 @@ class IteratedOperator(Operator):
             y = self.base._apply(y)
         return y
 
-    def _apply_rows(self, points):
-        y = points.copy()
-        for _ in range(self.n):
-            y = self.base._apply_rows(y)
-        return y
-
     def _apply_piece(self, x):
         # The copy makes n = 0's value fresh, as _apply's is.
         return _walk(self, (self.base,) * self.n, x.copy())
 
     def affine_piece(self, x=None):
-        """The composition of the base's pieces at x and its next n - 1 iterates, kept as a
-        composite's is; for n = 0 the empty composition (I, 0), which holds everywhere."""
-        if x is None:
-            return _kept(self, [self.base.affine_parts()] * self.n, _compose)
-        return self._apply_piece(self._check_arg(x))[1]
+        """The composition of n copies of the base's global form, kept as a composite's is; a local one
+        composes the base's pieces at x and its next n - 1 iterates. For n = 0 the empty composition
+        (I, 0), which holds everywhere."""
+        if x is not None:
+            return super().affine_piece(x)
+        return _kept(self, [self.base.affine_parts()] * self.n, _compose)
 
 
 class BlendOperator(Operator):
@@ -772,25 +743,20 @@ class BlendOperator(Operator):
     def _apply(self, x):
         return self.a * self.first._apply(x) + self.b * self.second._apply(x)
 
-    def _apply_rows(self, points):
-        return self.a * self.first._apply_rows(points) + self.b * self.second._apply_rows(points)
+    def _apply_piece(self, x, parts=None):
+        """(g(x), g's piece at x) from one pass over the maps at x, T evaluated with its piece.
 
-    def _apply_piece(self, x):
-        first, first_piece = self.first._apply_piece(x)
-        second, second_piece = self.second._apply_piece(x)
-        return self.a * first + self.b * second, _kept(self, (second_piece, first_piece), self._blend)
-
-    def _apply_keeping_second(self, x, with_piece=False):
-        """(the map's value at x, S(x), T(x), T's piece at x): _apply's bits, in its order, with S(x) and T(x) kept.
-
-        A solver that needs the blend's value, its target's and a next
-        blend's at the same point evaluates each map once. With with_piece,
-        that one pass also gives T's piece there (T._apply_piece); without,
-        the piece is None.
+        parts, when given, is (S(x), T(x), T's piece at x) from a pass at x
+        made already, such as a solver's certificate at its last point (see
+        schemes._solve_implicit), and neither map is evaluated again. g's
+        piece is built from T's piece and S's, kept as a composite's is, and
+        is None where T has none: S is asked for its piece (S._piece, which
+        costs nothing for a global form) only when T has one.
         """
-        first = self.first._apply(x)
-        second, piece = self.second._apply_piece(x) if with_piece else (self.second._apply(x), None)
-        return self.a * first + self.b * second, first, second, piece
+        first, second, piece = parts or (self.first._apply(x), *self.second._apply_piece(x))
+        if piece is not None:
+            piece = _kept(self, (piece, self.first._piece(x)), self._blend)
+        return self.a * first + self.b * second, piece
 
     def affine_piece(self, x=None):
         """(a M_S + b M_T, a c_S + b c_T) for the maps' pieces, kept as a composite's is.
@@ -798,13 +764,7 @@ class BlendOperator(Operator):
         The second map (a solve's target) is the one that may have no
         piece, so it is asked first and the first map's piece is not built.
         """
-        return self._piece_from(self.second._piece(x), x)
-
-    def _piece_from(self, second, x):
-        """affine_piece(x) from second, the second map's piece at x as found already.
-
-        The first map is asked for its piece only when second is not None.
-        """
+        second = self.second._piece(x)
         return None if second is None else _kept(self, (second, self.first._piece(x)), self._blend)
 
     def _blend(self, pieces, dim):
@@ -840,11 +800,14 @@ class FunctionOperator(Operator):
         self.name = name
 
     def _apply(self, x):
-        # The callable is outside code, so its output shape is checked on every call.
-        y = np.asarray(self.func(x), dtype=float)
-        if y.shape != (self.dim,):
-            raise DimensionMismatch(f"callable '{self.name}' returned shape {y.shape}")
-        return y
+        if x.ndim == 1:
+            # The callable is outside code, so its output shape is checked on every call.
+            y = np.asarray(self.func(x), dtype=float)
+            if y.shape != (self.dim,):
+                raise DimensionMismatch(f"callable '{self.name}' returned shape {y.shape}")
+            return y
+        # The callable takes vectors, so a stack is applied row by row.
+        return np.array([self._apply(row) for row in x], dtype=float).reshape(x.shape)
 
 
 class DeclaredWrapper(Operator):
@@ -861,9 +824,6 @@ class DeclaredWrapper(Operator):
 
     def _apply(self, x):
         return self.wrapped._apply(x)
-
-    def _apply_rows(self, points):
-        return self.wrapped._apply_rows(points)
 
     def _apply_piece(self, x):
         return self.wrapped._apply_piece(x)
@@ -1019,8 +979,7 @@ def _build_spec(what: str, rows: dict, spec):
         raise InvalidSpec(f"{what} spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in rows:
-        known = f" (known: {', '.join(sorted(rows))})" if what == "operator" else ""
-        raise InvalidSpec(f"unknown {what} kind '{kind}'{known}")
+        raise InvalidSpec(f"unknown {what} kind '{kind}' (known: {', '.join(sorted(rows))})")
     build, fields = rows[kind]
     where = f"{what} spec of kind '{kind}'"
     for name, *_ in fields:

@@ -589,23 +589,25 @@ _UNPLANNED = object()
 
 def _solve_implicit(
     f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
-    planned=_UNPLANNED, with_piece: bool = False, held=_UNPLANNED, seen=None,
+    planned=_UNPLANNED, with_piece: bool = False, seen=None,
 ) -> tuple[FixedPointResult, float | _Piece, np.ndarray | None, _Piece | None, tuple | None]:
     """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta.
 
-    Returns (result, ||xi - g(xi)||, T(xi), T's piece at xi, (xi, f(xi),
-    T(xi))): g's value at xi evaluates f and T there, and those values are
-    handed on when g is a BlendOperator. With with_piece, the same pass
-    over T also gives T's piece at xi (None where T has none), which a
-    schedule plan takes for a next step that starts from xi; without, the
-    piece is None. For a g that blend() collapsed to one affine map,
-    nothing is evaluated at xi: the second value is g's form (M, c) in
-    place of the residual, which the caller computes, T(xi) and the last
-    value are None and T's piece is its global form.
+    Returns (result, ||xi - g(xi)||, T(xi), T's piece at xi, the pass at
+    xi): g's value at xi comes from one pass over f and T there (see
+    _certified), which the last value records when g is a BlendOperator.
+    With with_piece, that pass over T also gives T's piece at xi (None
+    where T has none), which a schedule plan takes for a next step that
+    starts from xi; without, the piece is None. For a g that blend()
+    collapsed to one affine map, nothing is evaluated at xi: the second
+    value is g's form (M, c) in place of the residual, which the caller
+    computes, T(xi) and the last value are None and T's piece is its
+    global form.
 
-    seen is the last value of a step before, (x, f(x), T(x)), or None.
-    When x is warm itself, the same array, Picard on g takes
-    g.a f(x) + g.b T(x), g's value with its own bits, as its first iterate.
+    seen is the pass of a step before, (x, f(x), T(x), T's piece at x), or
+    None; it serves only when x is warm itself, the same array. Picard on g
+    then takes g.a f(x) + g.b T(x), g's value with its own bits, as its
+    first iterate.
 
     planned is g's piece at warm as a schedule plan built it (see
     _blend_plan), None where the plan found none, or _UNPLANNED. The one
@@ -621,38 +623,48 @@ def _solve_implicit(
     the fixed point of the q-contraction g by delta however it was found,
     so a class that overstates how f contracts costs no soundness.
     Otherwise, or when the piece solve fails, picard_solve runs on g. An
-    unplanned step asks g.affine_piece(warm), or, when the caller holds
-    T's piece at warm as held (None where T has none), builds g's piece
-    from it without evaluating T again.
+    unplanned step asks g.affine_piece(warm), or, when seen serves, builds
+    g's piece from that pass (BlendOperator._apply_piece) without
+    evaluating T again.
     """
     g = blend(eps, f, 1.0 - eps, T, planned if isinstance(planned, _Piece) and planned.everywhere else None)
-    # The gaps below take space.norm's bits without its conversions: each
-    # is a fresh 1-D float array.
     if not isinstance(g, BlendOperator):
         return picard_solve(g, warm, delta, policy), g.affine_parts(), None, T.affine_parts(), None
     declared = g.declared_class
+    if seen is not None and seen[0] is not warm:
+        seen = None
     # Only a blend with no global affine form (blend() collapses the rest)
     # gains from a piece; an undeclared g and a start of the wrong shape are
     # left to picard_solve, which resolves the one and rejects the other.
     if declared.kind == "contraction" and warm.shape == (g.dim,):
         if planned is _UNPLANNED:
-            planned = _as_piece(g.affine_piece(warm) if held is _UNPLANNED else g._piece_from(held, warm), False)
+            planned = _as_piece(g.affine_piece(warm) if seen is None else g._apply_piece(warm, seen[1:])[1], False)
         if planned is not None:
             try:
                 res = picard_solve(_affine(planned, declared, declared.alpha), warm, delta, policy)
             except (MaxIterExceeded, NonFiniteValue):
                 pass
             else:
-                value, at_forcing, at_target, piece = g._apply_keeping_second(res.point, with_piece)
-                gap = res.point - value
-                size = math.sqrt(gap.dot(gap))
-                if size <= delta * (1.0 - declared.alpha):
-                    return res, size, at_target, piece, (res.point, at_forcing, at_target)
-    first = g.a * seen[1] + g.b * seen[2] if seen is not None and seen[0] is warm else None
-    res = picard_solve(g, warm, delta, policy, _first=first)
-    value, at_forcing, at_target, piece = g._apply_keeping_second(res.point, with_piece)
-    gap = res.point - value
-    return res, math.sqrt(gap.dot(gap)), at_target, piece, (res.point, at_forcing, at_target)
+                step = _certified(g, res, with_piece)
+                if step[1] <= delta * (1.0 - declared.alpha):
+                    return step
+    first = None if seen is None else g.a * seen[1] + g.b * seen[2]
+    return _certified(g, picard_solve(g, warm, delta, policy, _first=first), with_piece)
+
+
+def _certified(g: BlendOperator, res: FixedPointResult, with_piece: bool) -> tuple:
+    """(res, ||xi - g(xi)||, T(xi), T's piece at xi, the pass at xi) for xi = res.point.
+
+    The pass is (xi, f(xi), T(xi), T's piece at xi), each of g's maps
+    evaluated once there, T with its piece only with with_piece (else the
+    piece is None). g(xi) = a f(xi) + b T(xi) has the bits of g._apply(xi).
+    """
+    x = res.point
+    at_forcing = g.first._apply(x)
+    at_target, piece = g.second._apply_piece(x) if with_piece else (g.second._apply(x), None)
+    # space.norm's bits without its conversions: the gap is a fresh 1-D float array.
+    gap = x - (g.a * at_forcing + g.b * at_target)
+    return res, math.sqrt(gap.dot(gap)), at_target, piece, (x, at_forcing, at_target, piece)
 
 
 def implicit_step(
@@ -854,8 +866,7 @@ def viscosity_implicit_solve(
         planned = plan.send(piece if hand_on else warm) if idx else next(plan)
         try:
             res, implicit_res, at_target, piece, seen = _solve_implicit(
-                f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned, hand_on,
-                piece if hand_on and idx else _UNPLANNED, seen if hand_on else None,
+                f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned, hand_on, seen if hand_on else None
             )
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
@@ -888,7 +899,7 @@ def viscosity_implicit_solve(
             break
     # A collapsed step left None in place of a fixed-point residual that no stop test read.
     for member, op in enumerate(step_ops):
-        _fill_gaps(fixes, [k for k in range(member, n, count) if fixes[k] is None], points, op._apply_rows)
+        _fill_gaps(fixes, [k for k in range(member, n, count) if fixes[k] is None], points, op._apply)
     trace = ConvergenceTrace({"problem_id": problem_id, "schedule": schedule.kind, "seed": None})
     # The trace takes the columns as they are (n, the last step's number, is the number of steps).
     trace._columns, trace._points = (list(range(1, n + 1)), list(values[:n]), implicit, fixes, deltas, iters), points

@@ -184,6 +184,7 @@ _KNOWN = (
     "affine, averaged, composite, constant, identity, iterated, linear, negation, projection_ball, "
     "projection_box, rotation"
 )
+_KNOWN_FAMILIES = "custom, power, rotation_flow"
 
 #: (id, "operator" or "family", spec, the InvalidSpec message it raises), by field type, then the
 #: checks that come before any field's.
@@ -273,9 +274,9 @@ REJECTED_SPECS = [
     ("unknown-operator", "operator", {"kind": "teleport", "dim": 2},
      f"unknown operator kind 'teleport' (known: {_KNOWN})"),
     ("no-operator-kind", "operator", {"dim": 2}, f"unknown operator kind 'None' (known: {_KNOWN})"),
-    ("unknown-family", "family", {"kind": "spiral"}, "unknown family kind 'spiral'"),
+    ("unknown-family", "family", {"kind": "spiral"}, f"unknown family kind 'spiral' (known: {_KNOWN_FAMILIES})"),
     ("list-operator-kind", "operator", {"kind": ["linear"]}, f"unknown operator kind '['linear']' (known: {_KNOWN})"),
-    ("list-family-kind", "family", {"kind": ["power"]}, "unknown family kind '['power']'"),
+    ("list-family-kind", "family", {"kind": ["power"]}, f"unknown family kind '['power']' (known: {_KNOWN_FAMILIES})"),
     # a spec that is not an object
     ("operator-not-object", "operator", ["kind", "identity"], "operator spec must be an object, got list"),
     ("family-not-object", "family", "power", "family spec must be an object, got str"),

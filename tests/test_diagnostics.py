@@ -16,6 +16,7 @@ from viscofix import (
     ConstantOperator,
     ConvergenceTrace,
     DimensionMismatch,
+    FunctionOperator,
     Identity,
     LinearOperator,
     Negation,
@@ -30,6 +31,7 @@ from viscofix import (
     check_step3_residual,
     check_step4_vi,
     check_step5_convergence,
+    contraction,
     detect_no_common_fixed_point,
     export_trace,
     fixed_inner_tol,
@@ -51,6 +53,7 @@ from viscofix.diagnostics import (
     Step3Report,
     Step4Report,
 )
+from viscofix.operators import ISOMETRY
 from viscofix.space import as_vector, inner, norm
 
 BALL_LIMIT = [1.0, 0.0]
@@ -181,6 +184,47 @@ def test_worst_step_is_the_first_of_ties_or_the_first_nan():
     # A trace whose every excess is NaN fails too.
     step3 = check_step3_residual(doctored([0.0], [np.nan]), f, T)
     assert math.isnan(step3.max_violation) and (step3.worst_step, step3.ok) == (1, False)
+
+
+class _AffineCallable(FunctionOperator):
+    """x -> m x + b through a callable, with that map declared as its global form."""
+
+    def affine_piece(self, x=None):
+        return self.form
+
+
+def _recorded(shapes, m, b):
+    """x -> m x + b as a callable that records the shape of each argument it is given."""
+    return lambda x: shapes.append(np.shape(x)) or m @ x + b
+
+
+def test_a_callable_receives_only_vectors_in_a_stacked_pass():
+    # Handed the whole (2, 2) stack, m @ x + b would give a (2, 2) array of
+    # wrong values without any error: the pass must give it one row at a
+    # time. Both maps are affine, so both steps collapse, and the target's
+    # fixed-point residuals wait for the stacked pass after the loop.
+    m, b = np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([0.5, 0.25])
+    shapes = []
+    target = _AffineCallable(_recorded(shapes, m, b), 2, ISOMETRY)
+    target.form = (m.copy(), b.copy())
+    f = AffineOperator(0.5 * m, b)
+    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=2))
+    assert len(trace) == 2 and shapes == [(2,), (2,)]
+    for step in trace.steps:
+        gap = np.array(step.point) - (m @ np.array(step.point) + b)
+        assert step.fix_residual == math.sqrt(gap.dot(gap))
+    # As f in step 3, a callable gets the rows and gives each row's bits;
+    # the target takes the same pass on each side.
+    shapes.clear()
+    recorded = FunctionOperator(_recorded(shapes, 0.5 * m, b), 2, contraction(0.5))
+    assert check_step3_residual(trace, recorded, target) == check_step3_residual(trace, f, target)
+    assert shapes == [(2,)] * 6
+    # A callable that returns the wrong shape is caught in the stacked pass too.
+    truncating = FunctionOperator(lambda x: x[:1], 2, name="truncating")
+    with pytest.raises(DimensionMismatch, match="'truncating' returned shape"):
+        check_step3_residual(trace, truncating, target)
+    with pytest.raises(DimensionMismatch, match="'truncating' returned shape"):
+        truncating._apply(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

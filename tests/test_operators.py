@@ -183,19 +183,31 @@ def _random_affine(dim, seed):
     return AffineOperator(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
 
 
+#: A ball inside each composing class: its pieces change where a point crosses a sphere.
+BALLS_INSIDE = {
+    "averaged-rotation-ball": AveragedOperator(
+        CompositeOperator([PlaneRotation(2, (0, 1), 0.4), BallProjection([0.0, 0.0], 1.0)]), 0.5
+    ),
+    "iterated-ball": IteratedOperator(BallProjection([0.5, 0.0], 1.5), 2),
+    "declared-ball": DeclaredWrapper(BallProjection([0.0, 0.0], 1.0), NONEXPANSIVE),
+    "blend-of-pieces": BlendOperator(0.5, BallProjection([0.0, 0.5], 2.0), 0.5, BallProjection([0.0, 0.0], 1.0)),
+}
+
 ROWS_APPLIED = {
     **SHAPE_CHECKED,
+    **BALLS_INSIDE,
     **{f"linear-d{d}": LinearOperator(_random_affine(d, 1).matrix) for d in (2, 3, 8)},
     **{f"affine-d{d}": _random_affine(d, 2) for d in (2, 3, 8)},
     "composite-affine": CompositeOperator([_random_affine(3, 3), LinearOperator(_random_affine(3, 4).matrix)]),
 }
 
 
-#: Rows exactly on the spheres of the balls above (radius 2 about (1, -1),
-#: radius 1 about the origin) and on the box's faces and corners.
+#: Rows exactly on the spheres of the balls above (radius 2 about (1, -1)
+#: and about (0, 0.5), 1.5 about (0.5, 0), 1 about the origin) and on the
+#: box's faces and corners.
 BOUNDARY_ROWS = [
     [3.0, -1.0], [1.0, 1.0], [-1.0, -1.0], [1.0, -3.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0],
-    [1.0, 0.5], [-0.5, 0.0], [0.25, 2.0], [-1.0, 2.0], [1.0, 0.0],
+    [1.0, 0.5], [-0.5, 0.0], [0.25, 2.0], [-1.0, 2.0], [1.0, 0.0], [0.0, 2.5], [2.0, 0.0],
 ]
 
 
@@ -219,7 +231,7 @@ def test_rows_applied_at_once_have_each_rows_own_bits(op):
         held = np.vstack([held, BOUNDARY_ROWS])
     held.setflags(write=False)
     rows = held[1:]
-    images = op._apply_rows(rows)
+    images = op._apply(rows)
     assert images.shape == rows.shape
     assert [image.tobytes() for image in images] == [op._apply(x).tobytes() for x in rows]
     # A NaN coordinate sends a ball's row outside, as a NaN distance does
@@ -227,10 +239,10 @@ def test_rows_applied_at_once_have_each_rows_own_bits(op):
     # warning, on both sides alike.
     rows = _non_finite_rows(op.dim)
     with np.errstate(invalid="ignore"):
-        images = op._apply_rows(rows)
+        images = op._apply(rows)
         expected = [op._apply(x).tobytes() for x in rows]
     assert [image.tobytes() for image in images] == expected
-    assert op._apply_rows(held[:0]).shape == (0, op.dim)
+    assert op._apply(held[:0]).shape == (0, op.dim)
 
 
 def test_blend_checks_the_shape_a_wrapped_callable_returns():
@@ -1050,14 +1062,7 @@ def test_a_piece_agrees_with_its_map_at_its_point(x):
             np.testing.assert_allclose(piece[0] @ x + piece[1], op.apply(x), rtol=1e-12, atol=1e-12)
 
 
-ONE_PASS = SHAPE_CHECKED | {
-    "averaged-rotation-ball": AveragedOperator(
-        CompositeOperator([PlaneRotation(2, (0, 1), 0.4), BallProjection([0.0, 0.0], 1.0)]), 0.5
-    ),
-    "iterated-ball": IteratedOperator(BallProjection([0.5, 0.0], 1.5), 2),
-    "declared-ball": DeclaredWrapper(BallProjection([0.0, 0.0], 1.0), NONEXPANSIVE),
-    "blend-of-pieces": BlendOperator(0.5, BallProjection([0.0, 0.5], 2.0), 0.5, BallProjection([0.0, 0.0], 1.0)),
-}
+ONE_PASS = SHAPE_CHECKED | BALLS_INSIDE
 
 
 @given(x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))

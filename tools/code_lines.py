@@ -2,13 +2,15 @@
 
     python3 tools/code_lines.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two checkouts. For each Python file in
-either checkout's src/viscofix, and for their total, the script prints the
-physical lines and the code lines of both and the change between them.
-Code lines leave out blank lines, comment lines and docstrings (the string
-that opens a module, class or function body, as ast finds it): a line
-counts when tokenize finds a token on it outside a docstring that is not a
-comment. A statement that spans lines counts each of its lines.
+PARENT and CHANGE are the roots of two checkouts, or git revisions of
+this repository such as HEAD~1, unpacked for the run (see checkouts.py).
+For each Python file in either checkout's src/viscofix, and for their
+total, the script prints the physical lines and the code lines of both
+and the change between them. Code lines leave out blank lines, comment
+lines and docstrings (the string that opens a module, class or function
+body, as ast finds it): a line counts when tokenize finds a token on it
+outside a docstring that is not a comment. A statement that spans lines
+counts each of its lines.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+from checkouts import checkouts
 
 PACKAGE = Path("src") / "viscofix"
 #: Tokens that carry no code of their own.
@@ -55,10 +59,11 @@ def _counts(checkout: Path) -> dict[str, tuple[int, int]]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent")
+    parser.add_argument("change")
     args = parser.parse_args()
-    before, after = _counts(args.parent), _counts(args.change)
+    with checkouts(args.parent, args.change) as (parent, change):
+        before, after = _counts(parent), _counts(change)
     if not before or not after:
         print(f"no Python files under {PACKAGE} in one of the checkouts", file=sys.stderr)
         return 2

@@ -2,16 +2,18 @@
 
     python3 tools/op_times.py PARENT CHANGE --workload W [--seed S] [--rounds R] [--best N] [--in-process]
 
-PARENT and CHANGE are the roots of two checkouts. Each round starts one
-fresh interpreter per checkout, with one BLAS/OpenMP thread, and
-alternates which checkout goes first. That interpreter imports its own
-checkout's src/, bench/inputs.py and bench/child.py (the script only reads
-them and writes no bytecode there), writes the workload's inputs for the
-seed into a temporary directory, builds the benchmark's op list with
-bench/child.py's build_ops, and runs each op once to warm up and check it
+PARENT and CHANGE are the roots of two checkouts, or git revisions of
+this repository such as HEAD~1, unpacked for the run (see checkouts.py).
+Each round starts one fresh interpreter per checkout, with one
+BLAS/OpenMP thread, and alternates which checkout goes first. That
+interpreter imports its own checkout's src/, bench/inputs.py and
+bench/child.py (the script only reads them and writes no bytecode
+there), writes the workload's inputs for the seed into a temporary
+directory, builds the benchmark's op list with bench/child.py's
+build_ops, and runs each op once to warm up and check it
 (bench/child.py's checks), then N times more, keeping the fastest time.
-An op of cli-pipeline, whose list repeats each command, is timed once per
-command.
+An op of cli-pipeline, whose list repeats each command, is timed once
+per command.
 
 The script prints each op's median over the rounds of its best-of-N times
 on both checkouts, with the change between them, and the same for their
@@ -47,6 +49,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from checkouts import checkouts
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("solve-affine", "solve-nonaffine", "cli-pipeline")
@@ -197,8 +201,8 @@ def _quartiles(values: list[float]) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", nargs="?", type=Path)
-    parser.add_argument("change", nargs="?", type=Path)
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--rounds", type=int, default=10, help="interpreter pairs, alternating which side runs first")
@@ -218,14 +222,15 @@ def main() -> int:
         return 0
     if args.parent is None or args.change is None:
         parser.error("PARENT and CHANGE are required")
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    if args.in_process:
-        rounds = _run(["--measure-both", str(sides["parent"]), str(sides["change"])], args)
-    else:
-        rounds = {"parent": [], "change": []}
-        for r in range(args.rounds):
-            for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                rounds[side].append(_run(["--measure", str(sides[side])], args))
+    with checkouts(args.parent, args.change) as (parent, change):
+        sides = {"parent": parent, "change": change}
+        if args.in_process:
+            rounds = _run(["--measure-both", str(sides["parent"]), str(sides["change"])], args)
+        else:
+            rounds = {"parent": [], "change": []}
+            for r in range(args.rounds):
+                for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+                    rounds[side].append(_run(["--measure", str(sides[side])], args))
     names = list(rounds["parent"][0])
     failures: dict = {}
     for side in sides:

@@ -2,10 +2,11 @@
 
     python3 tools/same_bits.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two checkouts. Each one runs in its own
-interpreter, with its own src/ first on the path and one BLAS/OpenMP
-thread, on the seeded benchmark inputs that its bench/inputs.py generates
-(the script only reads that file). It records:
+PARENT and CHANGE are the roots of two checkouts, or git revisions of
+this repository such as HEAD~1, unpacked for the run (see checkouts.py).
+Each one runs in its own interpreter, with its own src/ first on the
+path and one BLAS/OpenMP thread, on the seeded benchmark inputs that its
+bench/inputs.py generates (the script only reads that file). It records:
 
 * for solve-affine and solve-nonaffine at seeds 4242, 777 and 9701: every
   solve's trace (points, implicit and fixed-point residuals, inner
@@ -64,6 +65,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from checkouts import checkouts
 
 SOLVE_SEEDS = (4242, 777, 9701)
 CLI_SEED = 4242
@@ -379,8 +382,8 @@ def _run(checkout: Path) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", nargs="?", type=Path)
-    parser.add_argument("change", nargs="?", type=Path)
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
     parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.record is not None:
@@ -388,7 +391,8 @@ def main() -> int:
         return 0
     if args.parent is None or args.change is None:
         parser.error("PARENT and CHANGE are required")
-    before, after = _run(args.parent.resolve()), _run(args.change.resolve())
+    with checkouts(args.parent, args.change) as (parent, change):
+        before, after = _run(parent), _run(change)
     keys = list(before) + [key for key in after if key not in before]
     differing = [key for key in keys if key not in before or key not in after or before[key] != after[key]]
     for key in differing:
