@@ -3,7 +3,8 @@
 Subcommands
 -----------
 run           drive a viscosity or anchored solve from a JSON config and
-              write trace.csv, trace.json, and summary.json
+              write the step table trace.csv, the run record trace.json,
+              and summary.json
 certify-na    certify norm attainment of a square matrix (JSON to stdout)
 check-family  sample the composition law of an operator family
 sweep         re-run one config over a list of values for a single parameter
@@ -13,7 +14,9 @@ Exit codes are 0 (completed), 1 (bad config, schedule, or input file), and
 a non-finite inner value, or a failed certification). Artifacts embed the
 config hash (sha256 of the canonical sorted-key JSON) and the seed, and
 rerunning an identical config reproduces summary.json and trace.csv byte
-for byte.
+for byte. trace.json holds no steps: it is the run's record, the trace's
+metadata with the solve's wall-clock timestamps and its stop record, and
+may vary between reruns.
 """
 
 from __future__ import annotations

@@ -810,6 +810,10 @@ def viscosity_implicit_solve(
     (FixedPointResult, ConvergenceTrace)
         The result's converged flag means the final step met both
         ||xi - T(xi)|| <= outer_tol and ||xi_n - xi_{n-1}|| <= outer_tol.
+        The trace's metadata holds the run's wall-clock timestamps and its
+        stop record, {"reason": "outer_tol" | "n_max", "n": n}: the stop
+        test met at step n, or the schedule's last step n reached without
+        it.
 
     Each step solves the blend g = eps_n f + (1 - eps_n) T_n from the warm
     start on g's affine piece there (see _solve_implicit), which a schedule
@@ -904,6 +908,7 @@ def viscosity_implicit_solve(
     # The trace takes the columns as they are (n, the last step's number, is the number of steps).
     trace._columns, trace._points = (list(range(1, n + 1)), list(values[:n]), implicit, fixes, deltas, iters), points
     trace.metadata["timestamps"] = {"started": started, "finished": time.time()}
+    trace.metadata["stop"] = {"reason": "outer_tol" if converged else "n_max", "n": n}
     return FixedPointResult(as_vector(x_prev), fixes[-1], n, converged), trace
 
 

@@ -1,4 +1,4 @@
-"""Per-step convergence traces and their lossless CSV / JSON round trips."""
+"""Per-step convergence traces: the CSV step table, with its lossless round trip, and the JSON run record."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: TraceStep's scalar fields in CSV column order, each with the type it is
 #: read back as; the point coordinates x0..x{d-1} follow them in a CSV row.
@@ -136,14 +136,16 @@ def _point_tuple(point):
 
 
 def export_trace(trace: ConvergenceTrace, fmt: str, destination, header_comment: str | None = None) -> Path:
-    """Write a trace as 'csv' or 'json'. Returns the path written.
+    """Write a trace's steps as 'csv' or its run record as 'json'. Returns the path written.
 
     CSV columns are exactly CSV_COLUMNS (TraceStep's scalar fields: n, eps,
     implicit_residual, fix_residual, step_delta, inner_iters), then the
     point coordinates x0..x{d-1}, every float rendered with 17 significant
-    digits. An optional '#' comment line may precede the header. JSON is one
-    line of sorted keys (then a newline) carrying a schema version, the
-    metadata and each step as an object keyed by TraceStep's field names.
+    digits. An optional '#' comment line may precede the header. The CSV is
+    the one step table. JSON is the run's record without steps: one line of
+    sorted keys (then a newline), {"metadata": ..., "schema": 2}, where the
+    metadata may hold values that vary between runs, such as a solve's
+    wall-clock timestamps.
     """
     path = Path(destination)
     if fmt == "csv":
@@ -155,36 +157,23 @@ def export_trace(trace: ConvergenceTrace, fmt: str, destination, header_comment:
         path.write_text("".join(lines), newline="")
         return path
     if fmt == "json":
-        payload = {
-            "schema": TRACE_SCHEMA_VERSION,
-            "metadata": trace.metadata,
-            "steps": [s._asdict() for s in trace.steps],
-        }
-        # Without indent, dumps runs the C encoder in one call.
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        record = {"metadata": trace.metadata, "schema": TRACE_SCHEMA_VERSION}
+        path.write_text(json.dumps(record, sort_keys=True) + "\n")
         return path
     raise ValueError(f"unknown trace format '{fmt}'")
 
 
-def _read_columns(rows, keys) -> list[list]:
-    """The _FIELDS columns of rows, read from row[key] for each field's key as the field's type."""
-    return [list(map(kind, map(itemgetter(key), rows))) for key, (_, kind) in zip(keys, _FIELDS)]
-
-
 def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
-    """Reload a trace written by export_trace; format inferred from the suffix."""
+    """Reload the steps export_trace wrote as CSV; the format is inferred from the suffix.
+
+    A JSON file holds a run's record, or in schema 1 a copy of the steps
+    that trace.csv also holds, so a JSON source raises ValueError.
+    """
     path = Path(source)
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower()
     if fmt == "json":
-        with path.open() as handle:
-            payload = json.load(handle)
-        if payload.get("schema") != TRACE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported trace schema {payload.get('schema')!r}")
-        trace = ConvergenceTrace(metadata=payload.get("metadata", {}))
-        steps = payload["steps"]
-        trace._extend(_read_columns(steps, CSV_COLUMNS), [tuple(map(float, step["point"])) for step in steps])
-        return trace
+        raise ValueError(f"{path} is a JSON run record: a run's steps are in its trace.csv")
     if fmt == "csv":
         # A '# key=value ...' comment line, as written for header_comment,
         # carries metadata; the seed comes back as an int.
@@ -206,6 +195,7 @@ def load_trace(source, fmt: str | None = None) -> ConvergenceTrace:
         if tuple(header[: len(CSV_COLUMNS)]) != CSV_COLUMNS:
             raise ValueError(f"unexpected trace CSV header: {header}")
         cells, width = list(reader), len(CSV_COLUMNS)
-        trace._extend(_read_columns(cells, range(width)), [tuple(map(float, row[width:])) for row in cells])
+        columns = [list(map(kind, map(itemgetter(k), cells))) for k, (_, kind) in enumerate(_FIELDS)]
+        trace._extend(columns, [tuple(map(float, row[width:])) for row in cells])
         return trace
     raise ValueError(f"unknown trace format '{fmt}'")

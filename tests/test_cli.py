@@ -82,6 +82,30 @@ def test_run_is_byte_deterministic(tmp_path):
     assert (first / "trace.csv").read_bytes() == (second / "trace.csv").read_bytes()
 
 
+def test_run_record_holds_the_metadata_and_the_stop_record(tmp_path):
+    # Fix T = span{e1}, and the run ends at n_max without meeting outer_tol.
+    cfg = {
+        "problem": {
+            "target": {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 0.0]]},
+            "contraction": {"kind": "affine", "matrix": [[0.0, -0.5], [0.5, 0.0]], "offset": [1.0, 1.0]},
+        },
+        "schedule": {"kind": "harmonic", "n_max": 2000},
+        "options": {"outer_tol": 1e-6},
+        "seed": 7,
+    }
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "fix-e1.json", cfg)), "--out", str(out), "--quiet"]) == 0
+    text = (out / "trace.json").read_text()
+    record = json.loads(text)
+    assert text.count("\n") == 1 and sorted(record) == ["metadata", "schema"] and record["schema"] == 2
+    metadata = record["metadata"]
+    assert metadata["config_hash"] == config_hash(cfg) and metadata["seed"] == 7
+    assert metadata["timestamps"]["started"] <= metadata["timestamps"]["finished"]
+    assert metadata["stop"] == {"reason": "n_max", "n": 2000}
+    summary = _read_summary(out)
+    assert not summary["converged"] and summary["outer_steps"] == 2000 and "stop" not in summary
+
+
 def test_run_seed_override_changes_the_hash(tmp_path):
     cfg = _ball_config()
     cfg_path = _write(tmp_path, "ball.json", cfg)

@@ -651,6 +651,17 @@ def test_trace_metadata_and_timestamps():
     assert stamps["started"] <= stamps["finished"]
 
 
+def test_the_trace_records_why_the_run_stopped():
+    # The stop test met at step 100 of 300, then a drift that meets it at no step of 30.
+    f = AffineOperator(0.5 * np.eye(2), [0.6, -0.8])
+    opts = SolveOptions(outer_tol=1e-2)
+    result, trace = viscosity_implicit_solve(f, make_rotation_flow([1.0], [1.0]), make_schedule(n_max=300), opts)
+    assert result.converged and trace.metadata["stop"] == {"reason": "outer_tol", "n": 100}
+    drift = AffineOperator(np.eye(2), [1.0, 0.0])
+    result, trace = viscosity_implicit_solve(ConstantOperator([0.0, 0.0]), drift, make_schedule(n_max=30))
+    assert not result.converged and trace.metadata["stop"] == {"reason": "n_max", "n": 30}
+
+
 def test_warm_and_cold_starts_agree_at_the_end():
     f = AffineOperator(0.5 * np.eye(2), [1.0, 0.0])
     rot = PlaneRotation(2, (0, 1), 1.0)

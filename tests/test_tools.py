@@ -1,7 +1,9 @@
-"""The comparison tools take git revisions where they take a checkout root."""
+"""The comparison tools take git revisions for checkout roots, and bench_pairs.py applies the claim rule."""
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import os
 import shutil
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-pytestmark = pytest.mark.skipif(
+needs_git = pytest.mark.skipif(
     shutil.which("git") is None or not (ROOT / ".git").exists(), reason="needs git and the repository's history"
 )
 
@@ -26,6 +28,7 @@ def _code_lines(tmp_path, *names):
     )
 
 
+@needs_git
 def test_code_lines_unpacks_a_revision_and_removes_it(tmp_path):
     same = _code_lines(tmp_path, "HEAD", "HEAD")
     assert same.returncode == 0, same.stderr
@@ -39,8 +42,61 @@ def test_code_lines_unpacks_a_revision_and_removes_it(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@needs_git
 def test_a_name_that_is_neither_a_directory_nor_a_revision_is_refused(tmp_path):
     refused = _code_lines(tmp_path, "no-such-revision", "HEAD")
     assert refused.returncode == 2
     assert "no-such-revision is neither a directory nor a git revision" in refused.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    return importlib.import_module("bench_pairs")
+
+
+def test_a_gain_holds_on_nine_wins_in_ten_and_a_gap_past_the_parents_quartiles(bench_pairs):
+    parent = [0.220, 0.222, 0.224, 0.226, 0.228, 0.230, 0.221, 0.223, 0.225, 0.227]
+    change = [0.200, 0.202, 0.204, 0.206, 0.208, 0.210, 0.201, 0.203, 0.205, 0.240]
+    v = bench_pairs.verdict(parent, change, "lower", 0.25)
+    assert (v.wins, v.pairs, v.holds, v.worse, v.unresolved) == (9, 10, True, False, False)
+    assert v.parent.median == pytest.approx(0.2245) and v.change.median == pytest.approx(0.2045)
+    # Eight wins in ten, or nine in nine pairs, are not enough.
+    assert not bench_pairs.verdict(parent, change[:-2] + [0.240, 0.240], "lower", 0.25).holds
+    assert not bench_pairs.verdict(parent[:9], change[:9], "lower", 0.25).holds
+    # A tie wins for neither side.
+    assert bench_pairs.verdict(parent, parent[:1] + change[1:], "lower", 0.25).wins == 8
+    # For a metric where higher is better, the same runs read the other way round.
+    flipped = bench_pairs.verdict(change, parent, "higher", 0.25)
+    assert (flipped.wins, flipped.holds) == (9, True)
+
+
+def test_a_gain_needs_a_median_gap_wider_than_the_parents_quartiles(bench_pairs):
+    # Ten wins, by less than the parent's own spread.
+    parent = [0.20, 0.21, 0.22, 0.23, 0.24, 0.25, 0.26, 0.27, 0.28, 0.29]
+    change = [value - 0.01 for value in parent]
+    v = bench_pairs.verdict(parent, change, "lower", 0.25)
+    assert v.wins == 10 and v.parent.q3 - v.parent.q1 > 0.01 and not v.holds
+
+
+def test_a_metric_worse_than_its_bound_is_flagged_and_a_wide_spread_is_unresolved(bench_pairs):
+    parent = [40.0] * 10
+    assert bench_pairs.verdict(parent, [42.1] * 10, "lower", 0.05).worse
+    assert not bench_pairs.verdict(parent, [41.9] * 10, "lower", 0.05).worse
+    # completed_frac is better higher: 0.875 -> 0.75 is past a bound of 0.1.
+    assert bench_pairs.verdict([0.875] * 10, [0.75] * 10, "higher", 0.1).worse
+    assert not bench_pairs.verdict([0.875] * 10, [0.875] * 10, "higher", 0.1).worse
+    # The parent's quartiles lie 0.1 apart around 1, past a bound of 0.05,
+    # unless every change run reads better than every parent run.
+    wide = [0.9, 0.95, 1.0, 1.05, 1.1] * 2
+    assert bench_pairs.verdict(wide, wide, "lower", 0.05).unresolved
+    assert not bench_pairs.verdict(wide, [0.8] * 10, "lower", 0.05).unresolved
+
+
+def test_seeds_read_a_range_or_one_seed(bench_pairs):
+    assert bench_pairs._seeds("5101-5110") == range(5101, 5111)
+    assert bench_pairs._seeds("7") == range(7, 8)
+    for bad in ("x-3", "9-3", "-3"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs._seeds(bad)

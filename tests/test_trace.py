@@ -1,4 +1,4 @@
-"""Trace container invariants and lossless CSV / JSON round trips."""
+"""Trace container invariants, the lossless CSV round trip and the JSON run record."""
 
 from __future__ import annotations
 
@@ -100,7 +100,8 @@ def test_steps_are_built_on_first_read_and_kept_until_an_append():
     assert trace.last() == appended[-1]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+# trace.csv is the one step table that load_trace reads.
+@pytest.mark.parametrize("fmt", ["csv"])
 @pytest.mark.parametrize(
     "row, message",
     [
@@ -115,14 +116,8 @@ def test_loads_check_each_row_as_append_does(tmp_path, fmt, row, message):
     trace = _messy_trace()
     path = export_trace(trace, fmt, tmp_path / f"trace.{fmt}")
     n, eps, point = row
-    bad = _step(n, eps, point)
-    if fmt == "csv":
-        cells = [str(bad.n), repr(bad.eps), "0", "0", "0", "1", *map(repr, point)]
-        path.write_text(path.read_text() + ",".join(cells) + "\r\n")
-    else:
-        payload = json.loads(path.read_text())
-        payload["steps"].append(bad._asdict())
-        path.write_text(json.dumps(payload))
+    cells = [str(n), repr(eps), "0", "0", "0", "1", *map(repr, point)]
+    path.write_text(path.read_text() + ",".join(cells) + "\r\n")
     with pytest.raises(ValueError, match=message):
         load_trace(path)
 
@@ -175,29 +170,39 @@ def test_csv_rejects_foreign_header(tmp_path):
 
 
 def test_json_round_trip_keeps_metadata(tmp_path):
+    # The record carries the metadata as json.loads gives it back, nested keys sorted.
     trace = _messy_trace()
+    trace.metadata["stop"] = {"reason": "n_max", "n": 5}
     path = export_trace(trace, "json", tmp_path / "trace.json")
-    loaded = load_trace(path)
-    assert loaded.metadata == {"problem_id": "demo", "seed": 42}
-    assert loaded.steps == trace.steps
+    assert json.loads(path.read_text()) == {"metadata": trace.metadata, "schema": TRACE_SCHEMA_VERSION}
+    assert path.read_text().index('"n": 5') < path.read_text().index('"reason": "n_max"')
 
 
 def test_json_schema_version_is_enforced(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": 99, "metadata": {}, "steps": []}))
-    with pytest.raises(ValueError, match="schema"):
-        load_trace(path)
+    # Schema 2 is the run record; load_trace reads the steps of no JSON file,
+    # be it a record or a schema-1 file that still carries a copy of the steps.
+    assert TRACE_SCHEMA_VERSION == 2
+    record = export_trace(_messy_trace(), "json", tmp_path / "trace.json")
+    assert json.loads(record.read_text())["schema"] == 2
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"schema": 1, "metadata": {}, "steps": [_step(1, 0.5, (0.0,))._asdict()]}))
+    for path in (record, old):
+        with pytest.raises(ValueError, match="steps are in its trace.csv"):
+            load_trace(path)
 
 
 def test_format_inference_and_unknown_formats(tmp_path):
     trace = _messy_trace()
-    json_path = export_trace(trace, "json", tmp_path / "trace.json")
-    assert len(load_trace(json_path)) == 3
-    assert len(load_trace(json_path, fmt="json")) == 3
+    csv_path = export_trace(trace, "csv", tmp_path / "trace.csv")
+    assert len(load_trace(csv_path)) == 3
+    assert len(load_trace(csv_path, fmt="csv")) == 3
+    # The format named overrides the suffix.
+    with pytest.raises(ValueError, match="trace.csv"):
+        load_trace(csv_path, fmt="json")
     with pytest.raises(ValueError, match="format"):
         export_trace(trace, "xml", tmp_path / "trace.xml")
     with pytest.raises(ValueError, match="format"):
-        load_trace(json_path, fmt="xml")
+        load_trace(csv_path, fmt="xml")
 
 
 def test_json_output_is_stable_and_sorted(tmp_path):
@@ -205,13 +210,12 @@ def test_json_output_is_stable_and_sorted(tmp_path):
     a = export_trace(trace, "json", tmp_path / "a.json").read_bytes()
     b = export_trace(trace, "json", tmp_path / "b.json").read_bytes()
     assert a == b
-    payload = json.loads(a)
-    assert list(payload) == sorted(payload)
-    assert payload["steps"][0]["point"][0] == 1.0 / 3.0
+    # One line of sorted keys: exactly the metadata and the schema, and no steps.
+    assert a == b'{"metadata": {"problem_id": "demo", "seed": 42}, "schema": 2}\n'
 
 
 # ---------------------------------------------------------------------------
-# Bulk export against the csv.writer / indented json.dump renderings
+# Bulk export against the csv.writer rendering
 
 
 def _reference_csv(trace, header_comment):
@@ -228,27 +232,6 @@ def _reference_csv(trace, header_comment):
             + [format(float(c), ".17g") for c in s.point]
         )
     return buffer.getvalue().encode()
-
-
-def _reference_json(trace):
-    """trace.json as json.dump(..., indent=2, sort_keys=True) renders it."""
-    payload = {
-        "schema": TRACE_SCHEMA_VERSION,
-        "metadata": trace.metadata,
-        "steps": [
-            {
-                "n": s.n,
-                "eps": s.eps,
-                "point": list(s.point),
-                "implicit_residual": s.implicit_residual,
-                "fix_residual": s.fix_residual,
-                "inner_iters": s.inner_iters,
-                "step_delta": s.step_delta,
-            }
-            for s in trace.steps
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _bits(value):
@@ -301,16 +284,11 @@ def test_bulk_export_matches_the_writer_renderings_and_round_trips(case, tmp_pat
     directory.mkdir(exist_ok=True)
     csv_path = export_trace(trace, "csv", directory / "trace.csv", header_comment=header)
     assert csv_path.read_bytes() == _reference_csv(trace, header)
+    loaded = load_trace(csv_path)
+    assert [_step_bits(s) for s in loaded.steps] == [_step_bits(s) for s in trace.steps]
+    # The record holds the metadata alone, whatever the steps.
     json_path = export_trace(trace, "json", directory / "trace.json")
-    text = json_path.read_text()
-    # One line of sorted keys: the indented layout's content, in its order.
-    assert text.endswith("}\n") and text.count("\n") == 1
-    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == _reference_json(trace)
-    expected = [_step_bits(s) for s in trace.steps]
-    for path in (csv_path, json_path):
-        loaded = load_trace(path)
-        assert [_step_bits(s) for s in loaded.steps] == expected
-    assert load_trace(json_path).metadata == trace.metadata
+    assert json_path.read_text() == json.dumps({"metadata": trace.metadata, "schema": 2}, sort_keys=True) + "\n"
     if header is not None:
         assert load_trace(csv_path).metadata == {"config_hash": "abc123", "seed": trace.metadata["seed"]}
 
@@ -321,5 +299,4 @@ def test_bulk_export_of_the_empty_trace(tmp_path):
         path = export_trace(empty, "csv", tmp_path / "empty.csv", header_comment=header)
         assert path.read_bytes() == _reference_csv(empty, header)
     path = export_trace(empty, "json", tmp_path / "empty.json")
-    assert json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) == _reference_json(empty)
-    assert load_trace(path).steps == []
+    assert path.read_bytes() == b'{"metadata": {}, "schema": 2}\n'

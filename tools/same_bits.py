@@ -34,8 +34,9 @@ bench/inputs.py generates (the script only reads that file). It records:
   target or the one member of a family with a single sampled index (as the
   CLI takes it; a family of more members has no report), and again with the
   target's linear fixed set when it has one; the bytes export_trace writes
-  as trace.csv and as trace.json (the trace's wall-clock timestamps dropped
-  first), and each file's load_trace round trip;
+  as trace.csv, the step table, and as trace.json, the run record (the
+  trace's wall-clock timestamps dropped first), and the load_trace round
+  trip of trace.csv;
 * for cli-pipeline at seed 4242: the exit code and stdout of each command,
   every file the commands write (summary.json, trace.csv,
   sweep_summary.csv) and trace.json without its wall-clock timestamps;
@@ -45,7 +46,7 @@ bench/inputs.py generates (the script only reads that file). It records:
   operator or of the family's member at each sample index, and each
   rejected spec's exception class and message.
 
-That makes 679 records. Floats are compared by their bits. The exit code
+That makes 640 records. Floats are compared by their bits. The exit code
 is 0 when every record agrees, 1 when any differs (each one that differs
 is named, then their count) and 2 when a checkout could not be recorded.
 """
@@ -163,7 +164,7 @@ def _report_records(prefix: str, trace, f, target) -> dict:
 
 
 def _export_records(prefix: str, trace) -> dict:
-    """The bytes of both trace files, timestamps dropped, and what load_trace reads back from each."""
+    """The bytes of both trace files, timestamps dropped, and what load_trace reads back from the step table."""
     from viscofix import export_trace, load_trace
 
     trace.metadata.pop("timestamps", None)
@@ -171,9 +172,9 @@ def _export_records(prefix: str, trace) -> dict:
     with tempfile.TemporaryDirectory() as work:
         for fmt in ("csv", "json"):
             path = export_trace(trace, fmt, Path(work) / f"trace.{fmt}", header_comment=f"op={prefix}")
-            loaded = load_trace(path)
             records[f"{prefix}/trace.{fmt}"] = _digest(path.read_bytes())
-            records[f"{prefix}/trace.{fmt} round trip"] = _digest(repr((loaded.metadata, loaded.steps)).encode())
+        loaded = load_trace(Path(work) / "trace.csv")
+        records[f"{prefix}/trace.csv round trip"] = _digest(repr((loaded.metadata, loaded.steps)).encode())
     return records
 
 
