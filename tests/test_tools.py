@@ -94,6 +94,14 @@ def test_a_metric_worse_than_its_bound_is_flagged_and_a_wide_spread_is_unresolve
     assert not bench_pairs.verdict(wide, [0.8] * 10, "lower", 0.05).unresolved
 
 
+def test_quartiles_are_the_exclusive_ones_op_times_prints(bench_pairs):
+    # The inclusive method would give [3.25, 7.75], a narrower spread to beat.
+    values = [7.0, 1.0, 4.0, 10.0, 2.0, 9.0, 5.0, 3.0, 8.0, 6.0]
+    assert bench_pairs.spread(values) == (2.75, 5.5, 8.25)
+    op_times = importlib.import_module("op_times")
+    assert op_times._quartiles([value / 1e3 for value in values]) == "[2.750, 8.250]"
+
+
 def test_seeds_read_a_range_or_one_seed(bench_pairs):
     assert bench_pairs._seeds("5101-5110") == range(5101, 5111)
     assert bench_pairs._seeds("7") == range(7, 8)

@@ -100,7 +100,8 @@ def test_steps_are_built_on_first_read_and_kept_until_an_append():
     assert trace.last() == appended[-1]
 
 
-# trace.csv is the one step table that load_trace reads.
+# trace.csv is the one step table that load_trace reads; the one-value fmt
+# parameter keeps the ids these cases had when JSON steps were read too.
 @pytest.mark.parametrize("fmt", ["csv"])
 @pytest.mark.parametrize(
     "row, message",

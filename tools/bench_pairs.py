@@ -1,22 +1,23 @@
 """Run the benchmark on two checkouts of viscofix in alternating pairs and apply the claim rule.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B [--seconds S]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B
 
 PARENT and CHANGE are the roots of two checkouts, or git revisions of
 this repository such as HEAD~1, unpacked for the run (see checkouts.py).
 Each seed from A to B makes one pair: bench/run.py --workload W --seed S
 --trace 0 runs in each checkout, from that checkout's root with its own
 bench/ and src/, the parent first in the first pair and the side that
-goes first alternating from pair to pair. Both sides run for the same
---seconds, by default the run_seconds of the parent's BENCHMARK.json. The
-script reads bench/ and writes nothing there; bench/run.py leaves its
-spans in the checkout's .bench_out/.
+goes first alternating from pair to pair. Both sides run for the
+run_seconds of the parent's BENCHMARK.json. The script reads bench/ and
+writes nothing there; bench/run.py leaves its spans in the checkout's
+.bench_out/.
 
 For each end-to-end metric that the parent's BENCHMARK.json declares,
-the script prints each side's median and quartiles over the pairs and the
-pairs the change wins, a tie winning for neither side. A gain holds when
-there are at least ten pairs, the change wins at least nine tenths of
-them, and the medians differ in the metric's better direction by more
+the script prints each side's median and quartiles over the pairs (the
+default, exclusive quartiles of statistics.quantiles, which
+tools/op_times.py prints too) and the pairs the change wins, a tie
+winning for neither side. A gain holds when there are at least ten
+pairs, the change wins at least nine tenths of them, and the medians differ in the metric's better direction by more
 than the distance between the parent's quartiles. A metric is worse when
 the change's median is worse than the parent's by more than the metric's
 bound, a fraction of the parent's median. It is unresolved when the
@@ -70,7 +71,7 @@ class Verdict(NamedTuple):
 def spread(values: list[float]) -> Spread:
     if len(values) < 2:
         return Spread(values[0], values[0], values[0])
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return Spread(q1, median, q3)
 
 
@@ -120,11 +121,10 @@ def main() -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=_seeds, help="A-B: one pair per seed from A to B")
-    parser.add_argument("--seconds", type=float, help="run length of each side (BENCHMARK.json's run_seconds)")
     args = parser.parse_args()
     with checkouts(args.parent, args.change) as (parent, change):
         spec = json.loads((parent / "BENCHMARK.json").read_text())
-        seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+        seconds = spec["run_seconds"]
         sides = {"parent": parent, "change": change}
         runs: dict = {"parent": [], "change": []}
         for k, seed in enumerate(args.seeds):
