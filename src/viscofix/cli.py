@@ -29,12 +29,14 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import (
     ProofStepReport,
+    RetractionCheck,
     build_proof_step_report,
     check_retraction_nonexpansive,
     check_step5_convergence,
@@ -58,6 +60,7 @@ from .schemes import (
     NotAContraction,
     SolveOptions,
     _resolve_contraction,
+    _step_operators,
     anchored_implicit_solve,  # noqa: F401  (bench/tracer.py wraps this binding)
     coupled_inner_tol,
     fixed_inner_tol,
@@ -348,14 +351,10 @@ def _fixed_set_for(target):
         return None
 
 
-def _proof_report(trace, f, target, retraction_limits=None) -> ProofStepReport:
-    return build_proof_step_report(
-        trace,
-        f,
-        _single_step_operator(target),
-        fixed_set=_fixed_set_for(target),
-        retraction_limits=retraction_limits,
-    )
+def _proof_report(trace, f, target, retraction: RetractionCheck | None) -> ProofStepReport:
+    """The stage checks of a run, with its retraction check as the summary took it."""
+    report = build_proof_step_report(trace, f, _single_step_operator(target), fixed_set=_fixed_set_for(target))
+    return replace(report, retraction=retraction)
 
 
 def _output_dir(path: Path) -> Path:
@@ -392,9 +391,12 @@ def execute_run(
     if sched_cfg["kind"] == "anchored" and f.kind != "constant":
         raise ConfigInvalid("anchored schedule needs a constant contraction as the anchor")
     schedule = make_schedule(sched_cfg["kind"], sched_cfg.get("params"), sched_cfg.get("n_max"))
-    # Resolved here, the solver keeps it as it is, so an undeclared forcing
-    # term is probed once and its modulus is known to the caller.
+    # Resolved here, the solves keep them as they are, so an undeclared
+    # forcing term or single target is probed once, and the forcing term's
+    # modulus is known to the caller.
     forcing = _resolve_contraction(f)
+    if isinstance(target, Operator):
+        (target,) = _step_operators(target, forcing.dim)
     result, trace = viscosity_implicit_solve(forcing, target, schedule, opts=opts, problem_id=problem_id)
     sched_desc = {"kind": schedule.kind, "n_max": schedule.n_max}
 
@@ -404,13 +406,12 @@ def execute_run(
     stagnation = detect_no_common_fixed_point(trace, result.converged, opts.outer_tol)
 
     retraction = None
-    retraction_limits = None
+    check = None
     anchors = cfg.get("anchors")
     if anchors:
         n_steps = sched_desc["n_max"]
         values = retraction_eval(target, anchors, n_max=n_steps, opts=opts)
-        retraction_limits = values.limits if len(values.limits) >= 2 else None
-        check = check_retraction_nonexpansive(values.limits) if retraction_limits else None
+        check = check_retraction_nonexpansive(values.limits) if len(values.limits) >= 2 else None
         retraction = {
             "passed": bool(check.passed) if check else False,
             "max_excess": float(check.max_excess) if check else None,
@@ -424,10 +425,11 @@ def execute_run(
     proof = None
     proof_error = None
     try:
-        proof = _proof_report(trace, forcing, target, retraction_limits).to_dict()
+        report = _proof_report(trace, forcing, target, check)
+        proof, step5 = report.to_dict(), report.step5
     except (ViscofixError, ValueError) as exc:
         proof_error = str(exc)
-    tail = check_step5_convergence(trace)
+        step5 = check_step5_convergence(trace)
 
     last = trace.last()
     exit_code = 2 if stagnation.stalled else 0
@@ -442,7 +444,7 @@ def execute_run(
         "final_fix_residual": float(last.fix_residual),
         "final_implicit_residual": float(last.implicit_residual),
         "final_step_delta": float(last.step_delta),
-        "tail_spread": float(tail.distance),
+        "tail_spread": float(step5.distance),
         "total_inner_iterations": int(sum(s.inner_iters for s in trace.steps)),
         "stagnation": {
             "stalled": bool(stagnation.stalled),

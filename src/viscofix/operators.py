@@ -23,8 +23,8 @@ affine_parts.
 check_nonexpansive. The module also certifies norm attainment of linear maps
 (the top eigenvector of S^T S, with the norm bracketed between ||S v|| and an
 upper bound that a Cholesky factorization proves) and computes orthonormal
-bases of fixed-point sets of linear maps (elimination with a pivot threshold,
-then orthonormalization).
+bases of fixed-point sets of linear maps (the right singular vectors of one
+SVD whose singular values are at most a tolerance).
 """
 
 from __future__ import annotations
@@ -1253,40 +1253,18 @@ class FixedPointSet:
 def nullspace_basis(matrix: np.ndarray, tol: float) -> list[np.ndarray]:
     """Orthonormal basis of the null space of a (possibly rectangular) matrix.
 
-    Gauss-Jordan elimination with partial pivoting; columns whose remaining
-    entries are all <= tol in magnitude are treated as free. The raw basis from
-    back substitution is orthonormalized with a QR factorization.
+    The right singular vectors of one SVD whose singular values are at most
+    tol, those past the row count included, so every returned b has
+    ||matrix b|| <= tol up to the SVD's rounding (about eps ||matrix||). A
+    non-finite entry raises ValueError.
     """
-    r = np.array(matrix, dtype=float, copy=True)
+    r = np.asarray(matrix, dtype=float)
     if r.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {r.shape}")
-    nrows, ncols = r.shape
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        pivot_row = row + int(np.argmax(np.abs(r[row:, col])))
-        if abs(r[pivot_row, col]) <= tol:
-            continue
-        if pivot_row != row:
-            r[[row, pivot_row]] = r[[pivot_row, row]]
-        r[row] = r[row] / r[row, col]
-        for other in range(nrows):
-            if other != row and r[other, col] != 0.0:
-                r[other] = r[other] - r[other, col] * r[row]
-        pivot_cols.append(col)
-        row += 1
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    if not free_cols:
-        return []
-    raw = np.zeros((ncols, len(free_cols)))
-    for k, free in enumerate(free_cols):
-        raw[free, k] = 1.0
-        for i, piv in enumerate(pivot_cols):
-            raw[piv, k] = -r[i, free]
-    q, _ = np.linalg.qr(raw)
-    return [q[:, k].copy() for k in range(q.shape[1])]
+    if not np.all(np.isfinite(r)):
+        raise ValueError("matrix has non-finite entries")
+    _, singular, vt = np.linalg.svd(r)
+    return [v.copy() for v in vt[np.count_nonzero(singular > tol):]]
 
 
 def _common_fixed_set(dim: int, matrices, tol: float) -> FixedPointSet:

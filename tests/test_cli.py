@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 import jsonschema
 from jsonschema.validators import validator_for
 
-from viscofix import cli, schemes, semigroup
+from viscofix import cli, diagnostics, load_trace, schemes, semigroup
 from viscofix.cli import RUN_CONFIG_SCHEMA, ConfigInvalid, config_hash, load_run_config, main
+from viscofix.operators import make_operator
 from viscofix.space import DEFAULT_SEED
 
 from oracles import ALL_ONES_FALLS_SHORT
@@ -165,6 +166,31 @@ def test_run_of_a_slightly_expansive_map_is_still_probed(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, "rotation.json", _rotation_config(0.1, scale=1.0 + 1e-12))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert len(probes) == 1
+
+
+def test_run_probes_an_undeclared_target_once_for_its_solve_and_anchors(tmp_path, capsys, monkeypatch):
+    # A norm of 1 + 1e-12 lies past rounding but within the probe's tolerance.
+    target = {"kind": "linear", "matrix": [[1.000000000001, 0.0], [0.0, 0.5]]}
+    anchors = [[3.0, 0.0], [0.0, -3.0], [-2.0, 2.0]]
+    cfg = {
+        "problem": {"target": target, "contraction": {"kind": "constant", "value": [2.0, 1.0]}},
+        "schedule": {"kind": "anchored", "n_max": 50},
+        "anchors": anchors,
+        "seed": 5,
+    }
+    probes = _count_probes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "probe.json", cfg)), "--out", str(out), "--quiet"]) == 0
+    assert len(probes) == 1
+    rows = _read_summary(out)["retraction"]["limits"]
+    limits = {tuple(row["anchor"]): [c.hex() for c in row["limit"]] for row in rows}
+    unresolved = schemes.retraction_eval(make_operator(target), anchors, n_max=50)
+    assert limits == {a: [float(c).hex() for c in limit] for a, limit in unresolved.limits.items()}
+    # A dimension mismatch is still reported before any probe.
+    cfg["problem"]["target"] = {"kind": "linear", "matrix": (1.000000000001 * np.eye(3)).tolist()}
+    assert main(["run", str(_write(tmp_path, "probe.json", cfg)), "--out", str(out), "--quiet"]) == 1
+    assert "DimensionMismatch: operator dimension 3 does not match forcing dimension 2" in capsys.readouterr().err
+    assert len(probes) == 4
 
 
 def test_run_bad_schedule_exits_one(tmp_path, capsys):
@@ -398,7 +424,22 @@ def test_run_non_finite_inner_value_exits_two_in_the_plane(tmp_path, capsys):
     assert "outer step n=1," in err and "operator kind 'affine'" in err
 
 
-def test_run_anchored_with_anchors_reports_retraction(tmp_path):
+def _count_checks(monkeypatch):
+    """Names of the step 5 and retraction checks called, through cli's bindings or diagnostics' own."""
+    calls = []
+    for name in ("check_step5_convergence", "check_retraction_nonexpansive"):
+
+        def counted(*args, _name=name, _original=getattr(diagnostics, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (cli, diagnostics):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_anchored_with_anchors_reports_retraction(tmp_path, monkeypatch):
+    checks = _count_checks(monkeypatch)
     cfg = {
         "problem": {
             "target": {"kind": "negation", "dim": 1},
@@ -418,6 +459,30 @@ def test_run_anchored_with_anchors_reports_retraction(tmp_path):
     assert len(retraction["limits"]) == 3
     assert retraction["failures"] == {}
     assert summary["limit"][0] == pytest.approx(1.0 / 119.0, abs=1e-8)
+    # The summary and the proof-step report share one step 5 and one retraction check.
+    assert sorted(checks) == ["check_retraction_nonexpansive", "check_step5_convergence"]
+    proof = summary["proof_steps"]
+    assert summary["tail_spread"] == proof["step5"]["distance"]
+    assert retraction["max_excess"] == proof["retraction"]["max_excess"]
+
+
+def test_run_without_a_proof_report_still_reports_its_tail_spread(tmp_path, monkeypatch):
+    checks = _count_checks(monkeypatch)
+    cfg = {
+        "problem": {
+            "family": {"kind": "rotation_flow", "rates": [1.0], "grid": [1.0, 2.0]},
+            "contraction": {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 1.0]},
+        },
+        "schedule": {"kind": "harmonic", "n_max": 50},
+        "seed": 1,
+    }
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "flow.json", cfg)), "--out", str(out), "--quiet"]) == 0
+    summary = _read_summary(out)
+    assert summary["proof_steps"] is None
+    assert summary["proof_steps_error"] == "proof-step report needs a single step operator"
+    assert checks == ["check_step5_convergence"]
+    assert summary["tail_spread"] == diagnostics.check_step5_convergence(load_trace(out / "trace.csv")).distance
 
 
 def test_run_anchored_needs_constant_contraction(tmp_path, capsys):

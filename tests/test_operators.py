@@ -877,18 +877,47 @@ def test_fixed_point_basis_residuals_stay_small():
             assert np.linalg.norm(b - matrix @ b) <= 10.0 * tol
 
 
+def _blocks_fixing(rng, line):
+    """Three random rows whose null space is the line spanned by the unit vector line."""
+    return rng.standard_normal((3, 3)) @ (np.eye(3) - np.outer(line, line))
+
+
 def test_nullspace_rank_matches_minor_scan_oracle():
     rng = np.random.default_rng(7)
+    matrices = []
     for d in (2, 3, 4):
         for k in range(0, d + 1):
             if k == 0:
-                matrix = np.zeros((d, d))
+                matrices.append(np.zeros((d, d)))
             else:
-                matrix = rng.standard_normal((d, k)) @ rng.standard_normal((k, d))
-            basis = nullspace_basis(matrix, 1e-8)
-            assert len(basis) == brute_force_nullity(matrix)
-            for b in basis:
-                assert np.linalg.norm(matrix @ b) <= 1e-6
+                matrices.append(rng.standard_normal((d, k)) @ rng.standard_normal((k, d)))
+    # Wide, and tall as stacked blocks I - M: two blocks with a common null line, then with none.
+    matrices += [rng.standard_normal((2, k)) @ rng.standard_normal((k, 4)) for k in (1, 2)]
+    line, other = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
+    matrices.append(np.vstack([_blocks_fixing(rng, line), _blocks_fixing(rng, line)]))
+    matrices.append(np.vstack([_blocks_fixing(rng, line), _blocks_fixing(rng, other)]))
+    for matrix in matrices:
+        basis = nullspace_basis(matrix, 1e-8)
+        assert len(basis) == brute_force_nullity(matrix)
+        for b in basis:
+            assert np.linalg.norm(matrix @ b) <= 1e-6
+        stacked = np.reshape(basis, (len(basis), matrix.shape[1]))
+        np.testing.assert_allclose(stacked @ stacked.T, np.eye(len(basis)), rtol=0.0, atol=1e-12)
+    assert [len(nullspace_basis(m, 1e-8)) for m in matrices[-4:]] == [3, 2, 1, 0]
+
+
+def test_nullspace_keeps_each_direction_its_matrix_maps_below_tol():
+    # Every pivot of I - triu(ones, 1) is 1, but its smallest singular value is 2.7e-12.
+    matrix = np.eye(40) - np.triu(np.ones((40, 40)), 1)
+    basis = nullspace_basis(matrix, 1e-10)
+    assert len(basis) == 1
+    assert np.linalg.norm(matrix @ basis[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nullspace_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        nullspace_basis([[bad, 0.0], [0.0, 1.0]], 1e-8)
 
 
 def test_nullspace_rejects_bad_shape():

@@ -108,3 +108,37 @@ def test_seeds_read_a_range_or_one_seed(bench_pairs):
     for bad in ("x-3", "9-3", "-3"):
         with pytest.raises(argparse.ArgumentTypeError):
             bench_pairs._seeds(bad)
+
+
+def _stub_checkout(root, records):
+    """A checkout whose own tools/same_bits.py prints fixed records, with no solver behind them."""
+    (root / "tools").mkdir(parents=True)
+    (root / "tools" / "same_bits.py").write_text(f"import json\nprint(json.dumps({records!r}))\n")
+    return str(root)
+
+
+def _same_bits(*names):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "same_bits.py"), *names],
+        capture_output=True, text=True, cwd=ROOT, stdin=subprocess.DEVNULL,
+    )
+
+
+def test_same_bits_records_each_checkout_with_its_own_script_and_names_one_sided_keys(tmp_path, monkeypatch):
+    parent = _stub_checkout(tmp_path / "parent", {"kept": 1, "changed": "a", "dropped": 2})
+    change = _stub_checkout(tmp_path / "change", {"kept": 1, "changed": "b", "added": 3})
+    compared = _same_bits(parent, change)
+    assert compared.returncode == 1, compared.stderr
+    assert compared.stdout.splitlines() == [
+        "differs: changed", "only in parent: dropped", "only in change: added", "3 of 4 records differ",
+    ]
+    same = _same_bits(parent, parent)
+    assert (same.returncode, same.stdout) == (0, "same bits: 3 records agree\n")
+    # A checkout whose script fails to record is refused.
+    (tmp_path / "parent" / "tools" / "same_bits.py").write_text("raise SystemExit(3)\n")
+    assert _same_bits(parent, change).returncode == 2
+    # A checkout without the script is recorded by the one that runs.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    same_bits = importlib.import_module("same_bits")
+    assert same_bits._recorder(tmp_path) == ROOT / "tools" / "same_bits.py"
+    assert same_bits._recorder(tmp_path / "change") == tmp_path / "change" / "tools" / "same_bits.py"

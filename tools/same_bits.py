@@ -4,9 +4,12 @@
 
 PARENT and CHANGE are the roots of two checkouts, or git revisions of
 this repository such as HEAD~1, unpacked for the run (see checkouts.py).
-Each one runs in its own interpreter, with its own src/ first on the
-path and one BLAS/OpenMP thread, on the seeded benchmark inputs that its
-bench/inputs.py generates (the script only reads that file). It records:
+Each one is recorded by its own tools/same_bits.py (by this script when
+it has none), so a record keeps the meaning its own tree gives it. The
+recording runs in its own interpreter, with the checkout's src/ first on
+the path and one BLAS/OpenMP thread, on the seeded benchmark inputs that
+its bench/inputs.py generates (the script only reads that file). It
+records:
 
 * for solve-affine and solve-nonaffine at seeds 4242, 777 and 9701: every
   solve's trace (points, implicit and fixed-point residuals, inner
@@ -40,15 +43,17 @@ bench/inputs.py generates (the script only reads that file). It records:
 * for cli-pipeline at seed 4242: the exit code and stdout of each command,
   every file the commands write (summary.json, trace.csv,
   sweep_summary.csv) and trace.json without its wall-clock timestamps;
-* for the spec corpus in tests/oracles.py, read from this script's own
-  tree: each accepted operator or family spec's to_spec() (AttributeError
-  for a custom family, which has none) and the bits of apply at seeded points, of the
-  operator or of the family's member at each sample index, and each
-  rejected spec's exception class and message.
+* for the spec corpus in tests/oracles.py, read from the recording
+  script's own tree: each accepted operator or family spec's to_spec()
+  (AttributeError for a custom family, which has none) and the bits of
+  apply at seeded points, of the operator or of the family's member at
+  each sample index, and each rejected spec's exception class and
+  message.
 
 That makes 640 records. Floats are compared by their bits. The exit code
 is 0 when every record agrees, 1 when any differs (each one that differs
-is named, then their count) and 2 when a checkout could not be recorded.
+is named, as "differs", "only in parent" or "only in change", then their
+count) and 2 when a checkout could not be recorded.
 """
 
 from __future__ import annotations
@@ -368,11 +373,17 @@ def record(checkout: Path) -> dict:
     return records
 
 
+def _recorder(checkout: Path) -> Path:
+    """The checkout's own tools/same_bits.py, or this script when it has none."""
+    own = checkout / "tools" / "same_bits.py"
+    return own if own.is_file() else Path(__file__).resolve()
+
+
 def _run(checkout: Path) -> dict:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--record", str(checkout)],
+        [sys.executable, str(_recorder(checkout)), "--record", str(checkout)],
         env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -397,7 +408,8 @@ def main() -> int:
     keys = list(before) + [key for key in after if key not in before]
     differing = [key for key in keys if key not in before or key not in after or before[key] != after[key]]
     for key in differing:
-        print(f"differs: {key}")
+        side = "only in change" if key not in before else "only in parent" if key not in after else "differs"
+        print(f"{side}: {key}")
     if differing:
         print(f"{len(differing)} of {len(keys)} records differ")
         return 1
