@@ -8,8 +8,9 @@ where f is a contraction and T_n is a fixed nonexpansive operator or a member
 of an operator family cycled round-robin over its sampled indices. Each step
 is a Banach fixed-point problem for the blended map G, a contraction with
 modulus at most q = 1 - eps_n * (1 - alpha), and is solved by Picard
-iteration with an a-posteriori stopping rule, on the blend's affine piece
-around the warm start when that piece's point certifies on the blend.
+iteration with an a-posteriori stopping rule, unless the blend certifies
+the point of a solve on its affine piece around the warm start, or its
+first Picard iterate, handed on from the step before, which is then kept.
 Picard has two paths: an affine map x -> M x + c with ||M||_2 < 1 finds
 its stop by binary lifting, and every other map is iterated step by step
 through its apply, as are the step norms of a lifted solve when read. The
@@ -51,7 +52,7 @@ from .operators import (
     spectral_norm,
 )
 from .operators import check_nonexpansive  # noqa: F401  (bench/tracer.py wraps this binding)
-from .semigroup import OperatorFamily, resolve_nonexpansive
+from .semigroup import NotNonexpansive, OperatorFamily, resolve_nonexpansive
 from .space import (
     DEFAULT_POLICY,
     DimensionMismatch,
@@ -274,21 +275,21 @@ def _resolve_contraction(G: Operator) -> Operator:
     raise NotAContraction(f"operator declared '{declared.kind}' has Lipschitz bound 1")
 
 
-def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int, first=None):
+def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int, held=()):
     """Picard step by step through G's apply: (last iterate, step norms).
 
     Returns whether or not the stopping rule fired within max_iter >= 1
-    steps. first, when given, is G(x) as its caller holds it, and is taken
-    as the first iterate in place of applying G. The iterate is one of G's
-    apply outputs, never x itself, and may be an array that G's apply still
-    holds. Raises NonFiniteValue at the first step where G returns NaN or
-    inf.
+    steps. held holds the first iterates G(x), G(G(x)), ... as its caller
+    holds them, which are taken in place of applying G. The iterate is one
+    of G's apply outputs, never x itself, and may be an array that G's
+    apply still holds. Raises NonFiniteValue at the first step where G
+    returns NaN or inf.
     """
     # x was checked by picard_solve and every operator keeps the shape of its
     # argument, so the loop skips the public apply's check.
     apply = G._apply
     steps: list[float] = []
-    current, nxt = x, (apply(x) if first is None else first)
+    current, nxt = x, (held[0] if held else apply(x))
     for k in range(1, max_iter + 1):
         step = nxt - current
         # vdot gives dot's bits without numpy's warning when the square overflows.
@@ -303,7 +304,7 @@ def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int,
         current = nxt
         if delta <= threshold or k == max_iter:
             break
-        nxt = apply(current)
+        nxt = held[k] if k < len(held) else apply(current)
     return current, steps
 
 
@@ -484,7 +485,7 @@ def _scanned_norms(G, x0, count):
 
 
 def picard_solve(
-    G: Operator, x0, tol: float, policy: TolerancePolicy = DEFAULT_POLICY, *, _first=None
+    G: Operator, x0, tol: float, policy: TolerancePolicy = DEFAULT_POLICY, *, _first=()
 ) -> FixedPointResult:
     """Banach-Picard iteration x_{k+1} = G(x_k) for a contraction G.
 
@@ -519,8 +520,9 @@ def picard_solve(
     is computed only when read. Every other map, whose steps may grow
     before they decay, takes every step through G's apply.
 
-    A solver that holds G(x0) already passes it as _first, and the
-    step-by-step loop takes it as its first iterate, counted as a step.
+    A solver that holds G(x0), or G(x0) and G(G(x0)), already passes them
+    as _first, and the step-by-step loop takes them as its first iterates,
+    each counted as a step.
 
     Raises MaxIterExceeded when the budget, counted in Picard steps, runs
     out. Raises NonFiniteValue when an iterate is NaN or infinite: the
@@ -605,50 +607,77 @@ def _solve_implicit(
     global form.
 
     seen is the pass of a step before, (x, f(x), T(x), T's piece at x), or
-    None; it serves only when x is warm itself, the same array. Picard on g
-    then takes g.a f(x) + g.b T(x), g's value with its own bits, as its
-    first iterate.
+    None; it serves only when x is warm itself, the same array.
 
     planned is g's piece at warm as a schedule plan built it (see
     _blend_plan), None where the plan found none, or _UNPLANNED. The one
     branch is on whether it holds everywhere: such a piece is g's collapse,
     which blend() adopts; without one, blend() collapses g itself when f
-    and T have global forms. Otherwise a local piece, or for an unplanned
-    step g's piece at warm, is solved first, declared with g's own
-    modulus q, which is also its matrix_norm: a nonexpansive T's local
-    piece has ||M||_2 <= 1, so with honest classes the piece's norm is at
-    most eps ||M_f||_2 + (1 - eps) <= q < 1, and picard_solve lifts on q
-    without an SVD, with the threshold g would get. The point is kept
-    only if ||xi - g(xi)|| <= delta (1 - q), which bounds its distance to
-    the fixed point of the q-contraction g by delta however it was found,
-    so a class that overstates how f contracts costs no soundness.
-    Otherwise, or when the piece solve fails, picard_solve runs on g. An
-    unplanned step asks g.affine_piece(warm), or, when seen serves, builds
-    g's piece from that pass (BlendOperator._apply_piece) without
-    evaluating T again.
+    and T have global forms. Any other step follows one certify-or-fallback
+    rule, whose candidates are tried in turn, and keeps the first whose
+    point xi the blend certifies: the bound ||xi - g(xi)|| / (1 - q) on
+    the distance to the fixed point of the q-contraction g holds however
+    xi was found, so a class that overstates how f contracts costs no
+    soundness.
+
+    * The piece solve. A local piece, or for an unplanned step g's piece
+      at warm, is solved declared with g's own modulus q, which is also
+      its matrix_norm: a nonexpansive T's local piece has ||M||_2 <= 1, so
+      with honest classes the piece's norm is at most eps ||M_f||_2 +
+      (1 - eps) <= q < 1, and picard_solve lifts on q without an SVD, with
+      the threshold g would get. Its point is kept if ||xi - g(xi)|| <=
+      delta (1 - q), with the piece solve's result; a piece solve that
+      fails is passed over. An unplanned step asks g.affine_piece(warm),
+      or, when seen serves, builds g's piece from that pass
+      (BlendOperator._apply_piece) without evaluating T again.
+    * The handed-on image. When seen serves, x1 = g.a f(warm) + g.b
+      T(warm) is g's value at warm with its own bits, Picard's first
+      iterate, and the step's one pass is made there. x1 is kept as one
+      iteration with step norms (||x1 - warm||,) when the bound plus
+      picard_solve's rounding floor is at most delta, which is then its
+      residual. Where Picard would stop at x1 on its own threshold, or x1
+      is not finite, Picard is left to do so.
+    * Picard on g, from warm. It takes x1, and g(x1) from the pass at x1
+      when one was made, as its first iterates, so a step that falls back
+      has the bits it would have had without the image, and no map is
+      evaluated twice at a point.
     """
     g = blend(eps, f, 1.0 - eps, T, planned if isinstance(planned, _Piece) and planned.everywhere else None)
     if not isinstance(g, BlendOperator):
         return picard_solve(g, warm, delta, policy), g.affine_parts(), None, T.affine_parts(), None
-    declared = g.declared_class
+    declared, q, first = g.declared_class, g.declared_class.alpha, ()
     if seen is not None and seen[0] is not warm:
         seen = None
     # Only a blend with no global affine form (blend() collapses the rest)
-    # gains from a piece; an undeclared g and a start of the wrong shape are
-    # left to picard_solve, which resolves the one and rejects the other.
+    # gains from a piece or a kept image; an undeclared g and a start of the
+    # wrong shape are left to picard_solve, which resolves the one and
+    # rejects the other.
     if declared.kind == "contraction" and warm.shape == (g.dim,):
         if planned is _UNPLANNED:
             planned = _as_piece(g.affine_piece(warm) if seen is None else g._apply_piece(warm, seen[1:])[1], False)
         if planned is not None:
             try:
-                res = picard_solve(_affine(planned, declared, declared.alpha), warm, delta, policy)
+                res = picard_solve(_affine(planned, declared, q), warm, delta, policy)
             except (MaxIterExceeded, NonFiniteValue):
                 pass
             else:
                 step = _certified(g, res, with_piece)
-                if step[1] <= delta * (1.0 - declared.alpha):
+                if step[1] <= delta * (1.0 - q):
                     return step
-    first = None if seen is None else g.a * seen[1] + g.b * seen[2]
+        if seen is not None:
+            x = g.a * seen[1] + g.b * seen[2]
+            gap = x - warm
+            moved, first = math.sqrt(np.vdot(gap, gap)), (x,)
+            # Picard's stop at its first iterate, on picard_solve's own
+            # threshold, and a non-finite first step are left to Picard.
+            if delta * (1.0 - q) / q < moved < math.inf:
+                x.setflags(write=False)
+                step = _certified(g, FixedPointResult(x, 0.0, 1, True, (moved,)), with_piece)
+                # The certificate's bound on the distance to g's fixed point, plus picard_solve's rounding floor.
+                bound = step[1] / (1.0 - q) + _MACHINE_EPS * math.sqrt(np.vdot(x, x)) / (1.0 - q)
+                if bound <= delta:
+                    return (FixedPointResult(x, bound, 1, True, (moved,)), *step[1:])
+                first = (x, g.a * step[4][1] + g.b * step[4][2])
     return _certified(g, picard_solve(g, warm, delta, policy, _first=first), with_piece)
 
 
@@ -691,7 +720,7 @@ def implicit_step(
 def _step_operators(target, dim: int) -> tuple[Operator, ...]:
     """Resolved nonexpansive step operators; outer step n uses entry (n-1) % len."""
     if isinstance(target, OperatorFamily):
-        noun, members = "family", (target.evaluate(t) for t in target.sample_indices())
+        noun, members = "family", (target._member(t) for t in target.sample_indices())
     elif isinstance(target, Operator):
         noun, members = "operator", (target,)
     else:
@@ -825,9 +854,14 @@ def viscosity_implicit_solve(
     certificate computes also gives the step's fix_residual, and with warm
     starts and a single step operator the same pass gives T_n's piece at
     xi_n, from which the plan (or, for an f without a global form, the
-    next step's own query) builds the next step's, and its values of f and
-    T_n at xi_n give the next step's Picard solve on the blend its first
-    iterate: f and T are evaluated once at each point.
+    next step's own query) builds the next step's. Its values of f and T_n
+    at xi_n also give g_(n+1)(xi_n), the next step's first Picard iterate
+    on its blend. That step makes its one pass at this image and keeps it
+    when g_(n+1) certifies it, as it does when f is constant and T a
+    projection, whose step solution the image is up to rounding; else
+    Picard goes on from it with the pass's value of g_(n+1) there. Either
+    way f and T are evaluated once at each point, so a step that keeps its
+    image evaluates each once.
 
     A collapsed step computes only what the stop test reads, in its order:
     step_delta, then fix_residual only when step_delta <= outer_tol. The
@@ -852,7 +886,8 @@ def viscosity_implicit_solve(
     # on the same T: the last certificate's pass over T gives T's piece
     # there, which the plan takes, or, when f has no global form and the
     # plan plans nothing, the step's own query, and its values of f and T
-    # there give a Picard solve on the blend its first iterate.
+    # there give the blend's image of that point, which the step keeps if
+    # the blend certifies it and else hands Picard as its first iterate.
     hand_on = opts.warm_start and count == 1
     seen = None
     # The trace's columns but n and eps, which are the schedule's.
@@ -965,18 +1000,28 @@ def retraction_eval(
     """Evaluate the limiting retraction at each anchor via anchored solves.
 
     Solver errors are reported per anchor in .failures instead of aborting
-    the whole sweep.
+    the whole sweep. An operator target is resolved once (see
+    semigroup.resolve_nonexpansive), by the first anchor whose solve gets
+    that far, and each later anchor whose solve would get there takes its
+    outcome: the resolved target, or the failure of its probe.
     """
-    limits: dict[tuple[float, ...], np.ndarray] = {}
     results: dict[tuple[float, ...], FixedPointResult] = {}
     failures: dict[tuple[float, ...], str] = {}
+    target, failed = T, None
     for anchor in anchors:
-        key = tuple(float(c) for c in np.asarray(anchor, dtype=float))
+        point = np.asarray(anchor, dtype=float)
+        key = tuple(float(c) for c in point)
         try:
-            res, _ = anchored_implicit_solve(anchor, T, n_max=n_max, opts=opts)
+            # The checks that an anchored solve makes before it resolves T.
+            if isinstance(T, Operator) and n_max >= 1 and point.shape == (T.dim,) and np.isfinite(point).all():
+                if failed is not None:
+                    raise failed
+                target = resolve_nonexpansive(target)
+            res, _ = anchored_implicit_solve(anchor, target, n_max=n_max, opts=opts)
         except ViscofixError as exc:
+            # Only resolving T raises NotNonexpansive.
+            failed = exc if isinstance(exc, NotNonexpansive) else failed
             failures[key] = f"{type(exc).__name__}: {exc}"
             continue
-        limits[key] = res.point
         results[key] = res
-    return RetractionValues(limits=limits, results=results, failures=failures)
+    return RetractionValues({key: res.point for key, res in results.items()}, results, failures)

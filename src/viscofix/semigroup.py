@@ -74,6 +74,10 @@ class OperatorFamily:
     def generator_operators(self) -> list[Operator]:
         return [self.evaluate(g) for g in self.index.generators]
 
+    def _member(self, t) -> Operator:
+        """The operator at t as a solver takes it: declared nonexpansive, probed when undeclared."""
+        return resolve_nonexpansive(self.evaluate(t))
+
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim} index={self.index.kind}>"
 
@@ -194,12 +198,21 @@ class CustomFamily(OperatorFamily):
         kind = NATURALS if integral else NONNEG_REALS
         generators = tuple(k for k in keys if k > 0.0) or keys
         super().__init__(IndexSemigroup(kind, generators, keys), dims.pop())
+        # Each member as the first solve resolved it, as PowerFamily keeps
+        # its base, so that an undeclared member is probed once.
+        self._resolved: dict[float, Operator] = {}
 
     def evaluate(self, t) -> Operator:
         key = float(t)
         if key not in self.table:
             raise InvalidSpec(f"custom family has no operator at index {t}")
         return self.table[key]
+
+    def _member(self, t) -> Operator:
+        key = float(t)
+        if key not in self._resolved:
+            self._resolved[key] = super()._member(t)
+        return self._resolved[key]
 
     def sample_indices(self) -> tuple:
         return tuple(sorted(self.table))

@@ -184,13 +184,34 @@ def test_run_probes_an_undeclared_target_once_for_its_solve_and_anchors(tmp_path
     assert len(probes) == 1
     rows = _read_summary(out)["retraction"]["limits"]
     limits = {tuple(row["anchor"]): [c.hex() for c in row["limit"]] for row in rows}
+    # retraction_eval on the unresolved target probes it once for its three anchors.
     unresolved = schemes.retraction_eval(make_operator(target), anchors, n_max=50)
     assert limits == {a: [float(c).hex() for c in limit] for a, limit in unresolved.limits.items()}
+    assert len(probes) == 2
     # A dimension mismatch is still reported before any probe.
     cfg["problem"]["target"] = {"kind": "linear", "matrix": (1.000000000001 * np.eye(3)).tolist()}
     assert main(["run", str(_write(tmp_path, "probe.json", cfg)), "--out", str(out), "--quiet"]) == 1
     assert "DimensionMismatch: operator dimension 3 does not match forcing dimension 2" in capsys.readouterr().err
-    assert len(probes) == 4
+    assert len(probes) == 2
+
+
+def test_run_probes_an_undeclared_custom_family_member_once(tmp_path, monkeypatch):
+    # The family keeps its member as the main solve resolved it, so the
+    # anchored solves of the retraction check take it without a probe.
+    member = {"kind": "linear", "matrix": [[1.000000000001, 0.0], [0.0, 0.5]]}
+    anchors = [[3.0, 0.0], [0.0, -3.0], [-2.0, 2.0]]
+    cfg = {
+        "problem": {"family": {"kind": "custom", "table": {"1": member}}, "contraction": {"kind": "constant", "value": [2.0, 1.0]}},
+        "schedule": {"kind": "anchored", "n_max": 50},
+        "anchors": anchors,
+        "seed": 5,
+    }
+    probes = _count_probes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "family.json", cfg)), "--out", str(out), "--quiet"]) == 0
+    assert len(probes) == 1
+    retraction = _read_summary(out)["retraction"]
+    assert len(retraction["limits"]) == 3 and retraction["failures"] == {}
 
 
 def test_run_bad_schedule_exits_one(tmp_path, capsys):

@@ -48,7 +48,7 @@ from viscofix import (
     retraction_eval,
     viscosity_implicit_solve,
 )
-from viscofix import operators, schemes
+from viscofix import operators, schemes, semigroup
 from viscofix.operators import NONEXPANSIVE, BlendOperator, DeclaredClass, InvalidSpec, blend
 from viscofix.trace import TraceStep
 
@@ -771,6 +771,48 @@ def test_retraction_eval_collects_failures_per_anchor():
         assert message.startswith("NotNonexpansive")
 
 
+def _count_probes(monkeypatch) -> list:
+    probes = []
+    original = semigroup.check_nonexpansive
+    monkeypatch.setattr(semigroup, "check_nonexpansive", lambda *args, **kw: probes.append(args) or original(*args, **kw))
+    return probes
+
+
+def test_retraction_eval_probes_an_undeclared_target_once(monkeypatch):
+    # A norm of 1 + 1e-12 lies past rounding but within the probe's tolerance.
+    T = LinearOperator([[1.000000000001, 0.0], [0.0, 0.5]])
+    anchors = [[2.0, 1.0], [1.0, 0.0], [0.0, 3.0]]
+    probes = _count_probes(monkeypatch)
+    values = retraction_eval(T, anchors, n_max=50)
+    assert len(probes) == 1 and not values.failures
+    resolved = semigroup.resolve_nonexpansive(T)
+    for anchor in anchors:
+        alone, _ = anchored_implicit_solve(anchor, resolved, n_max=50)
+        assert values.limits[tuple(anchor)].tobytes() == alone.point.tobytes()
+    # Anchors that fail before the probe, or none at all, make no probe.
+    probes.clear()
+    for anchors in ([], [[1.0, 2.0, 3.0]]):
+        retraction_eval(T, anchors, n_max=50)
+    assert probes == []
+
+
+def test_retraction_eval_reports_one_failed_probe_for_each_anchor_that_reaches_it(monkeypatch):
+    T = LinearOperator(2.0 * np.eye(2))
+    anchors = [[1.0, 2.0, 3.0], [1.0, 0.0], [0.0, 1.0], [4.0]]
+    expected = {}
+    for anchor in anchors:
+        with pytest.raises((NotNonexpansive, DimensionMismatch)) as failed:
+            anchored_implicit_solve(anchor, T, n_max=10)
+        expected[tuple(anchor)] = f"{type(failed.value).__name__}: {failed.value}"
+    probes = _count_probes(monkeypatch)
+    values = retraction_eval(T, anchors, n_max=10)
+    assert len(probes) == 1
+    assert values.failures == expected and not values.limits
+    assert [message.split(":")[0] for message in expected.values()] == [
+        "DimensionMismatch", "NotNonexpansive", "NotNonexpansive", "DimensionMismatch"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Implicit steps solved on the blend's affine piece
 
@@ -932,7 +974,10 @@ def _evaluations_outside_picard(monkeypatch, *targets, cut_at_picard=True) -> li
             depth[0] -= 1
 
     monkeypatch.setattr(cls, "_apply", counted(cls._apply))
-    monkeypatch.setattr(cls, "_apply_piece", counted(cls._apply_piece))
+    # A class without a one-pass _apply_piece of its own evaluates through
+    # _apply there, and the base class's affine_piece tells the two apart.
+    if cls._apply_piece is not Operator._apply_piece:
+        monkeypatch.setattr(cls, "_apply_piece", counted(cls._apply_piece))
     if cut_at_picard:
         monkeypatch.setattr(schemes, "picard_solve", solve)
     return points
@@ -960,27 +1005,178 @@ def _half_and_shift(offset) -> FunctionOperator:
     return FunctionOperator(lambda x: 0.5 * x + offset, 2, contraction(0.5))
 
 
+def _image_is_kept(f, T, eps, warm, delta) -> tuple[np.ndarray, bool]:
+    """(x1, whether a handed-on step keeps it): x1 = g(warm) for g = eps f + (1 - eps) T.
+
+    The step keeps x1 when Picard would not stop there on its own threshold
+    and the blend's bound on the distance to its fixed point, plus the
+    rounding floor, is at most delta.
+    """
+    g = blend(eps, f, 1.0 - eps, T)
+    q = g.declared_class.alpha
+    x1 = g.apply(warm)
+    bound = (np.linalg.norm(x1 - g.apply(x1)) + np.finfo(float).eps * np.linalg.norm(x1)) / (1.0 - q)
+    return x1, np.linalg.norm(x1 - warm) > delta * (1.0 - q) / q and bound <= delta
+
+
 @pytest.mark.parametrize("path", ["generic", "piece", "function-forcing"])
 def test_each_outer_step_applies_the_target_once_outside_picard(monkeypatch, path):
     if path == "generic":
-        # Every iterate and warm start lies outside the ball: no piece, and
-        # every step runs Picard on the blend.
+        # Every iterate and warm start lies outside the ball: no piece. f is
+        # constant and T a projection, so from step 2 on the image handed on
+        # is the step's solution up to rounding, and the blend certifies it.
         f, target = ConstantOperator([8.0, 0.0]), BallProjection([5.0, 0.0], 1.0)
     else:
         # A forcing term without a global form plans nothing, and its blend
-        # has no piece: each step runs Picard on the blend.
+        # has no piece: each step runs Picard on the blend, from an image
+        # that the blend does not certify.
         f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05]) if path == "piece" else _half_and_shift([0.1, 0.05])
         target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
     calls = _count_picard_calls(monkeypatch)
     points = _evaluations_outside_picard(monkeypatch, target)
-    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
-    solved = {"generic": BlendOperator, "piece": AffineOperator, "function-forcing": BlendOperator}[path]
-    assert [type(G) for G in calls] == [solved] * 30
-    # One pass over T_n at the step's point serves the certificate, the
-    # fixed-point residual and the next step's piece, which the plan or,
-    # for a forcing term without a global form, the step's own query takes;
-    # step 1's piece is asked at its warm start, the origin.
-    assert [tuple(x.tolist()) for x in points] == [(0.0, 0.0)] + [step.point for step in trace.steps]
+    ran = []
+    sched = make_schedule(n_max=30)
+    _, trace = viscosity_implicit_solve(f, target, sched, inner_monitor=lambda *_: ran.append(len(calls)))
+    per_step = np.diff([0] + ran).tolist()
+    points = [tuple(x.tolist()) for x in points]
+    if path == "piece":
+        assert [type(G) for G in calls] == [AffineOperator] * 30
+        assert points == [(0.0, 0.0)] + [step.point for step in trace.steps]
+        return
+    assert [type(G) for G in calls] == [BlendOperator] * len(calls)
+    # Step 1 has no image handed on; each later step runs no Picard solve
+    # if and only if its image certifies, and then its point is that image.
+    expected, kept = [(0.0, 0.0), trace.steps[0].point], []
+    for before, step, calls_made in zip(trace.steps, trace.steps[1:], per_step[1:]):
+        delta = SolveOptions().inner_tol_rule.delta(step.eps, SolveOptions().outer_tol)
+        x1, keeps = _image_is_kept(f, target, step.eps, np.array(before.point), delta)
+        kept.append(keeps)
+        assert calls_made == (0 if keeps else 1)
+        if keeps:
+            assert step.point == tuple(x1.tolist()) and step.inner_iters == 1
+        # One pass over T_n at the image, kept or not, and one at the
+        # step's point when it is another: T is evaluated once at each point.
+        expected += [step.point] if keeps else [tuple(x1.tolist()), step.point]
+    assert kept == [path == "generic"] * 29
+    assert per_step[0] == 1
+    assert points == expected
+
+
+@st.composite
+def _handed_on_steps(draw):
+    """A blend step from the point of the step before, with that step's pass handed on.
+
+    The forcing term is constant or affine, and the target one of
+    _piecewise_twins with no global form. The warm start is the point of a
+    solve at a larger eps, as the last step's point is.
+    """
+    dim = draw(st.sampled_from((2, 3)))
+    target, _ = draw(_piecewise_twins(dim))
+    assume(target.affine_parts() is None)
+    offset = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    f = draw(st.sampled_from((ConstantOperator(offset), AffineOperator(0.5 * np.eye(dim), offset))))
+    eps = draw(st.floats(0.05, 0.6))
+    warm = picard_solve(blend(1.25 * eps, f, 1.0 - 1.25 * eps, target), np.zeros(dim), 1e-10).point
+    # delta within a factor of 10 below to 1000 above the image's own bound,
+    # so that steps on both sides of the rule, and near it, are drawn.
+    g = blend(eps, f, 1.0 - eps, target)
+    x1 = g.apply(warm)
+    bound = (np.linalg.norm(x1 - g.apply(x1)) + np.finfo(float).eps * np.linalg.norm(x1)) / (1.0 - g.declared_class.alpha)
+    delta = max(bound, 1e-13) * 10.0 ** draw(st.floats(-1.0, 3.0))
+    max_iter = draw(st.sampled_from((1, 2, 5, TolerancePolicy().max_iter)))
+    return f, target, eps, warm, delta, TolerancePolicy(max_iter=max_iter)
+
+
+def _handed_on_step(f, T, eps, warm, delta, policy):
+    """_solve_implicit's step from warm with the pass at warm handed on, and no piece planned."""
+    seen = (warm, f._apply(warm), T._apply(warm), None)
+    return schemes._solve_implicit(f, T, eps, warm, delta, policy, None, False, seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_handed_on_steps())
+def test_a_handed_on_step_keeps_a_certified_image_or_has_picards_bits(problem):
+    f, target, eps, warm, delta, policy = problem
+    g = blend(eps, f, 1.0 - eps, target)
+    q = g.declared_class.alpha
+    x1 = g.apply(warm)
+    try:
+        expected = picard_solve(g, warm, delta, policy, _first=(x1,))
+    except (MaxIterExceeded, NonFiniteValue) as exc:
+        expected = exc
+    try:
+        res, implicit_res, *_ = _handed_on_step(f, target, eps, warm, delta, policy)
+    except (MaxIterExceeded, NonFiniteValue) as exc:
+        # A step that does not keep its image fails as Picard fails.
+        assert type(exc) is type(expected) and str(exc) == str(expected)
+        return
+    def bits(result):
+        return result.point.tobytes(), *result[1:4], result.step_norms
+
+    if isinstance(expected, schemes.FixedPointResult) and bits(res) == bits(expected):
+        return
+    # Otherwise the step kept its image, which the blend certifies.
+    assert res.point.tobytes() == x1.tobytes() and not res.point.flags.writeable
+    assert np.linalg.norm(x1 - g.apply(x1)) <= delta * (1.0 - q)
+    assert implicit_res <= delta * (1.0 - q)
+    assert res.iterations == 1 and res.converged and res.residual <= delta
+    assert res.step_norms == (math.sqrt(np.vdot(x1 - warm, x1 - warm)),)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("where", ["image", "after-image"])
+def test_a_handed_on_step_whose_picard_fails_raises_what_picard_raises(where):
+    # A forcing term that overflows where T's values lie: at the warm start
+    # itself, so that the image is not finite, or only at the image, so
+    # that Picard's second iterate, which the pass at the image gives, is not.
+    scale = 1e308 if where == "image" else 1.0
+    f = FunctionOperator(lambda x: scale * np.exp(1000.0 * x), 2, contraction(0.5))
+    ball = BallProjection([0.0, 0.0], 1.0)
+    warm = np.array([0.0, 0.0]) if where == "after-image" else np.array([0.5, 0.5])
+    g = blend(0.5, f, 0.5, ball)
+    for policy in (TolerancePolicy(), TolerancePolicy(max_iter=1)):
+        with pytest.raises((NonFiniteValue, MaxIterExceeded)) as direct:
+            picard_solve(g, warm, 1e-9, policy)
+        with pytest.raises(type(direct.value)) as stepped:
+            _handed_on_step(f, ball, 0.5, warm, 1e-9, policy)
+        assert str(stepped.value) == str(direct.value)
+
+
+def test_a_handed_on_step_out_of_budget_at_one_iteration_raises_todays_message():
+    # The rotated ball's image is not certified: Picard goes on from it, and
+    # a budget of one step runs out at it.
+    f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
+    target = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
+    warm = picard_solve(blend(0.5, f, 0.5, target), [0.0, 0.0], 1e-9).point
+    tight = TolerancePolicy(max_iter=1)
+    with pytest.raises(MaxIterExceeded) as direct:
+        picard_solve(blend(0.25, f, 0.75, target), warm, 1e-9, tight)
+    with pytest.raises(MaxIterExceeded) as stepped:
+        _handed_on_step(f, target, 0.25, warm, 1e-9, tight)
+    assert str(stepped.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("schedule", ["anchored", "harmonic"])
+@pytest.mark.parametrize("target", [BallProjection([0.0, 0.0, 0.0], 1.0), BoxProjection([-1.0, 0.0, -1.0], [1.0, 1.0, 0.5])])
+def test_constant_forcing_with_a_projection_keeps_each_handed_on_image(monkeypatch, schedule, target):
+    # x_n = eps_n u + (1 - eps_n) P_C(u) solves the step exactly: P_C is
+    # constant on the segment from P_C(u) to u. From step 2 on, the image
+    # handed on is that point up to rounding, and each step evaluates T once.
+    u = np.array([3.0, -2.0, 4.0])
+    projected = target.apply(u)
+    opts = SolveOptions()
+    points = _evaluations_outside_picard(monkeypatch, target, cut_at_picard=False)
+    counts = []
+    _, trace = viscosity_implicit_solve(
+        ConstantOperator(u), target, make_schedule(schedule, n_max=200), opts,
+        inner_monitor=lambda *_: counts.append(len(points)),
+    )
+    assert len(trace) == 200
+    for step in trace.steps:
+        exact = step.eps * u + (1.0 - step.eps) * projected
+        assert np.linalg.norm(np.subtract(step.point, exact)) <= opts.inner_tol_rule.delta(step.eps, opts.outer_tol)
+    assert np.diff(counts).tolist() == [1] * 199
+    assert [step.inner_iters for step in trace.steps[1:]] == [1] * 199
 
 
 @pytest.mark.parametrize("case", ["handed-on", "cold-starts", "two-members"])

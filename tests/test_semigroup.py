@@ -54,6 +54,24 @@ def test_undeclared_power_base_is_probed_once(monkeypatch):
     assert len(probed) == 1
 
 
+def test_undeclared_custom_member_is_probed_once_by_the_solvers(monkeypatch):
+    probed = []
+
+    def counting(T, *args, **kwargs):
+        probed.append(T)
+        return operators.check_nonexpansive(T, *args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "check_nonexpansive", counting)
+    member = FunctionOperator(lambda x: -x, 2)
+    family = make_custom_family({1: member, 2: Identity(2)})
+    assert len(probed) == 0
+    for _ in range(2):
+        viscosity_implicit_solve(ConstantOperator([1.0, 0.0]), family, make_schedule(n_max=5))
+    assert probed == [member]
+    # evaluate hands out the member as it was given, and probes nothing.
+    assert family.evaluate(1) is member and len(probed) == 1
+
+
 def test_power_identity_family():
     fam = make_power_family(Identity(2))
     x = np.array([3.0, -1.0])
