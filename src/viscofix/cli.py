@@ -47,7 +47,6 @@ from .operators import (
     LinearOperator,
     NotLinear,
     NotNonexpansive,
-    Operator,
     _numbers_only,
     fixed_points_linear,
     make_operator,
@@ -332,16 +331,6 @@ def _build_options(options_cfg: dict) -> SolveOptions:
         raise ConfigInvalid(f"bad options: {exc}") from exc
 
 
-def _single_step_operator(target) -> Operator:
-    """The per-step operator when it does not vary across the run."""
-    if isinstance(target, Operator):
-        return target
-    indices = tuple(target.sample_indices())
-    if len(set(indices)) != 1:
-        raise ValueError("proof-step report needs a single step operator")
-    return target.evaluate(indices[0])
-
-
 def _fixed_set_for(target):
     try:
         if isinstance(target, OperatorFamily):
@@ -353,7 +342,10 @@ def _fixed_set_for(target):
 
 def _proof_report(trace, f, target, retraction: RetractionCheck | None) -> ProofStepReport:
     """The stage checks of a run, with its retraction check as the summary took it."""
-    report = build_proof_step_report(trace, f, _single_step_operator(target), fixed_set=_fixed_set_for(target))
+    step_ops = _step_operators(target, f.dim)
+    if len(step_ops) != 1:
+        raise ValueError("proof-step report needs a single step operator")
+    report = build_proof_step_report(trace, f, step_ops[0], fixed_set=_fixed_set_for(target))
     return replace(report, retraction=retraction)
 
 
@@ -391,12 +383,10 @@ def execute_run(
     if sched_cfg["kind"] == "anchored" and f.kind != "constant":
         raise ConfigInvalid("anchored schedule needs a constant contraction as the anchor")
     schedule = make_schedule(sched_cfg["kind"], sched_cfg.get("params"), sched_cfg.get("n_max"))
-    # Resolved here, the solves keep them as they are, so an undeclared
-    # forcing term or single target is probed once, and the forcing term's
-    # modulus is known to the caller.
+    # Resolved here for its modulus, which the caller reads; the solve and
+    # the report take the kept outcome, as every later ask about an
+    # undeclared map does, so each map of the run is probed at most once.
     forcing = _resolve_contraction(f)
-    if isinstance(target, Operator):
-        (target,) = _step_operators(target, forcing.dim)
     result, trace = viscosity_implicit_solve(forcing, target, schedule, opts=opts, problem_id=problem_id)
     sched_desc = {"kind": schedule.kind, "n_max": schedule.n_max}
 

@@ -218,6 +218,8 @@ class Operator:
     _global_form = _UNBUILT
     #: (the child pieces, the piece built from them) of the last piece built; see _kept.
     _last_piece = None
+    #: What each class probe found for this map, by probe; see _probed_class.
+    _probed = None
 
     def __init__(self, dim: int, declared_class: DeclaredClass):
         dim = int(dim)
@@ -1085,6 +1087,27 @@ def check_nonexpansive(
         if ratio > 1.0 + tol:
             return NonexpansiveCheck(False, (as_vector(x), as_vector(y), ratio))
     return NonexpansiveCheck(True)
+
+
+def _probed_class(T: Operator, probe) -> DeclaredClass:
+    """The class probe(T) finds for T, probed once per operator object.
+
+    probe returns the class T earns, or the error that says it earns none;
+    an error it raises instead (a non-finite value) is not kept. The
+    outcome is kept on T under probe, as affine_parts keeps T's global
+    form, and every later ask takes it without a probe, whoever asks: the
+    class, or a new error of the kept one's type and message. T keeps a
+    class, not a wrapper around itself, so it holds no reference cycle.
+    """
+    kept = T._probed
+    if kept is None:
+        kept = T._probed = {}
+    if probe not in kept:
+        kept[probe] = probe(T)
+    outcome = kept[probe]
+    if isinstance(outcome, ViscofixError):
+        raise type(outcome)(*outcome.args)
+    return outcome
 
 
 # ---------------------------------------------------------------------------

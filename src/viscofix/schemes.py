@@ -44,6 +44,7 @@ from .operators import (
     _as_piece,
     _blend_form,
     _Piece,
+    _probed_class,
     _row_norms,
     _stacked_product,
     blend,
@@ -52,7 +53,7 @@ from .operators import (
     spectral_norm,
 )
 from .operators import check_nonexpansive  # noqa: F401  (bench/tracer.py wraps this binding)
-from .semigroup import NotNonexpansive, OperatorFamily, resolve_nonexpansive
+from .semigroup import OperatorFamily, resolve_nonexpansive
 from .space import (
     DEFAULT_POLICY,
     DimensionMismatch,
@@ -93,12 +94,29 @@ _MACHINE_EPS = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Materialized sequence eps_1 > eps_2 > ... inside (0, 1); only the
-    anchored kind may start at eps_1 = 1."""
+    anchored kind may start at eps_1 = 1.
+
+    The values are checked once, when the schedule is built, and kept as a
+    tuple of floats; InvalidSchedule (NonDecreasingSchedule for values that
+    do not decrease) names what is wrong with them.
+    """
 
     kind: str
     n_max: int
     values: tuple[float, ...]
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        values = tuple(float(v) for v in self.values)
+        if not values:
+            raise InvalidSchedule("schedule is empty")
+        for v in values:
+            if not (0.0 < v < 1.0 or (v == 1.0 and self.kind == "anchored")):
+                raise InvalidSchedule(f"schedule values must lie in (0, 1), got {v}")
+        for a, b in zip(values, values[1:]):
+            if b >= a:
+                raise NonDecreasingSchedule("schedule not strictly decreasing")
+        object.__setattr__(self, "values", values)
 
     def __len__(self):
         return len(self.values)
@@ -108,19 +126,6 @@ class EpsilonSchedule:
 
     def eps(self, n: int) -> float:
         return self.values[n - 1]
-
-
-def _validate_schedule_values(values, kind: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in values)
-    if not values:
-        raise InvalidSchedule("schedule is empty")
-    for v in values:
-        if not (0.0 < v < 1.0 or (v == 1.0 and kind == "anchored")):
-            raise InvalidSchedule(f"schedule values must lie in (0, 1), got {v}")
-    for a, b in zip(values, values[1:]):
-        if b >= a:
-            raise NonDecreasingSchedule("schedule not strictly decreasing")
-    return values
 
 
 #: The params each schedule kind reads; any other param is an error.
@@ -147,12 +152,11 @@ def make_schedule(kind: str = "harmonic", params: dict | None = None, n_max: int
         raw = params.get("values")
         if raw is None:
             raise InvalidSchedule("explicit schedule needs params['values']")
-        values = _validate_schedule_values(raw, kind)
-        if n_max is not None and n_max != len(values):
-            raise InvalidSchedule(
-                f"explicit schedule has {len(values)} values but n_max={n_max}"
-            )
-        return EpsilonSchedule(kind="explicit", n_max=len(values), values=values, params={})
+        raw = tuple(raw)
+        schedule = EpsilonSchedule(kind="explicit", n_max=len(raw), values=raw, params={})
+        if n_max is not None and n_max != len(raw):
+            raise InvalidSchedule(f"explicit schedule has {len(raw)} values but n_max={n_max}")
+        return schedule
     if n_max is None:
         n_max = 200
     n_max = int(n_max)
@@ -170,7 +174,7 @@ def make_schedule(kind: str = "harmonic", params: dict | None = None, n_max: int
         values, params = tuple(r**n for n in range(1, n_max + 1)), {"r": r}
     else:
         values, params = tuple(1.0 / n for n in range(1, n_max + 1)), {}
-    return EpsilonSchedule(kind=kind, n_max=n_max, values=_validate_schedule_values(values, kind), params=params)
+    return EpsilonSchedule(kind=kind, n_max=n_max, values=values, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +265,26 @@ class FixedPointResult(_FixedPointFields):
 
 
 def _resolve_contraction(G: Operator) -> Operator:
-    """G when declared a contraction, else G declared with its estimated modulus."""
+    """G when declared a contraction, else G declared with its estimated modulus.
+
+    The estimate runs once per operator object: G keeps its outcome, the
+    modulus or the NotAContraction it earned (see operators._probed_class),
+    so a later ask about the same G makes no probe and gets the same answer.
+    """
     declared = G.declared_class
     if declared.kind == "contraction":
         return G
     if declared.kind == "unknown":
-        estimate = estimate_lipschitz(G, PROBE_SAMPLES, PROBE_RADIUS)
-        if estimate <= 1.0 - CONTRACTION_MARGIN:
-            return DeclaredWrapper(G, contraction(estimate))
-        raise NotAContraction(
-            f"estimated Lipschitz constant {estimate:.6g} is not below 1 - {CONTRACTION_MARGIN}"
-        )
+        return DeclaredWrapper(G, _probed_class(G, _estimate_contraction))
     raise NotAContraction(f"operator declared '{declared.kind}' has Lipschitz bound 1")
+
+
+def _estimate_contraction(G: Operator):
+    """G's class from its sampled Lipschitz estimate, or the NotAContraction that says why it has none."""
+    estimate = estimate_lipschitz(G, PROBE_SAMPLES, PROBE_RADIUS)
+    if estimate <= 1.0 - CONTRACTION_MARGIN:
+        return contraction(estimate)
+    return NotAContraction(f"estimated Lipschitz constant {estimate:.6g} is not below 1 - {CONTRACTION_MARGIN}")
 
 
 def _picard_generic(G: Operator, x: np.ndarray, threshold: float, max_iter: int, held=()):
@@ -533,8 +545,7 @@ def picard_solve(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    declared = G.declared_class
-    alpha = (declared if declared.kind == "contraction" else _resolve_contraction(G).declared_class).alpha
+    alpha = _resolve_contraction(G).declared_class.alpha
     x = np.asarray(x0, dtype=float)
     if x.shape != (G.dim,):
         raise DimensionMismatch(f"start point shape {x.shape} does not match dimension {G.dim}")
@@ -704,12 +715,17 @@ def implicit_step(
 
     The blended map is a contraction with modulus at most
     q = eps*alpha + (1-eps) and is solved from the warm start as one outer
-    step of viscosity_implicit_solve is. eps = 1 is allowed (the anchored
-    scheme starts there) and reduces the equation to xi = f(xi).
+    step of viscosity_implicit_solve is: f and T are resolved as the solver
+    resolves them, f to its contraction class and T, after the solver's
+    dimension check, to its nonexpansive one, each probed once per operator
+    object when undeclared. eps = 1 is allowed (the anchored scheme starts
+    there) and reduces the equation to xi = f(xi).
     """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    f = _resolve_contraction(f)
+    (T,) = _step_operators(T, f.dim)
     return _solve_implicit(f, T, eps, np.asarray(warm, dtype=float), inner_tol, policy)[0].point
 
 
@@ -720,7 +736,7 @@ def implicit_step(
 def _step_operators(target, dim: int) -> tuple[Operator, ...]:
     """Resolved nonexpansive step operators; outer step n uses entry (n-1) % len."""
     if isinstance(target, OperatorFamily):
-        noun, members = "family", (target._member(t) for t in target.sample_indices())
+        noun, members = "family", (target.evaluate(t) for t in target.sample_indices())
     elif isinstance(target, Operator):
         noun, members = "operator", (target,)
     else:
@@ -875,7 +891,7 @@ def viscosity_implicit_solve(
     opts = opts or SolveOptions()
     if not isinstance(schedule, EpsilonSchedule):
         raise InvalidSchedule("schedule must be an EpsilonSchedule (see make_schedule)")
-    values = _validate_schedule_values(schedule.values, schedule.kind)
+    values = schedule.values
     f = _resolve_contraction(f)
     step_ops = _step_operators(target, f.dim)
     origin = np.zeros(f.dim)
@@ -1000,27 +1016,18 @@ def retraction_eval(
     """Evaluate the limiting retraction at each anchor via anchored solves.
 
     Solver errors are reported per anchor in .failures instead of aborting
-    the whole sweep. An operator target is resolved once (see
-    semigroup.resolve_nonexpansive), by the first anchor whose solve gets
-    that far, and each later anchor whose solve would get there takes its
-    outcome: the resolved target, or the failure of its probe.
+    the whole sweep. An undeclared target, or family member, is probed
+    once however many anchors reach its probe (see
+    semigroup.resolve_nonexpansive): each later one takes the kept outcome,
+    the class or the failure.
     """
     results: dict[tuple[float, ...], FixedPointResult] = {}
     failures: dict[tuple[float, ...], str] = {}
-    target, failed = T, None
     for anchor in anchors:
-        point = np.asarray(anchor, dtype=float)
-        key = tuple(float(c) for c in point)
+        key = tuple(float(c) for c in np.asarray(anchor, dtype=float))
         try:
-            # The checks that an anchored solve makes before it resolves T.
-            if isinstance(T, Operator) and n_max >= 1 and point.shape == (T.dim,) and np.isfinite(point).all():
-                if failed is not None:
-                    raise failed
-                target = resolve_nonexpansive(target)
-            res, _ = anchored_implicit_solve(anchor, target, n_max=n_max, opts=opts)
+            res, _ = anchored_implicit_solve(anchor, T, n_max=n_max, opts=opts)
         except ViscofixError as exc:
-            # Only resolving T raises NotNonexpansive.
-            failed = exc if isinstance(exc, NotNonexpansive) else failed
             failures[key] = f"{type(exc).__name__}: {exc}"
             continue
         results[key] = res

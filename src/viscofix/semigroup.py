@@ -31,6 +31,7 @@ from .operators import (
     _TABLE,
     _build_spec,
     _common_fixed_set,
+    _probed_class,
     _spec_of,
     check_nonexpansive,
 )
@@ -74,25 +75,37 @@ class OperatorFamily:
     def generator_operators(self) -> list[Operator]:
         return [self.evaluate(g) for g in self.index.generators]
 
-    def _member(self, t) -> Operator:
-        """The operator at t as a solver takes it: declared nonexpansive, probed when undeclared."""
-        return resolve_nonexpansive(self.evaluate(t))
-
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim} index={self.index.kind}>"
 
 
 def resolve_nonexpansive(T: Operator) -> Operator:
     """T when its declared Lipschitz bound is at most 1; otherwise T declared
-    nonexpansive after a sampled probe, or NotNonexpansive if the probe fails."""
+    nonexpansive after a sampled probe, or NotNonexpansive if the probe fails.
+
+    The probe runs once per operator object: T keeps its outcome (see
+    operators._probed_class), so a later ask about the same T, from any
+    solve, family or caller, makes no probe and gets the same answer.
+    """
     bound = T.declared_class.lipschitz_bound()
     if bound is not None and bound <= 1.0:
         return T
+    return DeclaredWrapper(T, _probed_class(T, _probe_nonexpansive))
+
+
+def _probe_nonexpansive(T: Operator):
+    """NONEXPANSIVE when T passes the sampled check, else the NotNonexpansive that says why not.
+
+    The check stops at the first pair whose ratio passes 1 + tol, so the
+    ratio named is that pair's, not the largest over the samples.
+    """
     result = check_nonexpansive(T, PROBE_SAMPLES, NONEXPANSIVE_TOL)
     if result.passed:
-        return DeclaredWrapper(T, NONEXPANSIVE)
+        return NONEXPANSIVE
     _, _, ratio = result.witness
-    raise NotNonexpansive(f"'{T.kind}' operator expands sampled pairs (worst ratio {ratio:.6g})")
+    return NotNonexpansive(
+        f"'{T.kind}' operator expands a sampled pair (ratio {ratio:.6g} at the first pair past 1 + {NONEXPANSIVE_TOL:g})"
+    )
 
 
 def _family_spec(family) -> dict:
@@ -109,7 +122,8 @@ class PowerFamily(OperatorFamily):
     kind = "power"
 
     def __init__(self, base: Operator):
-        # Keep the resolved base, so solvers do not probe it a second time.
+        # Checked when the family is built, so an expanding base fails here
+        # rather than in a solve; the family keeps the base as resolved.
         self.base = resolve_nonexpansive(base)
         super().__init__(IndexSemigroup(NATURALS, (1,)), base.dim)
 
@@ -198,21 +212,12 @@ class CustomFamily(OperatorFamily):
         kind = NATURALS if integral else NONNEG_REALS
         generators = tuple(k for k in keys if k > 0.0) or keys
         super().__init__(IndexSemigroup(kind, generators, keys), dims.pop())
-        # Each member as the first solve resolved it, as PowerFamily keeps
-        # its base, so that an undeclared member is probed once.
-        self._resolved: dict[float, Operator] = {}
 
     def evaluate(self, t) -> Operator:
         key = float(t)
         if key not in self.table:
             raise InvalidSpec(f"custom family has no operator at index {t}")
         return self.table[key]
-
-    def _member(self, t) -> Operator:
-        key = float(t)
-        if key not in self._resolved:
-            self._resolved[key] = super()._member(t)
-        return self._resolved[key]
 
     def sample_indices(self) -> tuple:
         return tuple(sorted(self.table))

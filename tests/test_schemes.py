@@ -156,6 +156,18 @@ def test_only_anchored_schedules_start_at_one():
             viscosity_implicit_solve(anchor, target, EpsilonSchedule(kind, 2, (1.0, 0.5)))
 
 
+def test_a_schedule_checks_its_values_when_it_is_built():
+    schedule = EpsilonSchedule("anchored", 2, [1, 0.5])
+    assert schedule.values == (1.0, 0.5) and [type(v) for v in schedule.values] == [float, float]
+    with pytest.raises(NonDecreasingSchedule, match="schedule not strictly decreasing"):
+        EpsilonSchedule("harmonic", 2, (0.5, 0.6))
+    with pytest.raises(InvalidSchedule, match="schedule is empty"):
+        EpsilonSchedule("harmonic", 0, ())
+    # Value errors come before a count that does not match n_max.
+    with pytest.raises(InvalidSchedule, match="must lie in"):
+        make_schedule("explicit", {"values": [0.5, 0.0]}, n_max=3)
+
+
 def test_inner_tol_rules():
     assert fixed_inner_tol(1e-6).delta(0.5, 1e-8) == 1e-6
     coupled = coupled_inner_tol(1.0)
@@ -310,6 +322,29 @@ def test_picard_three_dim_fast_path_agrees():
 def test_picard_estimates_undeclared_contractions():
     res = picard_solve(FunctionOperator(lambda x: 0.4 * x + 1.0, 1), [0.0], 1e-9)
     assert res.point[0] == pytest.approx(1.0 / 0.6, abs=1e-8)
+
+
+def _count_estimates(monkeypatch) -> list:
+    estimates = []
+    original = schemes.estimate_lipschitz
+    monkeypatch.setattr(schemes, "estimate_lipschitz", lambda *args, **kw: estimates.append(args) or original(*args, **kw))
+    return estimates
+
+
+def test_picard_estimates_an_undeclared_contraction_once(monkeypatch):
+    estimates = _count_estimates(monkeypatch)
+    G = FunctionOperator(lambda x: 0.4 * x + 1.0, 1)
+    first, second = (picard_solve(G, [0.0], 1e-9) for _ in range(2))
+    assert len(estimates) == 1
+    assert first.point.tobytes() == second.point.tobytes()
+    # A map that fails the estimate keeps its failure, with the same message.
+    H = FunctionOperator(lambda x: 2.0 * x, 1)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotAContraction) as failed:
+            picard_solve(H, [0.0], 1e-8)
+        messages.append(str(failed.value))
+    assert len(estimates) == 2 and messages[0] == messages[1]
 
 
 def test_picard_rejects_non_contractions():
@@ -543,6 +578,30 @@ def test_implicit_step_eps_validation():
         implicit_step(f, Negation(1), 1.2, [0.0], 1e-9)
     xi = implicit_step(f, Negation(1), 1.0, [0.0], 1e-9)
     assert xi[0] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_implicit_step_resolves_its_maps_as_a_solve_does():
+    # An undeclared T with no affine form: the blend's declared modulus is
+    # 0.1 * 0.5 + 0.9 = 0.95, its sampled estimate only about 0.535.
+    def problem():
+        return AffineOperator(0.5 * np.eye(2), [50.0, 0.0]), FunctionOperator(BallProjection([100.0, 0.0], 50.0).apply, 2)
+
+    xi = implicit_step(*problem(), 0.1, [0.0, 0.0], 1e-8)
+    assert np.linalg.norm(xi - [100.0, 0.0]) <= 1e-8
+    steps = []
+    opts = SolveOptions(inner_tol_rule=fixed_inner_tol(1e-8))
+    viscosity_implicit_solve(
+        *problem(), make_schedule("explicit", {"values": [0.1]}), opts, inner_monitor=lambda n, eps, res: steps.append(res)
+    )
+    assert xi.tobytes() == steps[0].point.tobytes()
+
+
+def test_implicit_step_fails_as_a_solve_does():
+    f = AffineOperator([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0])
+    with pytest.raises(NotNonexpansive):
+        implicit_step(f, LinearOperator(2.0 * np.eye(2)), 0.5, [0.0, 0.0], 1e-9)
+    with pytest.raises(DimensionMismatch, match="operator dimension 3 does not match forcing dimension 2"):
+        implicit_step(f, FunctionOperator(lambda x: x, 3), 0.5, [0.0, 0.0], 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -805,12 +864,47 @@ def test_retraction_eval_reports_one_failed_probe_for_each_anchor_that_reaches_i
             anchored_implicit_solve(anchor, T, n_max=10)
         expected[tuple(anchor)] = f"{type(failed.value).__name__}: {failed.value}"
     probes = _count_probes(monkeypatch)
-    values = retraction_eval(T, anchors, n_max=10)
+    # A fresh map: the solves above settled T's class, which T keeps.
+    values = retraction_eval(LinearOperator(2.0 * np.eye(2)), anchors, n_max=10)
     assert len(probes) == 1
     assert values.failures == expected and not values.limits
     assert [message.split(":")[0] for message in expected.values()] == [
         "DimensionMismatch", "NotNonexpansive", "NotNonexpansive", "DimensionMismatch"
     ]
+
+
+def test_two_solves_on_one_undeclared_target_probe_it_once(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    # A norm of 1 + 1e-12 lies past rounding but within the probe's tolerance.
+    T = LinearOperator([[1.000000000001, 0.0], [0.0, 0.5]])
+    f = ConstantOperator([1.0, 2.0])
+    first, second = (viscosity_implicit_solve(f, T, make_schedule(n_max=20))[0] for _ in range(2))
+    assert len(probes) == 1
+    assert first.point.tobytes() == second.point.tobytes()
+
+
+def test_two_solves_on_one_expanding_target_probe_it_once(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    T = LinearOperator(2.0 * np.eye(2))
+    failures = []
+    for _ in range(2):
+        with pytest.raises(NotNonexpansive) as failed:
+            viscosity_implicit_solve(ConstantOperator([1.0, 2.0]), T, make_schedule(n_max=20))
+        failures.append((type(failed.value), str(failed.value)))
+    assert len(probes) == 1
+    assert failures[0] == failures[1]
+    assert "ratio 2 at the first pair past 1 + 1e-09" in failures[0][1]
+
+
+def test_retraction_eval_probes_an_expanding_family_member_once(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    family = make_custom_family({1: LinearOperator(2.0 * np.eye(2))})
+    anchors = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
+    values = retraction_eval(family, anchors, n_max=10)
+    assert len(probes) == 1 and not values.limits
+    assert sorted(values.failures) == sorted(tuple(a) for a in anchors)
+    for message in values.failures.values():
+        assert message.startswith("NotNonexpansive: ")
 
 
 # ---------------------------------------------------------------------------
