@@ -33,7 +33,6 @@ import contextlib
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -139,11 +138,12 @@ class _Piece:
 
     everywhere tells a global form, which the operator equals everywhere,
     from a local piece, which it agrees with around the point it was asked
-    at. norm is ||M||_2 when known at build (a schedule plan's batched SVD).
+    at. norm is ||M||_2 when known (a schedule plan's batched SVD sets it
+    on a stack, as the list of its maps' norms).
     The arrays are checked finite and made read-only in place once, at
     build: a NaN or infinite entry raises InvalidSpec, "collapsed ..." for a
     global form and "piece ..." for a local one. A piece may stack n maps,
-    (n, d, d) and (n, d), which rows() gives in turn. It unpacks and
+    (n, d, d) and (n, d), whose maps row() gives. It unpacks and
     indexes as the pair (matrix, offset).
     """
 
@@ -159,17 +159,12 @@ class _Piece:
         offset.setflags(write=False)
         self.matrix, self.offset, self.everywhere, self.norm = matrix, offset, everywhere, norm
 
-    def rows(self, norms=None):
-        """The maps of a stacked piece in turn, as pieces of views checked with the stack.
-
-        norms, when given, holds their norms in the same order. Each row is
-        made when it is taken, so the rows of a stack are never all held.
-        """
-        everywhere = self.everywhere
-        for matrix, offset, norm in zip(self.matrix, self.offset, repeat(None) if norms is None else norms):
-            row = object.__new__(_Piece)
-            row.matrix, row.offset, row.everywhere, row.norm = matrix, offset, everywhere, norm
-            yield row
+    def row(self, index: int) -> _Piece:
+        """Map index of a stacked piece, with its norm, as a piece of views checked with the stack."""
+        row = object.__new__(_Piece)
+        row.matrix, row.offset, row.everywhere = self.matrix[index], self.offset[index], self.everywhere
+        row.norm = None if self.norm is None else self.norm[index]
+        return row
 
     def __iter__(self):
         return iter((self.matrix, self.offset))
@@ -294,11 +289,15 @@ class Operator:
     def _apply_piece(self, x: np.ndarray) -> tuple[np.ndarray, _Piece | None]:
         """(T(x), _piece(x)) on a checked vector: _apply's bits, and the piece _piece gives.
 
-        This default evaluates the map and asks for its piece apart. A class
-        that finds its local piece by evaluating itself (a ball's distance,
-        a composite's walk through its operators) computes both in one pass
-        here, and the default affine_piece(x) answers from that pass.
+        This default evaluates the map and asks for its piece apart; a class
+        that overrides neither hook has no local piece, only its global
+        form. A class that finds its local piece by evaluating itself (a
+        ball's distance, a composite's walk through its operators) computes
+        both in one pass here, and the default affine_piece(x) answers from
+        that pass.
         """
+        if type(self).affine_piece is Operator.affine_piece:
+            return self._apply(x), self.affine_parts()
         return self._apply(x), self._piece(x)
 
     def linear_matrix(self) -> np.ndarray:
@@ -392,7 +391,7 @@ class AffineOperator(Operator):
       that blend() collapsed: one SVD, or the norm of a planned collapse
       from the schedule plan's batched SVD, which has the same bits;
     * the blend's declared modulus q_n, for the affine piece of a blend
-      that a solver builds (see schemes._solve_implicit);
+      that a solver's step solves (see schemes._Stepper.step);
     * otherwise None: a map built with a declared class, which picard_solve
       gives one SVD.
     """
@@ -750,7 +749,7 @@ class BlendOperator(Operator):
 
         parts, when given, is (S(x), T(x), T's piece at x) from a pass at x
         made already, such as a solver's certificate at its last point (see
-        schemes._solve_implicit), and neither map is evaluated again. g's
+        schemes._Stepper._certify), and neither map is evaluated again. g's
         piece is built from T's piece and S's, kept as a composite's is, and
         is None where T has none: S is asked for its piece (S._piece, which
         costs nothing for a global form) only when T has one.

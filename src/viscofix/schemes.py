@@ -25,6 +25,7 @@ import contextlib
 import functools
 import math
 import time
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -157,9 +158,7 @@ def make_schedule(kind: str = "harmonic", params: dict | None = None, n_max: int
         if n_max is not None and n_max != len(raw):
             raise InvalidSchedule(f"explicit schedule has {len(raw)} values but n_max={n_max}")
         return schedule
-    if n_max is None:
-        n_max = 200
-    n_max = int(n_max)
+    n_max = 200 if n_max is None else int(n_max)
     if n_max < 1:
         raise InvalidSchedule("n_max must be at least 1")
     if kind == "harmonic":
@@ -334,7 +333,8 @@ def _lift(matrix, step, threshold, max_iter):
     lower level once from the last step above it. No step past max_iter is
     tried. A NaN norm counts as above the threshold, so that a non-finite
     step lands in the sum. step is s_1, an array, or for d = 2 also a pair
-    of floats.
+    of floats, and matrix is M, an array, or for d = 2 also its rows as
+    lists of floats.
 
     Returns (k, s_1 + ... + s_k, ||s_k||), or (None, s_1 + ... +
     s_max_iter, None) when every step within the budget is above. For
@@ -347,7 +347,7 @@ def _lift(matrix, step, threshold, max_iter):
         if step.shape[0] != 2:
             return _lift_stacked(matrix, step, threshold, max_iter)
         step = step.tolist()
-    (p00, p01), (p10, p11) = matrix.tolist()
+    (p00, p01), (p10, p11) = matrix if type(matrix) is list else matrix.tolist()
     a, b = step
     first = math.sqrt(a * a + b * b)
     if first <= threshold:
@@ -461,7 +461,7 @@ def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_ite
         # numpy's bits and never warn. Only M x0 is numpy's, whose bits
         # may come from fused multiply-adds, and it needs numpy's warnings
         # silenced only where its terms can leave the float range.
-        (p00, p01), (p10, p11) = matrix.tolist()
+        (p00, p01), (p10, p11) = rows = matrix.tolist()
         y0, y1 = x0.tolist()
         if (abs(p00) + abs(p01) + abs(p10) + abs(p11)) * (abs(y0) + abs(y1)) < _PAIR_PRODUCT_LIMIT:
             m0, m1 = (matrix @ x0).tolist()
@@ -469,7 +469,7 @@ def _picard_affine(G: Operator, parts, x0: np.ndarray, threshold: float, max_ite
             with np.errstate(over="ignore", invalid="ignore"):
                 m0, m1 = (matrix @ x0).tolist()
         c0, c1 = offset.tolist()
-        found, (t0, t1), last = _lift(matrix, (m0 + c0 - y0, m1 + c1 - y1), threshold, max_iter)
+        found, (t0, t1), last = _lift(rows, (m0 + c0 - y0, m1 + c1 - y1), threshold, max_iter)
         x = np.array((y0 + t0, y1 + t1))
     else:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -576,135 +576,220 @@ def picard_solve(
             f"tol={tol:.3g} (contraction modulus q={alpha:.12g})"
         )
     point, iterations, last, steps = outcome
-    # One vdot gives ||x||^2 with dot's bits and without numpy's overflow
-    # warning. Only a square past the float range needs the coordinates
-    # checked: a finite point's norm is then hypot's scaled sum. The
-    # step-by-step loop stopped on a finite step from its point, which a
-    # non-finite iterate cannot take, so only a lifted point can fail here.
+    # The step-by-step loop stopped on a finite step from its point, which
+    # a non-finite iterate cannot take, so only a lifted point can fail here.
+    floor = _rounding_floor(point, alpha)
+    if floor is None:
+        raise _non_finite_iterate(G, iterations)
+    # Both paths give a fresh point. setflags costs half of flags.writeable's setter.
+    point.setflags(write=False)
+    return FixedPointResult(point, last * alpha / (1.0 - alpha) + floor, iterations, True, steps)
+
+
+def _rounding_floor(point: np.ndarray, alpha: float) -> float | None:
+    """eps_machine ||point|| / (1 - alpha), the floor of every bound on the distance to an alpha-contraction's fixed point.
+
+    Each step rounds the iterate by about eps_machine ||x||, and the
+    contraction keeps such errors within that over (1 - alpha) of x*. One
+    vdot gives ||x||^2 with dot's bits and without numpy's overflow
+    warning. Only a square past the float range needs the coordinates
+    checked: a finite point's norm is then hypot's scaled sum, and a
+    non-finite point has no floor (None).
+    """
     squared = np.vdot(point, point)
     if squared < math.inf:
         size = math.sqrt(squared)
     elif np.isfinite(point).all():
         size = math.hypot(*point)
     else:
-        raise _non_finite_iterate(G, iterations)
-    # Both paths give a fresh point. setflags costs half of flags.writeable's setter.
-    point.setflags(write=False)
-    # Each step rounds the iterate by about eps_machine ||x||, and the
-    # contraction keeps such errors within that over (1 - alpha) of x*.
-    floor = _MACHINE_EPS * size / (1.0 - alpha)
-    return FixedPointResult(point, last * alpha / (1.0 - alpha) + floor, iterations, True, steps)
+        return None
+    return _MACHINE_EPS * size / (1.0 - alpha)
 
 
-#: Marks a step that no schedule plan built: _solve_implicit asks g for its own piece.
-_UNPLANNED = object()
+#: Most matrix entries in one batch of a schedule plan.
+_PLAN_BATCH = 1 << 16
 
 
-def _solve_implicit(
-    f: Operator, T: Operator, eps: float, warm: np.ndarray, delta: float, policy: TolerancePolicy,
-    planned=_UNPLANNED, with_piece: bool = False, seen=None,
-) -> tuple[FixedPointResult, float | _Piece, np.ndarray | None, _Piece | None, tuple | None]:
-    """Solve xi = g(xi), g = eps f + (1 - eps) T, to within delta.
+class _Step(namedtuple("_Step", "point iterations bound implicit at_target path solved moved")):
+    """One outer step as a _Stepper took it.
 
-    Returns (result, ||xi - g(xi)||, T(xi), T's piece at xi, the pass at
-    xi): g's value at xi comes from one pass over f and T there (see
-    _certified), which the last value records when g is a BlendOperator.
-    With with_piece, that pass over T also gives T's piece at xi (None
-    where T has none), which a schedule plan takes for a next step that
-    starts from xi; without, the piece is None. For a g that blend()
-    collapsed to one affine map, nothing is evaluated at xi: the second
-    value is g's form (M, c) in place of the residual, which the caller
-    computes, T(xi) and the last value are None and T's piece is its
-    global form.
-
-    seen is the pass of a step before, (x, f(x), T(x), T's piece at x), or
-    None; it serves only when x is warm itself, the same array.
-
-    planned is g's piece at warm as a schedule plan built it (see
-    _blend_plan), None where the plan found none, or _UNPLANNED. The one
-    branch is on whether it holds everywhere: such a piece is g's collapse,
-    which blend() adopts; without one, blend() collapses g itself when f
-    and T have global forms. Any other step follows one certify-or-fallback
-    rule, whose candidates are tried in turn, and keeps the first whose
-    point xi the blend certifies: the bound ||xi - g(xi)|| / (1 - q) on
-    the distance to the fixed point of the q-contraction g holds however
-    xi was found, so a class that overstates how f contracts costs no
-    soundness.
-
-    * The piece solve. A local piece, or for an unplanned step g's piece
-      at warm, is solved declared with g's own modulus q, which is also
-      its matrix_norm: a nonexpansive T's local piece has ||M||_2 <= 1, so
-      with honest classes the piece's norm is at most eps ||M_f||_2 +
-      (1 - eps) <= q < 1, and picard_solve lifts on q without an SVD, with
-      the threshold g would get. Its point is kept if ||xi - g(xi)|| <=
-      delta (1 - q), with the piece solve's result; a piece solve that
-      fails is passed over. An unplanned step asks g.affine_piece(warm),
-      or, when seen serves, builds g's piece from that pass
-      (BlendOperator._apply_piece) without evaluating T again.
-    * The handed-on image. When seen serves, x1 = g.a f(warm) + g.b
-      T(warm) is g's value at warm with its own bits, Picard's first
-      iterate, and the step's one pass is made there. x1 is kept as one
-      iteration with step norms (||x1 - warm||,) when the bound plus
-      picard_solve's rounding floor is at most delta, which is then its
-      residual. Where Picard would stop at x1 on its own threshold, or x1
-      is not finite, Picard is left to do so.
-    * Picard on g, from warm. It takes x1, and g(x1) from the pass at x1
-      when one was made, as its first iterates, so a step that falls back
-      has the bits it would have had without the image, and no map is
-      evaluated twice at a point.
+    bound is the certified bound on the distance to the step's exact
+    solution. implicit is ||xi - g(xi)||, or for a step that blend()
+    collapsed g's global form (M, c), whose residual the caller computes
+    (at_target, T(xi), is then None). path names the candidate kept:
+    "collapsed", "piece", "image", "picard", or "modulus-0" for Picard on
+    a blend of modulus 0, which one application solves. solved is the
+    Picard solve whose point was kept, and moved, for a kept image only,
+    its move ||x1 - warm||.
     """
-    g = blend(eps, f, 1.0 - eps, T, planned if isinstance(planned, _Piece) and planned.everywhere else None)
-    if not isinstance(g, BlendOperator):
-        return picard_solve(g, warm, delta, policy), g.affine_parts(), None, T.affine_parts(), None
-    declared, q, first = g.declared_class, g.declared_class.alpha, ()
-    if seen is not None and seen[0] is not warm:
-        seen = None
-    # Only a blend with no global affine form (blend() collapses the rest)
-    # gains from a piece or a kept image; an undeclared g and a start of the
-    # wrong shape are left to picard_solve, which resolves the one and
-    # rejects the other.
-    if declared.kind == "contraction" and warm.shape == (g.dim,):
-        if planned is _UNPLANNED:
-            planned = _as_piece(g.affine_piece(warm) if seen is None else g._apply_piece(warm, seen[1:])[1], False)
-        if planned is not None:
-            try:
-                res = picard_solve(_affine(planned, declared, q), warm, delta, policy)
-            except (MaxIterExceeded, NonFiniteValue):
-                pass
-            else:
-                step = _certified(g, res, with_piece)
-                if step[1] <= delta * (1.0 - q):
-                    return step
-        if seen is not None:
-            x = g.a * seen[1] + g.b * seen[2]
-            gap = x - warm
-            moved, first = math.sqrt(np.vdot(gap, gap)), (x,)
-            # Picard's stop at its first iterate, on picard_solve's own
-            # threshold, and a non-finite first step are left to Picard.
-            if delta * (1.0 - q) / q < moved < math.inf:
-                x.setflags(write=False)
-                step = _certified(g, FixedPointResult(x, 0.0, 1, True, (moved,)), with_piece)
-                # The certificate's bound on the distance to g's fixed point, plus picard_solve's rounding floor.
-                bound = step[1] / (1.0 - q) + _MACHINE_EPS * math.sqrt(np.vdot(x, x)) / (1.0 - q)
-                if bound <= delta:
-                    return (FixedPointResult(x, bound, 1, True, (moved,)), *step[1:])
-                first = (x, g.a * step[4][1] + g.b * step[4][2])
-    return _certified(g, picard_solve(g, warm, delta, policy, _first=first), with_piece)
+
+    # A step builds its record as FixedPointResult does, with tuple.__new__,
+    # which skips the generated __new__'s argument handling.
+    __slots__ = ()
 
 
-def _certified(g: BlendOperator, res: FixedPointResult, with_piece: bool) -> tuple:
-    """(res, ||xi - g(xi)||, T(xi), T's piece at xi, the pass at xi) for xi = res.point.
+def _solved(res: FixedPointResult, implicit, at_target, path: str) -> _Step:
+    """The record of a step whose point the Picard solve res found."""
+    return tuple.__new__(_Step, (res.point, res.iterations, res.residual, implicit, at_target, path, res, None))
 
-    The pass is (xi, f(xi), T(xi), T's piece at xi), each of g's maps
-    evaluated once there, T with its piece only with with_piece (else the
-    piece is None). g(xi) = a f(xi) + b T(xi) has the bits of g._apply(xi).
+
+class _Stepper:
+    """The outer steps on one step operator T: each solves xi = g(xi), g = eps f + (1 - eps) T, to within delta.
+
+    A stepper takes steps member, member + count, ... of the schedule
+    values, in turn; step(eps, warm, delta) takes the next, eps being its
+    schedule value, and returns its record (see _Step). It holds f, T,
+    f's global form, the plan of g's pieces for a batch of its steps, and
+    the last pass over f and T: (x, f(x), T(x), T's piece at x) at the
+    last point certified, each map evaluated once there. With hand_on
+    (warm starts and one step operator) the pass serves a step that starts
+    at x, and T is evaluated there with its piece.
+
+    The plan. Planned, with f's global form, each step is keyed on T's
+    piece at its warm start (its global form when it has one, else the
+    piece from the pass that serves, else T's own answer), compared by
+    identity, and g's piece is M = eps M_f + (1 - eps) M_T, c = eps c_f +
+    (1 - eps) c_T, global or local as T's is. Pieces are planned for the
+    rest of a batch of steps at once, stacked with the products and sums
+    blend() and BlendOperator use (operators._blend_form), so a planned row
+    has the bits of a row built alone; the stack is checked for
+    finiteness once.
+
+    * A global piece is planned from its first step in the batch. Its rows
+      carry their norms ||M_n||_2 from one batched SVD, with the bits of
+      one SVD per matrix: each is the collapse blend() adopts.
+    * A local piece seen for the first time has its row built alone; when
+      the member's next step with a piece sees the very same object (a
+      ball's interior, a composite's or an average's kept piece), the rest
+      of the batch is planned. It takes no SVD: the piece solve lifts it on
+      q_n.
+
+    A stack with a non-finite entry is not planned, and its rows are built
+    alone, so the first of them to overflow raises InvalidSpec at its own
+    step. A step where T has no piece asks nothing of the plan. Without f's
+    global form, or unplanned, each step asks g for its own piece.
     """
-    x = res.point
-    at_forcing = g.first._apply(x)
-    at_target, piece = g.second._apply_piece(x) if with_piece else (g.second._apply(x), None)
-    # space.norm's bits without its conversions: the gap is a fresh 1-D float array.
-    gap = x - (g.a * at_forcing + g.b * at_target)
-    return res, math.sqrt(gap.dot(gap)), at_target, piece, (x, at_forcing, at_target, piece)
+
+    def __init__(self, f, T, values, member=0, count=1, policy=DEFAULT_POLICY, hand_on=False, planned=True):
+        self.f, self.T, self.policy, self.hand_on = f, T, policy, hand_on
+        self.forcing = f.affine_parts() if planned else None
+        self.values, self.idx, self.count = values, member, count
+        self.batch = max(1, _PLAN_BATCH // (f.dim * f.dim))
+        # The plan, (piece, its first step, end of the batch, stack or None), T's last piece, the last pass.
+        self.plan = self.seen = self.last = None
+
+    def step(self, eps: float, warm: np.ndarray, delta: float) -> _Step:
+        """The next step, from warm: the first candidate whose point xi g certifies.
+
+        g = blend(...) is built once, with the plan's global piece as its
+        collapse; without one, blend() collapses g itself when f and T
+        have global forms, and Picard solves that. Any other step tries its
+        candidates in turn: the bound ||xi - g(xi)|| / (1 - q) on the
+        distance to the fixed point of the q-contraction g holds however xi
+        was found, so a class that overstates how f contracts costs no
+        soundness.
+
+        * The piece solve. g's piece at warm is solved declared with g's
+          own modulus q, which is also its matrix_norm: a nonexpansive T's
+          local piece has ||M||_2 <= 1, so with honest classes the piece's
+          norm is at most eps ||M_f||_2 + (1 - eps) <= q < 1, and
+          picard_solve lifts on q without an SVD, with the threshold g
+          would get. Its point is kept if ||xi - g(xi)|| <= delta (1 - q);
+          a piece solve that fails is passed over.
+        * The handed-on image. When the last pass serves, x1 = g.a f(warm)
+          + g.b T(warm) is g's value at warm with its own bits, Picard's
+          first iterate, and the step's one pass is made there. x1 is kept
+          as one iteration when the bound plus the rounding floor is at
+          most delta, which is then its residual. Where Picard would stop
+          at x1 on its own threshold, or x1 is not finite, Picard is left
+          to do so.
+        * Picard on g, from warm. It takes x1, and g(x1) from the pass at
+          x1 when one was made, as its first iterates, so a step that
+          falls back has the bits it would have had without the image,
+          and no map is evaluated twice at a point.
+
+        An undeclared g and a start of the wrong shape are left to
+        picard_solve, which resolves the one and rejects the other. A kept
+        image's record carries its move ||x1 - warm||, which is the step's
+        step_delta when warm is the last step's point, and no
+        FixedPointResult.
+        """
+        idx = self.idx
+        self.idx += self.count
+        last = self.last if self.hand_on and self.last is not None and self.last[0] is warm else None
+        # T's piece at warm, from the pass that serves, else from T: its global form is built at
+        # its first step, where a non-finite one raises. Without a piece the plan is not asked.
+        piece = None if self.forcing is None else last[3] if last is not None else self.T._piece(warm)
+        # The plan's row for the piece is taken here; a step with any other piece asks _planned.
+        if (plan := self.plan) is not None and plan[0] is piece and idx < plan[2] and plan[3] is not None:
+            self.seen, planned = piece, plan[3].row((idx - plan[1]) // self.count)
+        else:
+            planned = None if piece is None else self._planned(idx, eps, piece)
+        g = blend(eps, self.f, 1.0 - eps, self.T, planned if planned is not None and planned.everywhere else None)
+        if not isinstance(g, BlendOperator):
+            res = picard_solve(g, warm, delta, self.policy)
+            return _solved(res, g.affine_parts(), None, "collapsed")
+        declared, policy, first = g.declared_class, self.policy, ()
+        q = declared.alpha
+        if declared.kind == "contraction" and warm.shape == (g.dim,):
+            if self.forcing is None:
+                planned = _as_piece(g.affine_piece(warm) if last is None else g._apply_piece(warm, last[1:])[1], False)
+            if planned is not None:
+                try:
+                    res = picard_solve(_affine(planned, declared, q), warm, delta, policy)
+                except (MaxIterExceeded, NonFiniteValue):
+                    pass
+                else:
+                    size, _, at_target = self._certify(g, res.point)
+                    if size <= delta * (1.0 - q):
+                        return _solved(res, size, at_target, "piece")
+            if last is not None:
+                x = g.a * last[1] + g.b * last[2]
+                gap = x - warm
+                moved, first = math.sqrt(np.vdot(gap, gap)), (x,)
+                if delta * (1.0 - q) / q < moved < math.inf:
+                    x.setflags(write=False)
+                    size, at_forcing, at_target = self._certify(g, x)
+                    bound = size / (1.0 - q) + _rounding_floor(x, q)
+                    if bound <= delta:
+                        return tuple.__new__(_Step, (x, 1, bound, size, at_target, "image", None, moved))
+                    first = (x, g.a * at_forcing + g.b * at_target)
+        res = picard_solve(g, warm, delta, policy, _first=first)
+        size, _, at_target = self._certify(g, res.point)
+        return _solved(res, size, at_target, "picard" if q else "modulus-0")
+
+    def _planned(self, idx: int, eps: float, piece: _Piece) -> _Piece:
+        """g's piece for step idx from T's piece at its warm start: the plan's row, or one built alone."""
+        plan, seen, self.seen = self.plan, self.seen, piece
+        if plan is None or plan[0] is not piece or idx >= plan[2]:
+            plan = self.plan = None
+            if piece.everywhere or piece is seen:
+                stop = min(len(self.values), (idx // self.batch + 1) * self.batch)
+                weights = np.array(self.values[idx:stop:self.count])
+                try:
+                    stack = _Piece(*_blend_form(weights, self.forcing, 1.0 - weights, piece), piece.everywhere)
+                except InvalidSpec:
+                    stack = None
+                else:
+                    if piece.everywhere:
+                        stack.norm = np.linalg.svd(stack.matrix, compute_uv=False)[:, 0].tolist()
+                plan = self.plan = (piece, idx, stop, stack)
+        if plan is None or plan[3] is None:
+            return _Piece(*_blend_form(eps, self.forcing, 1.0 - eps, piece), piece.everywhere)
+        return plan[3].row((idx - plan[1]) // self.count)
+
+    def _certify(self, g: BlendOperator, x: np.ndarray) -> tuple:
+        """(||x - g(x)||, f(x), T(x)) from one pass over f and T at x, kept as the last pass.
+
+        T is evaluated with its piece only with hand_on. g(x) = a f(x) +
+        b T(x) has the bits of g._apply(x).
+        """
+        at_forcing = self.f._apply(x)
+        at_target, piece = self.T._apply_piece(x) if self.hand_on else (self.T._apply(x), None)
+        self.last = (x, at_forcing, at_target, piece)
+        # space.norm's bits without its conversions: the gap is a fresh 1-D float array.
+        gap = x - (g.a * at_forcing + g.b * at_target)
+        return math.sqrt(gap.dot(gap)), at_forcing, at_target
 
 
 def implicit_step(
@@ -715,18 +800,19 @@ def implicit_step(
 
     The blended map is a contraction with modulus at most
     q = eps*alpha + (1-eps) and is solved from the warm start as one outer
-    step of viscosity_implicit_solve is: f and T are resolved as the solver
-    resolves them, f to its contraction class and T, after the solver's
-    dimension check, to its nonexpansive one, each probed once per operator
-    object when undeclared. eps = 1 is allowed (the anchored scheme starts
-    there) and reduces the equation to xi = f(xi).
+    step of viscosity_implicit_solve is, by an unplanned stepper: f and T
+    are resolved as the solver resolves them, f to its contraction class
+    and T, after the solver's dimension check, to its nonexpansive one,
+    each probed once per operator object when undeclared. eps = 1 is
+    allowed (the anchored scheme starts there) and reduces the equation to
+    xi = f(xi).
     """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     f = _resolve_contraction(f)
     (T,) = _step_operators(T, f.dim)
-    return _solve_implicit(f, T, eps, np.asarray(warm, dtype=float), inner_tol, policy)[0].point
+    return _Stepper(f, T, (eps,), policy=policy, planned=False).step(eps, np.asarray(warm, dtype=float), inner_tol).point
 
 
 # ---------------------------------------------------------------------------
@@ -744,85 +830,6 @@ def _step_operators(target, dim: int) -> tuple[Operator, ...]:
     if target.dim != dim:
         raise DimensionMismatch(f"{noun} dimension {target.dim} does not match forcing dimension {dim}")
     return tuple(resolve_nonexpansive(op) for op in members)
-
-
-#: Most matrix entries in one batch of a schedule plan.
-_PLAN_BATCH = 1 << 16
-
-
-def _blend_plan(f: Operator, step_ops, values, warm=None):
-    """g_n's piece for each step's blend g_n = eps_n f + (1 - eps_n) T_n, in turn.
-
-    A generator: next() gives step 1's entry, planned at the warm start
-    warm, and send(w) gives the next step's, planned at its warm start w.
-    Plain iteration sends None, which plans only global pieces. A caller
-    that holds T_n's piece at w already sends that piece in w's place, or
-    None where T_n has no piece at w: such a T_n has no global form, so
-    None plans it as having no piece, and T_n is not asked again.
-
-    When f has a global form, each step is keyed on T_n's piece at its warm
-    start (its global form when it has one), compared by identity, and its
-    entry is g_n's piece M_n = eps_n M_f + (1 - eps_n) M_T, c_n = eps_n c_f
-    + (1 - eps_n) c_T, global or local as T_n's is. A member's pieces are
-    planned for the rest of a batch of steps at once, stacked with the
-    products and sums blend() and BlendOperator use (operators._blend_form),
-    so a planned row has the bits of a row built alone; the stack is
-    checked for finiteness once.
-
-    * A global piece is planned from its member's first step in the batch.
-      Its rows carry their norms ||M_n||_2 from one batched SVD, with the
-      bits of one SVD per matrix: each is the collapse blend() adopts.
-    * A local piece seen for the first time has its row built alone; when
-      the member's next step sees the very same object (a ball's interior,
-      a composite's or an average's kept piece), the rest of the batch is
-      planned. It takes no SVD: _solve_implicit lifts it on q_n.
-
-    A stack with a non-finite entry is not planned, and its rows are built
-    alone, so the first of them to overflow raises InvalidSpec at its own
-    step. An entry is None where T_n has no piece at the warm start, and
-    _UNPLANNED every step when f has no global form.
-    """
-    forcing = f.affine_parts()
-    count = len(step_ops)
-    batch = max(1, _PLAN_BATCH // (f.dim * f.dim))
-    # Each member's piece at its last step, and its plan as (piece, end of
-    # the batch, the stack's rows or None for a stack not planned).
-    seen: list = [None] * count
-    plans: list = [None] * count
-    for idx, eps in enumerate(values):
-        member = idx % count
-        if forcing is None:
-            piece = None
-        else:
-            piece = warm if isinstance(warm, _Piece) else step_ops[member]._piece(warm)
-        entry = None if forcing is not None else _UNPLANNED
-        plan = plans[member]
-        if plan is not None and idx >= plan[1]:
-            plan = None
-        # A plan gives one row to each step of its member up to its end,
-        # taken whether or not the step keeps it.
-        row = None if plan is None or plan[2] is None else next(plan[2])
-        if piece is not None and (plan is None or plan[0] is not piece):
-            plan = None
-            if piece.everywhere or piece is seen[member]:
-                stop = min(len(values), (idx // batch + 1) * batch)
-                weights = np.array(values[idx:stop:count])
-                try:
-                    stack = _Piece(*_blend_form(weights, forcing, 1.0 - weights, piece), piece.everywhere)
-                except InvalidSpec:
-                    rows = None
-                else:
-                    norms = None
-                    if piece.everywhere:
-                        norms = np.linalg.svd(stack.matrix, compute_uv=False)[:, 0].tolist()
-                    rows = stack.rows(norms)
-                plan = (piece, stop, rows)
-                row = None if rows is None else next(rows)
-            plans[member] = plan
-        if piece is not None:
-            entry = row if row is not None else _Piece(*_blend_form(eps, forcing, 1.0 - eps, piece), piece.everywhere)
-        seen[member] = piece
-        warm = yield entry
 
 
 def viscosity_implicit_solve(
@@ -855,35 +862,37 @@ def viscosity_implicit_solve(
     (FixedPointResult, ConvergenceTrace)
         The result's converged flag means the final step met both
         ||xi - T(xi)|| <= outer_tol and ||xi_n - xi_{n-1}|| <= outer_tol.
-        The trace's metadata holds the run's wall-clock timestamps and its
+        The trace's metadata holds the run's wall-clock timestamps, its
         stop record, {"reason": "outer_tol" | "n_max", "n": n}: the stop
         test met at step n, or the schedule's last step n reached without
-        it.
+        it, and its step count by path, such as {"image": 199, "piece":
+        1} (see _Step).
 
-    Each step solves the blend g = eps_n f + (1 - eps_n) T_n from the warm
-    start on g's affine piece there (see _solve_implicit), which a schedule
-    plan builds a batch of steps at a time (see _blend_plan): g's collapse
-    when T_n has a global form, else its local piece, whose point is kept
-    only if g certifies it. Either way ||xi_n - xi_n*|| <= delta_n for the
+    Each step operator T_n has one stepper (see _Stepper), which solves
+    each of its steps' blends g = eps_n f + (1 - eps_n) T_n from the warm
+    start: on g's collapse when T_n has a global form, else on g's local
+    piece there, or from the image handed on, or by Picard, keeping the
+    first point g certifies. Either way ||xi_n - xi_n*|| <= delta_n for the
     step's exact solution xi_n*, and the trace and inner_monitor see the
-    solve whose point was kept. The value of T_n at xi_n that a step's
-    certificate computes also gives the step's fix_residual, and with warm
-    starts and a single step operator the same pass gives T_n's piece at
-    xi_n, from which the plan (or, for an f without a global form, the
-    next step's own query) builds the next step's. Its values of f and T_n
-    at xi_n also give g_(n+1)(xi_n), the next step's first Picard iterate
-    on its blend. That step makes its one pass at this image and keeps it
-    when g_(n+1) certifies it, as it does when f is constant and T a
-    projection, whose step solution the image is up to rounding; else
-    Picard goes on from it with the pass's value of g_(n+1) there. Either
-    way f and T are evaluated once at each point, so a step that keeps its
-    image evaluates each once.
+    solve whose point was kept, built as a FixedPointResult only for
+    inner_monitor. The value of T_n at xi_n that a step's certificate
+    computes also gives the step's fix_residual. With warm starts and a
+    single step operator the same pass gives T_n's piece at xi_n, from
+    which the next step's piece is planned, and its values of f and T_n at
+    xi_n give g_(n+1)(xi_n), the next step's first Picard iterate. That
+    step makes its one pass at this image and keeps it when g_(n+1)
+    certifies it, as it does when f is constant and T a projection, whose
+    step solution the image is up to rounding; its step_delta is then the
+    image's move from xi_n. Either way f and T are evaluated once at each
+    point, so a step that keeps its image evaluates each once.
 
-    A collapsed step computes only what the stop test reads, in its order:
+    A step computes only what the stop test reads, in its order:
     step_delta, then fix_residual only when step_delta <= outer_tol. The
     rest comes from stacked passes whose rows have the bits of the step's
-    own products and dot (see _fill_gaps): implicit residuals a plan batch
-    of steps at a time, and the fix_residuals left after the loop.
+    own products and dot (see _fill_gaps): a plan batch of steps at a time,
+    a collapsed step's implicit residual and a certified step's
+    fix_residual, from the T_n(xi_n) its certificate computed; after the
+    loop, a collapsed step's fix_residual.
 
     MaxIterExceeded and NonFiniteValue from an inner solve are raised again
     with the outer step n and eps_n in front of the message.
@@ -899,83 +908,86 @@ def viscosity_implicit_solve(
     started = time.time()
     count, delta, outer_tol = len(step_ops), opts.inner_tol_rule.delta, opts.outer_tol
     # With warm starts and one member, a step starts where the last ended,
-    # on the same T: the last certificate's pass over T gives T's piece
-    # there, which the plan takes, or, when f has no global form and the
-    # plan plans nothing, the step's own query, and its values of f and T
-    # there give the blend's image of that point, which the step keeps if
-    # the blend certifies it and else hands Picard as its first iterate.
-    hand_on = opts.warm_start and count == 1
-    seen = None
+    # on the same T, and the last certificate's pass serves it.
+    warm_start = opts.warm_start
+    hand_on = warm_start and count == 1
+    steppers = [_Stepper(f, T, values, k, count, opts.policy, hand_on) for k, T in enumerate(step_ops)]
     # The trace's columns but n and eps, which are the schedule's.
-    points, implicit, fixes, deltas, iters = [], [], [], [], []
-    # Collapsed forms wait for their residuals at most a plan batch of steps,
-    # so that no more of them than of the plan's rows are held at once.
-    batch = max(1, _PLAN_BATCH // (f.dim * f.dim))
-    # Step 1 starts from the origin with or without warm starts.
-    plan = _blend_plan(f, step_ops, values, origin)
+    points, implicit, fixes, deltas, iters, paths = [], [], [], [], [], []
+    # Forms and images wait for their residuals at most a plan batch of
+    # steps, so that no more of them than of the plan's rows are held at once.
+    batch, end = steppers[0].batch, len(values)
     # values holds floats, as the trace and inner_monitor take them.
     for idx, eps in enumerate(values):
         n = idx + 1
-        step_T = step_ops[idx % count]
-        warm = x_prev if opts.warm_start else origin
-        planned = plan.send(piece if hand_on else warm) if idx else next(plan)
+        stepper = steppers[idx % count]
         try:
-            res, implicit_res, at_target, piece, seen = _solve_implicit(
-                f, step_T, eps, warm, delta(eps, outer_tol), opts.policy, planned, hand_on, seen if hand_on else None
-            )
+            step = stepper.step(eps, x_prev if warm_start else origin, delta(eps, outer_tol))
         except (MaxIterExceeded, NonFiniteValue) as exc:
             raise type(exc)(f"outer step n={n}, eps_n={eps:.6g}: {exc}") from exc
-        xi = res.point
-        # space.norm's bits, without its conversions: both are fresh 1-D float arrays.
-        gap = xi - x_prev
-        step_delta = math.sqrt(gap.dot(gap))
-        # The stop test reads fix_residual only after step_delta; a
-        # collapsed step leaves the rest to the stacked pass below.
-        fix_res = None
-        if at_target is not None or step_delta <= outer_tol:
-            gap = xi - (step_T._apply(xi) if at_target is None else at_target)
+        xi, iterations, bound, implicit_res, fix_res, path, solved, step_delta = step
+        if step_delta is None:
+            # space.norm's bits, without its conversions: both are fresh 1-D float arrays.
+            gap = xi - x_prev
+            step_delta = math.sqrt(gap.dot(gap))
+        # The stop test reads fix_residual only after step_delta; the rest
+        # is left to the stacked passes below, as T_n(xi_n) where the
+        # step's certificate computed it, else as None.
+        if step_delta <= outer_tol:
+            gap = xi - (stepper.T._apply(xi) if fix_res is None else fix_res)
             fix_res = math.sqrt(gap.dot(gap))
         points.append(xi)
         implicit.append(implicit_res)
         fixes.append(fix_res)
         deltas.append(step_delta)
-        iters.append(res.iterations)
+        iters.append(iterations)
+        paths.append(path)
         converged = step_delta <= outer_tol and fix_res <= outer_tol
-        if converged or n % batch == 0 or n == len(values):
-            # The collapsed steps since the last batch left g_n's form in
-            # place of their implicit residuals.
-            collapsed = [k for k in range((n - 1) // batch * batch, n) if isinstance(implicit[k], _Piece)]
-            matrices, offsets = (np.array([implicit[k][part] for k in collapsed]) for part in (0, 1))
-            _fill_gaps(implicit, collapsed, points, lambda X: _stacked_product(matrices, X) + offsets)
+        if converged or n % batch == 0 or n == end:
+            # The steps since the last batch left g_n's form in place of a
+            # collapsed step's implicit residual, and T_n(xi_n) in place of
+            # a certified step's fixed-point residual.
+            window = range((n - 1) // batch * batch, n)
+            _fill_gaps(implicit, window, points, _Piece, _collapsed_images)
+            _fill_gaps(fixes, window, points, np.ndarray, lambda X, images: np.array(images))
         if inner_monitor is not None:
-            inner_monitor(n, eps, res)
+            # A kept image's inner solve is built only here.
+            inner_monitor(n, eps, FixedPointResult(xi, bound, 1, True, (step_delta,)) if solved is None else solved)
         x_prev = xi
         if converged:
             break
     # A collapsed step left None in place of a fixed-point residual that no stop test read.
     for member, op in enumerate(step_ops):
-        _fill_gaps(fixes, [k for k in range(member, n, count) if fixes[k] is None], points, op._apply)
+        _fill_gaps(fixes, range(member, n, count), points, type(None), lambda X, _: op._apply(X))
     trace = ConvergenceTrace({"problem_id": problem_id, "schedule": schedule.kind, "seed": None})
     # The trace takes the columns as they are (n, the last step's number, is the number of steps).
     trace._columns, trace._points = (list(range(1, n + 1)), list(values[:n]), implicit, fixes, deltas, iters), points
     trace.metadata["timestamps"] = {"started": started, "finished": time.time()}
     trace.metadata["stop"] = {"reason": "outer_tol" if converged else "n_max", "n": n}
+    trace.metadata["paths"] = dict(Counter(paths))
     return FixedPointResult(as_vector(x_prev), fixes[-1], n, converged), trace
 
 
-def _fill_gaps(column: list, steps: list, points: list, images_of) -> None:
-    """column[k] = ||points[k] - image_k|| for each k of steps, in one stacked pass.
+def _fill_gaps(column: list, steps, points: list, held: type, images_of) -> None:
+    """column[k] = ||points[k] - image_k|| for each k of steps where column holds a value of type held, in one pass.
 
-    images_of maps the steps' points, stacked in an (n, d) array, to their
-    images. Each value has the bits of math.sqrt(gap.dot(gap)) on its step
-    alone (see operators._row_norms) when each image has that step's own
-    bits (see operators._stacked_product).
+    images_of maps the points of those steps, stacked in an (n, d) array,
+    and the list of what column held there, to their images. Each value
+    has the bits of math.sqrt(gap.dot(gap)) on its step alone (see
+    operators._row_norms) when each image has that step's own bits (see
+    operators._stacked_product).
     """
+    steps = [k for k in steps if isinstance(column[k], held)]
     if steps:
         X = np.array([points[k] for k in steps])
-        sizes = _row_norms(X - images_of(X))
+        sizes = _row_norms(X - images_of(X, [column[k] for k in steps]))
         for k, size in zip(steps, sizes.tolist()):
             column[k] = size
+
+
+def _collapsed_images(X: np.ndarray, forms: list) -> np.ndarray:
+    """M_k x_k + c_k for each row x_k of X and its step's collapsed form (M_k, c_k)."""
+    return _stacked_product(np.array([form.matrix for form in forms]), X) + np.array([form.offset for form in forms])
 
 
 def anchored_implicit_solve(
@@ -996,9 +1008,7 @@ def anchored_implicit_solve(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     schedule = make_schedule("anchored", n_max=n_max)
-    return viscosity_implicit_solve(
-        ConstantOperator(anchor), target, schedule, opts, problem_id, inner_monitor
-    )
+    return viscosity_implicit_solve(ConstantOperator(anchor), target, schedule, opts, problem_id, inner_monitor)
 
 
 @dataclass

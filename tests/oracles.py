@@ -2,13 +2,15 @@
 
 Everything here is deliberately independent of the package internals: the
 singular-value oracle goes through the characteristic polynomial and
-bisection, the closed forms are worked out on paper, and the rank oracle
-enumerates minors. Slow is fine; these only run at test scale.
+bisection, the closed forms are worked out on paper, the rank oracle
+enumerates minors, and the exact step solution is rational arithmetic.
+Slow is fine; these only run at test scale.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -117,6 +119,39 @@ def ball_iterate_oracle(eps: float) -> np.ndarray:
 def scalar_iterate_oracle(n: int) -> float:
     """Anchored iterate for T = -x with anchor 1: xi_n (2 - 1/n) = 1/n."""
     return 1.0 / (2 * n - 1)
+
+
+def exact_affine_step(a: float, forcing, b: float, target) -> list[Fraction]:
+    """The exact solution of x = a (M_f x + c_f) + b (M_T x + c_T), as Fractions.
+
+    forcing and target are the (matrix, offset) pairs of two affine maps.
+    Every float, a and b included, is read exactly, and the system
+    (I - a M_f - b M_T) x = a c_f + b c_T is solved by Gauss-Jordan
+    elimination in rationals, so the answer has no rounding at all.
+    """
+    (mf, cf), (mt, ct) = forcing, target
+    a, b = Fraction(a), Fraction(b)
+    d = len(cf)
+    rows = [
+        [Fraction(int(i == j)) - a * Fraction(float(mf[i][j])) - b * Fraction(float(mt[i][j])) for j in range(d)]
+        + [a * Fraction(float(cf[i])) + b * Fraction(float(ct[i]))]
+        for i in range(d)
+    ]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [value / lead for value in rows[col]]
+        for r in range(d):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [value - factor * top for value, top in zip(rows[r], rows[col])]
+    return [row[d] for row in rows]
+
+
+def exact_squared_distance(point, exact: list[Fraction]) -> Fraction:
+    """||point - exact||^2 with point's floats read exactly."""
+    return sum((Fraction(float(x)) - e) ** 2 for x, e in zip(point, exact))
 
 
 def _det(m: np.ndarray) -> float:

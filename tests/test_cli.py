@@ -107,6 +107,40 @@ def test_run_record_holds_the_metadata_and_the_stop_record(tmp_path):
     assert not summary["converged"] and summary["outer_steps"] == 2000 and "stop" not in summary
 
 
+@pytest.mark.parametrize(
+    "problem, schedule, paths",
+    [
+        # The benchmark's anchored-ball run: step 1 starts inside the ball
+        # and solves its piece; every later step keeps its handed-on image.
+        (
+            {
+                "target": {"kind": "projection_ball", "center": [-0.0855, 0.0052], "radius": 1.0},
+                "contraction": {"kind": "constant", "value": [-0.467, -1.958]},
+            },
+            {"kind": "anchored", "n_max": 200},
+            {"image": 199, "piece": 1},
+        ),
+        # A rotation flow's blends all collapse to one affine map.
+        (
+            {
+                "family": {"kind": "rotation_flow", "rates": [1.0], "grid": [1.0]},
+                "contraction": {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.6, -0.8]},
+            },
+            {"kind": "harmonic", "params": {"p": 1.0}, "n_max": 50},
+            {"collapsed": 50},
+        ),
+    ],
+)
+def test_the_run_record_counts_the_steps_by_path(tmp_path, problem, schedule, paths):
+    cfg = {"problem": problem, "schedule": schedule, "seed": 4242}
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "cfg.json", cfg)), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "trace.json").read_text())["metadata"]["paths"] == paths
+    # The step table and the summary carry no path.
+    assert "paths" not in _read_summary(out)
+    assert "path" not in (out / "trace.csv").read_text()
+
+
 def test_run_seed_override_changes_the_hash(tmp_path):
     cfg = _ball_config()
     cfg_path = _write(tmp_path, "ball.json", cfg)

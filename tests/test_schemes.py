@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from viscofix import operators, schemes, semigroup
 from viscofix.operators import NONEXPANSIVE, BlendOperator, DeclaredClass, InvalidSpec, blend
 from viscofix.trace import TraceStep
 
-from oracles import bisect_increasing
+from oracles import bisect_increasing, exact_affine_step, exact_squared_distance
 
 COS_FIXED_POINT = 0.7390851332151607
 
@@ -1182,9 +1183,10 @@ def _handed_on_steps(draw):
 
 
 def _handed_on_step(f, T, eps, warm, delta, policy):
-    """_solve_implicit's step from warm with the pass at warm handed on, and no piece planned."""
-    seen = (warm, f._apply(warm), T._apply(warm), None)
-    return schemes._solve_implicit(f, T, eps, warm, delta, policy, None, False, seen)
+    """A stepper's step from warm with the pass at warm handed on, where T has no piece."""
+    stepper = schemes._Stepper(f, T, (eps,), policy=policy, hand_on=True, planned=False)
+    stepper.last = (warm, f._apply(warm), T._apply(warm), None)
+    return stepper.step(eps, warm, delta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1199,7 +1201,7 @@ def test_a_handed_on_step_keeps_a_certified_image_or_has_picards_bits(problem):
     except (MaxIterExceeded, NonFiniteValue) as exc:
         expected = exc
     try:
-        res, implicit_res, *_ = _handed_on_step(f, target, eps, warm, delta, policy)
+        step = _handed_on_step(f, target, eps, warm, delta, policy)
     except (MaxIterExceeded, NonFiniteValue) as exc:
         # A step that does not keep its image fails as Picard fails.
         assert type(exc) is type(expected) and str(exc) == str(expected)
@@ -1207,14 +1209,17 @@ def test_a_handed_on_step_keeps_a_certified_image_or_has_picards_bits(problem):
     def bits(result):
         return result.point.tobytes(), *result[1:4], result.step_norms
 
+    res = step.solved or schemes.FixedPointResult(step.point, step.bound, 1, True, (step.moved,))
     if isinstance(expected, schemes.FixedPointResult) and bits(res) == bits(expected):
+        assert step.path == "picard" and step.moved is None
         return
     # Otherwise the step kept its image, which the blend certifies.
+    assert step.path == "image" and step.point is res.point
     assert res.point.tobytes() == x1.tobytes() and not res.point.flags.writeable
     assert np.linalg.norm(x1 - g.apply(x1)) <= delta * (1.0 - q)
-    assert implicit_res <= delta * (1.0 - q)
+    assert step.implicit <= delta * (1.0 - q)
     assert res.iterations == 1 and res.converged and res.residual <= delta
-    assert res.step_norms == (math.sqrt(np.vdot(x1 - warm, x1 - warm)),)
+    assert res.step_norms == (step.moved,) == (math.sqrt(np.vdot(x1 - warm, x1 - warm)),)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1449,6 +1454,90 @@ def test_a_planned_affine_solve_replays_step_by_step(monkeypatch, case):
     assert result.point.tobytes() == x_prev.tobytes()
 
 
+@st.composite
+def _affine_flows(draw):
+    """An affine contraction f, a rotation flow of one or two planes (d = 2 or 4), and a schedule."""
+    planes = draw(st.sampled_from((1, 2)))
+    dim = 2 * planes
+    rates = draw(st.lists(st.floats(0.1, 3.0), min_size=planes, max_size=planes))
+    flow = make_rotation_flow(rates, draw(st.sampled_from(([1.0], [1.0, 2.5]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    matrix = rng.standard_normal((dim, dim))
+    f = AffineOperator(draw(st.floats(0.1, 0.9)) / np.linalg.norm(matrix, 2) * matrix, rng.standard_normal(dim))
+    if draw(st.booleans()):
+        schedule = make_schedule("harmonic", {"p": draw(st.sampled_from((1.0, 2.0)))}, n_max=30)
+    else:
+        schedule = make_schedule("geometric", {"r": draw(st.sampled_from((0.5, 0.8)))}, n_max=30)
+    return f, flow, schedule
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=_affine_flows())
+def test_each_affine_step_lies_within_its_bound_of_the_exact_step_solution(problem):
+    # The exact solution of the step's blend, with a = eps_n and b =
+    # fl(1 - eps_n) and every float read exactly, against the bound that
+    # inner_monitor receives. Picard's stop rule leaves the rounding floor
+    # out, so the bound may exceed delta_n by up to the floor, and not only
+    # where delta_n comes near it: a geometric step with delta_n 2e5 times
+    # its floor has reported 5.82079e-11 for delta_n = 5.82077e-11.
+    f, flow, schedule = problem
+    members = [flow.evaluate(t) for t in flow.sample_indices()]
+    opts = SolveOptions(policy=TolerancePolicy(max_iter=10**12))
+    seen = []
+    viscosity_implicit_solve(f, flow, schedule, opts, inner_monitor=lambda *step: seen.append(step))
+    for n, eps, res in seen:
+        T = members[(n - 1) % len(members)]
+        exact = exact_affine_step(eps, f.affine_parts(), 1.0 - eps, T.affine_parts())
+        assert exact_squared_distance(res.point, exact) <= Fraction(res.residual) ** 2
+        q = blend(eps, f, 1.0 - eps, T).declared_class.alpha
+        floor = np.finfo(float).eps * np.linalg.norm(res.point) / (1.0 - q)
+        delta = opts.inner_tol_rule.delta(eps, opts.outer_tol)
+        assert res.residual <= (delta + floor) * (1.0 + 1e-12)
+
+
+def _work_per_step(monkeypatch, f, target, n_max) -> list:
+    """(f evaluations, target evaluations, FixedPointResults built) in each step of a solve without a monitor.
+
+    A step's counts run from its blend() call to the next step's, and the
+    last step's to the end of the solve, which builds the outer result.
+    """
+    f_points, built, marks = [], [], []
+    apply = f._apply
+    f._apply = lambda x: f_points.append(x) or apply(x)
+    t_points = _evaluations_outside_picard(monkeypatch, target, cut_at_picard=False)
+    original_blend, original_new = schemes.blend, schemes.FixedPointResult.__new__
+
+    def blended(*args):
+        marks.append((len(f_points), len(t_points), len(built)))
+        return original_blend(*args)
+
+    def counted(cls, *args):
+        built.append(args)
+        return original_new(cls, *args)
+
+    monkeypatch.setattr(schemes, "blend", blended)
+    monkeypatch.setattr(schemes.FixedPointResult, "__new__", counted)
+    _, trace = viscosity_implicit_solve(f, target, make_schedule(n_max=n_max))
+    assert len(trace) == len(marks) == n_max
+    marks.append((len(f_points), len(t_points), len(built)))
+    return [tuple(b - a for a, b in zip(before, after)) for before, after in zip(marks, marks[1:])]
+
+
+@pytest.mark.parametrize(
+    "target, anchor",
+    [
+        (BallProjection([0.3, -0.2], 1.0), [2.5, 1.0]),
+        (BoxProjection([-1.0, -0.9, -1.1], [1.0, 1.1, 0.9]), [2.0, -3.0, 1.5]),
+    ],
+)
+def test_a_kept_image_step_does_only_its_numeric_work(monkeypatch, target, anchor):
+    # Every step after step 1 keeps its handed-on image: one blend() call,
+    # one evaluation of f and of T, and no inner solve result built, as no
+    # inner_monitor asks for one. The last step's count has the outer result.
+    per_step = _work_per_step(monkeypatch, ConstantOperator(anchor), target, 200)
+    assert per_step[1:] == [(1, 1, 0)] * 198 + [(1, 1, 1)]
+
+
 @pytest.mark.parametrize("dim", [2, 3, 8])
 def test_the_stacked_residual_pass_has_each_steps_bits(dim):
     # Read-only views, as a schedule plan's rows and the solver's points
@@ -1462,7 +1551,7 @@ def test_the_stacked_residual_pass_has_each_steps_bits(dim):
     steps = list(range(0, 500, 2))
     stacked = [np.array([stack[k] for k in steps]) for stack in (matrices, offsets)]
     column = [None] * 500
-    schemes._fill_gaps(column, steps, list(points), lambda X: operators._stacked_product(stacked[0], X) + stacked[1])
+    schemes._fill_gaps(column, steps, list(points), type(None), lambda X, _: operators._stacked_product(stacked[0], X) + stacked[1])
     assert column[1::2] == [None] * 250
     for m, c, x, size in zip(matrices[steps], offsets[steps], points[steps], column[::2]):
         assert size == _gap_size(x, m @ x + c)
@@ -1703,11 +1792,16 @@ def test_planned_collapses_equal_blends_own_bit_for_bit(monkeypatch, kind, dim, 
     values = make_schedule(n_max=500).values
     # A batch of 7 steps puts batch edges inside the cycle of step operators.
     monkeypatch.setattr(schemes, "_PLAN_BATCH", 7 * dim * dim)
-    plan = list(schemes._blend_plan(f, step_ops, values))
-    assert len(plan) == len(values)
-    for n, (eps, collapse) in enumerate(zip(values, plan)):
-        T = step_ops[n % count]
-        planned = blend(eps, f, 1.0 - eps, T, collapse)
+    blends = _count_calls(monkeypatch, "blend")
+    # An outer_tol no step meets runs every step of the schedule.
+    opts = SolveOptions(1e-300, fixed_inner_tol(1e-6), policy=TolerancePolicy(max_iter=10**9))
+    viscosity_implicit_solve(f, family, make_schedule(n_max=500), opts)
+    assert len(blends) == len(values)
+    for n, (eps, args) in enumerate(zip(values, blends)):
+        T = args[3]
+        assert args[:3] == (eps, f, 1.0 - eps)
+        assert T.affine_parts()[0].tobytes() == step_ops[n % count].affine_parts()[0].tobytes()
+        planned = blend(*args)
         own = blend(eps, f, 1.0 - eps, T)
         assert planned.matrix.tobytes() == own.matrix.tobytes()
         assert planned.offset.tobytes() == own.offset.tobytes()
@@ -1740,19 +1834,17 @@ def test_a_non_finite_plan_batch_raises_at_its_own_step(monkeypatch):
     f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
     rotations = [PlaneRotation(2, (0, 1), angle) for angle in (0.5, 1.0)]
     family = make_custom_family({1: rotations[0], 2: rotations[1], 3: _Planted(2)})
-    plan = schemes._blend_plan(f, schemes._step_operators(family, 2), make_schedule(n_max=20).values)
-    # Each rotation's rows are planned; the planted member's form is
-    # rejected when the plan first asks for it, at its own step.
-    assert next(plan).everywhere and next(plan).everywhere
-    with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
-        next(plan)
+    blends = _count_calls(monkeypatch, "blend")
     steps = []
     with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
         viscosity_implicit_solve(
             f, family, make_schedule(n_max=20), inner_monitor=lambda n, eps, res: steps.append(n)
         )
-    # The steps before the planted member's run on their planned collapses.
+    # Each rotation's rows are planned, and the steps before the planted
+    # member's run on their planned collapses; the planted member's form is
+    # rejected when its stepper first plans it, at its own step, before its blend.
     assert steps == [1, 2]
+    assert [args[4].everywhere for args in blends] == [True, True]
     # A non-finite forcing form is rejected the same way, without a warning.
     with pytest.raises(InvalidSpec, match="collapsed matrix has non-finite entries"):
         viscosity_implicit_solve(
@@ -1762,24 +1854,47 @@ def test_a_non_finite_plan_batch_raises_at_its_own_step(monkeypatch):
         )
 
 
-def test_blend_moduli_are_none_without_affine_forms():
+def test_blend_moduli_are_none_without_affine_forms(monkeypatch):
     ball = BallProjection([0.0, 0.0], 1.0)
     f = AffineOperator(0.5 * np.eye(2), [1.0, 0.0])
-    values = make_schedule(n_max=5).values
-    assert list(schemes._blend_plan(f, (ball,), values)) == [None] * 5
+    blends = _count_calls(monkeypatch, "blend")
+    viscosity_implicit_solve(f, ball, make_schedule(n_max=5), SolveOptions(outer_tol=1e-300))
+    assert [args[4] for args in blends] == [None] * 5
 
 
-def _planned_entries(f, target, values, warms):
-    """The schedule plan's entry for each step, fed the given warm starts."""
-    step_ops = schemes._step_operators(target, f.dim)
-    plan = schemes._blend_plan(f, step_ops, values, warms[0])
-    return step_ops, [plan.send(warm) if k else next(plan) for k, warm in enumerate(warms)]
+def _solved_pieces(monkeypatch) -> list:
+    """[blend's arguments, the piece the step's piece solve took or None] for each outer step from now on."""
+    steps = []
+    original_blend, original_affine = schemes.blend, schemes._affine
+
+    def blended(*args):
+        steps.append([args, None])
+        return original_blend(*args)
+
+    def affine(piece, *args):
+        steps[-1][1] = piece
+        return original_affine(piece, *args)
+
+    monkeypatch.setattr(schemes, "blend", blended)
+    monkeypatch.setattr(schemes, "_affine", affine)
+    return steps
 
 
-def _unplanned(f, step_ops, values, warm=None):
-    """A schedule plan that plans nothing, so that every step builds its own blend and piece."""
-    for _ in values:
-        yield schemes._UNPLANNED
+def _steppers_with(monkeypatch, **attributes):
+    """Every stepper built from now on, with the given attributes set over what its init set."""
+    init = schemes._Stepper.__init__
+
+    def built(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for name, value in attributes.items():
+            setattr(self, name, value)
+
+    monkeypatch.setattr(schemes._Stepper, "__init__", built)
+
+
+def _unplanned(monkeypatch):
+    """Steppers that plan nothing from now on, so that every step builds its own blend and piece."""
+    _steppers_with(monkeypatch, forcing=None)
 
 
 def _trace_bits(trace) -> bytes:
@@ -1823,13 +1938,9 @@ def test_a_handed_on_piece_gives_the_bits_of_one_the_plan_asks_for(monkeypatch, 
     handed = traces()
     asked_once = sum(x is not None for x in queries)
     queries.clear()
-    original_solve = schemes._solve_implicit
-
-    def dropping(*args):
-        res, size, at_target, _, seen = original_solve(*args[:7], False)
-        return res, size, at_target, res.point, seen
-
-    monkeypatch.setattr(schemes, "_solve_implicit", dropping)
+    # Steppers that hand nothing on: no pass serves the next step, whose
+    # plan or own query asks its target again at the warm start.
+    _steppers_with(monkeypatch, hand_on=False)
     dropped = traces()
     # Handed on, the plan asks only for each solve's first piece.
     assert asked_once == len(handed)
@@ -1869,17 +1980,22 @@ def test_planned_pieces_equal_the_blends_own_bit_for_bit(dim, kind, angle, reach
     with pytest.MonkeyPatch.context() as mp:
         # Batches of `window` steps put batch edges inside the run.
         mp.setattr(schemes, "_PLAN_BATCH", window * dim * dim)
-        _, trace = viscosity_implicit_solve(f, target, schedule)
-        warms = [np.zeros(dim)] + [np.array(step.point) for step in trace.steps[:-1]]
         built = []
         original = schemes._blend_form
         mp.setattr(schemes, "_blend_form", lambda *args: built.append(np.ndim(args[0])) or original(*args))
-        step_ops, entries = _planned_entries(f, target, schedule.values[: len(warms)], warms)
-        mp.setattr(schemes, "_blend_plan", _unplanned)
+        steps = _solved_pieces(mp)
+        _, trace = viscosity_implicit_solve(f, target, schedule)
+        mp.undo()
+        mp.setattr(schemes, "_PLAN_BATCH", window * dim * dim)
+        _unplanned(mp)
         _, unplanned = viscosity_implicit_solve(f, target, schedule)
     assert _trace_bits(trace) == _trace_bits(unplanned)
-    for n, (eps, warm, entry) in enumerate(zip(schedule.values, warms, entries)):
-        own = blend(eps, f, 1.0 - eps, step_ops[n % len(step_ops)]).affine_piece(warm)
+    warms = [np.zeros(dim)] + [np.array(step.point) for step in trace.steps[:-1]]
+    assert len(steps) == len(warms)
+    entries = [entry for _, entry in steps]
+    for (args, entry), warm in zip(steps, warms):
+        assert args[4] is None
+        own = blend(*args[:4]).affine_piece(warm)
         if own is None:
             assert entry is None
             continue
@@ -1890,7 +2006,7 @@ def test_planned_pieces_equal_the_blends_own_bit_for_bit(dim, kind, angle, reach
     if all(entry is not None for entry in entries):
         # Each member's first piece is built alone (one blend form with a
         # scalar weight); every later row is planned.
-        assert built.count(0) == min(len(step_ops), len(entries))
+        assert built.count(0) == min(len(schemes._step_operators(target, dim)), len(entries))
 
 
 class _PlainPairs(Operator):
@@ -1913,14 +2029,13 @@ class _PlainPairs(Operator):
 def _planned_rows(monkeypatch) -> list:
     """The index of every row a schedule plan takes from a stacked piece from now on."""
     rows = []
-    original = operators._Piece.rows
+    original = operators._Piece.row
 
-    def counted(self, norms=None):
-        for index, row in enumerate(original(self, norms)):
-            rows.append(index)
-            yield row
+    def counted(self, index):
+        rows.append(index)
+        return original(self, index)
 
-    monkeypatch.setattr(operators._Piece, "rows", counted)
+    monkeypatch.setattr(operators._Piece, "row", counted)
     return rows
 
 
@@ -1929,7 +2044,7 @@ def test_a_target_with_fresh_pieces_plans_nothing(monkeypatch):
     # A plain pair is checked into a new piece on every call.
     turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
     target = _PlainPairs(turned)
-    monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
+    _unplanned(monkeypatch)
     _, unplanned = viscosity_implicit_solve(f, target, make_schedule(n_max=30))
     monkeypatch.undo()
     built = _count_calls(monkeypatch, "_blend_form")
@@ -1947,7 +2062,7 @@ def test_an_averaged_piece_schedule_builds_one_row_alone_and_plans_the_rest(monk
     f = AffineOperator(0.5 * np.eye(2), [0.1, 0.05])
     turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
     target = AveragedOperator(turned, 0.5)
-    monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
+    _unplanned(monkeypatch)
     _, unplanned = viscosity_implicit_solve(f, target, make_schedule(n_max=100))
     monkeypatch.undo()
     built = _count_calls(monkeypatch, "_blend_form")
@@ -1969,7 +2084,7 @@ def test_a_mixed_family_plans_both_members_bit_for_bit(monkeypatch):
     turned = CompositeOperator([PlaneRotation(2, (0, 1), 1.0), BallProjection([0.0, 0.0], 1.0)])
     family = make_custom_family({1: PlaneRotation(2, (0, 1), 0.5), 2: turned})
     schedule = make_schedule(n_max=100)
-    monkeypatch.setattr(schemes, "_blend_plan", _unplanned)
+    _unplanned(monkeypatch)
     _, unplanned = viscosity_implicit_solve(f, family, schedule)
     monkeypatch.undo()
     blends = _count_calls(monkeypatch, "blend")

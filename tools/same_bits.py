@@ -38,11 +38,13 @@ records:
   CLI takes it; a family of more members has no report), and again with the
   target's linear fixed set when it has one; the bytes export_trace writes
   as trace.csv, the step table, and as trace.json, the run record (the
-  trace's wall-clock timestamps dropped first), and the load_trace round
+  trace's wall-clock timestamps and its step count by path dropped
+  first: a tree older than that count has none), and the load_trace round
   trip of trace.csv;
 * for cli-pipeline at seed 4242: the exit code and stdout of each command,
   every file the commands write (summary.json, trace.csv,
-  sweep_summary.csv) and trace.json without its wall-clock timestamps;
+  sweep_summary.csv) and trace.json without its wall-clock timestamps
+  and its step count by path;
 * for the spec corpus in tests/oracles.py, read from the recording
   script's own tree: each accepted operator or family spec's to_spec()
   (AttributeError for a custom family, which has none) and the bits of
@@ -80,6 +82,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRACE_FIELDS = ("point", "implicit_residual", "fix_residual", "inner_iters", "step_delta")
 #: Fields of each inner solve's result, recorded through inner_monitor.
 INNER_FIELDS = ("residual", "iterations", "converged")
+#: The run record's metadata left out: wall-clock times, and the step count by path, which older trees lack.
+UNCOMPARED_METADATA = ("timestamps", "paths")
 
 
 def _digest(data: bytes) -> str:
@@ -169,10 +173,11 @@ def _report_records(prefix: str, trace, f, target) -> dict:
 
 
 def _export_records(prefix: str, trace) -> dict:
-    """The bytes of both trace files, timestamps dropped, and what load_trace reads back from the step table."""
+    """The bytes of both trace files, timestamps and path counts dropped, and what load_trace reads back from the step table."""
     from viscofix import export_trace, load_trace
 
-    trace.metadata.pop("timestamps", None)
+    for key in UNCOMPARED_METADATA:
+        trace.metadata.pop(key, None)
     records = {}
     with tempfile.TemporaryDirectory() as work:
         for fmt in ("csv", "json"):
@@ -317,7 +322,8 @@ def _spec_records() -> dict:
 def _artifact(path: Path) -> str:
     if path.name == "trace.json":
         data = json.loads(path.read_text())
-        data.get("metadata", {}).pop("timestamps", None)
+        for key in UNCOMPARED_METADATA:
+            data.get("metadata", {}).pop(key, None)
         return _digest(json.dumps(data, sort_keys=True).encode())
     return _digest(path.read_bytes())
 
